@@ -13,9 +13,9 @@ test:
 # Race-detector pass over the concurrent subsystems (staged pipeline DAG
 # and its sample cache, multi-tenant data service, ring allreduce,
 # data-parallel trainer, fault injector, metrics registry, checkpoint
-# codec, chaos-training sweep).
+# codec, the acceptance sweeps).
 race:
-	$(GO) test -race ./internal/pipeline/... ./internal/iosim/... ./internal/dataserve/... ./internal/dist/... ./internal/train/... ./internal/fault/... ./internal/obs/... ./internal/nn/... ./cmd/chaostrain/... ./cmd/chaosloader/... ./cmd/dataserve/... ./cmd/overload/... ./cmd/scenarios/...
+	$(GO) test -race ./internal/pipeline/... ./internal/iosim/... ./internal/dataserve/... ./internal/dist/... ./internal/train/... ./internal/fault/... ./internal/obs/... ./internal/nn/... ./internal/sweep/... ./cmd/sweep/...
 
 # Fault-injection and resilience suite: injector determinism, retry/backoff,
 # skip quotas, the end-to-end faulted DeepCAM acceptance run, the elastic
@@ -24,7 +24,7 @@ race:
 # tier failover, poison quarantine), and the chaos sweep smokes.
 fault:
 	$(GO) test -race -run 'Fault|Resilien|Retr|Backoff|Quota|SampleError|Transient|SameSeed|SameSample|Kind|FormatInjector|Summary|Elastic|Checkpoint|Rank|Supervis|Stall|Panic|Quarantine|Integrity|Chaos|BitRot|Breaker|Shed|Tier|Poison|SlowConsumer|Detach|Isolation' ./internal/fault/... ./internal/pipeline/... ./internal/train/... ./internal/dist/... ./internal/dataserve/...
-	$(GO) test -race ./cmd/chaosloader/ ./cmd/dataserve/ ./cmd/overload/ ./cmd/scenarios/
+	$(GO) test -race ./internal/sweep/... ./cmd/sweep/...
 
 # scipplint is the repo's own stdlib-only static analyzer (internal/analysis);
 # it must exit 0 on the whole module.
@@ -52,7 +52,8 @@ cover:
 # The pipeline's cache-integrity fuzzer lives in its own package, so it
 # gets its own invocation after the codec loop.
 FUZZ_TARGETS = FuzzFormatsOpenDecode FuzzDeltaFPRoundTrip FuzzLUTRoundTrip \
-	FuzzRawCosmoRoundTrip FuzzRawDeepCAMRoundTrip FuzzZfpcRoundTrip
+	FuzzRawCosmoRoundTrip FuzzRawDeepCAMRoundTrip FuzzZfpcRoundTrip \
+	FuzzSeriesRoundTrip
 fuzz:
 	@for t in $(FUZZ_TARGETS); do \
 		$(GO) test -run=NONE -fuzz="^$$t$$" -fuzztime=10s ./internal/codec/ || exit 1; \

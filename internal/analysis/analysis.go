@@ -233,9 +233,7 @@ func All() []*Analyzer {
 		Concurrency,
 		UncheckedError,
 		Retry,
-		DistSend,
-		StageSend,
-		DataserveSend,
+		GuardedSend,
 		HotAlloc,
 		ShapeContract,
 		PoolLeak,

@@ -25,9 +25,9 @@ var fixtures = []struct {
 	{"fixerr", "scipp/internal/fixerr"},
 	{"fixdir", "scipp/internal/fixdir"},
 	{"fixretry", "scipp/internal/fixretry"},
-	{"fixdistsend", "scipp/internal/dist"},           // dist scope for the abort-escape send rule
-	{"fixstagesend", "scipp/internal/pipeline"},      // pipeline scope for the stage send rule
-	{"fixdataservesend", "scipp/internal/dataserve"}, // dataserve scope for the tenant send rule
+	{"fixdistsend", "scipp/internal/dist"},           // the guarded-send rule's three scopes,
+	{"fixstagesend", "scipp/internal/pipeline"},      // each with its own hint
+	{"fixdataservesend", "scipp/internal/dataserve"}, //
 	{"fixhotalloc", "scipp/internal/fixhotalloc"},
 	{"fixshapecontract", "scipp/internal/fixshapecontract"},
 	{"fixpoolleak", "scipp/internal/fixpoolleak"},

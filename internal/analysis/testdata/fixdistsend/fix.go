@@ -1,6 +1,6 @@
 // Package fixdistsend is a lint fixture for the communicator's send
 // discipline. The analysis tests load it under scipp/internal/dist so the
-// distsend rule applies: every send needs a select with an escape case.
+// guardedsend rule applies: every send needs a select with an escape case.
 package fixdistsend
 
 // Bare sends directly with no select.

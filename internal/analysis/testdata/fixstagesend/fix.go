@@ -1,6 +1,6 @@
 // Package fixstagesend is a lint fixture for the staged pipeline's send
 // discipline. The analysis tests load it under scipp/internal/pipeline so
-// the stagesend rule applies: every send needs a select with an escape case.
+// the guardedsend rule applies: every send needs a select with an escape case.
 package fixstagesend
 
 // Bare sends directly with no select.

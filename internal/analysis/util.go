@@ -141,53 +141,3 @@ func hasPrefixAny(s string, prefixes ...string) bool {
 	}
 	return false
 }
-
-// reportUnguardedSends flags every channel send in the pass's files that is
-// not the comm of a select clause whose select also offers an escape (a
-// receive case or a default). Shared by the distsend and stagesend rules,
-// which apply the same abort discipline to different packages.
-func reportUnguardedSends(pass *Pass, msg string) {
-	for _, f := range pass.Files {
-		// First pass: mark the sends that are the comm of a select clause
-		// whose select also offers an escape (receive case or default).
-		guarded := make(map[*ast.SendStmt]bool)
-		ast.Inspect(f, func(n ast.Node) bool {
-			sel, ok := n.(*ast.SelectStmt)
-			if !ok {
-				return true
-			}
-			var sends []*ast.SendStmt
-			escape := false
-			for _, c := range sel.Body.List {
-				cc, ok := c.(*ast.CommClause)
-				if !ok {
-					continue
-				}
-				switch comm := cc.Comm.(type) {
-				case nil: // default: the send cannot block
-					escape = true
-				case *ast.SendStmt:
-					sends = append(sends, comm)
-				default: // a receive clause: the abort/deadline escape
-					escape = true
-				}
-			}
-			if escape {
-				for _, s := range sends {
-					guarded[s] = true
-				}
-			}
-			return true
-		})
-		ast.Inspect(f, func(n ast.Node) bool {
-			send, ok := n.(*ast.SendStmt)
-			if !ok {
-				return true
-			}
-			if !guarded[send] {
-				pass.Reportf(Error, send.Pos(), "%s", msg)
-			}
-			return true
-		})
-	}
-}

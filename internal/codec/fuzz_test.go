@@ -24,6 +24,7 @@ import (
 	"scipp/internal/codec/deltafp"
 	"scipp/internal/codec/gzipc"
 	"scipp/internal/codec/lut"
+	"scipp/internal/codec/seriesfmt"
 	"scipp/internal/codec/zfpc"
 	"scipp/internal/fp16"
 	"scipp/internal/h5lite"
@@ -258,6 +259,56 @@ func FuzzRawDeepCAMRoundTrip(f *testing.F) {
 					t.Fatalf("%s: value %d: %g != %g",
 						tc.name, i, out.F32s[i], src.F32s[i])
 				}
+			}
+		}
+	})
+}
+
+// FuzzSeriesRoundTrip checks the variable-length station-series format on
+// generated archives of fuzzed shape: the decode is bit-identical to the
+// generated series (dead stations of length 0 included), ProbeShape reads
+// the same per-sample shape off the header alone, Params recovers the label
+// — and a record cut short or grown by a byte is rejected by its length
+// check rather than decoded past its end.
+func FuzzSeriesRoundTrip(f *testing.F) {
+	f.Add(uint64(1), uint8(3), uint8(0), uint8(95), uint16(0), uint8(0))
+	f.Add(uint64(9), uint8(0), uint8(0), uint8(0), uint16(7), uint8(1))
+	f.Add(uint64(77), uint8(254), uint8(5), uint8(2), uint16(511), uint8(29))
+	f.Fuzz(func(t *testing.T, seed uint64, c8, min8, span8 uint8, index uint16, cut uint8) {
+		cfg := synthetic.DefaultWeatherConfig()
+		cfg.Seed = seed
+		cfg.Channels = 1 + int(c8)%255
+		cfg.MinLen = int(min8) % 32
+		cfg.MaxLen = cfg.MinLen + int(span8)%96
+		s, err := synthetic.GenerateWeather(cfg, int(index))
+		if err != nil {
+			t.Fatal(err)
+		}
+		blob := synthetic.WeatherToRecord(s)
+		out := mustDecode(t, "raw-series", blob)
+		if !out.Shape.Equal(s.Data.Shape) {
+			t.Fatalf("shape %v, want %v", out.Shape, s.Data.Shape)
+		}
+		for i, v := range s.Data.F32s {
+			if math.Float32bits(out.F32s[i]) != math.Float32bits(v) {
+				t.Fatalf("value %d: %g != %g", i, out.F32s[i], v)
+			}
+		}
+		dt, shape, err := codec.ProbeShape(seriesfmt.Series(), blob)
+		if err != nil || dt != tensor.F32 || !shape.Equal(s.Data.Shape) {
+			t.Fatalf("ProbeShape = %v %v %v, want F32 %v", dt, shape, err, s.Data.Shape)
+		}
+		if p, err := seriesfmt.Params(blob); err != nil || p != s.Params {
+			t.Fatalf("Params = %v %v, want %v", p, err, s.Params)
+		}
+		short := blob[:len(blob)-1-int(cut)%len(blob)]
+		long := append(append([]byte(nil), blob...), cut)
+		for _, bad := range [][]byte{short, long} {
+			if _, err := seriesfmt.Series().Open(bad); err == nil {
+				t.Fatalf("record of %d bytes (valid: %d) opened", len(bad), len(blob))
+			}
+			if _, err := seriesfmt.Params(bad); err == nil {
+				t.Fatalf("Params read a record of %d bytes (valid: %d)", len(bad), len(blob))
 			}
 		}
 	})

@@ -88,7 +88,12 @@ func buildValidBlobs() (map[string][]byte, error) {
 	if err != nil {
 		return nil, err
 	}
+	station, err := synthetic.GenerateWeather(synthetic.DefaultWeatherConfig(), 3)
+	if err != nil {
+		return nil, err
+	}
 	return map[string][]byte{
+		"raw-series":        synthetic.WeatherToRecord(station),
 		"deltafp":           clim.Blobs[0],
 		"deltafp-hwc":       clim.Blobs[0],
 		"raw-deepcam":       climRaw.Blobs[0],

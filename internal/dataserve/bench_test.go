@@ -14,10 +14,9 @@ import (
 // full epoch for every tenant (benchTenants x benchSamples samples), so
 // samples/s is the aggregate multi-tenant delivery rate. The Private twin
 // runs the same jobs on per-job pipeline.Loaders with per-job caches — the
-// deployment the shared service replaces — so the committed pair tracks
-// the shared-vs-private throughput relationship alongside the decode-count
-// ratio cmd/dataserve reports. scripts/bench.sh runs these and commits the
-// result into BENCH_pipeline.json.
+// deployment the shared service replaces — so the pair tracks the
+// shared-vs-private throughput relationship alongside the decode-count
+// ratio `cmd/sweep -suite serve` reports.
 const (
 	benchTenants = 3
 	benchSamples = 256

@@ -105,7 +105,7 @@ func digestBatches(t *testing.T, it interface {
 	}
 }
 
-// fold is one FNV-1a step over a 64-bit word, as in cmd/chaosloader.
+// fold is one FNV-1a step over a 64-bit word, as in internal/sweep.
 func fold(h, v uint64) uint64 {
 	for s := 0; s < 64; s += 8 {
 		h = (h ^ (v >> s & 0xFF)) * 0x100000001b3

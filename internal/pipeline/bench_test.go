@@ -11,10 +11,11 @@ import (
 
 // Benchmarks over the staged pipeline. One iteration drains one full epoch
 // (benchSamples samples), so ns/op is the end-to-end epoch latency of the
-// stage DAG and samples/sec its steady throughput. scripts/bench.sh runs
-// these and commits the result as BENCH_pipeline.json; the CPU/GPU pair
-// uses the same workload shape as the pre-DAG loader benchmarks, so the
-// committed numbers are directly comparable across the refactor.
+// stage DAG and samples/sec its steady throughput. These are framework-
+// overhead microbenchmarks (a 2-byte test format); benchmark/ measures the
+// real codecs end to end. The CPU/GPU pair uses the same workload shape as
+// the pre-DAG loader benchmarks, so numbers stay comparable across the
+// refactor.
 const (
 	benchSamples  = 256
 	benchBatch    = 8
@@ -125,8 +126,7 @@ func BenchmarkPipelineCachedEpochIntegrityOff(b *testing.B) {
 // distinct element counts. Under exact-elems pooling every length was its
 // own class and nearly every get missed to the heap; with round-up classes
 // the stream recycles a handful of slabs, so allocs/op is the honest
-// fragmentation signal. (Deliberately outside the BenchmarkPipeline* family:
-// it has no committed baseline cell in BENCH_pipeline.json.)
+// fragmentation signal.
 func BenchmarkSlabPoolFragmentation(b *testing.B) {
 	p := NewSlabPool()
 	b.ReportAllocs()
