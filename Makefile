@@ -7,15 +7,19 @@ GO ?= go
 build:
 	$(GO) build ./...
 
+# The second line runs the codec kernel benchmarks for one iteration each,
+# so they keep compiling.
 test:
 	$(GO) test ./...
+	$(GO) test -run '^$$' -bench '^(BenchmarkOpen|BenchmarkDecodeFused|BenchmarkDecodeSample)$$' -benchtime=1x ./internal/codec/lut/ ./internal/codec/deltafp/
 
 # Race-detector pass over the concurrent subsystems (staged pipeline DAG
 # and its sample cache, multi-tenant data service, ring allreduce,
 # data-parallel trainer, fault injector, metrics registry, checkpoint
-# codec, the acceptance sweeps).
+# codec, the acceptance sweeps, and the sample codecs — chunks decode
+# concurrently and share the lazily built LUT value tables).
 race:
-	$(GO) test -race ./internal/pipeline/... ./internal/iosim/... ./internal/dataserve/... ./internal/dist/... ./internal/train/... ./internal/fault/... ./internal/obs/... ./internal/nn/... ./internal/sweep/... ./cmd/sweep/...
+	$(GO) test -race ./internal/pipeline/... ./internal/iosim/... ./internal/dataserve/... ./internal/dist/... ./internal/train/... ./internal/fault/... ./internal/obs/... ./internal/nn/... ./internal/sweep/... ./cmd/sweep/... ./internal/codec/... ./internal/fp16/...
 
 # Fault-injection and resilience suite: injector determinism, retry/backoff,
 # skip quotas, the end-to-end faulted DeepCAM acceptance run, the elastic
@@ -58,6 +62,7 @@ fuzz:
 	@for t in $(FUZZ_TARGETS); do \
 		$(GO) test -run=NONE -fuzz="^$$t$$" -fuzztime=10s ./internal/codec/ || exit 1; \
 	done
+	$(GO) test -run=NONE -fuzz='^FuzzFromFloat32$$' -fuzztime=10s ./internal/fp16/
 	$(GO) test -run=NONE -fuzz='^FuzzCacheIntegrity$$' -fuzztime=10s ./internal/pipeline/
 	$(GO) test -run=NONE -fuzz='^FuzzTenantCache$$' -fuzztime=10s ./internal/dataserve/
 	$(GO) test -run=NONE -fuzz='^FuzzBreakerState$$' -fuzztime=10s ./internal/dataserve/

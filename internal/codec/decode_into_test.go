@@ -118,6 +118,29 @@ func TestDecodeParallelIntoErrorPropagates(t *testing.T) {
 	}
 }
 
+// TestDecodeParallelIntoReuse: the fan-out state is pooled, so an error
+// from one call must not leak into the next, and a steady loop must not
+// allocate per call.
+func TestDecodeParallelIntoReuse(t *testing.T) {
+	n := 16
+	bad := &bigFake{fakeDecoder: fakeDecoder{n: n, failAt: 7, dtype: tensor.F32}, bytesOut: parallelDecodeMinBytes}
+	good := &bigFake{fakeDecoder: fakeDecoder{n: n, failAt: -1, dtype: tensor.F32}, bytesOut: parallelDecodeMinBytes}
+	dst := tensor.New(tensor.F32, n)
+	if err := DecodeParallelInto(bad, dst, 2); err == nil {
+		t.Fatal("failing decoder returned no error")
+	}
+	if err := DecodeParallelInto(good, dst, 2); err != nil {
+		t.Fatalf("error carried over from the previous call: %v", err)
+	}
+	if a := testing.AllocsPerRun(200, func() {
+		if err := DecodeParallelInto(good, dst, 2); err != nil {
+			t.Fatal(err)
+		}
+	}); a >= 1 {
+		t.Errorf("DecodeParallelInto allocates %.1f objects per call, want none", a)
+	}
+}
+
 func TestDecodeParallelIntoSmallSampleStaysSerial(t *testing.T) {
 	// Below the size threshold the decode must still be complete and
 	// correct (it runs on the calling goroutine).

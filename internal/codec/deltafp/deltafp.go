@@ -359,6 +359,10 @@ func Format() codec.Format { return format{} }
 
 func (format) Name() string { return "deltafp" }
 
+// Open implements codec.Format: it validates the header, the offset table
+// and every line's framing.
+//
+//scipp:hotpath
 func (format) Open(blob []byte) (codec.ChunkDecoder, error) {
 	const headerLen = 20
 	if len(blob) < headerLen {
@@ -427,6 +431,7 @@ func getDecoder(n int) *Decoder {
 	d := decoderPool.Get().(*Decoder)
 	offsets := d.offsets
 	if cap(offsets) < n {
+		//lint:ignore hotalloc pool miss: a recycled decoder keeps its offsets table
 		offsets = make([]uint32, n)
 	}
 	*d = Decoder{offsets: offsets[:n]}
@@ -474,6 +479,11 @@ func (d *Decoder) profile() error {
 			}
 			d.nConst++
 		case modeDelta:
+			// Mode byte plus the uint16 segment count decodeDeltaLine reads
+			// unconditionally.
+			if len(line) < 3 {
+				return fmt.Errorf("deltafp: delta line %d has %d bytes", l, len(line))
+			}
 			d.nDelta++
 		default:
 			return fmt.Errorf("deltafp: line %d has unknown mode %d", l, line[0])
@@ -507,6 +517,8 @@ func (d *Decoder) Workload() codec.Workload {
 }
 
 // DecodeChunk implements codec.ChunkDecoder, decoding line chunk into dst.
+//
+//scipp:hotpath
 func (d *Decoder) DecodeChunk(chunk int, dst *tensor.Tensor) error {
 	if chunk < 0 || chunk >= d.c*d.h {
 		return fmt.Errorf("deltafp: chunk %d out of range", chunk)
@@ -533,42 +545,43 @@ func (d *Decoder) DecodeChunk(chunk int, dst *tensor.Tensor) error {
 	return nil
 }
 
+// decodeDeltaLine reconstructs one DELTA line into out, segment by segment.
 func (d *Decoder) decodeDeltaLine(line []byte, out []fp16.Bits) error {
 	nsegs := int(binary.LittleEndian.Uint16(line[1:]))
 	pos := 3
 	emitted := 0
+	// A code byte is [sign:1][exponent-offset][mantissa] with the offset and
+	// mantissa fields contiguous, so its low 7 bits shifted to the top of
+	// the FP32 mantissa land the offset in the exponent field: the delta's
+	// magnitude bits are the segment's base exponent plus that.
 	shift := uint(23 - d.mantBits)
-	mantMask := byte(1<<uint(d.mantBits) - 1)
-	expMask := byte(1<<uint(7-d.mantBits) - 1)
 	for s := 0; s < nsegs; s++ {
 		if pos+7 > len(line) {
 			return errors.New("deltafp: truncated segment header")
 		}
 		pivot := math.Float32frombits(binary.LittleEndian.Uint32(line[pos:]))
-		minExp := line[pos+4]
+		expBase := uint32(line[pos+4]) << 23
 		count := int(binary.LittleEndian.Uint16(line[pos+5:]))
 		pos += 7
 		if count < 1 || emitted+count > len(out) || pos+count-1 > len(line) {
 			return errors.New("deltafp: segment overruns line")
 		}
+		codes := line[pos : pos+count-1]
+		seg := out[emitted+1:][:len(codes)]
 		// The decode loop is the "software emulated addition for
 		// floating-point numbers": computation in FP32, emission in FP16.
 		v := pivot
 		out[emitted] = fp16.FromFloat32(v)
-		emitted++
-		for k := 0; k < count-1; k++ {
-			b := line[pos+k]
+		for k, b := range codes {
+			// Byte 0 is an exact-zero delta and leaves v alone: adding +0
+			// would turn a -0 pivot into +0.
 			if b != 0 {
-				sign := uint32(b>>7) << 31
-				off := uint32((b >> uint(d.mantBits)) & expMask)
-				mant := uint32(b & mantMask)
-				bits := sign | (uint32(minExp)+off)<<23 | mant<<shift
-				v += math.Float32frombits(bits)
+				v += math.Float32frombits(uint32(b&0x80)<<24 | (expBase + uint32(b&0x7F)<<shift))
 			}
-			out[emitted] = fp16.FromFloat32(v)
-			emitted++
+			seg[k] = fp16.FromFloat32(v)
 		}
 		pos += count - 1
+		emitted += count
 	}
 	if emitted != len(out) || pos != len(line) {
 		return errors.New("deltafp: line did not decode to full width")

@@ -424,6 +424,35 @@ func BenchmarkDecode(b *testing.B) {
 	}
 }
 
+// BenchmarkDecodeSample decodes one climate stack at the repo benchmark's
+// deepcam_cold sample size.
+func BenchmarkDecodeSample(b *testing.B) {
+	cfg := synthetic.DefaultClimateConfig()
+	cfg.Channels = 16
+	cfg.Height = 192
+	cfg.Width = 288
+	s, err := synthetic.GenerateClimate(cfg, 0)
+	if err != nil {
+		b.Fatal(err)
+	}
+	blob, err := Encode(s.Data, Options{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	cd, err := Format().Open(blob)
+	if err != nil {
+		b.Fatal(err)
+	}
+	dst := tensor.New(tensor.F16, cd.OutputShape()...)
+	b.SetBytes(int64(dst.Bytes()))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := codec.DecodeInto(cd, dst); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 func BenchmarkDecodeParallel(b *testing.B) {
 	cfg := synthetic.DefaultClimateConfig()
 	cfg.Channels = 4

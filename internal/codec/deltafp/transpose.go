@@ -3,6 +3,7 @@ package deltafp
 import (
 	"fmt"
 	"math"
+	"sync"
 
 	"scipp/internal/codec"
 	"scipp/internal/fp16"
@@ -62,6 +63,8 @@ func (d *hwcDecoder) Workload() codec.Workload {
 
 // DecodeChunk decodes line chunk (channel ci, row hi) into the strided HWC
 // positions of dst.
+//
+//scipp:hotpath
 func (d *hwcDecoder) DecodeChunk(chunk int, dst *tensor.Tensor) error {
 	in := d.inner
 	if chunk < 0 || chunk >= in.c*in.h {
@@ -91,16 +94,28 @@ func (d *hwcDecoder) DecodeChunk(chunk int, dst *tensor.Tensor) error {
 		// Reuse the contiguous delta reconstruction, then scatter. The
 		// reconstruction itself is the loop-carried part; the scatter is
 		// the fused transpose.
-		tmp := make([]fp16.Bits, in.w)
-		if err := in.decodeDeltaLine(line, tmp); err != nil {
-			return err
+		sp := lineScratch.Get().(*[]fp16.Bits)
+		if cap(*sp) < in.w {
+			//lint:ignore hotalloc pool miss: the scratch line grows once, then recycles
+			*sp = make([]fp16.Bits, in.w)
 		}
-		for x, v := range tmp {
-			put(x, v)
+		tmp := (*sp)[:in.w]
+		err := in.decodeDeltaLine(line, tmp)
+		if err == nil {
+			for x, v := range tmp {
+				put(x, v)
+			}
 		}
+		lineScratch.Put(sp)
+		return err
 	}
 	return nil
 }
+
+// lineScratch recycles the contiguous line buffers DELTA lines are
+// reconstructed into before the scatter; chunks decode concurrently, so the
+// scratch is per call, not per decoder.
+var lineScratch = sync.Pool{New: func() any { return new([]fp16.Bits) }}
 
 func leU32(b []byte) uint32 {
 	return uint32(b[0]) | uint32(b[1])<<8 | uint32(b[2])<<16 | uint32(b[3])<<24

@@ -14,10 +14,13 @@
 // decompositions, multiple lookup tables are required").
 //
 // The decode path realizes the paper's fused-operator optimization: the
-// preprocessing op — log(1+count) — and the FP16 cast are applied once per
-// *unique group* while building the decoded table, instead of once per
-// voxel ("applying the log operator before decompression is advantageous";
-// the sample has 8M values but three orders of magnitude fewer uniques).
+// preprocessing op — log(1+count) — and the FP16 cast are folded into the
+// decoded table instead of running once per voxel ("applying the log
+// operator before decompression is advantageous"; the sample has 8M values
+// but three orders of magnitude fewer unique groups). Counts are int16, so
+// the operator has at most 65 536 distinct inputs per process: it is
+// evaluated once per count value into a process-wide table, and building a
+// sample's fused table is one lookup per group entry.
 package lut
 
 import (
@@ -57,6 +60,33 @@ func (op Op) Apply(count int16) float32 {
 	}
 	panic(fmt.Sprintf("lut: unknown op %d", op))
 }
+
+// valueTable is fp16(op(count)) for every int16 bit pattern, indexed by
+// uint16(count).
+type valueTable [1 << 16]fp16.Bits
+
+// lazyValues is a valueTable built on first use.
+type lazyValues struct {
+	once sync.Once
+	t    valueTable
+}
+
+func (l *lazyValues) get(op Op) *valueTable {
+	l.once.Do(func() {
+		for i := range l.t {
+			l.t[i] = fp16.FromFloat32(op.Apply(int16(i)))
+		}
+	})
+	return &l.t
+}
+
+// valueTables holds one table per Op. They are process-wide — 128 KB each,
+// shared by every Decoder and every concurrent Open.
+var valueTables [2]lazyValues
+
+// values returns op's value table. op must be one of the package's
+// constants.
+func (op Op) values() *valueTable { return valueTables[op].get(op) }
 
 // group is one unique 4-redshift count vector.
 type group [4]int16
@@ -189,7 +219,7 @@ type sub struct {
 	keys     []byte // (z1-z0)*dim^2 * keyWidth bytes
 	// decoded is the fused table: 4 FP16 outputs per group (8 bytes — the
 	// paper's lookup-value width), built once at Open.
-	decoded []fp16.Bits
+	decoded [][4]fp16.Bits
 }
 
 // Decoder decodes a LUT blob. Chunks are z-slices; DecodeChunk may be called
@@ -205,7 +235,7 @@ type Decoder struct {
 	// tables is the decoder's freelist of fused-table backing slices,
 	// scavenged from recycled sub-volumes so a reused Decoder re-fuses its
 	// groups into existing memory.
-	tables [][]fp16.Bits
+	tables [][][4]fp16.Bits
 }
 
 // decoderPool recycles Decoder structs — with their z-maps, sub-volume
@@ -220,14 +250,15 @@ func getDecoder(dim int) *Decoder {
 	d := decoderPool.Get().(*Decoder)
 	subOfZ := d.subOfZ
 	if cap(subOfZ) < dim {
+		//lint:ignore hotalloc pool miss: a recycled decoder keeps its z-map
 		subOfZ = make([]int, dim)
 	}
 	*d = Decoder{subOfZ: subOfZ[:dim], subs: d.subs[:0], tables: d.tables}
 	return d
 }
 
-// getTable returns an n-element fused-table slice, preferring the freelist.
-func (d *Decoder) getTable(n int) []fp16.Bits {
+// getTable returns an n-group fused-table slice, preferring the freelist.
+func (d *Decoder) getTable(n int) [][4]fp16.Bits {
 	for i, t := range d.tables {
 		if cap(t) >= n {
 			last := len(d.tables) - 1
@@ -236,7 +267,8 @@ func (d *Decoder) getTable(n int) []fp16.Bits {
 			return t[:n]
 		}
 	}
-	return make([]fp16.Bits, n)
+	//lint:ignore hotalloc freelist miss: Recycle keeps the table for the next sample
+	return make([][4]fp16.Bits, n)
 }
 
 // Recycle implements codec.Recycler: it drops every blob reference, keeps
@@ -254,6 +286,10 @@ func (d *Decoder) Recycle() {
 	decoderPool.Put(d)
 }
 
+// Open implements codec.Format: it validates the blob's framing and builds
+// each sub-volume's fused table.
+//
+//scipp:hotpath
 func (f format) Open(blob []byte) (codec.ChunkDecoder, error) {
 	if f.op != OpLog1p && f.op != OpIdentity {
 		return nil, fmt.Errorf("lut: unknown op %d", f.op)
@@ -312,13 +348,17 @@ func (f format) Open(blob []byte) (codec.ChunkDecoder, error) {
 		}
 		pos += tlen + klen
 		if f.fused {
-			// The fused-operator optimization: op + FP16 cast on the unique
-			// groups only.
-			s.decoded = d.getTable(ng * 4)
-			for g := 0; g < ng; g++ {
-				for c := 0; c < 4; c++ {
-					count := int16(binary.LittleEndian.Uint16(s.rawTable[g*8+c*2:]))
-					s.decoded[g*4+c] = fp16.FromFloat32(f.op.Apply(count))
+			// The fused-operator optimization: op + FP16 cast come out of
+			// the per-count value table, one lookup per group entry.
+			vals := f.op.values()
+			s.decoded = d.getTable(ng)
+			for g := range s.decoded {
+				raw := s.rawTable[g*8 : g*8+8]
+				s.decoded[g] = [4]fp16.Bits{
+					vals[binary.LittleEndian.Uint16(raw[0:])],
+					vals[binary.LittleEndian.Uint16(raw[2:])],
+					vals[binary.LittleEndian.Uint16(raw[4:])],
+					vals[binary.LittleEndian.Uint16(raw[6:])],
 				}
 			}
 		}
@@ -392,6 +432,8 @@ func (d *Decoder) Workload() codec.Workload {
 
 // DecodeChunk implements codec.ChunkDecoder: decodes z-slice chunk into all
 // four channels of dst.
+//
+//scipp:hotpath
 func (d *Decoder) DecodeChunk(chunk int, dst *tensor.Tensor) error {
 	if chunk < 0 || chunk >= d.dim {
 		return fmt.Errorf("lut: chunk %d out of range", chunk)
@@ -404,33 +446,63 @@ func (d *Decoder) DecodeChunk(chunk int, dst *tensor.Tensor) error {
 	vol := plane * d.dim
 	local := (chunk - s.z0) * plane
 	base := chunk * plane
-	for p := 0; p < plane; p++ {
-		var k int
-		if s.keyWidth == 1 {
-			k = int(s.keys[local+p])
-		} else {
-			k = int(binary.LittleEndian.Uint16(s.keys[(local+p)*2:]))
-		}
-		if k >= s.ngroups {
-			return fmt.Errorf("lut: key %d out of table (%d groups)", k, s.ngroups)
-		}
-		out := base + p
-		if d.fused {
-			t := s.decoded[k*4 : k*4+4]
-			dst.F16s[out] = t[0]
-			dst.F16s[vol+out] = t[1]
-			dst.F16s[2*vol+out] = t[2]
-			dst.F16s[3*vol+out] = t[3]
-		} else {
-			// Ablation path: evaluate the op per voxel, as the baseline
-			// preprocessing does.
-			for c := 0; c < 4; c++ {
+	// The z-slice's four channel planes and its keys, resliced to lengths
+	// the compiler can relate so the loops below carry no bounds checks.
+	f := dst.F16s
+	c0 := f[base : base+plane]
+	c1 := f[vol+base:][:len(c0)]
+	c2 := f[2*vol+base:][:len(c0)]
+	c3 := f[3*vol+base:][:len(c0)]
+	keys := s.keys[local*s.keyWidth:][:len(c0)*s.keyWidth]
+	if !d.fused {
+		// Ablation path: evaluate the op per voxel, as the baseline
+		// preprocessing does.
+		planes := [4][]fp16.Bits{c0, c1, c2, c3}
+		for p := range c0 {
+			var k int
+			if s.keyWidth == 1 {
+				k = int(keys[p])
+			} else {
+				k = int(binary.LittleEndian.Uint16(keys[2*p:]))
+			}
+			if k >= s.ngroups {
+				return keyError(k, s.ngroups)
+			}
+			for c := range planes {
 				count := int16(binary.LittleEndian.Uint16(s.rawTable[k*8+c*2:]))
-				dst.F16s[c*vol+out] = fp16.FromFloat32(d.op.Apply(count))
+				planes[c][p] = fp16.FromFloat32(d.op.Apply(count))
 			}
 		}
+		return nil
+	}
+	// One loop per key width. len(table) == ngroups, so the per-voxel key
+	// range check is also the table's bounds check.
+	table := s.decoded
+	if s.keyWidth == 1 {
+		keys = keys[:len(c0)]
+		for p := range c0 {
+			k := int(keys[p])
+			if k >= len(table) {
+				return keyError(k, len(table))
+			}
+			t := &table[k]
+			c0[p], c1[p], c2[p], c3[p] = t[0], t[1], t[2], t[3]
+		}
+		return nil
+	}
+	for p := range c0 {
+		k := int(binary.LittleEndian.Uint16(keys[2*p:]))
+		if k >= len(table) {
+			return keyError(k, len(table))
+		}
+		t := &table[k]
+		c0[p], c1[p], c2[p], c3[p] = t[0], t[1], t[2], t[3]
 	}
 	return nil
+}
+
+func keyError(k, ngroups int) error {
+	return fmt.Errorf("lut: key %d out of table (%d groups)", k, ngroups)
 }
 
 // Stats summarizes an encoded blob.

@@ -1,7 +1,9 @@
 package lut
 
 import (
+	"fmt"
 	"math"
+	"sync"
 	"testing"
 
 	"scipp/internal/codec"
@@ -13,8 +15,16 @@ import (
 
 func genSample(t testing.TB, dim, index int) *synthetic.CosmoSample {
 	t.Helper()
+	return genSampleMax(t, dim, index, synthetic.DefaultCosmoConfig().MaxCount)
+}
+
+// genSampleMax clips particle counts at maxCount. At dim 16 a clip of 5
+// leaves under 256 unique groups (1-byte keys); the default needs 2-byte
+// keys.
+func genSampleMax(t testing.TB, dim, index, maxCount int) *synthetic.CosmoSample {
+	t.Helper()
 	cfg := synthetic.DefaultCosmoConfig()
-	cfg.Dim = dim
+	cfg.Dim, cfg.MaxCount = dim, maxCount
 	s, err := synthetic.GenerateCosmo(cfg, index)
 	if err != nil {
 		t.Fatal(err)
@@ -75,38 +85,149 @@ func TestIdentityOpRoundTrip(t *testing.T) {
 	}
 }
 
-func TestFusedMatchesUnfused(t *testing.T) {
-	// The fused (table-level) and unfused (per-voxel) operator applications
-	// must produce bit-identical FP16 output — fusion is a pure optimization.
-	s := genSample(t, 20, 2)
-	blob, err := Encode(s.Channels, s.Dim)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fused, err := FormatWithOp(OpLog1p, true).Open(blob)
-	if err != nil {
-		t.Fatal(err)
-	}
-	unfused, err := FormatWithOp(OpLog1p, false).Open(blob)
-	if err != nil {
-		t.Fatal(err)
-	}
-	a, err := codec.Decode(fused)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := codec.Decode(unfused)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range a.F16s {
-		if a.F16s[i] != b.F16s[i] {
-			t.Fatalf("fused/unfused differ at %d", i)
+// TestValueTables checks every entry of both process-wide value tables
+// against the operator evaluated directly: all 65 536 int16 bit patterns,
+// including log1p(-1) = -Inf and the NaNs below it.
+func TestValueTables(t *testing.T) {
+	for _, op := range []Op{OpLog1p, OpIdentity} {
+		vals := op.values()
+		for i := range vals {
+			if want := fp16.FromFloat32(op.Apply(int16(i))); vals[i] != want {
+				t.Fatalf("op %d count %d: table %#04x, direct %#04x", op, int16(i), vals[i], want)
+			}
 		}
 	}
-	// Fused should report far fewer ops.
-	if fused.Workload().Ops >= unfused.Workload().Ops {
-		t.Error("fused workload not cheaper than unfused")
+	log := OpLog1p.values()
+	if got := log[uint16(0xFFFF)]; got != fp16.NegativeInfinity {
+		t.Errorf("log1p(-1) = %#04x, want -Inf", got)
+	}
+	if got := log[uint16(0x8000)]; !got.IsNaN() {
+		t.Errorf("log1p(-32768) = %#04x, want NaN", got)
+	}
+}
+
+// TestValueTableFirstUseRace races the lazy build from many goroutines, as
+// concurrent Opens in the decode stage do on a fresh process. Run under
+// -race; every caller must see the finished table.
+func TestValueTableFirstUseRace(t *testing.T) {
+	var l lazyValues
+	want := fp16.FromFloat32(OpLog1p.Apply(600))
+	var wg sync.WaitGroup
+	for g := 0; g < 16; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if got := l.get(OpLog1p)[600]; got != want {
+				t.Errorf("table[600] = %#04x, want %#04x", got, want)
+			}
+		}()
+	}
+	wg.Wait()
+}
+
+// splitVolume is a dim-44 volume with a unique group per voxel, so the
+// encoder must split it into several sub-volumes; counts cover negative
+// values (NaN and -Inf under log1p).
+func splitVolume() (ch [4][]int16, dim int) {
+	dim = 44 // 85184 voxels > 65536
+	n := dim * dim * dim
+	for c := range ch {
+		ch[c] = make([]int16, n)
+	}
+	for i := 0; i < n; i++ {
+		ch[0][i] = int16(i & 0x7FFF)
+		ch[1][i] = int16((i >> 15) & 0x7FFF)
+		ch[2][i] = int16(i%37) - 2
+		ch[3][i] = int16(i % 41)
+	}
+	return ch, dim
+}
+
+// TestFusedMatchesUnfused compares the table-fused decode with the
+// per-voxel ablation path and with the operator applied to the source
+// counts, bit for bit — fusion is a pure optimization — on a 1-byte-key
+// blob, a 2-byte-key blob and a multi-sub-volume blob.
+func TestFusedMatchesUnfused(t *testing.T) {
+	narrow, wide := genSampleMax(t, 16, 0, 5), genSample(t, 16, 0)
+	splitCh, splitDim := splitVolume()
+	cases := []struct {
+		name  string
+		ch    [4][]int16
+		dim   int
+		kw    int
+		split bool // more than one sub-volume
+	}{
+		{"1-byte keys", narrow.Channels, 16, 1, false},
+		{"2-byte keys", wide.Channels, 16, 2, false},
+		{"multi-sub-volume", splitCh, splitDim, 2, true},
+	}
+	for _, tc := range cases {
+		blob, err := Encode(tc.ch, tc.dim)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fused, err := FormatWithOp(OpLog1p, true).Open(blob)
+		if err != nil {
+			t.Fatal(err)
+		}
+		d := fused.(*Decoder)
+		if d.KeyWidth(0) != tc.kw || tc.split != (d.NumSubVolumes() > 1) {
+			t.Fatalf("%s: blob has kw=%d subs=%d", tc.name, d.KeyWidth(0), d.NumSubVolumes())
+		}
+		unfused, err := FormatWithOp(OpLog1p, false).Open(blob)
+		if err != nil {
+			t.Fatal(err)
+		}
+		a, err := codec.Decode(fused)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := codec.Decode(unfused)
+		if err != nil {
+			t.Fatal(err)
+		}
+		vol := tc.dim * tc.dim * tc.dim
+		for i := range a.F16s {
+			if a.F16s[i] != b.F16s[i] {
+				t.Fatalf("%s: fused %#04x != unfused %#04x at %d", tc.name, a.F16s[i], b.F16s[i], i)
+			}
+			if want := fp16.FromFloat32(OpLog1p.Apply(tc.ch[i/vol][i%vol])); a.F16s[i] != want {
+				t.Fatalf("%s: decoded %#04x at %d, source gives %#04x", tc.name, a.F16s[i], i, want)
+			}
+		}
+		// Fused should report far fewer ops (the split volume has a group
+		// per voxel, so there fusion saves nothing).
+		if !tc.split && fused.Workload().Ops >= unfused.Workload().Ops {
+			t.Errorf("%s: fused workload not cheaper than unfused", tc.name)
+		}
+	}
+}
+
+// TestKeyOutOfTable corrupts one voxel key past the group count: both key
+// widths, fused and unfused, must fail that chunk's decode.
+func TestKeyOutOfTable(t *testing.T) {
+	for _, maxCount := range []int{5, 600} { // 1-byte, 2-byte keys
+		s := genSampleMax(t, 16, 0, maxCount)
+		blob, err := Encode(s.Channels, s.Dim)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// The keys are the blob's tail; the last one belongs to the last
+		// voxel of the last z-slice.
+		blob[len(blob)-1] = 0xFF
+		for _, fused := range []bool{true, false} {
+			cd, err := FormatWithOp(OpLog1p, fused).Open(blob)
+			if err != nil {
+				t.Fatal(err)
+			}
+			dst := tensor.New(tensor.F16, cd.OutputShape()...)
+			if err := cd.DecodeChunk(0, dst); err != nil {
+				t.Errorf("maxCount %d fused=%v: untouched chunk failed: %v", maxCount, fused, err)
+			}
+			if err := cd.DecodeChunk(s.Dim-1, dst); err == nil {
+				t.Errorf("maxCount %d fused=%v: out-of-table key decoded", maxCount, fused)
+			}
+		}
 	}
 }
 
@@ -170,20 +291,9 @@ func TestOneByteKeys(t *testing.T) {
 }
 
 func TestMultiTableSplit(t *testing.T) {
-	// Force >65536 groups so the encoder must split into sub-volumes: use
-	// unique group per voxel.
-	dim := 44 // 85184 voxels > 65536
+	// Force >65536 groups so the encoder must split into sub-volumes.
+	ch, dim := splitVolume()
 	n := dim * dim * dim
-	var ch [4][]int16
-	for c := range ch {
-		ch[c] = make([]int16, n)
-	}
-	for i := 0; i < n; i++ {
-		ch[0][i] = int16(i & 0x7FFF)
-		ch[1][i] = int16((i >> 15) & 0x7FFF)
-		ch[2][i] = int16(i % 37)
-		ch[3][i] = int16(i % 41)
-	}
 	blob, err := Encode(ch, dim)
 	if err != nil {
 		t.Fatal(err)
@@ -357,6 +467,29 @@ func BenchmarkEncode(b *testing.B) {
 		if _, err := Encode(s.Channels, s.Dim); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkOpen times Format().Open — header validation plus building the
+// fused table — with the decoder recycled between iterations, as the
+// pipeline's decode stage does.
+func BenchmarkOpen(b *testing.B) {
+	for _, dim := range []int{32, 64} {
+		b.Run(fmt.Sprintf("dim%d", dim), func(b *testing.B) {
+			s := genSample(b, dim, 0)
+			blob, err := Encode(s.Channels, s.Dim)
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				cd, err := Format().Open(blob)
+				if err != nil {
+					b.Fatal(err)
+				}
+				codec.Recycle(cd)
+			}
+		})
 	}
 }
 

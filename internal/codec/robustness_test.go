@@ -219,3 +219,30 @@ func TestByteFlipsNeverPanic(t *testing.T) {
 		}
 	}
 }
+
+// TestCraftedBlobsRejected pins hand-built hostile blobs that once got past
+// Open: each must come back as an error from Open, not reach decode.
+func TestCraftedBlobsRejected(t *testing.T) {
+	cases := []struct {
+		name, format string
+		blob         []byte
+	}{
+		{
+			// C=1 H=1 W=4, one line whose whole payload is the DELTA mode
+			// byte: decode read the segment count past the line's end.
+			name: "deltafp DELTA line shorter than its header", format: "deltafp",
+			blob: []byte("CPFD\x01\x00\x00\x00\x01\x00\x00\x00\x04\x00\x00\x00\x03\x00\x00\x00" +
+				"\x00\x00\x00\x00\x01\x00\x00\x00" + "\x02"),
+		},
+		{
+			name: "deltafp DELTA line with half a segment count", format: "deltafp-hwc",
+			blob: []byte("CPFD\x01\x00\x00\x00\x01\x00\x00\x00\x04\x00\x00\x00\x03\x00\x00\x00" +
+				"\x00\x00\x00\x00\x02\x00\x00\x00" + "\x02\x01"),
+		},
+	}
+	for _, tc := range cases {
+		if _, err := formatFor(t, tc.format).Open(tc.blob); err == nil {
+			t.Errorf("%s: Open accepted the blob", tc.name)
+		}
+	}
+}

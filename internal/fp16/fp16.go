@@ -36,7 +36,27 @@ const (
 // FromFloat32 converts an FP32 value to binary16 with round-to-nearest-even.
 // Values exceeding the binary16 range become infinities; NaN payload top bit
 // is forced so NaNs stay NaNs.
+//
+// Inputs whose magnitude lies in the binary16 normal range [2^-14, 2^16) —
+// biased FP32 exponent 113..142, one unsigned compare — take a branch-free
+// path: adding 0xFFF plus the kept mantissa's low bit to the magnitude bits
+// carries into bit 13 exactly when round-to-nearest-even rounds up (and on
+// into the exponent when the mantissa overflows, which is the correct next
+// binade, or 0x7C00 = Inf from the top one); the shift drops the 13 surplus
+// bits and subtracting 112<<10 rebiases 127 -> 15. Zero, subnormal results,
+// underflow, overflow, Inf and NaN fall through to fromFloat32Ref.
 func FromFloat32(f float32) Bits {
+	b := math.Float32bits(f)
+	if (b>>23&0xFF)-113 < 30 {
+		mag := b&0x7FFFFFFF + 0xFFF + b>>13&1
+		return Bits(b>>16)&signMask16 | Bits(mag>>13-112<<10)
+	}
+	return fromFloat32Ref(f)
+}
+
+// fromFloat32Ref is the case-by-case conversion: the slow path of
+// FromFloat32 and the reference its fast path is tested against.
+func fromFloat32Ref(f float32) Bits {
 	b := math.Float32bits(f)
 	sign := Bits(b>>16) & signMask16
 	exp := int32(b>>23) & 0xFF

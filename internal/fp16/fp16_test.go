@@ -221,6 +221,40 @@ func TestULP(t *testing.T) {
 	}
 }
 
+// TestFastPathMatchesReference compares FromFloat32 — fast path and range
+// test included — with the case-by-case reference over every sign, every
+// FP32 exponent and every kept-mantissa value, at each class of the 13
+// dropped bits rounding distinguishes: zero, just above zero, just below the
+// tie, the tie, just above it, all ones.
+func TestFastPathMatchesReference(t *testing.T) {
+	dropped := [...]uint32{0, 1, 0xFFF, 0x1000, 0x1001, 0x1FFF}
+	for sign := uint32(0); sign < 2; sign++ {
+		for exp := uint32(0); exp < 256; exp++ {
+			for kept := uint32(0); kept < 1024; kept++ {
+				for _, d := range dropped {
+					f := math.Float32frombits(sign<<31 | exp<<23 | kept<<13 | d)
+					if got, want := FromFloat32(f), fromFloat32Ref(f); got != want {
+						t.Fatalf("FromFloat32(%#08x) = %#04x, reference %#04x",
+							math.Float32bits(f), got, want)
+					}
+				}
+			}
+		}
+	}
+}
+
+func FuzzFromFloat32(f *testing.F) {
+	for _, b := range []uint32{0, 0x80000000, 0x387FF000, 0x38800000, 0x477FF000, 0x477FEFFF, 0x7F800001, 0x3F801000} {
+		f.Add(b)
+	}
+	f.Fuzz(func(t *testing.T, b uint32) {
+		v := math.Float32frombits(b)
+		if got, want := FromFloat32(v), fromFloat32Ref(v); got != want {
+			t.Fatalf("FromFloat32(%#08x) = %#04x, reference %#04x", b, got, want)
+		}
+	})
+}
+
 func BenchmarkFromFloat32(b *testing.B) {
 	src := make([]float32, 4096)
 	for i := range src {

@@ -16,7 +16,7 @@
 // policy. Admission of new samples is capped at Prefetch in-flight, so
 // backpressure propagates from the consumer to the source. Every channel
 // send in the stage machinery sits in a select with an abort escape (the
-// stagesend lint rule), so Close never wedges a worker.
+// guardedsend lint rule), so Close never wedges a worker.
 package pipeline
 
 import (

@@ -50,7 +50,8 @@ type outcome struct {
 // sendItem delivers v on out unless the epoch aborts first. Every send in
 // the stage machinery goes through here (or an equivalent select): a bare
 // send could block forever once the consumer is gone, wedging the epoch —
-// the same discipline the distsend rule enforces in internal/dist.
+// the one discipline the guardedsend rule enforces here, in internal/dist
+// and in internal/dataserve.
 //
 //scipp:hotpath
 func sendItem[T any](out chan<- T, v T, abort <-chan struct{}) bool {
