@@ -45,7 +45,7 @@ func FuzzBlobDecode(f *testing.F) {
 	f.Add(rank0Payload())
 	f.Add(dimsWrapPayload())
 	f.Fuzz(func(t *testing.T, enc []byte) {
-		dt, shape, err := decodeTensorHeader(enc)
+		dt, shape, err := decodeTensorHeader(enc, nil)
 		if err != nil {
 			var fe *BlobFormatError
 			if !errors.As(err, &fe) {

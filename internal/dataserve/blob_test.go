@@ -2,6 +2,7 @@ package dataserve
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"math"
 	"testing"
@@ -35,7 +36,7 @@ func TestBlobRoundTrip(t *testing.T) {
 		if len(enc) != encodedSize(src) {
 			t.Errorf("%s%v: encoded %d bytes, encodedSize says %d", src.DT, src.Shape, len(enc), encodedSize(src))
 		}
-		dt, shape, err := decodeTensorHeader(enc)
+		dt, shape, err := decodeTensorHeader(enc, nil)
 		if err != nil {
 			t.Fatalf("%s%v: header: %v", src.DT, src.Shape, err)
 		}
@@ -74,7 +75,7 @@ func TestBlobHeaderErrors(t *testing.T) {
 		{"dim mismatch", corrupt(func(b []byte) []byte { b[7] = 3; return b })},
 	}
 	for _, tc := range cases {
-		if _, _, err := decodeTensorHeader(tc.enc); err == nil {
+		if _, _, err := decodeTensorHeader(tc.enc, nil); err == nil {
 			t.Errorf("%s: decodeTensorHeader accepted corrupt payload", tc.name)
 		}
 		dst := tensor.New(tensor.F32, 2, 2)
@@ -103,7 +104,7 @@ func TestBlobHeaderRejectsRank0AndOverflow(t *testing.T) {
 		"rank-0 scalar": rank0Payload(),
 		"dims int wrap": dimsWrapPayload(),
 	} {
-		_, _, err := decodeTensorHeader(enc)
+		_, _, err := decodeTensorHeader(enc, nil)
 		if err == nil {
 			t.Fatalf("%s accepted", name)
 		}
@@ -115,7 +116,7 @@ func TestBlobHeaderRejectsRank0AndOverflow(t *testing.T) {
 
 	empty := tensor.New(tensor.F32, 2, 0)
 	enc := encodeTensor(empty)
-	dt, shape, err := decodeTensorHeader(enc)
+	dt, shape, err := decodeTensorHeader(enc, nil)
 	if err != nil {
 		t.Fatalf("empty ragged sample rejected: %v", err)
 	}
@@ -124,5 +125,48 @@ func TestBlobHeaderRejectsRank0AndOverflow(t *testing.T) {
 	}
 	if err := decodeTensorInto(tensor.New(dt, shape...), enc); err != nil {
 		t.Fatalf("empty sample decode: %v", err)
+	}
+}
+
+// TestBlobPayloadLayout pins the payload bytes against a one-element-at-a-
+// time little-endian reference for every length around the word-wise
+// loops' four- and two-element strides, so the tail handling of each dtype
+// is covered and a decode restores every element bit.
+func TestBlobPayloadLayout(t *testing.T) {
+	for n := 0; n <= 9; n++ {
+		f16s := make([]fp16.Bits, n)
+		i16s := make([]int16, n)
+		f32s := make([]float32, n)
+		var want16, wantI16, want32 []byte
+		for i := 0; i < n; i++ {
+			f16s[i] = fp16.Bits(0x8001 + 0x1357*i)
+			i16s[i] = int16(-7 - 4099*i)
+			f32s[i] = math.Float32frombits(0x7FC00001 + 0x01020304*uint32(i))
+			want16 = binary.LittleEndian.AppendUint16(want16, uint16(f16s[i]))
+			wantI16 = binary.LittleEndian.AppendUint16(wantI16, uint16(i16s[i]))
+			want32 = binary.LittleEndian.AppendUint32(want32, math.Float32bits(f32s[i]))
+		}
+		for _, tc := range []struct {
+			src  *tensor.Tensor
+			want []byte
+		}{
+			{tensor.FromF16(f16s, n), want16},
+			{tensor.FromI16(i16s, n), wantI16},
+			{tensor.FromF32(f32s, n), want32},
+		} {
+			enc := encodeTensor(tc.src)
+			if got := enc[7+4:]; !bytes.Equal(got, tc.want) {
+				t.Fatalf("%s[%d]: payload % x, want % x", tc.src.DT, n, got, tc.want)
+			}
+			dst := tensor.New(tc.src.DT, n)
+			if err := decodeTensorInto(dst, enc); err != nil {
+				t.Fatalf("%s[%d]: decode: %v", tc.src.DT, n, err)
+			}
+			// The encoder is pinned above, so re-encoding checks every
+			// decoded element's bits.
+			if got := encodeTensor(dst)[7+4:]; !bytes.Equal(got, tc.want) {
+				t.Fatalf("%s[%d]: decoded payload % x, want % x", tc.src.DT, n, got, tc.want)
+			}
+		}
 	}
 }

@@ -39,8 +39,12 @@ func newIdleService(cfg Config) *Service {
 	return s
 }
 
-// idleTenant registers a single-sample inert dataset under its own name and
-// attaches a tenant to it.
+// idleSamples is the length of an idle tenant's dataset: the cost tests
+// price sample indices up to 7.
+const idleSamples = 8
+
+// idleTenant registers an inert dataset under its own name and attaches a
+// tenant to it.
 func idleTenant(t *testing.T, s *Service, cfg TenantConfig) *Tenant {
 	t.Helper()
 	if cfg.Dataset == "" {
@@ -49,7 +53,7 @@ func idleTenant(t *testing.T, s *Service, cfg TenantConfig) *Tenant {
 	if _, ok := s.datasets[cfg.Dataset]; !ok {
 		err := s.Register(DatasetConfig{
 			Name:   cfg.Dataset,
-			Data:   &pipeline.MemDataset{Blobs: [][]byte{{0}}, Labels: []*tensor.Tensor{tensor.FromF32([]float32{0}, 1)}},
+			Data:   inertDataset(idleSamples),
 			Format: inertFormat{},
 		})
 		if err != nil {
@@ -61,6 +65,15 @@ func idleTenant(t *testing.T, s *Service, cfg TenantConfig) *Tenant {
 		t.Fatalf("Attach %s: %v", cfg.Name, err)
 	}
 	return tn
+}
+
+func inertDataset(n int) *pipeline.MemDataset {
+	ds := &pipeline.MemDataset{}
+	for i := 0; i < n; i++ {
+		ds.Blobs = append(ds.Blobs, []byte{0})
+		ds.Labels = append(ds.Labels, tensor.FromF32([]float32{0}, 1))
+	}
+	return ds
 }
 
 // pend queues requests for the given sample indices directly, as enqueue
@@ -119,8 +132,8 @@ func TestByteCostSkewsDispatch(t *testing.T) {
 	// Sizes as one warm epoch would have learned them: big's samples cost
 	// ceil(400/100) = 4 units, small's cost 1.
 	for i := 0; i < 8; i++ {
-		big.sd.sizeOf[i] = 400
-		small.sd.sizeOf[i] = 100
+		big.sd.sizeOf[i].Store(400)
+		small.sd.sizeOf[i].Store(100)
 	}
 	pend(s, big, 0, 1, 2, 3, 4, 5, 6, 7)
 	pend(s, small, 0, 1, 2, 3, 4, 5, 6, 7)
@@ -146,7 +159,7 @@ func TestByteCostCapAndUnknownSize(t *testing.T) {
 	// Sample 0's size is unknown (cost 1); sample 1 would cost 10_000/10 =
 	// 1000 units but is capped at Quantum*Weight = 2, so it still ships on
 	// a fresh deficit and only overdrafts its own tenant's round.
-	tn.sd.sizeOf[1] = 10_000
+	tn.sd.sizeOf[1].Store(10_000)
 	pend(s, tn, 0, 1, 0, 1)
 
 	if got, want := s.serveCostLocked(tn, request{index: 0}), 1; got != want {
@@ -164,8 +177,8 @@ func TestByteCostCapAndUnknownSize(t *testing.T) {
 func TestShedBytesAccounting(t *testing.T) {
 	s := newIdleService(Config{Quantum: 2, CostUnitBytes: 100})
 	tn := idleTenant(t, s, TenantConfig{Name: "late", DeadlineLag: 1})
-	tn.sd.sizeOf[0] = 250
-	tn.sd.sizeOf[1] = 150
+	tn.sd.sizeOf[0].Store(250)
+	tn.sd.sizeOf[1].Store(150)
 	// Three requests enqueued at dispatch count 0; sample 2 has never been
 	// served, so its shed is byte-invisible.
 	pend(s, tn, 0, 1, 2)

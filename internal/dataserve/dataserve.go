@@ -23,6 +23,7 @@ import (
 	"runtime"
 	"sort"
 	"sync"
+	"sync/atomic"
 
 	"scipp/internal/obs"
 	"scipp/internal/pipeline"
@@ -116,11 +117,14 @@ type Service struct {
 	deficit      int       // remaining serve budget of order[cursor]
 	dispatchSeq  int64     // total requests dispatched, drives queue-wait lag
 	shed         int64     // requests shed past their admission deadline
-	servedBytes  int64     // payload bytes successfully served, all tenants
 	shedBytes    int64     // known payload bytes of shed requests
 	breakerFails int64     // requests fast-failed by open breakers
 	slowDetached int64     // tenants detached by the stall watchdog
 	closed       bool
+
+	// servedBytes is the payload bytes successfully served, all tenants.
+	// It is atomic so a serve never takes mu, the dispatcher's lock.
+	servedBytes atomic.Int64
 
 	notify chan struct{} // capacity 1: wakes an idle dispatcher
 	abort  chan struct{} // closed by Close
@@ -310,8 +314,8 @@ func (s *Service) nextRequest() (request, []request, bool) {
 // unit cost (CostUnitBytes 0) or while the sample's payload size is not yet
 // known, otherwise ceil(bytes/CostUnitBytes) floored at 1 and capped at the
 // tenant's full replenishment Quantum*Weight so any sample is servable
-// within a single visit. Caller holds s.mu; the dataset's size table is a
-// leaf lock below it.
+// within a single visit. Caller holds s.mu; the dataset's size table is
+// lock-free.
 func (s *Service) serveCostLocked(t *Tenant, r request) int {
 	u := s.cfg.CostUnitBytes
 	if u <= 0 {
@@ -334,9 +338,7 @@ func (s *Service) serveCostLocked(t *Tenant, r request) int {
 // noteServedBytes credits one successful serve's payload bytes to the
 // service and tenant byte accounting.
 func (s *Service) noteServedBytes(t *Tenant, n int64) {
-	s.mu.Lock()
-	s.servedBytes += n
-	s.mu.Unlock()
+	s.servedBytes.Add(n)
 	s.ob.bytesServed.Add(n)
 	t.noteBytes(n)
 }
@@ -566,7 +568,7 @@ func (s *Service) Stats() ServiceStats {
 	st := ServiceStats{
 		Dispatched:     s.dispatchSeq,
 		Shed:           s.shed,
-		ServedBytes:    s.servedBytes,
+		ServedBytes:    s.servedBytes.Load(),
 		ShedBytes:      s.shedBytes,
 		BreakerRejects: s.breakerFails,
 		SlowDetaches:   s.slowDetached,

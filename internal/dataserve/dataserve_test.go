@@ -570,3 +570,54 @@ func TestAttachRegisterValidation(t *testing.T) {
 		t.Errorf("Attach on closed service succeeded")
 	}
 }
+
+// TestHotIndexQuarantineRace is the ownership rule at the service: two
+// tenants hammer one sample while seeded bit rot keeps quarantining it and
+// the flights re-admit it. Cache hits verify outside every lock, so a
+// tenant can hold a resident while the other's hit rots and drops it; both
+// must still receive the bit-identical tensor on every serve, each rot
+// must be quarantined exactly once, and each quarantine must cost exactly
+// one re-decode.
+func TestHotIndexQuarantineRace(t *testing.T) {
+	const epochs = 150
+	ds := buildDataset(1, testShape)
+	svc := newService(t, ds, nil, dataserve.DatasetConfig{})
+	ci := fault.NewCacheInjector(fault.CacheFaultConfig{Seed: 9, BitRot: 1, BitRotEvents: 40})
+	svc.Cache("shared").SetTamper(ci)
+	tenants := make([]*dataserve.Tenant, 2)
+	for i := range tenants {
+		tn, err := svc.Attach(dataserve.TenantConfig{Name: fmt.Sprintf("t%d", i), Dataset: "shared", Batch: 1})
+		if err != nil {
+			t.Fatalf("Attach: %v", err)
+		}
+		tenants[i] = tn
+	}
+	digests := make([]uint64, len(tenants))
+	var wg sync.WaitGroup
+	for i, tn := range tenants {
+		wg.Add(1)
+		go func(i int, tn *dataserve.Tenant) {
+			defer wg.Done()
+			digests[i] = tenantDigest(t, tn, epochs)
+		}(i, tn)
+	}
+	wg.Wait()
+	want := loaderDigest(t, ds, 1, false, 0, epochs)
+	for i, d := range digests {
+		if d != want {
+			t.Errorf("tenant t%d digest %016x, clean twin %016x", i, d, want)
+		}
+	}
+	st := svc.Stats()
+	rots := int64(len(ci.Log()))
+	if rots == 0 {
+		t.Fatal("cache injector fired nothing; raise the probability")
+	}
+	if st.CacheQuarantined != rots || st.Decodes != 1+rots {
+		t.Errorf("quarantined %d, decodes %d; injector logged %d rots (want %d quarantines, %d decodes)",
+			st.CacheQuarantined, st.Decodes, rots, rots, 1+rots)
+	}
+	if err := svc.Cache("shared").VerifyAccounting(); err != nil {
+		t.Error(err)
+	}
+}

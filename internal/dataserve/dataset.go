@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 
 	"scipp/internal/codec"
 	"scipp/internal/fault"
@@ -68,7 +69,8 @@ type sharedDataset struct {
 	poisonK    int
 
 	// mu orders the miss/flight/admission races: it may take cache.mu and
-	// tenant mu inside it, never the reverse.
+	// tenant mu inside it, never the reverse. A cache hit takes it only
+	// after the Get, for the owner/first-touch bookkeeping.
 	mu            sync.Mutex
 	flights       map[int]*flight
 	owner         map[int]string              // sample -> tenant whose flight decoded it
@@ -81,12 +83,12 @@ type sharedDataset struct {
 	poisonedCount int64 // == len(poisoned)
 	poisonRejects int64 // fast-fails served off the blacklist
 
-	// sizeMu guards the learned per-sample payload sizes the byte-weighted
-	// dispatcher prices requests with. It is a leaf lock: taken under
-	// svc.mu (dispatch, shed) and under no lock at all (fetch), and takes
-	// nothing inside it.
-	sizeMu sync.Mutex
-	sizeOf map[int]int // sample index -> payload bytes (blob + label)
+	// sizeOf holds the learned per-sample payload sizes (blob + label) the
+	// byte-weighted dispatcher prices requests with, indexed by sample; 0
+	// means not yet served (a served payload always carries its header).
+	// Decode is deterministic, so a size is stored once and then only read:
+	// the dispatcher reads it under svc.mu, fetch under no lock at all.
+	sizeOf []atomic.Int64
 }
 
 func newSharedDataset(s *Service, cfg DatasetConfig) (*sharedDataset, error) {
@@ -111,100 +113,93 @@ func newSharedDataset(s *Service, cfg DatasetConfig) (*sharedDataset, error) {
 		touched:     make(map[string]map[int]struct{}),
 		poisonVotes: make(map[int]map[string]struct{}),
 		poisoned:    make(map[int]struct{}),
-		sizeOf:      make(map[int]int),
+		sizeOf:      make([]atomic.Int64, cfg.Data.Len()),
 	}, nil
 }
 
 // noteServed records one successful serve: the sample's payload size is
-// learned for the dispatcher's byte-weighted cost (decode is deterministic,
-// so the size is stable across re-decodes) and the bytes are credited to
-// the service and tenant accounting. Called outside sd.mu.
+// learned once for the dispatcher's byte-weighted cost (decode is
+// deterministic, so the size is stable across re-decodes) and the bytes are
+// credited to the service and tenant accounting. Called outside sd.mu.
 func (sd *sharedDataset) noteServed(t *Tenant, index int, enc []byte, label *tensor.Tensor) {
-	n := len(enc)
+	n := int64(len(enc))
 	if label != nil {
-		n += label.Bytes()
+		n += int64(label.Bytes())
 	}
-	sd.sizeMu.Lock()
-	sd.sizeOf[index] = n
-	sd.sizeMu.Unlock()
-	sd.svc.noteServedBytes(t, int64(n))
+	if size := &sd.sizeOf[index]; size.Load() == 0 {
+		size.Store(n)
+	}
+	sd.svc.noteServedBytes(t, n)
 }
 
 // sampleSize reports the learned payload size of a sample, if it has ever
 // been served.
 func (sd *sharedDataset) sampleSize(index int) (int, bool) {
-	sd.sizeMu.Lock()
-	n, ok := sd.sizeOf[index]
-	sd.sizeMu.Unlock()
-	return n, ok
+	n := sd.sizeOf[index].Load()
+	return int(n), n > 0
 }
 
 // fetch serves one sample to one tenant through the shared path: cache hit,
 // single-flight join, or owned decode. The returned data tensor is always
 // the caller's own pooled copy — tenants never alias cache or flight
 // memory, so one tenant releasing a batch can never free another's bytes.
+//
+// The cache Get runs outside sd.mu, so concurrent hits verify their
+// checksums in parallel. The miss path keeps single-flight exact by
+// re-probing residency under sd.mu before claiming the flight: admission
+// happens under sd.mu before a flight is removed, so "not resident and no
+// flight" under the lock means the sample is truly absent, and a decode
+// count never depends on scheduling.
 func (sd *sharedDataset) fetch(it *Iterator, index int) (*tensor.Tensor, *tensor.Tensor, error) {
 	t := it.t
-	sd.mu.Lock()
 	// Blacklist path: a sample that already failed K distinct tenants is
 	// refused before it can touch the cache or burn a decode.
-	if _, bad := sd.poisoned[index]; bad {
-		k := sd.poisonK
-		sd.poisonRejects++
+	if sd.poisonK > 0 {
+		sd.mu.Lock()
+		_, bad := sd.poisoned[index]
+		if bad {
+			sd.poisonRejects++
+		}
 		sd.mu.Unlock()
-		sd.svc.ob.poisonRejects.Inc()
-		return nil, nil, &PoisonError{Dataset: sd.name, Tenant: t.name, Index: index, Tenants: k}
+		if bad {
+			sd.svc.ob.poisonRejects.Inc()
+			return nil, nil, &PoisonError{Dataset: sd.name, Tenant: t.name, Index: index, Tenants: sd.poisonK}
+		}
 	}
-	// Hit path: the shared cache verifies integrity under its own lock; a
-	// quarantined resident reports a miss here and re-decodes below.
-	enc, label, hit, quarantined := sd.cache.Get(index)
-	sd.svc.noteCacheGet(hit, quarantined)
-	if hit {
-		owned := sd.owner[index] == t.name
-		first := sd.firstTouchLocked(t.name, index)
-		if first {
-			sd.dedup++
-			sd.svc.ob.decodeDedup.Inc()
-		}
-		sd.mu.Unlock()
-		t.noteHit(owned, first)
-		data, err := sd.materialize(enc)
-		if err != nil {
-			return nil, nil, err
-		}
-		sd.noteServed(t, index, enc, label)
-		return data, label, nil
-	}
-	// Join path: someone is already decoding this sample.
-	if f, ok := sd.flights[index]; ok {
-		sd.mu.Unlock()
-		select {
-		case <-f.done:
-		case <-it.abort:
-			return nil, nil, errDetached
-		case <-sd.svc.abort:
-			return nil, nil, errClosed
-		}
-		if f.err != nil {
+	for {
+		// Hit path: the shared cache verifies integrity after releasing its
+		// own lock; a quarantined resident reports a miss and re-decodes.
+		enc, label, hit, quarantined := sd.cache.Get(index)
+		sd.svc.noteCacheGet(hit, quarantined)
+		if hit {
 			sd.mu.Lock()
-			sd.poisonVoteLocked(t.name, index)
+			owned := sd.owner[index] == t.name
+			first := sd.firstTouchLocked(t.name, index)
+			if first {
+				sd.dedup++
+			}
 			sd.mu.Unlock()
-			return nil, nil, &SampleError{Dataset: sd.name, Tenant: t.name, Index: index, Err: f.err}
+			if first {
+				sd.svc.ob.decodeDedup.Inc()
+			}
+			t.noteHit(owned, first)
+			data, err := sd.materialize(enc)
+			if err != nil {
+				return nil, nil, err
+			}
+			sd.noteServed(t, index, enc, label)
+			return data, label, nil
 		}
 		sd.mu.Lock()
-		first := sd.firstTouchLocked(t.name, index)
-		if first {
-			sd.dedup++
-			sd.svc.ob.decodeDedup.Inc()
+		if f, ok := sd.flights[index]; ok {
+			sd.mu.Unlock()
+			return sd.join(it, f, index)
 		}
+		if !sd.cache.Resident(index) {
+			break // truly absent: this request decodes, still holding sd.mu
+		}
+		// A flight admitted the sample between the Get and the lock.
 		sd.mu.Unlock()
-		t.noteJoin(first)
-		data, err := sd.materialize(f.enc)
-		if err != nil {
-			return nil, nil, err
-		}
-		sd.noteServed(t, index, f.enc, f.label)
-		return data, f.label, nil
 	}
 	// Owner path: this request decodes for everyone.
 	f := &flight{done: make(chan struct{})}
@@ -216,7 +211,8 @@ func (sd *sharedDataset) fetch(it *Iterator, index int) (*tensor.Tensor, *tensor
 	if err == nil {
 		// Admit before the flight disappears: a request that misses both
 		// the cache and the flight table must mean the sample is truly
-		// absent, or the decode count would depend on scheduling.
+		// absent, or the decode count would depend on scheduling. Put
+		// adopts enc; the flight shares it read-only.
 		if dropped := sd.cache.Put(index, enc, label); dropped > 0 {
 			sd.svc.ob.cacheEvictions.Add(int64(dropped))
 		}
@@ -238,6 +234,39 @@ func (sd *sharedDataset) fetch(it *Iterator, index int) (*tensor.Tensor, *tensor
 	}
 	sd.noteServed(t, index, enc, label)
 	return data, label, nil
+}
+
+// join waits out another request's decode of sample index and serves its
+// result.
+func (sd *sharedDataset) join(it *Iterator, f *flight, index int) (*tensor.Tensor, *tensor.Tensor, error) {
+	t := it.t
+	select {
+	case <-f.done:
+	case <-it.abort:
+		return nil, nil, errDetached
+	case <-sd.svc.abort:
+		return nil, nil, errClosed
+	}
+	if f.err != nil {
+		sd.mu.Lock()
+		sd.poisonVoteLocked(t.name, index)
+		sd.mu.Unlock()
+		return nil, nil, &SampleError{Dataset: sd.name, Tenant: t.name, Index: index, Err: f.err}
+	}
+	sd.mu.Lock()
+	first := sd.firstTouchLocked(t.name, index)
+	if first {
+		sd.dedup++
+		sd.svc.ob.decodeDedup.Inc()
+	}
+	sd.mu.Unlock()
+	t.noteJoin(first)
+	data, err := sd.materialize(f.enc)
+	if err != nil {
+		return nil, nil, err
+	}
+	sd.noteServed(t, index, f.enc, f.label)
+	return data, f.label, nil
 }
 
 // poisonVoteLocked records that tenant's serve of sample index failed
@@ -319,9 +348,11 @@ func (sd *sharedDataset) decodeOnce(index int) (*tensor.Tensor, []byte, *tensor.
 }
 
 // materialize deserializes a cached/flight payload into the caller's own
-// pooled tensor.
+// pooled tensor. The header's dims decode into a stack array: the pool
+// needs only the dims, and a hit allocates nothing here.
 func (sd *sharedDataset) materialize(enc []byte) (*tensor.Tensor, error) {
-	dt, shape, err := decodeTensorHeader(enc)
+	var dims [maxStackRank]int
+	dt, shape, err := decodeTensorHeader(enc, dims[:0])
 	if err != nil {
 		return nil, err
 	}

@@ -180,8 +180,8 @@ func (c CacheFaultConfig) withDefaults() CacheFaultConfig {
 	return c
 }
 
-// CacheInjector corrupts cache-resident sample blobs in place, modeling bit
-// rot on the staged NVMe/host-memory tier. It implements the pipeline's
+// CacheInjector corrupts cache-resident sample blobs, modeling bit rot on
+// the staged NVMe/host-memory tier. It implements the pipeline's
 // CacheTamper hook (attach with SampleCache.SetTamper); every tampered hit
 // is logged, so quarantine counters reconcile exactly against Log.
 type CacheInjector struct {
@@ -201,9 +201,10 @@ func (ci *CacheInjector) decide(i int) bool {
 	return rng.Float64() < ci.cfg.BitRot
 }
 
-// Tamper implements the pipeline's cache-tamper hook: called with the
-// resident blob on every cache hit, it flips a few bytes in place on the
-// first BitRotEvents hits of a chosen sample and reports whether it did.
+// Tamper implements the pipeline's cache-tamper hook: called with a copy of
+// the resident blob on every cache hit (the cache installs a changed copy
+// as the resident), it flips a few bytes of it on the first BitRotEvents
+// hits of a chosen sample and reports whether it did.
 // The flipped sites derive from the per-sample damage stream, so the same
 // bytes rot on every run with the same seed.
 func (ci *CacheInjector) Tamper(index int, blob []byte) bool {

@@ -1,6 +1,7 @@
 package pipeline
 
 import (
+	"fmt"
 	"testing"
 
 	"scipp/internal/gpusim"
@@ -119,6 +120,66 @@ func BenchmarkPipelineUncachedEpoch(b *testing.B) {
 // at under ~5% of the cached epoch.
 func BenchmarkPipelineCachedEpochIntegrityOff(b *testing.B) {
 	benchCacheEpochs(b, CacheConfig{HostMemBytes: 64 << 20, DisableIntegrity: true})
+}
+
+// cacheHitSizes are the resident payloads of the benchmark's cached
+// workloads: a serialized 4x32^3 F16 tensor (the data service) and a
+// cosmo-LUT blob (cosmoflow_gpu_cached).
+var cacheHitSizes = []int{262 << 10, 645 << 10}
+
+// hitCache returns a cache holding eight residents of size bytes each.
+func hitCache(size int) (*SampleCache, int) {
+	const keys = 8
+	c := NewSampleCache(CacheConfig{HostMemBytes: keys * int64(size)})
+	for i := 0; i < keys; i++ {
+		blob := make([]byte, size)
+		for k := range blob {
+			blob[k] = byte(i + k)
+		}
+		c.Put(i, blob, nil)
+	}
+	return c, keys
+}
+
+// BenchmarkSampleCacheGetHit is one verified hit: the lock, the recency
+// update and one checksum pass over the resident. Its bound is the
+// checksum's single-core throughput.
+func BenchmarkSampleCacheGetHit(b *testing.B) {
+	for _, size := range cacheHitSizes {
+		b.Run(fmt.Sprintf("%dKB", size>>10), func(b *testing.B) {
+			c, keys := hitCache(size)
+			b.SetBytes(int64(size))
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, _, ok, _ := c.Get(i % keys); !ok {
+					b.Fatal("resident missed")
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkSampleCacheGetHitParallel is the same hits from every core at
+// once. The checksum runs outside the cache mutex, so the target is
+// per-op wall time of about half the serial GetHit on two cores (1/P on
+// P); per-op wall equal to the serial number means hits serialize on the
+// lock again.
+func BenchmarkSampleCacheGetHitParallel(b *testing.B) {
+	for _, size := range cacheHitSizes {
+		b.Run(fmt.Sprintf("%dKB", size>>10), func(b *testing.B) {
+			c, keys := hitCache(size)
+			b.SetBytes(int64(size))
+			b.ResetTimer()
+			b.RunParallel(func(pb *testing.PB) {
+				for i := 0; pb.Next(); i++ {
+					if _, _, ok, _ := c.Get(i % keys); !ok {
+						b.Error("resident missed")
+						return
+					}
+				}
+			})
+		})
+	}
 }
 
 // BenchmarkSlabPoolFragmentation is the satellite measurement behind the

@@ -106,11 +106,14 @@ type cacheEntry struct {
 	elem  *list.Element
 }
 
-// CacheTamper corrupts resident cache payloads in place — the hook a
-// seeded bit-rot injector (fault.CacheInjector) attaches through SetTamper
-// to model silent corruption on the staged NVMe/host-memory tiers. Tamper
-// is called with the resident blob on every hit, before verification, and
-// reports whether it modified the blob.
+// CacheTamper corrupts resident cache payloads — the hook a seeded bit-rot
+// injector (fault.CacheInjector) attaches through SetTamper to model silent
+// corruption on the staged NVMe/host-memory tiers. Tamper is called on every
+// hit, before verification, with a private copy of the resident blob, and
+// reports whether it modified that copy. A reported change is copy-on-write:
+// the modified copy replaces the resident, so a reader already holding the
+// old slice keeps clean bytes while the hit that rotted the entry verifies
+// and quarantines it.
 type CacheTamper interface {
 	Tamper(index int, blob []byte) bool
 }
@@ -184,6 +187,13 @@ func cacheSum(blob []byte, label *tensor.Tensor) uint64 {
 // It is safe for concurrent use by the read-stage workers; the cache (and
 // therefore the residency it builds up during epoch 0) is shared by every
 // epoch of its Loader.
+//
+// Ownership: resident bytes never change after admission. Put adopts the
+// caller's blob, Get hands out the resident slice uncopied, and the tamper
+// hook works on a copy that replaces the resident rather than writing into
+// it. That is what lets Get verify a clean hit's checksum after releasing
+// the mutex: the slice it verifies is the slice it serves, and no other
+// goroutine can write to it.
 type SampleCache struct {
 	cfg CacheConfig
 
@@ -247,7 +257,9 @@ func (c *SampleCache) nvmeReadLocked(e *cacheEntry) bool {
 	}
 	if err := c.tier.Access(e.index, false); err != nil {
 		c.noteNVMeErrorLocked()
-		c.removeLocked(e)
+		if c.entries[e.index] == e { // a failover this error tripped already purged it
+			c.removeLocked(e)
+		}
 		return false
 	}
 	c.nvmeErrs = 0
@@ -314,83 +326,137 @@ func (c *SampleCache) probeTierLocked() {
 }
 
 // Get returns sample i if resident, refreshing its recency within its tier.
-// While integrity is enabled the resident payload is verified against its
-// admission checksum first: a corrupted entry is quarantined — dropped and
+// While integrity is enabled the served payload is verified against its
+// admission checksum: a corrupted entry is quarantined — dropped and
 // counted, with quarantined reporting the drop — and the Get is a miss, so
 // the caller re-reads the sample from the dataset and batch output stays
 // bit-identical to an uncorrupted run.
+//
+// A clean hit takes the mutex once: lookup, NVMe tier access, tamper hook,
+// recency and hit counters under it, the checksum pass after it. A hit the
+// tamper hook rotted is verified before unlocking instead, so each
+// corrupting event is quarantined by the Get that caused it and no other
+// reader ever sees the rotten resident. A mismatch found after unlocking
+// (resident bytes changed behind the ownership rule) relocks, reverses the
+// hit, and quarantines the entry only if it is still the one verified; a
+// reader that finds it already gone counts a plain miss.
 func (c *SampleCache) Get(i int) (blob []byte, label *tensor.Tensor, ok, quarantined bool) {
 	c.mu.Lock()
-	defer c.mu.Unlock()
 	c.probeTierLocked()
 	e, found := c.entries[i]
 	if !found {
 		c.stats.Misses++
+		c.mu.Unlock()
 		return nil, nil, false, false
 	}
 	if e.level == iosim.NVMe && !c.nvmeReadLocked(e) {
 		// The tier failed the read: the resident is gone, so the caller
 		// re-reads from the dataset and output stays bit-identical.
 		c.stats.Misses++
+		c.mu.Unlock()
 		return nil, nil, false, false
 	}
-	if c.tamper != nil {
-		c.tamper.Tamper(i, e.blob)
+	verify := !c.cfg.DisableIntegrity
+	if c.tamper != nil && c.tamperLocked(e) && verify {
+		if cacheSum(e.blob, e.label) != e.sum {
+			c.removeLocked(e)
+			c.stats.Quarantined++
+			c.stats.Misses++
+			c.mu.Unlock()
+			return nil, nil, false, true
+		}
+		verify = false
 	}
-	if !c.cfg.DisableIntegrity && cacheSum(e.blob, e.label) != e.sum {
-		c.removeLocked(e)
-		c.stats.Quarantined++
-		c.stats.Misses++
-		return nil, nil, false, true
-	}
+	level := e.level
 	c.stats.Hits++
-	if e.level == iosim.HostMem {
+	if level == iosim.HostMem {
 		c.stats.HostHits++
 		c.host.MoveToFront(e.elem)
 	} else {
 		c.stats.NVMeHits++
 		c.nvme.MoveToFront(e.elem)
 	}
-	return e.blob, e.label, true, false
+	blob, label, sum := e.blob, e.label, e.sum
+	c.mu.Unlock()
+	if !verify || cacheSum(blob, label) == sum {
+		return blob, label, true, false
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.stats.Hits--
+	if level == iosim.HostMem {
+		c.stats.HostHits--
+	} else {
+		c.stats.NVMeHits--
+	}
+	c.stats.Misses++
+	if c.entries[i] != e {
+		return nil, nil, false, false
+	}
+	c.removeLocked(e)
+	c.stats.Quarantined++
+	return nil, nil, false, true
+}
+
+// tamperLocked offers the tamper hook a copy of e's blob and, if the hook
+// reports a change, installs the copy as the resident (copy-on-write: the
+// slice earlier hits handed out is never written). It reports the change.
+func (c *SampleCache) tamperLocked(e *cacheEntry) bool {
+	//lint:ignore hotalloc chaos runs only: the hook must never write into a served resident
+	cp := append([]byte(nil), e.blob...)
+	if !c.tamper.Tamper(e.index, cp) {
+		return false
+	}
+	e.blob = cp
+	return true
 }
 
 // Put inserts sample i, evicting least-recently-used residents as needed.
 // New samples land in the host tier (falling through to NVMe when they
 // cannot fit host memory at all); overflow demotes host LRU entries to the
 // NVMe tier and drops NVMe LRU entries. Samples larger than every tier are
-// not cached. Re-putting a resident index refreshes its payload in place.
-// The blob is copied at admission: the cache must own its resident bytes so
-// that corruption of a cached copy (bit rot, injected or real) can never
-// reach the dataset's memory and survive a quarantine re-read. It returns
-// the number of samples dropped from the cache by this call, so callers can
-// feed eviction metrics without re-reading shared state.
+// not cached. Re-putting a resident index replaces its payload; if the new
+// payload fits no tier in service, the old resident is dropped and counted
+// as an eviction.
+//
+// Put takes ownership of blob: the caller must never write to it again,
+// because residents are immutable and hits hand the slice out uncopied. A
+// caller whose blob is someone else's memory (CacheStage's, which is the
+// dataset's) copies it first, so corruption of a resident can never reach
+// the dataset and survive a quarantine re-read. The checksum is taken
+// before the mutex. Put returns the number of samples dropped from the
+// cache by this call, so callers can feed eviction metrics without
+// re-reading shared state.
 func (c *SampleCache) Put(i int, blob []byte, label *tensor.Tensor) int {
 	size := int64(len(blob))
 	if label != nil {
 		size += int64(label.Bytes())
 	}
-	//lint:ignore hotalloc the cache must own its resident bytes: tamper/rot must never reach dataset memory
-	blob = append([]byte(nil), blob...)
+	e := &cacheEntry{index: i, blob: blob, label: label, bytes: size}
+	if !c.cfg.DisableIntegrity {
+		e.sum = cacheSum(blob, label)
+	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if e, ok := c.entries[i]; ok {
-		c.removeLocked(e)
+	replaced := 0
+	if old, ok := c.entries[i]; ok {
+		c.removeLocked(old)
+		replaced = 1
 	}
-	e := &cacheEntry{index: i, blob: blob, label: label, bytes: size, sum: cacheSum(blob, label)}
 	switch {
 	case size <= c.cfg.HostMemBytes:
 		e.level = iosim.HostMem
 		e.elem = c.host.PushFront(e)
 		c.hostBytes += size
-	case size <= c.cfg.NVMeBytes:
-		if c.nvmeDead || !c.nvmeWriteLocked(i) {
-			return 0 // the only tier that fits is out of service
-		}
+	case size <= c.cfg.NVMeBytes && !c.nvmeDead && c.nvmeWriteLocked(i):
 		e.level = iosim.NVMe
 		e.elem = c.nvme.PushFront(e)
 		c.nvmeBytes += size
 	default:
-		return 0 // fits nowhere: uncacheable
+		// Fits nowhere, or only in an NVMe tier that is out of service:
+		// uncacheable, and a resident it was meant to replace is gone.
+		c.stats.Evictions += int64(replaced)
+		return replaced
 	}
 	c.entries[i] = e
 	return c.rebalanceLocked()
@@ -512,6 +578,17 @@ func (c *SampleCache) Len() int {
 	return len(c.entries)
 }
 
+// Resident reports whether sample i is indexed, without verifying it,
+// touching a tier or counting a lookup. A caller that orders admissions
+// under its own lock uses it to tell "truly absent" from "admitted since
+// my Get missed".
+func (c *SampleCache) Resident(i int) bool {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	_, ok := c.entries[i]
+	return ok
+}
+
 // CacheStage is the storage-aware read stage: it serves resident samples
 // from the SampleCache and delegates misses to the inner ReadStage, whose
 // successful reads populate the cache — so epoch 0 is the cold traversal
@@ -530,10 +607,10 @@ func (s *CacheStage) Name() string { return "read" }
 
 // Process implements Stage[struct{}, rawSample]. The hit path hands out the
 // cache's resident blob and label without copying — decode only reads the
-// blob, and the copydiscipline analyzer keeps clone idioms off this path. A
-// hit that fails integrity verification becomes a miss: the quarantined
-// entry re-reads from the dataset and re-admits, so a corrupted resident
-// can never reach a batch.
+// blob, and residents never change after admission. A hit that fails
+// integrity verification becomes a miss: the quarantined entry re-reads
+// from the dataset and re-admits, so a corrupted resident can never reach a
+// batch.
 //
 //scipp:hotpath
 func (s *CacheStage) Process(index int, _ struct{}) (rawSample, error) {
@@ -552,7 +629,9 @@ func (s *CacheStage) Process(index int, _ struct{}) (rawSample, error) {
 	if err != nil {
 		return rawSample{}, err
 	}
-	if dropped := s.cache.Put(index, r.blob, r.label); dropped > 0 {
+	//lint:ignore hotalloc Put adopts its blob and r.blob is dataset memory: rot must never reach it
+	owned := append([]byte(nil), r.blob...)
+	if dropped := s.cache.Put(index, owned, r.label); dropped > 0 {
 		s.ob.cacheEvictions.Add(int64(dropped))
 	}
 	return r, nil

@@ -1,0 +1,363 @@
+package pipeline
+
+import (
+	"bytes"
+	"fmt"
+	"reflect"
+	"slices"
+	"sync"
+	"testing"
+
+	"scipp/internal/fault"
+	"scipp/internal/tensor"
+)
+
+// switchTier is a TierFault whose every access fails while fail is set.
+type switchTier struct{ fail bool }
+
+func (s *switchTier) Access(int, bool) error {
+	if s.fail {
+		return fmt.Errorf("switch tier down")
+	}
+	return nil
+}
+
+// cacheModel is the reference SampleCache: a map of resident payloads plus
+// one MRU-first index slice per tier, written from the doc comments rather
+// than the implementation. rot is the pending set of a flipTamper-style
+// hook (nil: no hook); tier is the shared switchTier (nil: no hook).
+type cacheModel struct {
+	cfg        CacheConfig
+	blobs      map[int][]byte
+	bytes      map[int]int64
+	host, nvme []int
+	dead       bool
+	errs, wait int
+	st         CacheStats
+	rot        map[int]bool
+	tier       *switchTier
+}
+
+func (m *cacheModel) drop(i int) bool {
+	for _, l := range []*[]int{&m.host, &m.nvme} {
+		for k, v := range *l {
+			if v == i {
+				*l = append((*l)[:k:k], (*l)[k+1:]...)
+				delete(m.blobs, i)
+				return true
+			}
+		}
+	}
+	return false
+}
+
+func (m *cacheModel) tierOK() bool {
+	if m.tier == nil || !m.tier.fail {
+		if m.tier != nil {
+			m.errs = 0
+		}
+		return true
+	}
+	m.st.NVMeErrors++
+	if m.errs++; !m.dead && m.errs >= m.cfg.TierFailK {
+		m.dead, m.errs, m.wait = true, 0, m.cfg.TierProbeEvery
+		m.st.TierFailovers++
+		m.st.TierDropped += int64(len(m.nvme))
+		for len(m.nvme) > 0 {
+			m.drop(m.nvme[0])
+		}
+	}
+	return false
+}
+
+func (m *cacheModel) get(i int) (blob []byte, hit, quarantined bool) {
+	if m.dead && m.tier != nil {
+		if m.wait--; m.wait <= 0 {
+			m.wait = m.cfg.TierProbeEvery
+			m.st.TierProbes++
+			if !m.tier.fail {
+				m.dead, m.errs = false, 0
+				m.st.TierRecoveries++
+			}
+		}
+	}
+	blob, ok := m.blobs[i]
+	onNVMe := slices.Contains(m.nvme, i)
+	switch {
+	case !ok:
+	case onNVMe && !m.tierOK(): // a failover it trips purges i too
+		m.drop(i)
+	case m.rot != nil && m.rot[i] && len(blob) > 0:
+		delete(m.rot, i)
+		m.drop(i)
+		m.st.Quarantined++
+		m.st.Misses++
+		return nil, false, true
+	default:
+		m.drop(i)
+		m.blobs[i] = blob
+		m.st.Hits++
+		if onNVMe {
+			m.st.NVMeHits++
+			m.nvme = append([]int{i}, m.nvme...)
+		} else {
+			m.st.HostHits++
+			m.host = append([]int{i}, m.host...)
+		}
+		return blob, true, false
+	}
+	m.st.Misses++
+	return nil, false, false
+}
+
+func (m *cacheModel) put(i int, blob []byte, size int64) int {
+	replaced := 0
+	if m.drop(i) {
+		replaced = 1
+	}
+	switch {
+	case size <= m.cfg.HostMemBytes:
+		m.host = append([]int{i}, m.host...)
+	case size <= m.cfg.NVMeBytes && !m.dead && m.tierOK():
+		m.nvme = append([]int{i}, m.nvme...)
+	default:
+		m.st.Evictions += int64(replaced)
+		return replaced
+	}
+	m.blobs[i], m.bytes[i] = append([]byte(nil), blob...), size
+	dropped := 0
+	for m.sum(m.host) > m.cfg.HostMemBytes {
+		v := m.host[len(m.host)-1]
+		m.host = m.host[:len(m.host)-1]
+		if m.bytes[v] <= m.cfg.NVMeBytes && !m.dead && m.tierOK() {
+			m.nvme = append([]int{v}, m.nvme...)
+			m.st.Demotions++
+			continue
+		}
+		delete(m.blobs, v)
+		m.st.Evictions++
+		dropped++
+	}
+	for m.sum(m.nvme) > m.cfg.NVMeBytes {
+		m.drop(m.nvme[len(m.nvme)-1])
+		m.st.Evictions++
+		dropped++
+	}
+	return dropped
+}
+
+func (m *cacheModel) sum(l []int) (n int64) {
+	for _, i := range l {
+		n += m.bytes[i]
+	}
+	return n
+}
+
+func (m *cacheModel) stats() CacheStats {
+	s := m.st
+	s.HostBytes, s.NVMeBytes = m.sum(m.host), m.sum(m.nvme)
+	s.HostSamples, s.NVMeSamples = len(m.host), len(m.nvme)
+	return s
+}
+
+// residency lists the real cache's tiers MRU first, for comparison with
+// the model's slices.
+func residency(c *SampleCache) (host, nvme []int) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	for el := c.host.Front(); el != nil; el = el.Next() {
+		host = append(host, el.Value.(*cacheEntry).index)
+	}
+	for el := c.nvme.Front(); el != nil; el = el.Next() {
+		nvme = append(nvme, el.Value.(*cacheEntry).index)
+	}
+	return host, nvme
+}
+
+// FuzzSampleCacheModel is the reference-model differential test for the
+// two-tier cache: the fuzz input becomes a configuration and a sequence of
+// Put (ragged sizes, optional label), Get, SetTamper and SetTierFault
+// operations, run against both the SampleCache and cacheModel. After every
+// operation both must agree on what Put dropped, what Get served (bytes,
+// hit, quarantine), the residency of each tier in recency order and every
+// CacheStats field, and VerifyAccounting must hold. Demotion, eviction,
+// re-Put replacement (including one that fits no tier), quarantine, tier
+// death and probe-driven recovery are all reachable from a few bytes.
+func FuzzSampleCacheModel(f *testing.F) {
+	// Config bytes: host budget, NVMe budget, TierFailK, TierProbeEvery;
+	// then op triples (op, a, b) — see the switch below.
+	f.Add([]byte{40, 0, 0, 0, 0, 1, 20, 1, 1, 0})                             // no corruption
+	f.Add([]byte{40, 0, 0, 0, 0, 1, 18, 2, 1, 0, 1, 1, 0, 0, 1, 18, 1, 1, 0}) // single rot, re-admit
+	f.Add([]byte{16, 64, 0, 1, 0, 0, 20, 0, 1, 20, 0, 2, 20, 1, 0, 0, 1, 1, 0})
+	f.Add([]byte{16, 64, 1, 2, 0, 0, 20, 0, 1, 20, 0, 2, 20, 3, 1, 0, 1, 0, 0,
+		1, 1, 0, 3, 0, 0, 1, 2, 0, 1, 2, 0, 1, 2, 0, 0, 3, 20}) // tier death, recovery
+	f.Add([]byte{8, 30, 0, 0, 0, 1, 6, 3, 1, 0, 0, 1, 50, 0, 1, 90}) // re-Put fits only the dead tier, then nowhere
+	f.Fuzz(func(t *testing.T, data []byte) {
+		cfg := CacheConfig{HostMemBytes: 8, TierFailK: 1, TierProbeEvery: 1}
+		if len(data) >= 4 {
+			cfg.HostMemBytes = int64(data[0] % 64)
+			cfg.NVMeBytes = int64(data[1] % 128)
+			cfg.TierFailK = int(data[2]%3) + 1
+			cfg.TierProbeEvery = int(data[3]%4) + 1
+			data = data[4:]
+		}
+		c := NewSampleCache(cfg)
+		m := &cacheModel{cfg: cfg, blobs: map[int][]byte{}, bytes: map[int]int64{}}
+		for k := 0; k+3 <= len(data); k += 3 {
+			op, a, b := data[k]%4, data[k+1], data[k+2]
+			i := int(a % 8)
+			desc := fmt.Sprintf("op %d: %d(%d, %d)", k/3, op, a, b)
+			switch op {
+			case 0: // Put index i: b/2 % 48 blob bytes, a 4-byte label if b is odd
+				blob := make([]byte, int(b/2)%48)
+				for j := range blob {
+					blob[j] = byte(k + 31*j)
+				}
+				var label *tensor.Tensor
+				size := int64(len(blob))
+				if b&1 == 1 {
+					label = tensor.FromF32([]float32{float32(k)}, 1)
+					size += 4
+				}
+				if got, want := c.Put(i, append([]byte(nil), blob...), label), m.put(i, blob, size); got != want {
+					t.Fatalf("%s: Put dropped %d, model %d", desc, got, want)
+				}
+			case 1: // Get index i
+				blob, _, ok, q := c.Get(i)
+				want, wok, wq := m.get(i)
+				if ok != wok || q != wq || !bytes.Equal(blob, want) {
+					t.Fatalf("%s: Get = %v ok=%v q=%v, model %v ok=%v q=%v", desc, blob, ok, q, want, wok, wq)
+				}
+			case 2: // attach a hook rotting index i's next non-empty hit, or detach
+				if b&1 == 1 {
+					c.SetTamper(nil)
+					m.rot = nil
+					break
+				}
+				c.SetTamper(&flipTamper{targets: map[int]bool{i: true}})
+				m.rot = map[int]bool{i: true}
+			case 3: // attach the tier hook (b&1: failing), or detach it (b&2)
+				if b&2 != 0 {
+					c.SetTierFault(nil)
+					m.tier = nil
+					break
+				}
+				m.tier = &switchTier{fail: b&1 == 1}
+				c.SetTierFault(m.tier)
+			}
+			host, nvme := residency(c)
+			if !reflect.DeepEqual(host, nilIfEmpty(m.host)) || !reflect.DeepEqual(nvme, nilIfEmpty(m.nvme)) {
+				t.Fatalf("%s: residency host %v nvme %v, model %v %v", desc, host, nvme, m.host, m.nvme)
+			}
+			if got, want := c.Stats(), m.stats(); got != want {
+				t.Fatalf("%s: stats\n got %+v\nwant %+v", desc, got, want)
+			}
+			if err := c.VerifyAccounting(); err != nil {
+				t.Fatalf("%s: %v", desc, err)
+			}
+		}
+	})
+}
+
+func nilIfEmpty(l []int) []int {
+	if len(l) == 0 {
+		return nil
+	}
+	return l
+}
+
+// TestPutReplacementThatFitsNoTierCountsEviction pins the re-Put branch
+// where the new payload has nowhere to go: the old resident is already
+// gone, so it counts as an eviction and in Put's return value.
+func TestPutReplacementThatFitsNoTierCountsEviction(t *testing.T) {
+	cases := []struct {
+		name     string
+		cfg      CacheConfig
+		kill     bool // put the NVMe tier out of service first
+		newBytes int
+	}{
+		{"fits no tier", CacheConfig{HostMemBytes: 16}, false, 32},
+		{"fits only the dead NVMe tier", CacheConfig{HostMemBytes: 16, NVMeBytes: 64, TierFailK: 1}, true, 32},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			c := NewSampleCache(tc.cfg)
+			c.Put(1, make([]byte, 8), nil)
+			if tc.kill {
+				c.SetTierFault(&switchTier{fail: true})
+				c.Put(2, make([]byte, 32), nil) // NVMe admission fails: the tier dies
+				if c.TierHealthy() {
+					t.Fatal("tier survived a TierFailK=1 failure")
+				}
+			}
+			if dropped := c.Put(1, make([]byte, tc.newBytes), nil); dropped != 1 {
+				t.Errorf("replacement dropped %d, want 1 (the old resident)", dropped)
+			}
+			if _, _, ok, _ := c.Get(1); ok {
+				t.Error("replaced sample still served")
+			}
+			if st := c.Stats(); st.Evictions != 1 || st.HostSamples != 0 {
+				t.Errorf("stats = %+v, want 1 eviction and an empty host tier", st)
+			}
+			verifyClean(t, c, tc.name)
+		})
+	}
+}
+
+// TestCacheConcurrentOwnership is the ownership rule under -race: readers
+// hammer hot indices while a writer re-Puts over them and forces
+// evictions, and a seeded injector rots hits. Every served blob must be
+// the bytes admitted for its (index, version), every corrupting event must
+// be quarantined exactly once, and the accounting must reconcile.
+func TestCacheConcurrentOwnership(t *testing.T) {
+	const (
+		keys, readers, gets, puts = 16, 4, 3000, 600
+		payload                   = 256
+	)
+	gen := func(i, ver int) []byte {
+		b := make([]byte, payload)
+		b[0], b[1] = byte(i), byte(ver)
+		for k := 2; k < payload; k++ {
+			b[k] = byte(i*7 + ver*13 + k)
+		}
+		return b
+	}
+	// Room for half the keys: the writer's cycling Puts keep evicting.
+	c := NewSampleCache(CacheConfig{HostMemBytes: keys / 2 * payload})
+	ci := fault.NewCacheInjector(fault.CacheFaultConfig{Seed: 3, BitRot: 0.5, BitRotEvents: 4})
+	c.SetTamper(ci)
+	for i := 0; i < keys; i++ {
+		c.Put(i, gen(i, 0), nil)
+	}
+	var wg sync.WaitGroup
+	for r := 0; r < readers; r++ {
+		wg.Add(1)
+		go func(r int) {
+			defer wg.Done()
+			for g := 0; g < gets; g++ {
+				blob, _, ok, _ := c.Get((g*(r+1) + r) % 4) // four hot indices
+				if ok && !bytes.Equal(blob, gen(int(blob[0]), int(blob[1]))) {
+					t.Errorf("reader %d served bytes that were never admitted", r)
+					return
+				}
+			}
+		}(r)
+	}
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for p := 0; p < puts; p++ {
+			i := p % keys
+			c.Put(i, gen(i, p/keys+1), nil)
+		}
+	}()
+	wg.Wait()
+	st := c.Stats()
+	if events := int64(len(ci.Log())); st.Quarantined != events || events == 0 {
+		t.Errorf("Quarantined = %d, injector logged %d corrupting events", st.Quarantined, events)
+	}
+	if st.Hits+st.Misses != readers*gets || st.Hits != st.HostHits+st.NVMeHits {
+		t.Errorf("hit counters do not reconcile: %+v (want %d gets)", st, readers*gets)
+	}
+	verifyClean(t, c, "after concurrent run")
+}

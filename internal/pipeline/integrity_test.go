@@ -81,20 +81,46 @@ func TestCacheIntegrityDisabled(t *testing.T) {
 	}
 }
 
-func TestCachePutCopiesBlob(t *testing.T) {
-	// The cache must own its resident bytes: corrupting a resident copy
-	// (bit rot) must never write through to the dataset's memory, or the
-	// quarantine re-read would serve the same corruption forever.
-	src := []byte{1, 2, 3, 4}
+func TestCacheStageCopiesDatasetBlob(t *testing.T) {
+	// Put adopts its blob, so the read stage must hand it a copy: a
+	// resident aliasing the dataset's memory would let corruption of the
+	// cached copy survive the quarantine re-read forever.
+	ds := testDataset(4)
+	l, err := New(ds, Config{Format: countFormat{}, Batch: 2, Cache: CacheConfig{HostMemBytes: 1 << 20}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := l.Epoch(0).Drain(); err != nil {
+		t.Fatal(err)
+	}
+	for i, src := range ds.Blobs {
+		blob, _, ok, _ := l.Cache().Get(i)
+		if !ok || !bytes.Equal(blob, src) {
+			t.Fatalf("sample %d: resident %v ok=%v, dataset %v", i, blob, ok, src)
+		}
+		if &blob[0] == &src[0] {
+			t.Fatalf("sample %d: resident aliases the dataset's blob", i)
+		}
+	}
+}
+
+func TestCacheTamperCopyOnWrite(t *testing.T) {
+	// The tamper hook works on a copy: a reader holding the slice of an
+	// earlier hit keeps clean bytes, and the hit that rotted the entry
+	// quarantines it.
+	admitted := []byte{1, 2, 3, 4}
 	c := NewSampleCache(CacheConfig{HostMemBytes: 1 << 20})
-	c.Put(0, src, nil)
-	blob, _, ok, _ := c.Get(0)
+	c.Put(0, admitted, nil)
+	held, _, ok, _ := c.Get(0)
 	if !ok {
 		t.Fatal("miss after Put")
 	}
-	blob[0] = 0xEE // rot the resident copy
-	if src[0] != 1 {
-		t.Fatal("corrupting the resident blob reached the dataset's memory")
+	c.SetTamper(&flipTamper{targets: map[int]bool{0: true}})
+	if _, _, ok, quarantined := c.Get(0); ok || !quarantined {
+		t.Fatalf("rotted hit: ok=%v quarantined=%v, want a quarantine", ok, quarantined)
+	}
+	if !bytes.Equal(held, []byte{1, 2, 3, 4}) || !bytes.Equal(admitted, []byte{1, 2, 3, 4}) {
+		t.Fatalf("tamper wrote through to a served slice: held %v, admitted %v", held, admitted)
 	}
 }
 
