@@ -12,7 +12,7 @@ build:
 test:
 	$(GO) test ./...
 	$(GO) test -run '^$$' -bench '^(BenchmarkOpen|BenchmarkDecodeFused|BenchmarkDecodeSample)$$' -benchtime=1x ./internal/codec/lut/ ./internal/codec/deltafp/
-	$(GO) test -run '^$$' -bench '^(BenchmarkSampleCacheGetHit|BenchmarkSampleCacheGetHitParallel|BenchmarkMaterialize|BenchmarkEncodeTensor)$$' -benchtime=1x ./internal/pipeline/ ./internal/dataserve/
+	$(GO) test -run '^$$' -bench '^(BenchmarkSampleCacheGetHit|BenchmarkSampleCacheGetHitParallel|BenchmarkCacheSum|BenchmarkServeHit)$$' -benchtime=1x ./internal/pipeline/ ./internal/dataserve/
 
 # Race-detector pass over the concurrent subsystems (staged pipeline DAG
 # and its sample cache, multi-tenant data service, ring allreduce,
@@ -69,6 +69,5 @@ fuzz:
 	$(GO) test -run=NONE -fuzz='^FuzzSampleCacheModel$$' -fuzztime=10s ./internal/pipeline/
 	$(GO) test -run=NONE -fuzz='^FuzzTenantCache$$' -fuzztime=10s ./internal/dataserve/
 	$(GO) test -run=NONE -fuzz='^FuzzBreakerState$$' -fuzztime=10s ./internal/dataserve/
-	$(GO) test -run=NONE -fuzz='^FuzzBlobDecode$$' -fuzztime=10s ./internal/dataserve/
 
 verify: build vet lint test race cover

@@ -240,5 +240,6 @@ func All() []*Analyzer {
 		CopyDiscipline,
 		WorkerGuard,
 		BreakerState,
+		UnsafeImport,
 	}
 }

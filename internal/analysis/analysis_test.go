@@ -34,6 +34,7 @@ var fixtures = []struct {
 	{"fixcopydiscipline", "scipp/internal/fixcopydiscipline"},
 	{"fixworkerguard", "scipp/internal/pipeline"},   // pipeline scope for the supervised-goroutine rule
 	{"fixbreakerstate", "scipp/internal/dataserve"}, // dataserve scope for the breaker transition rule
+	{"fixunsafe", "scipp/internal/fixunsafe"},
 }
 
 func moduleRoot(t *testing.T) string {
@@ -177,5 +178,25 @@ func TestDirectiveParsing(t *testing.T) {
 	}
 	if !sawUnsuppressed {
 		t.Error("the unsuppressed discard in alsoQuiet was not reported")
+	}
+}
+
+// TestUnsafeAllowedInTensor loads the unsafe fixture as internal/tensor,
+// the one package whose import of unsafe is sanctioned.
+func TestUnsafeAllowedInTensor(t *testing.T) {
+	l, err := NewLoader(moduleRoot(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir, err := filepath.Abs(filepath.Join("testdata", "fixunsafe"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	pkg, err := l.LoadDir(dir, "scipp/internal/tensor")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, d := range RunAnalyzers([]*Package{pkg}, []*Analyzer{UnsafeImport}) {
+		t.Errorf("unsafe flagged in internal/tensor: %s", d)
 	}
 }

@@ -15,7 +15,10 @@ import (
 // traffic. The rule tracks values returned by Get-style calls on cache
 // types (a named type whose name contains "Cache") inside hot-path
 // functions and flags clone idioms applied to them. Copies into recycled
-// buffers (append(buf[:0], v...)) are not clones of fresh memory and pass.
+// buffers are not clones of fresh memory and pass: append(buf[:0], v...),
+// and a copy into the byte view of a tensor just drawn from a pool,
+// copy(tensor.RawBytes(dst), v) — the one memmove a data-service hit owes
+// its tenant, since tenants never alias cache memory.
 var CopyDiscipline = &Analyzer{
 	Name: "copydiscipline",
 	Doc:  "flag whole-sample clones of cache-resident blobs on hot paths",
@@ -36,7 +39,7 @@ func runCopyDiscipline(pass *Pass) {
 			if len(tracked) == 0 {
 				continue
 			}
-			flagClones(pass, fd.Body, tracked)
+			flagClones(pass, fd.Body, tracked, pooledVars(pass.Info, fd.Body))
 		}
 	}
 }
@@ -93,8 +96,40 @@ func isCacheType(t types.Type) bool {
 	return strings.Contains(named.Obj().Name(), "Cache")
 }
 
+// pooledVars collects the variables bound from pool acquisitions, the
+// same Get/Acquire-on-a-Pool calls poolleak tracks.
+func pooledVars(info *types.Info, body *ast.BlockStmt) map[*types.Var]bool {
+	out := make(map[*types.Var]bool)
+	for _, def := range findPoolGets(info, body) {
+		out[def.v] = true
+	}
+	return out
+}
+
+// isPooledRawView matches RawBytes(v), or pkg.RawBytes(v), with v a
+// pool-drawn variable: recycled memory, not a fresh clone.
+func isPooledRawView(info *types.Info, e ast.Expr, pooled map[*types.Var]bool) bool {
+	call, ok := ast.Unparen(e).(*ast.CallExpr)
+	if !ok || len(call.Args) != 1 {
+		return false
+	}
+	var name string
+	switch fun := ast.Unparen(call.Fun).(type) {
+	case *ast.Ident:
+		name = fun.Name
+	case *ast.SelectorExpr:
+		name = fun.Sel.Name
+	}
+	id, ok := ast.Unparen(call.Args[0]).(*ast.Ident)
+	if name != "RawBytes" || !ok {
+		return false
+	}
+	v, ok := objOf(info, id).(*types.Var)
+	return ok && pooled[v]
+}
+
 // flagClones reports clone idioms applied to tracked cache-resident values.
-func flagClones(pass *Pass, body *ast.BlockStmt, tracked map[*types.Var]bool) {
+func flagClones(pass *Pass, body *ast.BlockStmt, tracked, pooled map[*types.Var]bool) {
 	info := pass.Info
 	isTracked := func(e ast.Expr) bool {
 		id, ok := ast.Unparen(e).(*ast.Ident)
@@ -122,7 +157,7 @@ func flagClones(pass *Pass, body *ast.BlockStmt, tracked map[*types.Var]bool) {
 						exprString(pass.Fset, call.Args[1]))
 				}
 			case "copy":
-				if len(call.Args) == 2 && isTracked(call.Args[1]) {
+				if len(call.Args) == 2 && isTracked(call.Args[1]) && !isPooledRawView(info, call.Args[0], pooled) {
 					pass.Reportf(Warning, call.Pos(),
 						"copy duplicates cache-resident %s on the hot path: serve the resident bytes zero-copy",
 						exprString(pass.Fset, call.Args[1]))

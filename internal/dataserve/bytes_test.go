@@ -46,9 +46,9 @@ func TestByteAccountingReconciles(t *testing.T) {
 		}
 	}
 
-	// Every sample's payload is the serialized decoded tensor (7-byte
-	// header + 4 bytes per dim + element bits) plus its 1-element F32 label.
-	perSample := int64(7 + 4*len(testShape) + 4*testShape.Elems() + 4)
+	// Every sample's payload is the decoded tensor's raw element bytes (no
+	// header) plus its 1-element F32 label.
+	perSample := int64(4*testShape.Elems() + 4)
 	wantTenant := epochs * samples * perSample
 	var sum int64
 	for _, tn := range tenants {

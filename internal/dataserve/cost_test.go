@@ -82,8 +82,15 @@ func inertDataset(n int) *pipeline.MemDataset {
 func pend(s *Service, t *Tenant, idx ...int) {
 	it := &Iterator{t: t}
 	for i, ix := range idx {
-		t.pend = append(t.pend, request{it: it, seq: i, index: ix, enq: s.dispatchSeq})
+		t.pushLocked(request{it: it, seq: i, index: ix, enq: s.dispatchSeq})
 	}
+}
+
+// learnSize stands in for a decode having learned sample i's payload size.
+func learnSize(t *Tenant, i int, n int64) {
+	rec := &t.sd.learned[i]
+	rec.payload = n
+	rec.known.Store(true)
 }
 
 // drainOrder runs nextRequest until the queues are empty, returning the
@@ -132,8 +139,8 @@ func TestByteCostSkewsDispatch(t *testing.T) {
 	// Sizes as one warm epoch would have learned them: big's samples cost
 	// ceil(400/100) = 4 units, small's cost 1.
 	for i := 0; i < 8; i++ {
-		big.sd.sizeOf[i].Store(400)
-		small.sd.sizeOf[i].Store(100)
+		learnSize(big, i, 400)
+		learnSize(small, i, 100)
 	}
 	pend(s, big, 0, 1, 2, 3, 4, 5, 6, 7)
 	pend(s, small, 0, 1, 2, 3, 4, 5, 6, 7)
@@ -159,7 +166,7 @@ func TestByteCostCapAndUnknownSize(t *testing.T) {
 	// Sample 0's size is unknown (cost 1); sample 1 would cost 10_000/10 =
 	// 1000 units but is capped at Quantum*Weight = 2, so it still ships on
 	// a fresh deficit and only overdrafts its own tenant's round.
-	tn.sd.sizeOf[1].Store(10_000)
+	learnSize(tn, 1, 10_000)
 	pend(s, tn, 0, 1, 0, 1)
 
 	if got, want := s.serveCostLocked(tn, request{index: 0}), 1; got != want {
@@ -177,10 +184,10 @@ func TestByteCostCapAndUnknownSize(t *testing.T) {
 func TestShedBytesAccounting(t *testing.T) {
 	s := newIdleService(Config{Quantum: 2, CostUnitBytes: 100})
 	tn := idleTenant(t, s, TenantConfig{Name: "late", DeadlineLag: 1})
-	tn.sd.sizeOf[0].Store(250)
-	tn.sd.sizeOf[1].Store(150)
+	learnSize(tn, 0, 250)
+	learnSize(tn, 1, 150)
 	// Three requests enqueued at dispatch count 0; sample 2 has never been
-	// served, so its shed is byte-invisible.
+	// decoded, so its shed is byte-invisible.
 	pend(s, tn, 0, 1, 2)
 	s.mu.Lock()
 	s.dispatchSeq = 10 // every pending request is now 10 dispatches stale
@@ -197,5 +204,33 @@ func TestShedBytesAccounting(t *testing.T) {
 	}
 	if st := tn.Stats(); st.Shed != 3 {
 		t.Errorf("tenant shed %d, want 3", st.Shed)
+	}
+}
+
+func TestPendQueueReusesBackingArray(t *testing.T) {
+	s := newIdleService(Config{Quantum: 4})
+	tn := idleTenant(t, s, TenantConfig{Name: "steady"})
+	pend(s, tn, 0, 1, 2, 3)
+	backing := &tn.pend[:1][0]
+	drainOrder(t, s, 4)
+	if len(tn.pend) != 0 || tn.pendHead != 0 || cap(tn.pend) < 4 {
+		t.Fatalf("drained queue: len %d head %d cap %d, want an empty queue keeping its array", len(tn.pend), tn.pendHead, cap(tn.pend))
+	}
+	pend(s, tn, 4, 5)
+	if &tn.pend[0] != backing {
+		t.Fatal("a refilled queue allocated a new backing array")
+	}
+
+	// A backlog that never drains slides down instead of growing: popping
+	// one and pushing one forever stays within the array it has.
+	c := cap(tn.pend)
+	for i := 0; i < 10*c; i++ {
+		s.mu.Lock()
+		tn.popLocked()
+		tn.pushLocked(request{index: i})
+		s.mu.Unlock()
+	}
+	if cap(tn.pend) != c {
+		t.Fatalf("steady pop/push grew the queue from cap %d to %d", c, cap(tn.pend))
 	}
 }

@@ -51,9 +51,10 @@ type Config struct {
 	// fair share becomes bytes per round rather than samples per round.
 	// The charge is floored at 1 and capped at the tenant's full
 	// replenishment (Quantum*Weight), so any sample is servable within one
-	// visit. A sample's payload size (serialized decoded tensor plus label)
-	// is learned the first time it is served; until then it is charged unit
-	// cost, so a cold service converges to byte fairness within one epoch.
+	// visit. A sample's payload size (the decoded tensor's raw element
+	// bytes plus its label's) is learned when its first decode is admitted;
+	// until then it is charged unit cost, so a cold service converges to
+	// byte fairness within one epoch.
 	// 0 (the default) keeps exact unit-cost dispatch — fixed-shape
 	// workloads see the legacy behavior bit for bit.
 	CostUnitBytes int
@@ -209,7 +210,7 @@ func (s *Service) enqueue(it *Iterator, seq, index int) bool {
 		}
 		return true
 	}
-	t.pend = append(t.pend, request{it: it, seq: seq, index: index, enq: s.dispatchSeq, probe: probe})
+	t.pushLocked(request{it: it, seq: seq, index: index, enq: s.dispatchSeq, probe: probe})
 	s.mu.Unlock()
 	select {
 	case s.notify <- struct{}{}:
@@ -291,13 +292,8 @@ func (s *Service) nextRequest() (request, []request, bool) {
 		if visit > 0 {
 			s.deficit = s.cfg.Quantum * t.cfg.Weight
 		}
-		if len(t.pend) > 0 && s.deficit >= 1 {
-			r := t.pend[0]
-			t.pend[0] = request{}
-			t.pend = t.pend[1:]
-			if len(t.pend) == 0 {
-				t.pend = nil // reclaim the drained backlog's backing array
-			}
+		if t.pendHead < len(t.pend) && s.deficit >= 1 {
+			r := t.popLocked()
 			s.deficit -= s.serveCostLocked(t, r)
 			lag := s.dispatchSeq - r.enq
 			s.dispatchSeq++
@@ -352,20 +348,15 @@ func (s *Service) noteServedBytes(t *Tenant, n int64) {
 func (s *Service) shedLocked() []request {
 	var shed []request
 	for _, t := range s.shedOrder {
-		for len(t.pend) > 0 && s.dispatchSeq-t.pend[0].enq > t.cfg.DeadlineLag {
-			r := t.pend[0]
-			t.pend[0] = request{}
-			t.pend = t.pend[1:]
-			if len(t.pend) == 0 {
-				t.pend = nil
-			}
+		for t.pendHead < len(t.pend) && s.dispatchSeq-t.pend[t.pendHead].enq > t.cfg.DeadlineLag {
+			r := t.popLocked()
 			if r.probe {
 				t.breakerAbortProbeLocked()
 			}
 			s.shed++
 			s.ob.shed.Inc()
 			// Shed bytes are best-effort: a request shed before its sample
-			// was ever served has no known size and is counted as 0.
+			// was ever decoded has no known size and is counted as 0.
 			if n, ok := t.sd.sampleSize(r.index); ok {
 				s.shedBytes += int64(n)
 				s.ob.bytesShed.Add(int64(n))
@@ -541,12 +532,12 @@ type ServiceStats struct {
 	// BreakerRejects the requests fast-failed by open tenant breakers —
 	// neither ever consumed a dispatcher slot or decode worker.
 	Shed, BreakerRejects int64
-	// ServedBytes totals the payload bytes (serialized decoded sample plus
-	// label) successfully served across all tenants — the byte-weighted
-	// dispatcher's cost basis, so it reconciles against Σ TenantStats.
-	// BytesServed exactly. ShedBytes is the same basis over shed requests
-	// whose sample size was already known (a never-served sample sheds as
-	// 0 bytes).
+	// ServedBytes totals the payload bytes (the decoded sample's raw
+	// element bytes, with no header, plus its label's) successfully served
+	// across all tenants — the byte-weighted dispatcher's cost basis, so it
+	// reconciles against Σ TenantStats.BytesServed exactly. ShedBytes is
+	// the same basis over shed requests whose sample size was already known
+	// (a never-decoded sample sheds as 0 bytes).
 	ServedBytes, ShedBytes int64
 	// Poisoned counts samples blacklisted service-wide after failing K
 	// distinct tenants; PoisonRejects the requests fast-failed off the

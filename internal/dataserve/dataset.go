@@ -24,10 +24,11 @@ type DatasetConfig struct {
 	Data pipeline.Dataset
 	// Format decodes Data's blobs. Required.
 	Format codec.Format
-	// Cache sizes the shared decoded-sample cache. The cached payload is
-	// the serialized decoded tensor, so size tiers for decoded bytes (plus
-	// the small header), not encoded bytes. Integrity checksums and
-	// quarantine semantics are the SampleCache's own.
+	// Cache sizes the shared decoded-sample cache. A resident is the
+	// decoded tensor's raw element bytes (plus its label), with no header,
+	// so size tiers for exactly the decoded bytes, not encoded bytes.
+	// Integrity checksums and quarantine semantics are the SampleCache's
+	// own.
 	Cache pipeline.CacheConfig
 	// MaxRetries bounds the flight owner's re-reads of a sample that fails
 	// with a fault.Transient error before the failure is delivered to
@@ -45,8 +46,8 @@ type DatasetConfig struct {
 }
 
 // flight is one in-progress decode that concurrent requests for the same
-// sample share: the owner decodes, everyone else blocks on done and takes
-// the serialized result.
+// sample share: the owner decodes, everyone else blocks on done and copies
+// the result's raw element bytes.
 type flight struct {
 	done  chan struct{}
 	enc   []byte
@@ -83,12 +84,27 @@ type sharedDataset struct {
 	poisonedCount int64 // == len(poisoned)
 	poisonRejects int64 // fast-fails served off the blacklist
 
-	// sizeOf holds the learned per-sample payload sizes (blob + label) the
-	// byte-weighted dispatcher prices requests with, indexed by sample; 0
-	// means not yet served (a served payload always carries its header).
-	// Decode is deterministic, so a size is stored once and then only read:
-	// the dispatcher reads it under svc.mu, fetch under no lock at all.
-	sizeOf []atomic.Int64
+	// learned holds one record per sample index, filled in by the sample's
+	// first admitted decode (see sampleRecord).
+	learned []sampleRecord
+}
+
+// sampleRecord is what the service learns about a sample from its first
+// successful decode. A resident is only the raw element bytes, so a hit
+// needs the record's dtype and shape to draw its destination tensor; the
+// byte-weighted dispatcher prices requests with its payload size. Decode is
+// deterministic, so a record is written once, under sd.mu and before the
+// cache Put that admits the sample, and then only read: a hit reads it
+// after its Get (ordered after the Put by the cache mutex), a flight joiner
+// after f.done, and the dispatcher after known's load. known is its own
+// flag because a payload can be 0 bytes (an empty ragged sample with no
+// label).
+type sampleRecord struct {
+	known   atomic.Bool
+	dt      tensor.DType
+	shape   tensor.Shape
+	data    int   // the decoded tensor's raw bytes: a resident's length
+	payload int64 // data plus label bytes: what a serve ships
 }
 
 func newSharedDataset(s *Service, cfg DatasetConfig) (*sharedDataset, error) {
@@ -113,30 +129,34 @@ func newSharedDataset(s *Service, cfg DatasetConfig) (*sharedDataset, error) {
 		touched:     make(map[string]map[int]struct{}),
 		poisonVotes: make(map[int]map[string]struct{}),
 		poisoned:    make(map[int]struct{}),
-		sizeOf:      make([]atomic.Int64, cfg.Data.Len()),
+		learned:     make([]sampleRecord, cfg.Data.Len()),
 	}, nil
 }
 
-// noteServed records one successful serve: the sample's payload size is
-// learned once for the dispatcher's byte-weighted cost (decode is
-// deterministic, so the size is stable across re-decodes) and the bytes are
-// credited to the service and tenant accounting. Called outside sd.mu.
-func (sd *sharedDataset) noteServed(t *Tenant, index int, enc []byte, label *tensor.Tensor) {
-	n := int64(len(enc))
+// learnLocked fills in sample index's record from a successful decode, if
+// this is the sample's first. Callers hold sd.mu and call it before the
+// cache Put that admits the sample.
+func (sd *sharedDataset) learnLocked(index int, data, label *tensor.Tensor) {
+	rec := &sd.learned[index]
+	if rec.known.Load() {
+		return
+	}
+	rec.dt, rec.shape, rec.data = data.DT, data.Shape.Clone(), data.Bytes()
+	rec.payload = int64(rec.data)
 	if label != nil {
-		n += int64(label.Bytes())
+		rec.payload += int64(label.Bytes())
 	}
-	if size := &sd.sizeOf[index]; size.Load() == 0 {
-		size.Store(n)
-	}
-	sd.svc.noteServedBytes(t, n)
+	rec.known.Store(true)
 }
 
 // sampleSize reports the learned payload size of a sample, if it has ever
-// been served.
+// been decoded.
 func (sd *sharedDataset) sampleSize(index int) (int, bool) {
-	n := sd.sizeOf[index].Load()
-	return int(n), n > 0
+	rec := &sd.learned[index]
+	if !rec.known.Load() {
+		return 0, false
+	}
+	return int(rec.payload), true
 }
 
 // fetch serves one sample to one tenant through the shared path: cache hit,
@@ -166,12 +186,13 @@ func (sd *sharedDataset) fetch(it *Iterator, index int) (*tensor.Tensor, *tensor
 			return nil, nil, &PoisonError{Dataset: sd.name, Tenant: t.name, Index: index, Tenants: sd.poisonK}
 		}
 	}
+	rec := &sd.learned[index]
 	for {
 		// Hit path: the shared cache verifies integrity after releasing its
 		// own lock; a quarantined resident reports a miss and re-decodes.
 		enc, label, hit, quarantined := sd.cache.Get(index)
 		sd.svc.noteCacheGet(hit, quarantined)
-		if hit {
+		if hit && rec.known.Load() {
 			sd.mu.Lock()
 			owned := sd.owner[index] == t.name
 			first := sd.firstTouchLocked(t.name, index)
@@ -183,11 +204,11 @@ func (sd *sharedDataset) fetch(it *Iterator, index int) (*tensor.Tensor, *tensor
 				sd.svc.ob.decodeDedup.Inc()
 			}
 			t.noteHit(owned, first)
-			data, err := sd.materialize(enc)
+			data, err := sd.materialize(rec, enc)
 			if err != nil {
 				return nil, nil, err
 			}
-			sd.noteServed(t, index, enc, label)
+			sd.svc.noteServedBytes(t, rec.payload)
 			return data, label, nil
 		}
 		sd.mu.Lock()
@@ -195,8 +216,11 @@ func (sd *sharedDataset) fetch(it *Iterator, index int) (*tensor.Tensor, *tensor
 			sd.mu.Unlock()
 			return sd.join(it, f, index)
 		}
-		if !sd.cache.Resident(index) {
-			break // truly absent: this request decodes, still holding sd.mu
+		if !sd.cache.Resident(index) || !rec.known.Load() {
+			// Truly absent, or admitted around the service (a direct Put)
+			// with nothing learned to serve it by: this request decodes,
+			// still holding sd.mu.
+			break
 		}
 		// A flight admitted the sample between the Get and the lock.
 		sd.mu.Unlock()
@@ -209,10 +233,11 @@ func (sd *sharedDataset) fetch(it *Iterator, index int) (*tensor.Tensor, *tensor
 	data, enc, label, retries, err := sd.decode(index)
 	sd.mu.Lock()
 	if err == nil {
-		// Admit before the flight disappears: a request that misses both
-		// the cache and the flight table must mean the sample is truly
-		// absent, or the decode count would depend on scheduling. Put
-		// adopts enc; the flight shares it read-only.
+		// Learn, then admit, before the flight disappears: a request that
+		// misses both the cache and the flight table must mean the sample
+		// is truly absent, or the decode count would depend on scheduling.
+		// Put adopts enc; the flight shares it read-only.
+		sd.learnLocked(index, data, label)
 		if dropped := sd.cache.Put(index, enc, label); dropped > 0 {
 			sd.svc.ob.cacheEvictions.Add(int64(dropped))
 		}
@@ -232,7 +257,7 @@ func (sd *sharedDataset) fetch(it *Iterator, index int) (*tensor.Tensor, *tensor
 	if err != nil {
 		return nil, nil, &SampleError{Dataset: sd.name, Tenant: t.name, Index: index, Err: err}
 	}
-	sd.noteServed(t, index, enc, label)
+	sd.svc.noteServedBytes(t, rec.payload)
 	return data, label, nil
 }
 
@@ -261,11 +286,12 @@ func (sd *sharedDataset) join(it *Iterator, f *flight, index int) (*tensor.Tenso
 	}
 	sd.mu.Unlock()
 	t.noteJoin(first)
-	data, err := sd.materialize(f.enc)
+	rec := &sd.learned[index] // learned before the owner closed f.done
+	data, err := sd.materialize(rec, f.enc)
 	if err != nil {
 		return nil, nil, err
 	}
-	sd.noteServed(t, index, f.enc, f.label)
+	sd.svc.noteServedBytes(t, rec.payload)
 	return data, f.label, nil
 }
 
@@ -309,9 +335,10 @@ func (sd *sharedDataset) firstTouchLocked(tenant string, index int) bool {
 }
 
 // decode is the flight owner's work: read, open, chunk-decode into a pooled
-// tensor, serialize for the shared cache. Transient faults retry the whole
-// read up to maxRetries, mirroring the pipeline's resilience re-decode, so
-// an injector's transient log entries reconcile one-to-one with retries.
+// tensor, copy its raw element bytes out as the shared cache's resident.
+// Transient faults retry the whole read up to maxRetries, mirroring the
+// pipeline's resilience re-decode, so an injector's transient log entries
+// reconcile one-to-one with retries.
 func (sd *sharedDataset) decode(index int) (data *tensor.Tensor, enc []byte, label *tensor.Tensor, retries int, err error) {
 	for attempt := 0; ; attempt++ {
 		data, enc, label, err = sd.decodeOnce(index)
@@ -344,22 +371,22 @@ func (sd *sharedDataset) decodeOnce(index int) (*tensor.Tensor, []byte, *tensor.
 		sd.pool.PutTensor(dst)
 		return nil, nil, nil, err
 	}
-	return dst, encodeTensor(dst), label, nil
+	// The resident is the owner's tensor's bytes, copied: Put adopts it,
+	// and the owner's tensor goes to its own tenant.
+	return dst, append([]byte(nil), tensor.RawBytes(dst)...), label, nil
 }
 
-// materialize deserializes a cached/flight payload into the caller's own
-// pooled tensor. The header's dims decode into a stack array: the pool
-// needs only the dims, and a hit allocates nothing here.
-func (sd *sharedDataset) materialize(enc []byte) (*tensor.Tensor, error) {
-	var dims [maxStackRank]int
-	dt, shape, err := decodeTensorHeader(enc, dims[:0])
-	if err != nil {
-		return nil, err
+// materialize copies a resident's (or a flight's) raw element bytes into
+// the caller's own pooled tensor, shaped by the sample's learned record:
+// one pool draw and one memmove. A resident whose length disagrees with the
+// record was admitted around the service and is refused, not half-copied.
+//
+//scipp:hotpath
+func (sd *sharedDataset) materialize(rec *sampleRecord, enc []byte) (*tensor.Tensor, error) {
+	if len(enc) != rec.data {
+		return nil, fmt.Errorf("dataserve: a %d-byte resident cannot fill a %d-byte %s%v sample", len(enc), rec.data, rec.dt, rec.shape)
 	}
-	dst := sd.pool.GetTensor(dt, shape)
-	if err := decodeTensorInto(dst, enc); err != nil {
-		sd.pool.PutTensor(dst)
-		return nil, err
-	}
+	dst := sd.pool.GetTensor(rec.dt, rec.shape)
+	copy(tensor.RawBytes(dst), enc)
 	return dst, nil
 }

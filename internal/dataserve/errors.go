@@ -14,22 +14,6 @@ var (
 	errClosed   = errors.New("dataserve: service closed")
 )
 
-// BlobFormatError is a serialized cache payload the blob decoder refused:
-// a malformed header, a shape that cannot describe any sample (rank 0, or
-// dims whose element count overflows the payload), or a byte count that
-// disagrees with the header. Payloads are produced by this package's own
-// encoder, so in a healthy service the error never fires; it exists so a
-// corrupted or adversarial cache resident fails typed and loud instead of
-// panicking an allocation-sized-by-attacker materialization.
-type BlobFormatError struct {
-	Reason string
-}
-
-// Error implements error.
-func (e *BlobFormatError) Error() string {
-	return "dataserve: invalid sample payload: " + e.Reason
-}
-
 // SampleError is a sample whose decode failed terminally — the flight
 // owner exhausted the dataset's transient-retry budget, or the failure was
 // permanent. Every tenant waiting on that flight receives the same

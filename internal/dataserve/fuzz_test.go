@@ -23,18 +23,14 @@ func refSample(i int, shape tensor.Shape) *tensor.Tensor {
 	return tensor.FromF32(vals, shape...)
 }
 
-// encodeSamplePayload re-derives the cache payload encoding from its
-// documented layout (magic, version, dtype, rank, LE dims, LE element
-// bits). It is intentionally independent of the package's encoder: a
-// format drift breaks the fuzz target's direct-Put ops loudly.
+// encodeSamplePayload re-derives a cache resident from its documented
+// layout: the decoded tensor's element bits in the host's byte order, with
+// no header. It is intentionally independent of tensor.RawBytes: a format
+// drift breaks the fuzz target's direct-Put ops loudly.
 func encodeSamplePayload(src *tensor.Tensor) []byte {
-	buf := binary.LittleEndian.AppendUint32(nil, 0x53434453)
-	buf = append(buf, 1, byte(src.DT), byte(len(src.Shape)))
-	for _, d := range src.Shape {
-		buf = binary.LittleEndian.AppendUint32(buf, uint32(d))
-	}
+	var buf []byte
 	for _, f := range src.F32s {
-		buf = binary.LittleEndian.AppendUint32(buf, math.Float32bits(f))
+		buf = binary.NativeEndian.AppendUint32(buf, math.Float32bits(f))
 	}
 	return buf
 }
@@ -62,11 +58,11 @@ func FuzzTenantCache(f *testing.F) {
 		svc := dataserve.New(dataserve.Config{Workers: 2})
 		defer svc.Close()
 
-		// data[0] picks cache pressure: a cache holding only a few encoded
+		// data[0] picks cache pressure: a cache holding only a few decoded
 		// samples forces eviction/re-decode churn under the same invariants.
 		cacheBytes := int64(16 << 20)
 		if data[0]&1 == 1 {
-			cacheBytes = 400 // ~3 encoded samples
+			cacheBytes = 350 // 3 decoded samples of 100 B
 		}
 		err := svc.Register(dataserve.DatasetConfig{
 			Name:   "shared",

@@ -89,10 +89,10 @@ type TenantStats struct {
 	// Shed counts requests dropped past their admission deadline; Skips
 	// the bad samples an epoch survived under MaxBadSamples.
 	Shed, Skips int64
-	// BytesServed totals the payload bytes (serialized decoded sample plus
-	// label) successfully served to this tenant — the byte-weighted
-	// dispatcher's cost basis. Σ over tenants reconciles exactly against
-	// ServiceStats.ServedBytes.
+	// BytesServed totals the payload bytes (the decoded sample's raw
+	// element bytes, with no header, plus its label's) successfully served
+	// to this tenant — the byte-weighted dispatcher's cost basis. Σ over
+	// tenants reconciles exactly against ServiceStats.ServedBytes.
 	BytesServed int64
 	// BreakerTrips counts transitions into the open state, BreakerProbes
 	// the half-open probes admitted, and BreakerRejects the requests
@@ -115,9 +115,11 @@ type Tenant struct {
 	cfg  TenantConfig
 	to   tenantObs
 
-	// pend, detached, and brk belong to the service dispatcher and are
-	// guarded by svc.mu; everything below mu is tenant-local.
+	// pend, pendHead, detached, and brk belong to the service dispatcher
+	// and are guarded by svc.mu; everything below mu is tenant-local.
+	// pend[pendHead:] are the queued requests, oldest first.
 	pend     []request
+	pendHead int
 	detached bool
 	brk      *breaker // nil when the breaker is disabled
 
@@ -167,6 +169,33 @@ func (s *Service) Attach(cfg TenantConfig) (*Tenant, error) {
 // Name returns the tenant's name.
 func (t *Tenant) Name() string { return t.name }
 
+// pushLocked queues r behind the tenant's pending requests. When the array
+// is full and dequeued slots sit at its front, the live requests slide down
+// first, so a backlog that never drains still stays within twice its peak
+// length. Caller holds svc.mu.
+func (t *Tenant) pushLocked(r request) {
+	if t.pendHead > 0 && len(t.pend) == cap(t.pend) {
+		n := copy(t.pend, t.pend[t.pendHead:])
+		clear(t.pend[n:])
+		t.pend, t.pendHead = t.pend[:n], 0
+	}
+	t.pend = append(t.pend, r)
+}
+
+// popLocked dequeues the tenant's oldest pending request, which must exist.
+// A drained queue keeps its backing array, reset to length 0, so a steady
+// request stream reuses one array instead of allocating a fresh one every
+// time the queue refills. Caller holds svc.mu.
+func (t *Tenant) popLocked() request {
+	r := t.pend[t.pendHead]
+	t.pend[t.pendHead] = request{}
+	t.pendHead++
+	if t.pendHead == len(t.pend) {
+		t.pend, t.pendHead = t.pend[:0], 0
+	}
+	return r
+}
+
 // Detach severs the tenant: its pending requests are dropped, its live
 // iterator (if any) is closed and drained, and the dispatcher stops
 // visiting it. In-progress flights it owns are service work and run to
@@ -179,7 +208,7 @@ func (t *Tenant) Detach() {
 		return
 	}
 	t.detached = true
-	t.pend = nil
+	t.pend, t.pendHead = nil, 0
 	delete(s.tenants, t.name)
 	for i, o := range s.order {
 		if o == t {

@@ -205,3 +205,28 @@ func BenchmarkSlabPoolFragmentation(b *testing.B) {
 	}
 	b.ReportMetric(float64(st.Hits)/float64(st.Gets), "hit-ratio")
 }
+
+// BenchmarkCacheSum is the integrity checksum alone, at the resident sizes
+// of the benchmark workloads: a weather station series (24 B), a small
+// ragged sample (384 B), a data-service resident (262 KB) and a cosmo-LUT
+// blob (645 KB). Its bound is the CRC hardware's throughput.
+func BenchmarkCacheSum(b *testing.B) {
+	for _, size := range []int{24, 384, 262 << 10, 645 << 10} {
+		name := fmt.Sprintf("%dB", size)
+		if size >= 1<<10 {
+			name = fmt.Sprintf("%dKB", size>>10)
+		}
+		b.Run(name, func(b *testing.B) {
+			blob := make([]byte, size)
+			for k := range blob {
+				blob[k] = byte(k * 131)
+			}
+			b.SetBytes(int64(size))
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				cacheSum(blob, nil)
+			}
+		})
+	}
+}

@@ -2,9 +2,8 @@ package pipeline
 
 import (
 	"container/list"
-	"encoding/binary"
 	"fmt"
-	"math"
+	"hash/crc32"
 	"sync"
 
 	"scipp/internal/iosim"
@@ -130,53 +129,58 @@ type TierFault interface {
 	Access(index int, write bool) error
 }
 
-// cacheSum is the integrity checksum over a resident sample's payload: an
-// FNV-1a-style fold taken 8 bytes at a time over the blob, then over the
-// label's raw element bits. It detects the byte flips bit-rot injects
-// without competing with the decode stage for time on the hit path.
+// cacheSum is the integrity checksum over a resident sample's payload: a
+// CRC-32C of the blob, then the label's dtype byte, then the label's raw
+// element bytes, in the high 32 bits, and a CRC-32/IEEE of the same stream
+// in the low 32 bits. Both run on the host's CRC hardware through
+// hash/crc32, so a verify costs about a third of the memory pass a
+// multiply-based fold needs.
 //
-// Each word is avalanched through a splitmix64-style finalizer before it
-// touches the state. Folding raw words in by XOR is not enough, however the
-// state is stirred afterwards: corrupting word k shifts the state by some
-// delta, and XOR-ing that same delta into word k+1 cancels it exactly —
-// FuzzCacheIntegrity found such two-word cancellations twice (first against
-// plain xor-multiply, then against xor-multiply-xorshift; the crashers are
-// committed as regression seeds). With the input avalanche, cancelling
-// requires a full 64-bit preimage of the mixer, which random rot — and
-// mutation search — cannot produce.
+// The two generator polynomials are coprime (TestCacheSumGeneratorsCoprime
+// checks their GF(2) gcd), so the pair is one cyclic code of degree 64: its
+// remainder is the stream's remainder modulo the product polynomial. That
+// makes the guarantees exact rather than statistical for the corruption
+// bit rot produces — every burst of 64 bits or fewer is detected, and
+// every 1-3-bit flip at any length a resident reaches — and a random
+// corruption escapes with probability 2^-64.
+//
+// History: the first checksum folded raw words in with xor-multiply, and
+// FuzzCacheIntegrity found a two-word XOR cancellation in it (corrupting
+// word k shifts the state by some delta, and XOR-ing that same delta into
+// word k+1 cancels it); an xor-multiply-xorshift stir fell to the same
+// search. A splitmix64 avalanche of every input word fixed that, but three
+// loop-carried multiplies per word bound it to about 3.9 GB/s, and splitting
+// it into independent lanes did not help: the multiplies bound it by
+// throughput, not latency. A CRC is linear, so it has no such cancellation:
+// an error escapes only if its polynomial is a multiple of the generator
+// product. Both crashers stay committed as regression seeds.
 //
 //scipp:hotpath
 func cacheSum(blob []byte, label *tensor.Tensor) uint64 {
-	const prime = 0x100000001b3
-	mix := func(h, v uint64) uint64 {
-		v *= 0xbf58476d1ce4e5b9
-		v ^= v >> 31
-		v *= 0x94d049bb133111eb
-		v ^= v >> 27
-		h = (h ^ v) * prime
-		return h ^ h>>31
-	}
-	h := uint64(0xcbf29ce484222325)
-	i := 0
-	for ; i+8 <= len(blob); i += 8 {
-		h = mix(h, binary.LittleEndian.Uint64(blob[i:]))
-	}
-	for ; i < len(blob); i++ {
-		h = mix(h, uint64(blob[i]))
-	}
+	c := crc32.Update(0, castagnoli, blob)
+	ieee := crc32.Update(0, crc32.IEEETable, blob)
 	if label != nil {
-		h = mix(h, uint64(label.DT))
-		for _, f := range label.F32s {
-			h = mix(h, uint64(math.Float32bits(f)))
-		}
-		for _, b := range label.F16s {
-			h = mix(h, uint64(b))
-		}
-		for _, v := range label.I16s {
-			h = mix(h, uint64(uint16(v)))
-		}
+		dt := byte(label.DT)
+		c = crcByte(c, castagnoli, dt)
+		ieee = crcByte(ieee, crc32.IEEETable, dt)
+		raw := tensor.RawBytes(label)
+		c = crc32.Update(c, castagnoli, raw)
+		ieee = crc32.Update(ieee, crc32.IEEETable, raw)
 	}
-	return h
+	return uint64(c)<<32 | uint64(ieee)
+}
+
+// castagnoli is the CRC-32C table; hash/crc32 recognizes it and runs the
+// SSE4.2 (or ARMv8) instruction instead of the table.
+var castagnoli = crc32.MakeTable(crc32.Castagnoli)
+
+// crcByte extends crc, as crc32.Update would, by the one byte b. Feeding a
+// byte through a slice would move it to the heap; this keeps cacheSum free
+// of allocations.
+func crcByte(crc uint32, tab *crc32.Table, b byte) uint32 {
+	crc = ^crc
+	crc = tab[byte(crc)^b] ^ crc>>8
+	return ^crc
 }
 
 // SampleCache is the capacity-bounded sample store behind CacheStage: a

@@ -308,7 +308,10 @@ func TestPutReplacementThatFitsNoTierCountsEviction(t *testing.T) {
 // hammer hot indices while a writer re-Puts over them and forces
 // evictions, and a seeded injector rots hits. Every served blob must be
 // the bytes admitted for its (index, version), every corrupting event must
-// be quarantined exactly once, and the accounting must reconcile.
+// be quarantined exactly once, and the accounting must reconcile. The hot
+// indices are residents of the initial fill, and the writer starts only once
+// every reader has been served, so the injector rots some hits however the
+// goroutines are scheduled.
 func TestCacheConcurrentOwnership(t *testing.T) {
 	const (
 		keys, readers, gets, puts = 16, 4, 3000, 600
@@ -329,23 +332,36 @@ func TestCacheConcurrentOwnership(t *testing.T) {
 	for i := 0; i < keys; i++ {
 		c.Put(i, gen(i, 0), nil)
 	}
-	var wg sync.WaitGroup
+	// read runs reader r's gets [from, to) and reports whether every
+	// served blob was admitted bytes.
+	read := func(r, from, to int) bool {
+		for g := from; g < to; g++ {
+			// Four hot indices, resident since the initial fill.
+			blob, _, ok, _ := c.Get(keys - 4 + (g*(r+1)+r)%4)
+			if ok && !bytes.Equal(blob, gen(int(blob[0]), int(blob[1]))) {
+				t.Errorf("reader %d served bytes that were never admitted", r)
+				return false
+			}
+		}
+		return true
+	}
+	var wg, warm sync.WaitGroup
 	for r := 0; r < readers; r++ {
 		wg.Add(1)
+		warm.Add(1)
 		go func(r int) {
 			defer wg.Done()
-			for g := 0; g < gets; g++ {
-				blob, _, ok, _ := c.Get((g*(r+1) + r) % 4) // four hot indices
-				if ok && !bytes.Equal(blob, gen(int(blob[0]), int(blob[1]))) {
-					t.Errorf("reader %d served bytes that were never admitted", r)
-					return
-				}
+			ok := read(r, 0, 64)
+			warm.Done()
+			if ok {
+				read(r, 64, gets)
 			}
 		}(r)
 	}
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
+		warm.Wait()
 		for p := 0; p < puts; p++ {
 			i := p % keys
 			c.Put(i, gen(i, p/keys+1), nil)

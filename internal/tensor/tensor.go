@@ -10,6 +10,7 @@ package tensor
 
 import (
 	"fmt"
+	"unsafe"
 
 	"scipp/internal/fp16"
 )
@@ -150,6 +151,36 @@ func (t *Tensor) Elems() int { return t.Shape.Elems() }
 
 // Bytes returns the payload size in bytes.
 func (t *Tensor) Bytes() int { return t.Elems() * t.DT.Size() }
+
+// RawBytes returns t's element storage viewed as bytes in the host's native
+// byte order. The view aliases the tensor's memory, it is not a copy: a
+// write through either side shows in the other, and the view is valid as
+// long as t's storage is. An empty tensor yields an empty slice.
+//
+// This is the module's only use of unsafe. It exists so an in-process byte
+// store (the data service's shared cache) can hold a decoded sample as its
+// raw elements and copy them into a tensor again with one memmove. Bytes
+// written through this view are only meaningful to a reader in the same
+// process, which is the one place byte order cannot differ.
+func RawBytes(t *Tensor) []byte {
+	switch t.DT {
+	case F32:
+		return asBytes(t.F32s)
+	case F16:
+		return asBytes(t.F16s)
+	case I16:
+		return asBytes(t.I16s)
+	}
+	return nil
+}
+
+// asBytes reinterprets an element slice as its backing bytes.
+func asBytes[E float32 | fp16.Bits | int16](s []E) []byte {
+	if len(s) == 0 {
+		return nil
+	}
+	return unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(s))), len(s)*int(unsafe.Sizeof(s[0])))
+}
 
 // Clone returns a deep copy.
 func (t *Tensor) Clone() *Tensor {

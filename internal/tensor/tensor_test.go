@@ -189,3 +189,49 @@ func TestDTypeString(t *testing.T) {
 		t.Error("DType String names wrong")
 	}
 }
+
+func TestRawBytesAliasesStorage(t *testing.T) {
+	for _, dt := range []DType{F32, F16, I16} {
+		x := New(dt, 3, 5)
+		raw := RawBytes(x)
+		if len(raw) != x.Bytes() {
+			t.Fatalf("%s: len(RawBytes) = %d, want Bytes() = %d", dt, len(raw), x.Bytes())
+		}
+		// A write through the view lands in the last element, and a write
+		// to the element shows in the view: the two share memory.
+		last := len(raw) - dt.Size()
+		for i := last; i < len(raw); i++ {
+			raw[i] = 0xFF
+		}
+		if got := x.At32(x.Elems() - 1); got == 0 {
+			t.Errorf("%s: write through RawBytes did not reach the element storage", dt)
+		}
+		x.Set32(0, 1)
+		zero := true
+		for _, b := range raw[:dt.Size()] {
+			zero = zero && b == 0
+		}
+		if zero {
+			t.Errorf("%s: element write did not show through RawBytes", dt)
+		}
+	}
+}
+
+func TestRawBytesRoundTripsByCopy(t *testing.T) {
+	src := FromF16([]fp16.Bits{0x3C00, 0xC000, 0x7BFF, 0x0001}, 2, 2)
+	dst := New(F16, 2, 2)
+	copy(RawBytes(dst), RawBytes(src))
+	for i := range src.F16s {
+		if dst.F16s[i] != src.F16s[i] {
+			t.Fatalf("element %d: %#x after copy, want %#x", i, dst.F16s[i], src.F16s[i])
+		}
+	}
+}
+
+func TestRawBytesEmpty(t *testing.T) {
+	for _, dt := range []DType{F32, F16, I16} {
+		if raw := RawBytes(New(dt, 4, 0)); len(raw) != 0 {
+			t.Errorf("%s: empty tensor RawBytes has %d bytes", dt, len(raw))
+		}
+	}
+}

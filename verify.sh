@@ -10,7 +10,7 @@ go test ./...
 # The codec kernel and cache-hit layer benchmarks, one iteration each, so
 # they keep compiling.
 go test -run '^$' -bench '^(BenchmarkOpen|BenchmarkDecodeFused|BenchmarkDecodeSample)$' -benchtime=1x ./internal/codec/lut/ ./internal/codec/deltafp/
-go test -run '^$' -bench '^(BenchmarkSampleCacheGetHit|BenchmarkSampleCacheGetHitParallel|BenchmarkMaterialize|BenchmarkEncodeTensor)$' -benchtime=1x ./internal/pipeline/ ./internal/dataserve/
+go test -run '^$' -bench '^(BenchmarkSampleCacheGetHit|BenchmarkSampleCacheGetHitParallel|BenchmarkCacheSum|BenchmarkServeHit)$' -benchtime=1x ./internal/pipeline/ ./internal/dataserve/
 # benchmark/ is its own module, so the ./... above never reaches it.
 (cd benchmark && go vet ./... && go test ./...)
 go test -race ./internal/pipeline/... ./internal/iosim/... ./internal/dataserve/... ./internal/dist/... ./internal/train/... ./internal/fault/... ./internal/obs/... ./internal/nn/... ./internal/sweep/... ./cmd/sweep/... ./internal/codec/... ./internal/fp16/...
