@@ -7,11 +7,11 @@ GO ?= go
 build:
 	$(GO) build ./...
 
-# The other lines run the codec kernel and the cache-hit layer
-# benchmarks for one iteration each, so they keep compiling.
+# The other lines run the codec kernel, FP16 conversion and cache-hit
+# layer benchmarks for one iteration each, so they keep compiling.
 test:
 	$(GO) test ./...
-	$(GO) test -run '^$$' -bench '^(BenchmarkOpen|BenchmarkDecodeFused|BenchmarkDecodeSample)$$' -benchtime=1x ./internal/codec/lut/ ./internal/codec/deltafp/
+	$(GO) test -run '^$$' -bench '^(BenchmarkOpen|BenchmarkDecodeFused|BenchmarkDecodeSample|BenchmarkFromFloat32)$$' -benchtime=1x ./internal/codec/lut/ ./internal/codec/deltafp/ ./internal/fp16/
 	$(GO) test -run '^$$' -bench '^(BenchmarkSampleCacheGetHit|BenchmarkSampleCacheGetHitParallel|BenchmarkCacheSum|BenchmarkServeHit)$$' -benchtime=1x ./internal/pipeline/ ./internal/dataserve/
 
 # Race-detector pass over the concurrent subsystems (staged pipeline DAG
@@ -64,6 +64,7 @@ fuzz:
 	@for t in $(FUZZ_TARGETS); do \
 		$(GO) test -run=NONE -fuzz="^$$t$$" -fuzztime=10s ./internal/codec/ || exit 1; \
 	done
+	$(GO) test -run=NONE -fuzz='^FuzzDeltaKernel$$' -fuzztime=10s ./internal/codec/deltafp/
 	$(GO) test -run=NONE -fuzz='^FuzzFromFloat32$$' -fuzztime=10s ./internal/fp16/
 	$(GO) test -run=NONE -fuzz='^FuzzCacheIntegrity$$' -fuzztime=10s ./internal/pipeline/
 	$(GO) test -run=NONE -fuzz='^FuzzSampleCacheModel$$' -fuzztime=10s ./internal/pipeline/

@@ -40,7 +40,10 @@ type Workload struct {
 // ChunkDecoder decodes one encoded sample. Implementations must allow
 // concurrent DecodeChunk calls on distinct chunks.
 type ChunkDecoder interface {
-	// OutputShape is the shape of the decoded tensor.
+	// OutputShape is the shape of the decoded tensor. The result may be a
+	// view of the decoder's own storage: it is read-only, and valid until
+	// the decoder is recycled (Clone it to keep it longer). Calling it
+	// allocates nothing, so the per-sample decode path can ask freely.
 	OutputShape() tensor.Shape
 	// OutputDType is the element type of the decoded tensor (F16 for the
 	// paper's plugins, F32 for the baseline path).

@@ -381,17 +381,16 @@ func (format) Open(blob []byte) (codec.ChunkDecoder, error) {
 	if w > math.MaxUint16 {
 		return nil, fmt.Errorf("deltafp: line width %d exceeds format limit", w)
 	}
-	// Allocation guard against corrupt headers: the densest legitimate
-	// encoding (CONST lines) expands 5 payload bytes into 2*w output bytes,
-	// so the decoded size can never exceed ~2*w/5 of the blob.
-	if outBytes := 2 * c * h * w; outBytes/(2*math.MaxUint16) > len(blob) {
-		return nil, fmt.Errorf("deltafp: header implies %d output bytes from a %d-byte blob", outBytes, len(blob))
+	// The offset table holds one 4-byte entry per line plus one, so the blob
+	// length bounds C*H — and with it the allocations below and the decoded
+	// size (at most 2*w/4 bytes per blob byte). The bound divides rather than
+	// multiplies: a hostile C*H overflows the product.
+	if maxLines := (len(blob)-headerLen)/4 - 1; h > maxLines || c > maxLines/h {
+		return nil, fmt.Errorf("deltafp: truncated offset table: header claims %dx%d lines, a %d-byte blob holds at most %d",
+			c, h, len(blob), maxLines)
 	}
 	nLines := c * h
 	need := headerLen + 4*(nLines+1)
-	if len(blob) < need {
-		return nil, errors.New("deltafp: truncated offset table")
-	}
 	d := getDecoder(nLines + 1)
 	offsets := d.offsets
 	for i := range offsets {
@@ -409,6 +408,7 @@ func (format) Open(blob []byte) (codec.ChunkDecoder, error) {
 		}
 	}
 	d.c, d.h, d.w = c, h, w
+	d.shape = [3]int{c, h, w}
 	d.mantBits = 7 - expBits
 	d.payload = payload
 	d.blobLen = len(blob)
@@ -451,6 +451,7 @@ func (d *Decoder) Recycle() {
 // DecodeChunk may be called concurrently on distinct chunks.
 type Decoder struct {
 	c, h, w  int
+	shape    [3]int // [C, H, W], backing OutputShape
 	mantBits int
 	offsets  []uint32
 	payload  []byte
@@ -493,7 +494,7 @@ func (d *Decoder) profile() error {
 }
 
 // OutputShape implements codec.ChunkDecoder.
-func (d *Decoder) OutputShape() tensor.Shape { return tensor.Shape{d.c, d.h, d.w} }
+func (d *Decoder) OutputShape() tensor.Shape { return d.shape[:] }
 
 // OutputDType implements codec.ChunkDecoder: the plugin emits FP16.
 func (d *Decoder) OutputDType() tensor.DType { return tensor.F16 }
@@ -526,13 +527,29 @@ func (d *Decoder) DecodeChunk(chunk int, dst *tensor.Tensor) error {
 	if dst.DT != tensor.F16 || !dst.Shape.Equal(d.OutputShape()) {
 		return fmt.Errorf("deltafp: dst must be F16 %v", d.OutputShape())
 	}
-	out := dst.F16s[chunk*d.w : (chunk+1)*d.w]
-	line := d.payload[d.offsets[chunk]:d.offsets[chunk+1]]
+	return d.decodeLine(d.payload[d.offsets[chunk]:d.offsets[chunk+1]], dst.F16s[chunk*d.w:(chunk+1)*d.w])
+}
+
+// decodeLine decodes one framed line (Open validated its mode and, for RAW
+// and CONST, its length) into the W values of out.
+//
+// RAW and DELTA values convert through fp16.Narrow, whose out-of-range flags
+// are ORed into one word per line: a line that reaches ±65520, Inf or NaN is
+// decoded again with fp16.FromFloat32, which handles those values. Only
+// extreme or hostile blobs have such lines.
+func (d *Decoder) decodeLine(line []byte, out []fp16.Bits) error {
 	switch line[0] {
 	case modeRaw:
-		for i := 0; i < d.w; i++ {
-			v := math.Float32frombits(binary.LittleEndian.Uint32(line[1+4*i:]))
-			out[i] = fp16.FromFloat32(v)
+		var over uint32
+		for i := range out {
+			h, o := fp16.Narrow(math.Float32frombits(binary.LittleEndian.Uint32(line[1+4*i:])))
+			out[i] = h
+			over |= o
+		}
+		if int32(over) < 0 {
+			for i := range out {
+				out[i] = fp16.FromFloat32(math.Float32frombits(binary.LittleEndian.Uint32(line[1+4*i:])))
+			}
 		}
 	case modeConst:
 		v := fp16.FromFloat32(math.Float32frombits(binary.LittleEndian.Uint32(line[1:])))
@@ -545,8 +562,22 @@ func (d *Decoder) DecodeChunk(chunk int, dst *tensor.Tensor) error {
 	return nil
 }
 
-// decodeDeltaLine reconstructs one DELTA line into out, segment by segment.
+// decodeDeltaLine reconstructs one DELTA line into out, segment by segment:
+// a branch-free pass first, and the per-value loop again when a value left
+// the range fp16.Narrow converts.
 func (d *Decoder) decodeDeltaLine(line []byte, out []fp16.Bits) error {
+	over, err := d.deltaSegments(line, out, false)
+	if err == nil && int32(over) < 0 {
+		_, err = d.deltaSegments(line, out, true)
+	}
+	return err
+}
+
+// deltaSegments walks line's segments into out. With exact false each value
+// is converted by fp16.Narrow and the returned word has its sign bit set iff
+// some conversion must be discarded; with exact true every value goes
+// through fp16.FromFloat32 and the word is zero.
+func (d *Decoder) deltaSegments(line []byte, out []fp16.Bits, exact bool) (over uint32, err error) {
 	nsegs := int(binary.LittleEndian.Uint16(line[1:]))
 	pos := 3
 	emitted := 0
@@ -557,36 +588,70 @@ func (d *Decoder) decodeDeltaLine(line []byte, out []fp16.Bits) error {
 	shift := uint(23 - d.mantBits)
 	for s := 0; s < nsegs; s++ {
 		if pos+7 > len(line) {
-			return errors.New("deltafp: truncated segment header")
+			return 0, errors.New("deltafp: truncated segment header")
 		}
 		pivot := math.Float32frombits(binary.LittleEndian.Uint32(line[pos:]))
 		expBase := uint32(line[pos+4]) << 23
 		count := int(binary.LittleEndian.Uint16(line[pos+5:]))
 		pos += 7
 		if count < 1 || emitted+count > len(out) || pos+count-1 > len(line) {
-			return errors.New("deltafp: segment overruns line")
+			return 0, errors.New("deltafp: segment overruns line")
 		}
 		codes := line[pos : pos+count-1]
-		seg := out[emitted+1:][:len(codes)]
-		// The decode loop is the "software emulated addition for
-		// floating-point numbers": computation in FP32, emission in FP16.
-		v := pivot
-		out[emitted] = fp16.FromFloat32(v)
-		for k, b := range codes {
-			// Byte 0 is an exact-zero delta and leaves v alone: adding +0
-			// would turn a -0 pivot into +0.
-			if b != 0 {
-				v += math.Float32frombits(uint32(b&0x80)<<24 | (expBase + uint32(b&0x7F)<<shift))
-			}
-			seg[k] = fp16.FromFloat32(v)
+		if exact {
+			deltaSegmentExact(pivot, expBase, shift, codes, out[emitted:emitted+count])
+		} else {
+			over |= deltaSegment(pivot, expBase, shift, codes, out[emitted:emitted+count])
 		}
 		pos += count - 1
 		emitted += count
 	}
 	if emitted != len(out) || pos != len(line) {
-		return errors.New("deltafp: line did not decode to full width")
+		return 0, errors.New("deltafp: line did not decode to full width")
 	}
-	return nil
+	return over, nil
+}
+
+// The two segment kernels decode the segment with pivot v and the given
+// codes into out (len(codes)+1 values). Their loop is the "software emulated
+// addition for floating-point numbers": computation in FP32, emission in
+// FP16.
+
+// deltaSegmentExact is the per-value kernel, the slow path of deltaSegment.
+func deltaSegmentExact(v float32, expBase uint32, shift uint, codes []byte, out []fp16.Bits) {
+	out[0] = fp16.FromFloat32(v)
+	out = out[1:][:len(codes)]
+	for k, b := range codes {
+		// Byte 0 is an exact-zero delta and leaves v alone: adding +0
+		// would turn a -0 pivot into +0.
+		if b != 0 {
+			v += math.Float32frombits(uint32(b&0x80)<<24 | (expBase + uint32(b&0x7F)<<shift))
+		}
+		out[k] = fp16.FromFloat32(v)
+	}
+}
+
+// deltaSegment is the branch-free kernel: it returns the ORed fp16.Narrow
+// flags, and out is valid only if their sign bit is clear.
+func deltaSegment(v float32, expBase uint32, shift uint, codes []byte, out []fp16.Bits) uint32 {
+	h, over := fp16.Narrow(v)
+	out[0] = h
+	out = out[1:][:len(codes)]
+	shift &= 31 // 17..22; the mask spares each shift its range check
+	for k, b := range codes {
+		// Byte 0 is an exact-zero delta: it selects -0, and v + (-0) == v
+		// bit for bit for every v, -0 included (+0 would turn a -0 pivot
+		// into +0).
+		bits := uint32(b&0x80)<<24 | (expBase + uint32(b&0x7F)<<shift)
+		if b == 0 {
+			bits = 0x80000000
+		}
+		v += math.Float32frombits(bits)
+		h, o := fp16.Narrow(v)
+		out[k] = h
+		over |= o
+	}
+	return over
 }
 
 // Stats summarizes an encoded blob.

@@ -56,15 +56,20 @@ func refDecode(expBits int, segs []rawSeg) []fp16.Bits {
 	return out
 }
 
-func TestDeltaKernelPinnedCases(t *testing.T) {
+// kernelCase is one hand-built DELTA line for the kernel tests.
+type kernelCase struct {
+	name    string
+	expBits int
+	segs    []rawSeg
+	want    []fp16.Bits // nil: the reference alone decides
+	redo    bool        // some value reaches ±65520, Inf or NaN
+}
+
+// pinnedCases are the kernel's edge cases; they also seed FuzzDeltaKernel.
+var pinnedCases = func() []kernelCase {
 	negZero := uint32(0x80000000)
 	f := math.Float32bits
-	cases := []struct {
-		name    string
-		expBits int
-		segs    []rawSeg
-		want    []fp16.Bits // nil: the reference alone decides
-	}{
+	return []kernelCase{
 		{
 			// Zero codes must leave the pivot alone: -0 + +0 would be +0.
 			name: "-0.0 pivot then zero codes", expBits: 3,
@@ -92,6 +97,7 @@ func TestDeltaKernelPinnedCases(t *testing.T) {
 				{f(1), 60, []byte{0x7F, 0xFE, 0x7E, 0xFF}},
 				{f(1), 0xF0, []byte{0x7E, 0x7F, 0xFE, 0x01}},
 			},
+			redo: true,
 		},
 		{
 			// Up through 65504 into +Inf, down through 2^-14 into the
@@ -107,11 +113,59 @@ func TestDeltaKernelPinnedCases(t *testing.T) {
 				0x0819, 0x0631, 0x0431, 0x0131, 0x80CF, 0x80CF,
 				0x7E00, 0x7E00, 0x7E00,
 			},
+			redo: true,
+		},
+		{
+			// The middle segment climbs to 65520, which rounds to Inf,
+			// holds there across a zero code and comes back down; the
+			// subnormal segment before it and the one after stay in range.
+			name: "crossing 65520 and back mid-segment", expBits: 3,
+			segs: []rawSeg{
+				{f(-2.5e-6), 107, []byte{0x08, 0, 0x88}},        // +-1.5*2^-20
+				{f(65504), 130, []byte{0, 0x10, 0, 0x90, 0x90}}, // +-16
+				{f(3), 0, nil},
+			},
+			want: []fp16.Bits{
+				0x802A, 0x8012, 0x8012, 0x802A,
+				0x7BFF, 0x7BFF, 0x7C00, 0x7C00, 0x7BFF, 0x7BFE,
+				0x4200,
+			},
+			redo: true,
 		},
 	}
-	for _, tc := range cases {
+}()
+
+// decodeBoth decodes blob with Format() and FormatHWC() and compares every
+// value with ref. On a [1,1,W] blob the two layouts coincide.
+func decodeBoth(t *testing.T, name string, blob []byte, ref []fp16.Bits) {
+	t.Helper()
+	for _, fm := range []codec.Format{Format(), FormatHWC()} {
+		cd, err := fm.Open(blob)
+		if err != nil {
+			t.Fatalf("%s (%s): %v", name, fm.Name(), err)
+		}
+		out, err := codec.Decode(cd)
+		if err != nil {
+			t.Fatalf("%s (%s): %v", name, fm.Name(), err)
+		}
+		if len(out.F16s) != len(ref) {
+			t.Fatalf("%s (%s): decoded %d values, reference %d", name, fm.Name(), len(out.F16s), len(ref))
+		}
+		for i := range ref {
+			if out.F16s[i] != ref[i] {
+				t.Errorf("%s (%s): value %d = %#04x, reference %#04x", name, fm.Name(), i, out.F16s[i], ref[i])
+			}
+		}
+	}
+}
+
+func TestDeltaKernelPinnedCases(t *testing.T) {
+	for _, tc := range pinnedCases {
 		blob, w := deltaBlob(tc.expBits, tc.segs)
 		ref := refDecode(tc.expBits, tc.segs)
+		if len(ref) != w {
+			t.Fatalf("%s: reference decoded %d values, want %d", tc.name, len(ref), w)
+		}
 		if tc.want != nil {
 			for i := range tc.want {
 				if ref[i] != tc.want[i] {
@@ -119,23 +173,60 @@ func TestDeltaKernelPinnedCases(t *testing.T) {
 				}
 			}
 		}
-		for _, fm := range []codec.Format{Format(), FormatHWC()} {
-			cd, err := fm.Open(blob)
-			if err != nil {
-				t.Fatalf("%s: %v", tc.name, err)
-			}
-			out, err := codec.Decode(cd)
-			if err != nil {
-				t.Fatalf("%s: %v", tc.name, err)
-			}
-			if len(out.F16s) != w || len(ref) != w {
-				t.Fatalf("%s: decoded %d values, reference %d, want %d", tc.name, len(out.F16s), len(ref), w)
-			}
-			for i := range ref {
-				if out.F16s[i] != ref[i] {
-					t.Errorf("%s (%s): value %d = %#04x, reference %#04x", tc.name, fm.Name(), i, out.F16s[i], ref[i])
-				}
-			}
+		// The branch-free pass must flag exactly the lines it cannot
+		// finish, or the redo never runs (or runs for nothing).
+		cd, err := Format().Open(blob)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
 		}
+		over, err := cd.(*Decoder).deltaSegments(cd.(*Decoder).payload, make([]fp16.Bits, w), false)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if redo := int32(over) < 0; redo != tc.redo {
+			t.Errorf("%s: branch-free pass flags a redo: %v, want %v", tc.name, redo, tc.redo)
+		}
+		decodeBoth(t, tc.name, blob, ref)
 	}
+}
+
+// kernelFuzzBytes is the inverse of segsFromFuzz, for seeding.
+func kernelFuzzBytes(segs []rawSeg) []byte {
+	var data []byte
+	for _, s := range segs {
+		data = binary.LittleEndian.AppendUint32(data, s.pivot)
+		data = append(data, s.minExp, byte(len(s.codes)))
+		data = append(data, s.codes...)
+	}
+	return data
+}
+
+// segsFromFuzz cuts fuzzer bytes into DELTA segments: a 4-byte pivot, the
+// exponent base, a code count, then that many codes (fewer at the end).
+func segsFromFuzz(data []byte) []rawSeg {
+	var segs []rawSeg
+	for len(data) >= 6 {
+		n := min(int(data[5]), len(data)-6)
+		segs = append(segs, rawSeg{binary.LittleEndian.Uint32(data), data[4], data[6 : 6+n]})
+		data = data[6+n:]
+	}
+	return segs
+}
+
+// FuzzDeltaKernel decodes fuzzed DELTA lines — any pivots, exponent bases,
+// codes and field widths — with both deltafp formats and requires every
+// value to match refDecode bit for bit.
+func FuzzDeltaKernel(f *testing.F) {
+	for _, tc := range pinnedCases {
+		f.Add(uint8(tc.expBits), kernelFuzzBytes(tc.segs))
+	}
+	f.Fuzz(func(t *testing.T, e uint8, data []byte) {
+		expBits := 1 + int(e)%6
+		segs := segsFromFuzz(data)
+		if len(segs) == 0 || len(data) > math.MaxUint16 { // W and the segment count are uint16
+			return
+		}
+		blob, _ := deltaBlob(expBits, segs)
+		decodeBoth(t, "fuzzed line", blob, refDecode(expBits, segs))
+	})
 }

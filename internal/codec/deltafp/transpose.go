@@ -2,7 +2,6 @@ package deltafp
 
 import (
 	"fmt"
-	"math"
 	"sync"
 
 	"scipp/internal/codec"
@@ -33,18 +32,18 @@ func (formatHWC) Open(blob []byte) (codec.ChunkDecoder, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &hwcDecoder{inner: cd.(*Decoder)}, nil
+	in := cd.(*Decoder)
+	return &hwcDecoder{inner: in, shape: [3]int{in.h, in.w, in.c}}, nil
 }
 
 // hwcDecoder decodes line chunks directly into [H, W, C] layout.
 type hwcDecoder struct {
 	inner *Decoder
+	shape [3]int // [H, W, C], backing OutputShape
 }
 
 // OutputShape implements codec.ChunkDecoder.
-func (d *hwcDecoder) OutputShape() tensor.Shape {
-	return tensor.Shape{d.inner.h, d.inner.w, d.inner.c}
-}
+func (d *hwcDecoder) OutputShape() tensor.Shape { return d.shape[:] }
 
 // OutputDType implements codec.ChunkDecoder.
 func (d *hwcDecoder) OutputDType() tensor.DType { return tensor.F16 }
@@ -74,49 +73,27 @@ func (d *hwcDecoder) DecodeChunk(chunk int, dst *tensor.Tensor) error {
 		return fmt.Errorf("deltafp: dst must be F16 %v", d.OutputShape())
 	}
 	ci, hi := chunk/in.h, chunk%in.h
-	line := in.payload[in.offsets[chunk]:in.offsets[chunk+1]]
-	// Destination stride: element (hi, x, ci) lives at (hi*w + x)*c + ci.
-	base := hi * in.w * in.c
-	put := func(x int, v fp16.Bits) { dst.F16s[base+x*in.c+ci] = v }
-
-	switch line[0] {
-	case modeRaw:
-		for x := 0; x < in.w; x++ {
-			v := math.Float32frombits(leU32(line[1+4*x:]))
-			put(x, fp16.FromFloat32(v))
-		}
-	case modeConst:
-		v := fp16.FromFloat32(math.Float32frombits(leU32(line[1:])))
-		for x := 0; x < in.w; x++ {
-			put(x, v)
-		}
-	case modeDelta:
-		// Reuse the contiguous delta reconstruction, then scatter. The
-		// reconstruction itself is the loop-carried part; the scatter is
-		// the fused transpose.
-		sp := lineScratch.Get().(*[]fp16.Bits)
-		if cap(*sp) < in.w {
-			//lint:ignore hotalloc pool miss: the scratch line grows once, then recycles
-			*sp = make([]fp16.Bits, in.w)
-		}
-		tmp := (*sp)[:in.w]
-		err := in.decodeDeltaLine(line, tmp)
-		if err == nil {
-			for x, v := range tmp {
-				put(x, v)
-			}
-		}
-		lineScratch.Put(sp)
-		return err
+	// Reuse the contiguous line decode, then scatter: element (hi, x, ci)
+	// lives at (hi*w + x)*c + ci. The reconstruction is the loop-carried
+	// part; the scatter is the fused transpose.
+	sp := lineScratch.Get().(*[]fp16.Bits)
+	if cap(*sp) < in.w {
+		//lint:ignore hotalloc pool miss: the scratch line grows once, then recycles
+		*sp = make([]fp16.Bits, in.w)
 	}
-	return nil
+	tmp := (*sp)[:in.w]
+	err := in.decodeLine(in.payload[in.offsets[chunk]:in.offsets[chunk+1]], tmp)
+	if err == nil {
+		out := dst.F16s[hi*in.w*in.c+ci:]
+		for x, v := range tmp {
+			out[x*in.c] = v
+		}
+	}
+	lineScratch.Put(sp)
+	return err
 }
 
-// lineScratch recycles the contiguous line buffers DELTA lines are
-// reconstructed into before the scatter; chunks decode concurrently, so the
-// scratch is per call, not per decoder.
+// lineScratch recycles the contiguous line buffers lines are decoded into
+// before the scatter; chunks decode concurrently, so the scratch is per
+// call, not per decoder.
 var lineScratch = sync.Pool{New: func() any { return new([]fp16.Bits) }}
-
-func leU32(b []byte) uint32 {
-	return uint32(b[0]) | uint32(b[1])<<8 | uint32(b[2])<<16 | uint32(b[3])<<24
-}

@@ -226,6 +226,7 @@ type sub struct {
 // concurrently on distinct chunks.
 type Decoder struct {
 	dim     int
+	shape   [4]int // [4, dim, dim, dim], backing OutputShape
 	op      Op
 	fused   bool
 	subs    []sub
@@ -312,6 +313,7 @@ func (f format) Open(blob []byte) (codec.ChunkDecoder, error) {
 	}
 	d := getDecoder(dim)
 	d.dim, d.op, d.fused, d.blobLen = dim, f.op, f.fused, len(blob)
+	d.shape = [4]int{4, dim, dim, dim}
 	for i := range d.subOfZ {
 		d.subOfZ[i] = -1
 	}
@@ -386,9 +388,7 @@ func (f format) Open(blob []byte) (codec.ChunkDecoder, error) {
 }
 
 // OutputShape implements codec.ChunkDecoder.
-func (d *Decoder) OutputShape() tensor.Shape {
-	return tensor.Shape{4, d.dim, d.dim, d.dim}
-}
+func (d *Decoder) OutputShape() tensor.Shape { return d.shape[:] }
 
 // OutputDType implements codec.ChunkDecoder.
 func (d *Decoder) OutputDType() tensor.DType { return tensor.F16 }

@@ -95,17 +95,16 @@ func (cosmoFormat) Open(blob []byte) (codec.ChunkDecoder, error) {
 	if err != nil {
 		return nil, fmt.Errorf("rawfmt: %w", err)
 	}
-	return &cosmoDecoder{s: s, blobLen: len(blob)}, nil
+	return &cosmoDecoder{s: s, blobLen: len(blob), shape: [4]int{4, s.Dim, s.Dim, s.Dim}}, nil
 }
 
 type cosmoDecoder struct {
 	s       *synthetic.CosmoSample
 	blobLen int
+	shape   [4]int // [4, dim, dim, dim], backing OutputShape
 }
 
-func (d *cosmoDecoder) OutputShape() tensor.Shape {
-	return tensor.Shape{4, d.s.Dim, d.s.Dim, d.s.Dim}
-}
+func (d *cosmoDecoder) OutputShape() tensor.Shape { return d.shape[:] }
 func (d *cosmoDecoder) OutputDType() tensor.DType { return tensor.F32 }
 
 // NumChunks: one chunk per redshift channel.

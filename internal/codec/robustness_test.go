@@ -17,6 +17,7 @@ import (
 	"scipp/internal/codec/zfpc"
 	"scipp/internal/core"
 	"scipp/internal/synthetic"
+	"scipp/internal/tensor"
 	"scipp/internal/xrand"
 )
 
@@ -160,6 +161,26 @@ func TestValidBlobsDecode(t *testing.T) {
 	}
 }
 
+// TestOutputShapeAllocFree pins that an opened decoder of every registered
+// format reports its shape without allocating: the decode stage and the
+// data service's miss path ask once per sample, through the interface.
+func TestOutputShapeAllocFree(t *testing.T) {
+	for name, blob := range validBlobs(t) {
+		cd, err := formatFor(t, name).Open(blob)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		var shape tensor.Shape
+		if n := testing.AllocsPerRun(100, func() { shape = cd.OutputShape() }); n != 0 {
+			t.Errorf("%s: OutputShape allocates %v times per call", name, n)
+		}
+		if shape.Elems() == 0 {
+			t.Errorf("%s: empty shape %v", name, shape)
+		}
+		codec.Recycle(cd)
+	}
+}
+
 func TestRandomGarbageNeverPanics(t *testing.T) {
 	r := xrand.New(99)
 	for name := range validBlobs(t) {
@@ -238,6 +259,14 @@ func TestCraftedBlobsRejected(t *testing.T) {
 			name: "deltafp DELTA line with half a segment count", format: "deltafp-hwc",
 			blob: []byte("CPFD\x01\x00\x00\x00\x01\x00\x00\x00\x04\x00\x00\x00\x03\x00\x00\x00" +
 				"\x00\x00\x00\x00\x02\x00\x00\x00" + "\x02\x01"),
+		},
+		{
+			// C=H=2^31 W=1 in 64 bytes: 2*C*H*W and the offset-table size
+			// 4*(C*H+1) wrapped, so the size guards passed and the offset
+			// table allocation panicked with a length out of range.
+			name: "deltafp C*H overflowing int", format: "deltafp",
+			blob: append([]byte("CPFD\x00\x00\x00\x80\x00\x00\x00\x80\x01\x00\x00\x00\x03\x00\x00\x00"),
+				make([]byte, 44)...),
 		},
 	}
 	for _, tc := range cases {

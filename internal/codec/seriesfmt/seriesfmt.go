@@ -34,7 +34,7 @@ func (seriesFormat) Open(blob []byte) (codec.ChunkDecoder, error) {
 	if err != nil {
 		return nil, fmt.Errorf("seriesfmt: %w", err)
 	}
-	return &seriesDecoder{blob: blob, channels: c, length: l}, nil
+	return &seriesDecoder{blob: blob, channels: c, length: l, shape: [2]int{c, l}}, nil
 }
 
 // ProbeShape implements codec.ShapeProber: the record header alone names
@@ -69,9 +69,10 @@ func (b boundedSeries) MaxShape() (tensor.DType, tensor.Shape) {
 type seriesDecoder struct {
 	blob             []byte
 	channels, length int
+	shape            [2]int // [channels, length], backing OutputShape
 }
 
-func (d *seriesDecoder) OutputShape() tensor.Shape { return tensor.Shape{d.channels, d.length} }
+func (d *seriesDecoder) OutputShape() tensor.Shape { return d.shape[:] }
 func (d *seriesDecoder) OutputDType() tensor.DType { return tensor.F32 }
 
 // NumChunks: one independently decodable chunk per sensor channel.

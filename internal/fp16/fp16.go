@@ -37,21 +37,46 @@ const (
 // Values exceeding the binary16 range become infinities; NaN payload top bit
 // is forced so NaNs stay NaNs.
 //
-// Inputs whose magnitude lies in the binary16 normal range [2^-14, 2^16) —
-// biased FP32 exponent 113..142, one unsigned compare — take a branch-free
-// path: adding 0xFFF plus the kept mantissa's low bit to the magnitude bits
-// carries into bit 13 exactly when round-to-nearest-even rounds up (and on
-// into the exponent when the mantissa overflows, which is the correct next
-// binade, or 0x7C00 = Inf from the top one); the shift drops the 13 surplus
-// bits and subtracting 112<<10 rebiases 127 -> 15. Zero, subnormal results,
-// underflow, overflow, Inf and NaN fall through to fromFloat32Ref.
+// Every finite input below 65520 in magnitude takes Narrow's branch-free
+// path; the rest (overflow to Inf, Inf, NaN) fall through to
+// fromFloat32Ref.
 func FromFloat32(f float32) Bits {
-	b := math.Float32bits(f)
-	if (b>>23&0xFF)-113 < 30 {
-		mag := b&0x7FFFFFFF + 0xFFF + b>>13&1
-		return Bits(b>>16)&signMask16 | Bits(mag>>13-112<<10)
+	h, over := Narrow(f)
+	if int32(over) < 0 {
+		return fromFloat32Ref(f)
 	}
-	return fromFloat32Ref(f)
+	return h
+}
+
+// Narrow is FromFloat32 without its out-of-range branch, small enough to
+// inline into a decode loop. The second result has its sign bit set iff
+// |f| >= 65520 or f is Inf or NaN; the first result is then meaningless and
+// the caller must discard it (FromFloat32 gives the right answer). A loop
+// can OR the second results together and test the sign bit once.
+//
+// Both candidates for the first result are computed unconditionally, so the
+// compiler selects one with a conditional move rather than a branch:
+//
+//   - Normal results, |f| in [2^-14, 65520): adding 0xFFF plus the kept
+//     mantissa's low bit to the magnitude bits carries into bit 13 exactly
+//     when round-to-nearest-even rounds up (and on into the exponent when
+//     the mantissa overflows, which is the correct next binade); the shift
+//     drops the 13 surplus bits and subtracting 112<<10 rebiases 127 -> 15.
+//   - Subnormal and zero results, |f| < 2^-14: in |f| + 0.5 the FP32 ulp is
+//     2^-24, the binary16 subnormal spacing, so the hardware add rounds |f|
+//     to that grid with round-to-nearest-even and leaves the count of 2^-24
+//     steps in the mantissa bits above 0.5 = 0x3F000000. A count of 0x400
+//     is 2^-14, and 0x400 is also the smallest normal's encoding.
+func Narrow(f float32) (Bits, uint32) {
+	b := math.Float32bits(f)
+	a := b & 0x7FFFFFFF
+	h := (a+0xFFF+a>>13&1)>>13 - 112<<10
+	sub := math.Float32bits(math.Float32frombits(a)+0.5) - 0x3F000000
+	if a < 0x38800000 { // 2^-14
+		h = sub
+	}
+	// 0x477FF000 is 65520: a >= it sets bit 31 of the sum.
+	return Bits(b>>16)&signMask16 | Bits(h), a + (0x80000000 - 0x477FF000)
 }
 
 // fromFloat32Ref is the case-by-case conversion: the slow path of

@@ -1,6 +1,7 @@
 package fp16
 
 import (
+	"fmt"
 	"math"
 	"testing"
 	"testing/quick"
@@ -221,21 +222,53 @@ func TestULP(t *testing.T) {
 	}
 }
 
-// TestFastPathMatchesReference compares FromFloat32 — fast path and range
-// test included — with the case-by-case reference over every sign, every
-// FP32 exponent and every kept-mantissa value, at each class of the 13
-// dropped bits rounding distinguishes: zero, just above zero, just below the
-// tie, the tie, just above it, all ones.
+// matchesRef checks FromFloat32, and Narrow wherever its flag says its
+// result stands, against the case-by-case reference on the FP32 pattern b,
+// and that Narrow flags exactly the magnitudes from 65520 up.
+func matchesRef(t *testing.T, b uint32) {
+	t.Helper()
+	f := math.Float32frombits(b)
+	want := fromFloat32Ref(f)
+	if got := FromFloat32(f); got != want {
+		t.Fatalf("FromFloat32(%#08x) = %#04x, reference %#04x", b, got, want)
+	}
+	h, over := Narrow(f)
+	if flagged := int32(over) < 0; flagged != (b&0x7FFFFFFF >= 0x477FF000) {
+		t.Fatalf("Narrow(%#08x) flags out-of-range %v", b, flagged)
+	} else if !flagged && h != want {
+		t.Fatalf("Narrow(%#08x) = %#04x, reference %#04x", b, h, want)
+	}
+}
+
+// TestFastPathMatchesReference compares FromFloat32 and Narrow with the
+// case-by-case reference at every rounding boundary class:
+//
+//   - over every sign, every FP32 exponent and every kept-mantissa value,
+//     the classes of the 13 bits a normal result drops: zero, just above
+//     zero, just below the tie, the tie, just above it, all ones;
+//   - for each exponent whose results are subnormal or zero (inputs in
+//     [2^-25, 2^-14), which drop 14..24 significand bits), the same classes
+//     of that exponent's own dropped bits, over every kept value, odd and
+//     even.
 func TestFastPathMatchesReference(t *testing.T) {
 	dropped := [...]uint32{0, 1, 0xFFF, 0x1000, 0x1001, 0x1FFF}
 	for sign := uint32(0); sign < 2; sign++ {
 		for exp := uint32(0); exp < 256; exp++ {
 			for kept := uint32(0); kept < 1024; kept++ {
 				for _, d := range dropped {
-					f := math.Float32frombits(sign<<31 | exp<<23 | kept<<13 | d)
-					if got, want := FromFloat32(f), fromFloat32Ref(f); got != want {
-						t.Fatalf("FromFloat32(%#08x) = %#04x, reference %#04x",
-							math.Float32bits(f), got, want)
+					matchesRef(t, sign<<31|exp<<23|kept<<13|d)
+				}
+			}
+		}
+		for exp := uint32(102); exp <= 112; exp++ {
+			// The 24-bit significand (implicit bit 23 included) counts
+			// units of 2^(exp-150); the result counts units of 2^-24.
+			shift := 126 - exp
+			half := uint32(1) << (shift - 1)
+			for kept := uint32(1<<23) >> shift; kept <= (1<<24-1)>>shift; kept++ {
+				for _, d := range [...]uint32{0, 1, half - 1, half, half + 1, 2*half - 1} {
+					if sig := kept<<shift | d; sig>>23 == 1 {
+						matchesRef(t, sign<<31|exp<<23|sig&0x7FFFFF)
 					}
 				}
 			}
@@ -243,28 +276,68 @@ func TestFastPathMatchesReference(t *testing.T) {
 	}
 }
 
+// TestNarrowExhaustive checks every FP32 pattern below 65520 in magnitude,
+// both signs, 2.4 G inputs in all, one parallel subtest per FP32 exponent.
+func TestNarrowExhaustive(t *testing.T) {
+	if testing.Short() || raceEnabled {
+		t.Skip("exhaustive sweep: skipped under -short and -race")
+	}
+	const limit = 0x477FF000 // 65520
+	for exp := uint32(0); exp<<23 < limit; exp++ {
+		t.Run(fmt.Sprintf("exp%03d", exp), func(t *testing.T) {
+			t.Parallel()
+			for a := exp << 23; a < min((exp+1)<<23, limit); a++ {
+				for _, b := range [2]uint32{a, a | 1<<31} {
+					f := math.Float32frombits(b)
+					want := fromFloat32Ref(f)
+					if h, over := Narrow(f); int32(over) < 0 || h != want || FromFloat32(f) != want {
+						t.Fatalf("%#08x: Narrow = %#04x (flag %#08x), FromFloat32 = %#04x, reference %#04x",
+							b, h, over, FromFloat32(f), want)
+					}
+				}
+			}
+		})
+	}
+}
+
 func FuzzFromFloat32(f *testing.F) {
 	for _, b := range []uint32{0, 0x80000000, 0x387FF000, 0x38800000, 0x477FF000, 0x477FEFFF, 0x7F800001, 0x3F801000} {
 		f.Add(b)
 	}
-	f.Fuzz(func(t *testing.T, b uint32) {
-		v := math.Float32frombits(b)
-		if got, want := FromFloat32(v), fromFloat32Ref(v); got != want {
-			t.Fatalf("FromFloat32(%#08x) = %#04x, reference %#04x", b, got, want)
-		}
-	})
+	f.Fuzz(matchesRef)
 }
 
+// BenchmarkFromFloat32 converts 4096 values whose results are normal,
+// subnormal, or a mix near the climate stacks' 14–16% share of subnormals
+// (one in eight, scattered).
 func BenchmarkFromFloat32(b *testing.B) {
-	src := make([]float32, 4096)
-	for i := range src {
-		src[i] = float32(i) * 0.37
-	}
-	dst := make([]Bits, len(src))
-	b.SetBytes(int64(len(src) * 4))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		FromSlice(dst, src)
+	normal := func(i int) float32 { return 1 + float32(i)*0.37 }
+	subnormal := func(i int) float32 { return float32(i) * 1.4e-8 } // below 2^-14
+	for _, bc := range []struct {
+		name string
+		gen  func(int) float32
+	}{
+		{"normal", normal},
+		{"subnormal", subnormal},
+		{"mixed", func(i int) float32 {
+			if uint32(i)*2654435761>>29 == 0 { // a multiplicative hash: 1 in 8
+				return subnormal(i)
+			}
+			return normal(i)
+		}},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			src := make([]float32, 4096)
+			for i := range src {
+				src[i] = bc.gen(i)
+			}
+			dst := make([]Bits, len(src))
+			b.SetBytes(int64(len(src) * 4))
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				FromSlice(dst, src)
+			}
+		})
 	}
 }
 

@@ -7,9 +7,9 @@ go build ./...
 go vet ./...
 go run ./cmd/scipplint ./...
 go test ./...
-# The codec kernel and cache-hit layer benchmarks, one iteration each, so
-# they keep compiling.
-go test -run '^$' -bench '^(BenchmarkOpen|BenchmarkDecodeFused|BenchmarkDecodeSample)$' -benchtime=1x ./internal/codec/lut/ ./internal/codec/deltafp/
+# The codec kernel, FP16 conversion and cache-hit layer benchmarks, one
+# iteration each, so they keep compiling.
+go test -run '^$' -bench '^(BenchmarkOpen|BenchmarkDecodeFused|BenchmarkDecodeSample|BenchmarkFromFloat32)$' -benchtime=1x ./internal/codec/lut/ ./internal/codec/deltafp/ ./internal/fp16/
 go test -run '^$' -bench '^(BenchmarkSampleCacheGetHit|BenchmarkSampleCacheGetHitParallel|BenchmarkCacheSum|BenchmarkServeHit)$' -benchtime=1x ./internal/pipeline/ ./internal/dataserve/
 # benchmark/ is its own module, so the ./... above never reaches it.
 (cd benchmark && go vet ./... && go test ./...)
