@@ -7,12 +7,13 @@ GO ?= go
 build:
 	$(GO) build ./...
 
-# The other lines run the codec kernel, FP16 conversion and cache-hit
-# layer benchmarks for one iteration each, so they keep compiling.
+# The other lines run the codec kernel, FP16 conversion, cache-hit layer
+# and ragged-loader (epoch, pad assembly) benchmarks for one iteration
+# each, so they keep compiling.
 test:
 	$(GO) test ./...
 	$(GO) test -run '^$$' -bench '^(BenchmarkOpen|BenchmarkDecodeFused|BenchmarkDecodeSample|BenchmarkFromFloat32)$$' -benchtime=1x ./internal/codec/lut/ ./internal/codec/deltafp/ ./internal/fp16/
-	$(GO) test -run '^$$' -bench '^(BenchmarkSampleCacheGetHit|BenchmarkSampleCacheGetHitParallel|BenchmarkCacheSum|BenchmarkServeHit)$$' -benchtime=1x ./internal/pipeline/ ./internal/dataserve/
+	$(GO) test -run '^$$' -bench '^(BenchmarkSampleCacheGetHit|BenchmarkSampleCacheGetHitParallel|BenchmarkCacheSum|BenchmarkServeHit|BenchmarkRaggedEpoch|BenchmarkPadded)$$' -benchtime=1x ./internal/pipeline/ ./internal/dataserve/
 
 # Race-detector pass over the concurrent subsystems (staged pipeline DAG
 # and its sample cache, multi-tenant data service, ring allreduce,

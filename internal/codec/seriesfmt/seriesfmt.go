@@ -12,6 +12,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"sync"
 
 	"scipp/internal/codec"
 	"scipp/internal/synthetic"
@@ -29,12 +30,19 @@ type seriesFormat struct{}
 
 func (seriesFormat) Name() string { return "raw-series" }
 
+// decoderPool recycles seriesDecoder structs between samples: the
+// pipeline's decode stage hands each finished decoder back through
+// codec.Recycle, so a steady decode loop opens records without allocating.
+var decoderPool = sync.Pool{New: func() any { return new(seriesDecoder) }}
+
 func (seriesFormat) Open(blob []byte) (codec.ChunkDecoder, error) {
 	c, l, err := synthetic.WeatherHeader(blob)
 	if err != nil {
 		return nil, fmt.Errorf("seriesfmt: %w", err)
 	}
-	return &seriesDecoder{blob: blob, channels: c, length: l, shape: [2]int{c, l}}, nil
+	d := decoderPool.Get().(*seriesDecoder)
+	*d = seriesDecoder{blob: blob, channels: c, length: l, shape: [2]int{c, l}}
+	return d, nil
 }
 
 // ProbeShape implements codec.ShapeProber: the record header alone names
@@ -70,6 +78,13 @@ type seriesDecoder struct {
 	blob             []byte
 	channels, length int
 	shape            [2]int // [channels, length], backing OutputShape
+}
+
+// Recycle implements codec.Recycler: it drops the blob reference and
+// returns the decoder to the pool. The decoder must not be used afterwards.
+func (d *seriesDecoder) Recycle() {
+	*d = seriesDecoder{}
+	decoderPool.Put(d)
 }
 
 func (d *seriesDecoder) OutputShape() tensor.Shape { return d.shape[:] }

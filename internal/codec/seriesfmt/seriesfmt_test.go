@@ -160,3 +160,21 @@ func TestSeriesRejectsCorruptRecords(t *testing.T) {
 		t.Errorf("workload = %+v", w)
 	}
 }
+
+// TestOpenRecycleAllocatesNothing pins the decoder pool: a steady
+// Open+Recycle loop reuses one decoder instead of allocating per sample.
+// The race detector makes sync.Pool drop a share of Puts at random, so the
+// bound is below one allocation per cycle rather than exactly zero.
+func TestOpenRecycleAllocatesNothing(t *testing.T) {
+	blob, _ := record(t, synthetic.DefaultWeatherConfig(), 3)
+	f := Series()
+	if a := testing.AllocsPerRun(200, func() {
+		d, err := f.Open(blob)
+		if err != nil {
+			t.Fatal(err)
+		}
+		codec.Recycle(d)
+	}); a >= 1 {
+		t.Fatalf("Open+Recycle allocates %.2f times per sample, want none", a)
+	}
+}

@@ -22,11 +22,23 @@ type chaosRun struct {
 // stage stalls, and cache bit rot, all from fixed seeds.
 func runChaos(t *testing.T, n, epochs int) chaosRun {
 	t.Helper()
+	return runChaosBatch(t, n, epochs, 4, StageConfig{})
+}
+
+// chaosStages pins the pool widths, so the run length a batch size selects
+// does not depend on the host's core count.
+var chaosStages = StageConfig{ReadWorkers: 2, DecodeWorkers: 4}
+
+// runChaosBatch is runChaos at a chosen batch size and pool widths: Batch 4
+// keeps the DAG at one sample per hop, Batch 32 over chaosStages moves runs
+// of eight.
+func runChaosBatch(t *testing.T, n, epochs, batch int, stages StageConfig) chaosRun {
+	t.Helper()
 	in := fault.WrapStage(testDataset(n), fault.StageFaultConfig{Seed: 5, Panic: 0.1, Stall: 0.05})
 	defer in.Release()
 	ci := fault.NewCacheInjector(fault.CacheFaultConfig{Seed: 6, BitRot: 0.1})
 	l, err := New(in, Config{
-		Format: countFormat{}, Batch: 4,
+		Format: countFormat{}, Batch: batch, Stages: stages,
 		Cache:      CacheConfig{HostMemBytes: 1 << 20},
 		Resilience: Resilience{MaxRetries: 2},
 		Supervise:  SupervisorConfig{MaxRestarts: 64, StallDeadline: 0.03, StallRestart: true},
@@ -90,6 +102,36 @@ func TestChaosMatchesCleanRun(t *testing.T) {
 	got := runChaos(t, n, epochs)
 	if !reflect.DeepEqual(got.Indices, wantIdx) || !reflect.DeepEqual(got.Values, wantVal) {
 		t.Fatal("chaos run diverged from fault-free run")
+	}
+	if len(got.StageLog) == 0 || len(got.CacheLog) == 0 {
+		t.Fatalf("chaos run injected nothing (stage %d, cache %d events)", len(got.StageLog), len(got.CacheLog))
+	}
+}
+
+// TestChaosRunsMatchCleanRun is TestChaosMatchesCleanRun at Batch 32, where
+// the DAG moves runs of eight: panics and stalls inside a run, and bit-rot
+// re-decodes, still deliver the fault-free run's batches bit for bit.
+func TestChaosRunsMatchCleanRun(t *testing.T) {
+	const n, epochs, batch = 256, 3, 32
+	l, err := New(testDataset(n), Config{
+		Format: countFormat{}, Batch: batch, Stages: chaosStages,
+		Cache: CacheConfig{HostMemBytes: 1 << 20},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r := l.runLen(); r != 8 {
+		t.Fatalf("runLen = %d, want 8: the test would not exercise runs", r)
+	}
+	var wantIdx []int
+	var wantVal []float32
+	for e := 0; e < epochs; e++ {
+		i, v := epochValues(t, l.Epoch(e))
+		wantIdx, wantVal = append(wantIdx, i...), append(wantVal, v...)
+	}
+	got := runChaosBatch(t, n, epochs, batch, chaosStages)
+	if !reflect.DeepEqual(got.Indices, wantIdx) || !reflect.DeepEqual(got.Values, wantVal) {
+		t.Fatal("chaos run with runs of eight diverged from fault-free run")
 	}
 	if len(got.StageLog) == 0 || len(got.CacheLog) == 0 {
 		t.Fatalf("chaos run injected nothing (stage %d, cache %d events)", len(got.StageLog), len(got.CacheLog))

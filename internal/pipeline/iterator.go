@@ -89,9 +89,11 @@ type Iterator struct {
 	sup    *StageSupervisor
 
 	// abort tears the DAG down on Close; tokens caps in-flight samples at
-	// Prefetch; batcher restores schedule order over stage completions.
+	// Prefetch, one credit per admission run of runLen samples; batcher
+	// restores schedule order over stage completions.
 	abort    chan struct{}
 	stopOnce sync.Once
+	runLen   int
 	tokens   chan struct{}
 	batcher  *BatchStage
 
@@ -129,21 +131,26 @@ func (it *Iterator) fatalError() error {
 //	                 (transient: back to read; terminal: to sink)
 //
 // Each stage is a bounded worker pool; every queue is bounded; every send is
-// abort-guarded. The retry judge re-admits transient failures at the read
-// stage (re-reading the sample, so fault-injector access counts match the
-// monolithic loader) and forwards exhausted or permanent failures to the
-// sink as terminal outcomes, where they occupy their schedule position.
+// abort-guarded. Up to the sink, samples travel in runs of it.runLen (see
+// run): the source admits one run per credit, and each queue holds
+// ceil(QueueDepth/runLen) runs, so the samples a queue buffers stay at
+// QueueDepth. The retry judge re-admits transient failures at the read
+// stage as runs of one (re-reading the sample, so fault-injector access
+// counts match the monolithic loader) and forwards exhausted or permanent
+// failures to the sink as terminal outcomes, where they occupy their
+// schedule position.
 func (it *Iterator) start() {
 	l := it.loader
 	cfg := l.cfg
-	depth := cfg.Stages.QueueDepth
+	runs := &l.runs
+	depth := (cfg.Stages.QueueDepth + it.runLen - 1) / it.runLen
 	sup := it.sup
 
-	readq := make(chan item[struct{}], depth)
-	retryq := make(chan item[struct{}], cfg.Prefetch)
-	decodeq := make(chan item[rawSample], depth)
+	readq := make(chan *run[item[struct{}]], depth)
+	retryq := make(chan *run[item[struct{}]], cfg.Prefetch)
+	decodeq := make(chan *run[item[rawSample]], depth)
 	failq := make(chan failure, cfg.Prefetch)
-	completionq := make(chan outcome, depth)
+	completionq := make(chan *run[outcome], depth)
 	abort, done := it.abort, it.batcher.done
 
 	// Supervisor wiring: terminal aborts surface through Next; abandoned
@@ -154,30 +161,45 @@ func (it *Iterator) start() {
 	sup.onPanic = it.notePanicked
 	sup.onStall = it.noteStalled
 	sup.readmit = func(seq, index, attempt, gen int) bool {
-		return sendItem(retryq, item[struct{}]{seq: seq, index: index, attempt: attempt, gen: gen}, abort)
+		return sendItem(retryq, runs.ticks.one(item[struct{}]{seq: seq, index: index, attempt: attempt, gen: gen}), abort)
 	}
-	sup.probe("read", func() int { return len(readq) })
-	sup.probe("retry", func() int { return len(retryq) })
-	sup.probe("decode", func() int { return len(decodeq) })
-	sup.probe("fail", func() int { return len(failq) })
-	sup.probe("completion", func() int { return len(completionq) })
+	// Queue probes feed the stall snapshot, so only a watched DAG (one
+	// with a stall deadline) registers them.
+	if !sup.passive {
+		sup.probe("read", func() int { return len(readq) })
+		sup.probe("retry", func() int { return len(retryq) })
+		sup.probe("decode", func() int { return len(decodeq) })
+		sup.probe("fail", func() int { return len(failq) })
+		sup.probe("completion", func() int { return len(completionq) })
+	}
 
-	toOutcome := func(v item[decodedSample]) bool {
-		return sendItem(completionq, outcome{seq: v.seq, index: v.index, data: v.val.data, label: v.val.label}, abort)
+	// toOutcome hands a decoded run to the sink as a run of outcomes.
+	toOutcome := func(r *run[item[decodedSample]]) bool {
+		o := runs.outs.get()
+		for _, v := range r.items {
+			o.items = append(o.items, outcome{seq: v.seq, index: v.index, data: v.val.data, label: v.val.label})
+		}
+		runs.dec.put(r)
+		return sendItem(completionq, o, abort)
 	}
 	// discardDecoded recycles the pooled tensor of an abandoned attempt's
 	// decoded output — the re-admitted generation decodes into a fresh one.
 	discardDecoded := func(v decodedSample) { l.pool.PutTensor(v.data) }
 
-	// Source: admit scheduled samples while tokens (in-flight budget) last.
+	// Source: admit the schedule in runs of runLen consecutive seqs, one
+	// credit (runLen samples of the in-flight budget) per run.
 	sup.Go("source", func() {
-		for seq, idx := range it.order {
+		for lo := 0; lo < len(it.order); lo += it.runLen {
 			select {
 			case it.tokens <- struct{}{}:
 			case <-abort:
 				return
 			}
-			if !sendItem(readq, item[struct{}]{seq: seq, index: idx}, abort) {
+			r := runs.ticks.get()
+			for seq := lo; seq < min(lo+it.runLen, len(it.order)); seq++ {
+				r.items = append(r.items, item[struct{}]{seq: seq, index: it.order[seq]})
+			}
+			if !sendItem(readq, r, abort) {
 				return
 			}
 		}
@@ -188,9 +210,11 @@ func (it *Iterator) start() {
 	if l.cache != nil {
 		head = &CacheStage{read: &ReadStage{ds: l.ds, ob: it.ob}, cache: l.cache, ob: it.ob}
 	}
-	runPool(sup, head, cfg.Stages.ReadWorkers, readq, retryq,
-		func(v item[rawSample]) bool { return sendItem(decodeq, v, abort) },
-		failq, abort, done, it.ob.noteError, nil)
+	runPool(sup, head, cfg.Stages.ReadWorkers, hop[struct{}, rawSample]{
+		in: readq, retry: retryq, ins: &runs.ticks, outs: &runs.raw,
+		emit: func(r *run[item[rawSample]]) bool { return sendItem(decodeq, r, abort) },
+		fail: failq, onErr: it.ob.noteError,
+	}, abort, done)
 
 	// Decode stage, emitting into augment when configured, else the sink.
 	dec := &DecodeStage{
@@ -200,14 +224,20 @@ func (it *Iterator) start() {
 	}
 	emitDecoded := toOutcome
 	if cfg.Augment != nil {
-		augmentq := make(chan item[decodedSample], depth)
-		sup.probe("augment", func() int { return len(augmentq) })
-		emitDecoded = func(v item[decodedSample]) bool { return sendItem(augmentq, v, abort) }
-		runPool[decodedSample, decodedSample](sup, &AugmentStage{fn: cfg.Augment, ob: it.ob},
-			cfg.Stages.AugmentWorkers, augmentq, nil, toOutcome, failq, abort, done, it.ob.noteError, discardDecoded)
+		augmentq := make(chan *run[item[decodedSample]], depth)
+		if !sup.passive {
+			sup.probe("augment", func() int { return len(augmentq) })
+		}
+		emitDecoded = func(r *run[item[decodedSample]]) bool { return sendItem(augmentq, r, abort) }
+		runPool(sup, Stage[decodedSample, decodedSample](&AugmentStage{fn: cfg.Augment, ob: it.ob}), cfg.Stages.AugmentWorkers, hop[decodedSample, decodedSample]{
+			in: augmentq, ins: &runs.dec, outs: &runs.dec,
+			emit: toOutcome, fail: failq, onErr: it.ob.noteError, discard: discardDecoded,
+		}, abort, done)
 	}
-	runPool[rawSample, decodedSample](sup, dec, cfg.Stages.DecodeWorkers, decodeq, nil,
-		emitDecoded, failq, abort, done, it.ob.noteError, discardDecoded)
+	runPool(sup, Stage[rawSample, decodedSample](dec), cfg.Stages.DecodeWorkers, hop[rawSample, decodedSample]{
+		in: decodeq, ins: &runs.raw, outs: &runs.dec,
+		emit: emitDecoded, fail: failq, onErr: it.ob.noteError, discard: discardDecoded,
+	}, abort, done)
 
 	// Retry judge: transient failures with retry budget left re-enter the
 	// read stage (after their backoff elapses on the iterator's clock);
@@ -225,7 +255,7 @@ func (it *Iterator) start() {
 			}
 			if errors.Is(f.err, fault.Transient) && f.attempt < pol.MaxRetries {
 				it.noteRetried()
-				retry := item[struct{}]{seq: f.seq, index: f.index, attempt: f.attempt + 1, gen: f.gen}
+				retry := runs.ticks.one(item[struct{}]{seq: f.seq, index: f.index, attempt: f.attempt + 1, gen: f.gen})
 				if s, ok := it.clock.(trace.Sleeper); ok {
 					if delay := pol.backoff(f.attempt); delay > 0 {
 						sup.Go("retry-backoff", func() {
@@ -240,13 +270,13 @@ func (it *Iterator) start() {
 				}
 				continue
 			}
-			if !sendItem(completionq, outcome{seq: f.seq, index: f.index, err: asSampleError(f.err, f.index)}, abort) {
+			if !sendItem(completionq, runs.outs.one(outcome{seq: f.seq, index: f.index, err: asSampleError(f.err, f.index)}), abort) {
 				return
 			}
 		}
 	})
 
-	sup.Go("batch-sink", func() { it.batcher.run(completionq, abort) })
+	sup.Go("batch-sink", func() { it.batcher.run(completionq, &runs.outs, abort) })
 
 	// Stall watchdog: runs only with a deadline and an alarm-capable clock
 	// (wall clocks and trace.VirtualClock both qualify).
@@ -294,9 +324,11 @@ func (it *Iterator) Next() (*Batch, error) {
 			}
 			break
 		}
-		select { // one terminal outcome consumed: admit the next sample
-		case <-it.tokens:
-		default:
+		if (o.seq+1)%it.runLen == 0 { // an admission run consumed: admit the next
+			select {
+			case <-it.tokens:
+			default:
+			}
 		}
 		if o.err != nil {
 			se := asSampleError(o.err, o.index)

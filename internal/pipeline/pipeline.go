@@ -14,9 +14,11 @@
 // pool connected by bounded queues; and a batch sink restores schedule order
 // before Iterator.Next assembles minibatches and applies the Resilience
 // policy. Admission of new samples is capped at Prefetch in-flight, so
-// backpressure propagates from the consumer to the source. Every channel
-// send in the stage machinery sits in a select with an abort escape (the
-// guardedsend lint rule), so Close never wedges a worker.
+// backpressure propagates from the consumer to the source. Between stages,
+// samples move in runs of up to eight, one channel operation per run, with
+// the run length derived from Prefetch and the pool widths (see run). Every
+// channel send in the stage machinery sits in a select with an abort escape
+// (the guardedsend lint rule), so Close never wedges a worker.
 package pipeline
 
 import (
@@ -64,7 +66,8 @@ type StageConfig struct {
 	// AugmentWorkers is the augment stage pool width (ignored without an
 	// Augment transform).
 	AugmentWorkers int
-	// QueueDepth is the capacity of each inter-stage queue.
+	// QueueDepth is the number of samples each inter-stage queue buffers;
+	// a queue that moves runs of R samples holds ceil(QueueDepth/R) runs.
 	QueueDepth int
 }
 
@@ -182,6 +185,7 @@ type Loader struct {
 	cfg   Config
 	cache *SampleCache // nil unless cfg.Cache is enabled; shared by epochs
 	pool  *SlabPool    // recycles sample tensors and batches across epochs
+	runs  runLists     // recycles the DAG's runs across hops and epochs
 }
 
 // New validates the configuration and returns a Loader.
@@ -206,6 +210,17 @@ func New(ds Dataset, cfg Config) (*Loader, error) {
 		l.cache = NewSampleCache(cfg.Cache)
 	}
 	return l, nil
+}
+
+// runLen is the loader's run length: its derivation reads the widest stage
+// pool, counting the augment pool only when an augment stage will run.
+func (l *Loader) runLen() int {
+	st := l.cfg.Stages
+	widest := max(st.ReadWorkers, st.DecodeWorkers)
+	if l.cfg.Augment != nil {
+		widest = max(widest, st.AugmentWorkers)
+	}
+	return runLen(l.cfg.Prefetch, l.cfg.Batch, widest)
 }
 
 // Cache returns the loader's sample cache, or nil when caching is disabled.
@@ -238,6 +253,7 @@ func (l *Loader) Epoch(epoch int) *Iterator {
 	if clock == nil {
 		clock = trace.NewWallClock()
 	}
+	rl := l.runLen()
 	it := &Iterator{
 		loader:  l,
 		order:   order,
@@ -245,8 +261,9 @@ func (l *Loader) Epoch(epoch int) *Iterator {
 		ob:      newIterObs(l.cfg.Obs, clock, l.cache != nil, "decode."+l.cfg.Plugin.String(), l.cfg.Augment != nil),
 		sup:     newSupervisor(l.cfg.Supervise, clock, l.cfg.Obs),
 		abort:   make(chan struct{}),
-		tokens:  make(chan struct{}, l.cfg.Prefetch),
-		batcher: newBatchStage(len(order), l.cfg.Stages.QueueDepth),
+		runLen:  rl,
+		tokens:  make(chan struct{}, l.cfg.Prefetch/rl),
+		batcher: newBatchStage(len(order), l.cfg.Stages.QueueDepth, l.cfg.Prefetch),
 	}
 	it.start()
 	return it

@@ -65,10 +65,12 @@ func tensorCap(t *tensor.Tensor) int {
 }
 
 // resliceTensor shapes t to exactly shape/elems within its capacity: the
-// shape header is patched and the element slice resliced, never copied.
+// shape header is rewritten in place — into t.Shape's own backing array
+// whenever its capacity covers the rank, so a reshape allocates nothing —
+// and the element slice resliced, never copied. t never aliases shape.
 func resliceTensor(t *tensor.Tensor, shape tensor.Shape, elems int) {
 	if !t.Shape.Equal(shape) {
-		t.Shape = shape.Clone()
+		t.Shape = append(t.Shape[:0], shape...)
 	}
 	switch t.DT {
 	case tensor.F16:
@@ -122,7 +124,15 @@ func NewSlabPool() *SlabPool {
 // contents, reusing a recycled slab whose capacity class covers the shape
 // when one is free. The returned tensor's element slice always has capacity
 // of at least the class bound — at least the requested element count — an
-// invariant the fragmentation tests assert.
+// invariant the fragmentation tests assert. Its Shape is a copy of shape,
+// never an alias of it.
+//
+// A pooled tensor's Shape is rewritten in place on reuse: a reshape copies
+// the new dims into the Shape's existing backing array. So the Shape of a
+// tensor handed to PutTensor belongs to the pool as much as its elements
+// do — whoever needs a sample's shape past Release keeps a Clone (as the
+// data service's learned sample records do), and a tensor whose Shape
+// slice is shared with another live tensor must not be put.
 func (p *SlabPool) GetTensor(dt tensor.DType, shape tensor.Shape) *tensor.Tensor {
 	elems := shape.Elems()
 	class := slabClass{dt: dt, elems: classElems(elems)}

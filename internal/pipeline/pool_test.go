@@ -40,6 +40,36 @@ func TestSlabPoolReshapesSameClass(t *testing.T) {
 	}
 }
 
+// TestSlabPoolReshapeAllocatesNothing pins the in-place reshape: a pooled
+// tensor cycling through shapes of one capacity class rewrites its Shape in
+// its own backing array, so once every rank has been seen, Get/Put
+// allocates nothing — and the tensor never aliases the caller's shape.
+func TestSlabPoolReshapeAllocatesNothing(t *testing.T) {
+	p := NewSlabPool()
+	shapes := []tensor.Shape{{4, 60}, {244}, {2, 2, 61}, {4, 61}}
+	for _, sh := range shapes { // warm: the slab and every rank's Shape array
+		p.PutTensor(p.GetTensor(tensor.F32, sh))
+	}
+	k := 0
+	if n := testing.AllocsPerRun(100, func() {
+		sh := shapes[k%len(shapes)]
+		x := p.GetTensor(tensor.F32, sh)
+		if !x.Shape.Equal(sh) || len(x.F32s) != sh.Elems() {
+			t.Fatalf("GetTensor(%v) = shape %v, %d elems", sh, x.Shape, len(x.F32s))
+		}
+		p.PutTensor(x)
+		k++
+	}); n != 0 {
+		t.Fatalf("alternating-shape Get/Put allocates %v times per cycle", n)
+	}
+	sh := tensor.Shape{4, 60}
+	x := p.GetTensor(tensor.F32, sh)
+	sh[1] = 61
+	if !x.Shape.Equal(tensor.Shape{4, 60}) {
+		t.Fatalf("tensor Shape aliases the caller's shape: %v", x.Shape)
+	}
+}
+
 func TestSlabPoolClassesDoNotMix(t *testing.T) {
 	p := NewSlabPool()
 	a := p.GetTensor(tensor.F32, tensor.Shape{4})

@@ -98,19 +98,13 @@ func (b *Batch) Padded() (*PaddedBatch, error) {
 		base := i * stride
 		for r := 0; r < leadElems; r++ {
 			row := data.F32s[base+r*maxLen : base+(r+1)*maxLen]
-			copy(row, src[r*li:(r+1)*li])
-			for t := li; t < maxLen; t++ {
-				row[t] = 0
-			}
+			clear(row[copy(row, src[r*li:(r+1)*li]):])
 		}
 		mrow := mask.F32s[i*maxLen : (i+1)*maxLen]
-		for t := range mrow {
-			if t < li {
-				mrow[t] = 1
-			} else {
-				mrow[t] = 0
-			}
+		for t := range mrow[:li] {
+			mrow[t] = 1
 		}
+		clear(mrow[li:])
 	}
 	return &PaddedBatch{
 		Data:    data,

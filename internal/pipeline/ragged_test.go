@@ -355,6 +355,45 @@ func TestNextPaddedDeterministicUnderStallRestart(t *testing.T) {
 	}
 }
 
+// TestNextPaddedDeterministicUnderStallRestartRuns is the run-length twin
+// of the test above: at Batch 32 the DAG moves runs of eight, so a worker
+// wedged on one sample also holds its run-mates — processed ones waiting to
+// be emitted and unprocessed ones waiting their turn. The watchdog must
+// write the worker off once and re-admit every one of them.
+func TestNextPaddedDeterministicUnderStallRestartRuns(t *testing.T) {
+	const n = 256
+	stages := StageConfig{ReadWorkers: 2, DecodeWorkers: 4}
+	clean, err := New(testDataset(n), Config{Format: raggedFormat{}, Batch: 32, Stages: stages})
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantIdx, wantDigest := drainPadded(t, clean.Epoch(0))
+
+	in := fault.WrapStage(testDataset(n), fault.StageFaultConfig{Seed: 9, Stall: 0.02})
+	defer in.Release()
+	l, err := New(in, Config{
+		Format: raggedFormat{}, Batch: 32, Stages: stages,
+		Supervise: SupervisorConfig{MaxRestarts: 64, StallDeadline: 0.03, StallRestart: true},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r := l.runLen(); r != 8 {
+		t.Fatalf("runLen = %d, want 8: the test would not exercise runs", r)
+	}
+	it := l.Epoch(0)
+	gotIdx, gotDigest := drainPadded(t, it)
+	if !equalInts(gotIdx, wantIdx) || gotDigest != wantDigest {
+		t.Fatal("stall re-admission changed the padded epoch output")
+	}
+	if len(in.Log()) == 0 {
+		t.Fatal("injector logged no stalls: the test exercised nothing")
+	}
+	if st := it.Stats(); st.Stalls != len(in.Log()) {
+		t.Fatalf("Stats.Stalls = %d, injector wedged %d workers", st.Stalls, len(in.Log()))
+	}
+}
+
 // TestCachedRaggedEpochAccounting runs a cached loader over variable-size
 // blobs — every sample a different resident size — and proves the cache's
 // byte accounting is exact at every point the epoch settles, including after

@@ -109,8 +109,9 @@ type Stats struct {
 	// Panics counts stage-worker panics recovered by the supervisor; each
 	// consumed one unit of its stage's restart budget.
 	Panics int
-	// Stalls counts wedged stage attempts the stall watchdog abandoned and
-	// re-admitted; each consumed one unit of its stage's restart budget.
+	// Stalls counts wedged stage workers the stall watchdog wrote off,
+	// re-admitting every sample of the run each one held; each consumed
+	// one unit of its stage's restart budget.
 	Stalls int
 	// BadSamples are the dataset indices of skipped (and, on epoch
 	// failure, quota-exceeding) samples, in consumption order.

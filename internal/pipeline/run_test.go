@@ -1,0 +1,141 @@
+package pipeline
+
+import (
+	"reflect"
+	"testing"
+
+	"scipp/internal/tensor"
+)
+
+// TestRunLenRule pins the run-length derivation: twice the widest pool's
+// worth of runs fit in the prefetch window, clamped to [1, min(batch, 8)].
+func TestRunLenRule(t *testing.T) {
+	cases := []struct {
+		name                    string
+		prefetch, batch, widest int
+		want                    int
+	}{
+		{"weather_ragged defaults", 64, 32, 4, 8},
+		{"batch-4 loaders stay per sample", 8, 4, 4, 1},
+		{"window too small for one run per worker pair", 15, 8, 4, 1},
+		{"exact fit", 16, 8, 4, 2},
+		{"rounds down", 31, 16, 4, 3},
+		{"capped at eight", 256, 128, 2, 8},
+		{"capped at the batch", 64, 3, 2, 3},
+		{"single-sample batches", 64, 1, 2, 1},
+		{"wide pool", 64, 32, 32, 1},
+		{"zero widest counts as one", 8, 8, 0, 4},
+	}
+	for _, c := range cases {
+		if got := runLen(c.prefetch, c.batch, c.widest); got != c.want {
+			t.Errorf("%s: runLen(%d, %d, %d) = %d, want %d", c.name, c.prefetch, c.batch, c.widest, got, c.want)
+		}
+	}
+}
+
+// TestLoaderRunLen checks which pools the loader's derivation counts: the
+// augment pool only when an augment stage runs.
+func TestLoaderRunLen(t *testing.T) {
+	mk := func(cfg Config) int {
+		t.Helper()
+		cfg.Format = countFormat{}
+		l, err := New(testDataset(1), cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return l.runLen()
+	}
+	stages := StageConfig{ReadWorkers: 2, DecodeWorkers: 4, AugmentWorkers: 16}
+	if got := mk(Config{Batch: 32, Stages: stages}); got != 8 {
+		t.Errorf("unaugmented runLen = %d, want 8 (augment pool ignored)", got)
+	}
+	identity := func(x *tensor.Tensor) (*tensor.Tensor, error) { return x, nil }
+	aug := Config{Batch: 32, Stages: stages, Augment: identity}
+	if got := mk(aug); got != 2 {
+		t.Errorf("augmented runLen = %d, want 2", got)
+	}
+}
+
+// runEpochs drains epochs of a shuffled, cached, retrying loader over a
+// flaky dataset and returns its run length, delivered indices, first
+// element per sample, and per-epoch retry counts.
+func runEpochs(t *testing.T, stages StageConfig, epochs int) (int, []int, []float32, []int) {
+	t.Helper()
+	const n = 200
+	ds := flaky(n)
+	for i := 0; i < n; i += 17 {
+		ds.blobFails[i] = 1 + i%2
+	}
+	for i := 5; i < n; i += 23 {
+		ds.labelFails[i] = 1
+	}
+	l, err := New(ds, Config{
+		Format: countFormat{}, Batch: 32, Shuffle: true, Seed: 3, Stages: stages,
+		Cache:      CacheConfig{HostMemBytes: 1 << 20},
+		Resilience: Resilience{MaxRetries: 3},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var idx []int
+	var val []float32
+	var retried []int
+	for e := 0; e < epochs; e++ {
+		it := l.Epoch(e)
+		i, v := epochValues(t, it)
+		idx, val = append(idx, i...), append(val, v...)
+		retried = append(retried, it.Stats().Retried)
+	}
+	return l.runLen(), idx, val, retried
+}
+
+// TestRunEpochMatchesPerSampleEpoch is the equivalence lock of the run
+// machinery: the same loader moving runs of eight delivers the same order,
+// the same bytes and the same retry accounting as at one sample per hop.
+func TestRunEpochMatchesPerSampleEpoch(t *testing.T) {
+	rRuns, idxRuns, valRuns, retRuns := runEpochs(t, StageConfig{ReadWorkers: 2, DecodeWorkers: 4}, 3)
+	rOne, idxOne, valOne, retOne := runEpochs(t, StageConfig{ReadWorkers: 2, DecodeWorkers: 32}, 3)
+	if rRuns != 8 || rOne != 1 {
+		t.Fatalf("run lengths %d and %d, want 8 and 1: the test compares nothing", rRuns, rOne)
+	}
+	if !reflect.DeepEqual(idxRuns, idxOne) || !reflect.DeepEqual(valRuns, valOne) {
+		t.Fatal("runs of eight changed the delivered epoch")
+	}
+	if !reflect.DeepEqual(retRuns, retOne) || retRuns[0] == 0 {
+		t.Fatalf("retries per epoch %v with runs, %v without (want equal, nonzero)", retRuns, retOne)
+	}
+}
+
+// TestEpochAllocs pins the steady-state allocation count of a small cached
+// epoch at its count before the DAG moved runs: runs come from loader-owned
+// freelists and the sink's reorder ring replaced a map, so batching the
+// hops must not add an allocation. The pools are sized explicitly so the
+// count does not depend on the host's core count.
+func TestEpochAllocs(t *testing.T) {
+	if testing.Short() {
+		t.Skip("allocation count is measured over many epochs")
+	}
+	l, err := New(testDataset(16), Config{
+		Format: countFormat{}, Batch: 4,
+		Stages: StageConfig{ReadWorkers: 2, DecodeWorkers: 4},
+		Cache:  CacheConfig{HostMemBytes: 1 << 20},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	epoch := 0
+	drain := func() {
+		n, err := l.Epoch(epoch).Drain()
+		if err != nil || n != 16 {
+			t.Fatalf("epoch %d: %d samples, %v", epoch, n, err)
+		}
+		epoch++
+	}
+	drain() // the cold epoch fills the cache and the freelists
+	const parentCount = 95
+	got := testing.AllocsPerRun(50, drain)
+	t.Logf("%.0f allocations per epoch", got)
+	if got > parentCount {
+		t.Fatalf("a 16-sample cached epoch allocates %.0f times, want <= %d", got, parentCount)
+	}
+}

@@ -1,14 +1,19 @@
 package pipeline
 
-import "scipp/internal/tensor"
+import (
+	"sync"
+
+	"scipp/internal/tensor"
+)
 
 // Stage is one node of the staged DAG: a typed per-item transform executed
-// by a bounded worker pool. A stage sees one sample at a time and never
-// blocks on channels itself — queueing, backpressure, abort, retry routing
-// and accounting all live in the pool runner, so a Stage implementation is
+// by a bounded worker pool. The pool moves samples between stages in runs
+// (see run), but a stage still sees one sample at a time and never blocks
+// on channels itself — queueing, backpressure, abort, retry routing and
+// accounting all live in the pool runner, so a Stage implementation is
 // just the work: read bytes, decode, augment. Stages self-instrument (each
-// opens its own obs span) so span boundaries stay exactly where the
-// monolithic loader had them.
+// opens its own obs span per sample) so span boundaries stay exactly where
+// the monolithic loader had them.
 type Stage[In, Out any] interface {
 	// Name identifies the stage in diagnostics.
 	Name() string
@@ -63,51 +68,146 @@ func sendItem[T any](out chan<- T, v T, abort <-chan struct{}) bool {
 	}
 }
 
-// runPool launches the worker pool of one stage under sup. Workers pull
-// items from in (and, for the head stage, the retry feed), apply st through
-// superviseProcess — panic recovery plus inflight registration for the stall
-// watchdog — and hand successes to emit and failures to fail. onErr observes
-// every failed attempt (error-kind accounting). discard, when non-nil,
-// disposes the output of an attempt the watchdog abandoned while it ran (the
-// sample was re-admitted; this copy's pooled buffers must recycle, not
-// emit). Workers exit when the epoch aborts or when done closes — done only
+// maxRunLen caps the run length: past eight samples a run only adds
+// latency to the first sample it carries, and channel cost is already
+// amortized.
+const maxRunLen = 8
+
+// runLen derives the DAG's unit of transfer from the loader's shape: enough
+// runs in flight to keep twice the widest stage pool busy, so
+// R = prefetch / (2 × widest), clamped to [1, min(batch, maxRunLen)]. Small
+// prefetch windows get R = 1 — one sample per channel operation.
+func runLen(prefetch, batch, widest int) int {
+	return max(1, min(prefetch/(2*max(widest, 1)), batch, maxRunLen))
+}
+
+// run is the DAG's unit of transfer: up to runLen consecutive samples that
+// move between stages with one channel operation. Channels carry pointers
+// to runs drawn from a loader-owned runFree list, so a hop allocates
+// nothing. Per-sample work stays per sample: each member gets its own
+// Process call, span, supervision key and retry judgement, and a failed
+// member leaves its run and travels to the retry judge alone.
+type run[E any] struct {
+	items []E
+}
+
+// runFree is a freelist of runs of one element type. It is owned by the
+// Loader, so an epoch's runs are the previous epoch's, and it is safe for
+// concurrent use by every stage worker.
+type runFree[E any] struct {
+	mu   sync.Mutex
+	free []*run[E]
+}
+
+// get returns an empty run with room for maxRunLen members.
+func (f *runFree[E]) get() *run[E] {
+	f.mu.Lock()
+	if n := len(f.free); n > 0 {
+		r := f.free[n-1]
+		f.free = f.free[:n-1]
+		f.mu.Unlock()
+		return r
+	}
+	f.mu.Unlock()
+	return &run[E]{items: make([]E, 0, maxRunLen)}
+}
+
+// put empties r — dropping its payload references — and shelves it. The
+// caller must not use r afterwards.
+func (f *runFree[E]) put(r *run[E]) {
+	clear(r.items)
+	r.items = r.items[:0]
+	f.mu.Lock()
+	f.free = append(f.free, r)
+	f.mu.Unlock()
+}
+
+// one returns a run carrying the single element v: retries, watchdog
+// re-admissions and terminal failures travel as runs of one.
+func (f *runFree[E]) one(v E) *run[E] {
+	r := f.get()
+	r.items = append(r.items, v)
+	return r
+}
+
+// runLists are the Loader's run freelists, one per hop payload type.
+type runLists struct {
+	ticks runFree[item[struct{}]]      // source and retries → read
+	raw   runFree[item[rawSample]]     // read → decode
+	dec   runFree[item[decodedSample]] // decode → augment
+	outs  runFree[outcome]             // → batch sink
+}
+
+// hop is one stage pool's wiring: the queue it consumes (and, for the head
+// stage only, the retry queue), the freelists of its input and output runs,
+// and where its results go. emit takes ownership of a non-empty output run;
+// fail receives failed members one at a time. discard, when non-nil,
+// disposes the output of an attempt the watchdog abandoned while its run
+// was held (the sample was re-admitted; this copy's pooled buffers must
+// recycle, not emit).
+type hop[In, Out any] struct {
+	in, retry <-chan *run[item[In]]
+	ins       *runFree[item[In]]
+	outs      *runFree[item[Out]]
+	emit      func(*run[item[Out]]) bool
+	fail      chan<- failure
+	onErr     func(error)
+	discard   func(Out)
+}
+
+// runPool launches the worker pool of one stage under sup. A worker takes
+// one run per channel operation, registers every member in flight with the
+// stall watchdog (admitRun), applies st to each member through
+// superviseProcess — panic recovery plus the abandonment check — and
+// collects the successes into one output run. A failed member goes to
+// h.fail alone, after h.onErr observes it (error-kind accounting). Before
+// the output run is emitted, settleRun deregisters its members and drops,
+// through h.discard, those the watchdog abandoned while this worker held
+// them. Workers exit when the epoch aborts or when done closes — done only
 // closes after every scheduled sample reached a terminal outcome, so no
-// worker can still hold an item by then and nothing is lost.
+// worker can still hold a run by then and nothing is lost.
 //
 //scipp:hotpath
-func runPool[In, Out any](sup *StageSupervisor, st Stage[In, Out], workers int,
-	in, retry <-chan item[In],
-	emit func(item[Out]) bool, fail chan<- failure,
-	abort, done <-chan struct{}, onErr func(error), discard func(Out)) {
-
+func runPool[In, Out any](sup *StageSupervisor, st Stage[In, Out], workers int, h hop[In, Out], abort, done <-chan struct{}) {
 	name := st.Name()
 	work := func() {
 		for {
-			var v item[In]
+			var in *run[item[In]]
 			select {
-			case v = <-in:
-			case v = <-retry: // nil for every stage but the head: blocks forever
+			case in = <-h.in:
+			case in = <-h.retry: // nil for every stage but the head: blocks forever
 			case <-abort:
 				return
 			case <-done:
 				return
 			}
-			out, err, ok := superviseProcess(sup, st, name, v)
-			if !ok {
-				// Abandoned attempt: a newer generation owns this seq.
-				if err == nil && discard != nil {
-					discard(out)
+			admitRun(sup, name, in)
+			out := h.outs.get()
+			for _, v := range in.items {
+				res, err, ok := superviseProcess(sup, st, name, v)
+				if !ok {
+					// Abandoned attempt: a newer generation owns this seq.
+					if err == nil && h.discard != nil {
+						h.discard(res)
+					}
+					continue
 				}
+				if err != nil {
+					h.onErr(err)
+					if !sendItem(h.fail, failure{seq: v.seq, index: v.index, attempt: v.attempt, gen: v.gen, err: err}, abort) {
+						return
+					}
+					continue
+				}
+				out.items = append(out.items, item[Out]{seq: v.seq, index: v.index, attempt: v.attempt, gen: v.gen, val: res})
+			}
+			h.ins.put(in)
+			settleRun(sup, out, h.discard)
+			if len(out.items) == 0 {
+				h.outs.put(out)
 				continue
 			}
-			if err != nil {
-				onErr(err)
-				if !sendItem(fail, failure{seq: v.seq, index: v.index, attempt: v.attempt, gen: v.gen, err: err}, abort) {
-					return
-				}
-				continue
-			}
-			if !emit(item[Out]{seq: v.seq, index: v.index, attempt: v.attempt, gen: v.gen, val: out}) {
+			if !h.emit(out) {
 				return
 			}
 		}

@@ -17,17 +17,19 @@ import (
 // stall watchdog (no deadline to judge stalls against).
 type SupervisorConfig struct {
 	// MaxRestarts is the per-stage budget of worker restarts in one epoch —
-	// a restart is a worker revived after a recovered panic, or a stalled
-	// sample abandoned and re-admitted by the watchdog. Exceeding the budget
-	// aborts the epoch with a typed error (*SupervisorError for panics,
-	// *StallError for stalls) rather than looping or hanging. <= 0 selects
-	// the default of 8.
+	// a restart is a worker revived after a recovered panic, or a wedged
+	// worker written off by the watchdog, which re-admits every sample of
+	// the run that worker held. Exceeding the budget aborts the epoch with
+	// a typed error (*SupervisorError for panics, *StallError for stalls)
+	// rather than looping or hanging. <= 0 selects the default of 8.
 	MaxRestarts int
 	// StallDeadline is the per-sample progress deadline in seconds: a
 	// sample held by one stage longer than this with no completion is
-	// flagged as stalled. 0 disables the watchdog. The deadline is judged
-	// on the loader's clock, so virtual-clock runs detect stalls in virtual
-	// time; the clock must implement trace.Alarm for the watchdog to run.
+	// flagged as stalled. A stage holds a sample from the moment one of its
+	// workers receives the sample's run until the worker emits it. 0
+	// disables the watchdog. The deadline is judged on the loader's clock,
+	// so virtual-clock runs detect stalls in virtual time; the clock must
+	// implement trace.Alarm for the watchdog to run.
 	StallDeadline float64
 	// StallRestart selects the watchdog's response to a stalled sample:
 	// true abandons the wedged attempt (its eventual output is suppressed
@@ -112,11 +114,16 @@ func (e *StallError) Error() string {
 // watchdog abandons a wedged attempt and re-admits the sample).
 type flightKey struct{ seq, gen int }
 
-// flight is one sample attempt currently inside a stage's Process call.
+// flight is one sample attempt currently held by a stage: received in a
+// run and not yet emitted downstream (or routed as a failure).
 type flight struct {
 	stage string
 	index int
 	since float64
+	// holder identifies the run that carries the attempt, and with it the
+	// one worker holding every member: a wedged worker is written off once,
+	// whatever the length of its run.
+	holder int
 }
 
 // queueProbe exposes one inter-stage queue's occupancy to the watchdog so a
@@ -154,6 +161,7 @@ type StageSupervisor struct {
 	passive bool
 
 	mu       sync.Mutex
+	holders  int // runs admitted so far; the next run's holder id
 	inflight map[flightKey]flight
 	valid    map[int]int // seq -> minimum still-valid generation
 	restarts map[string]int
@@ -212,29 +220,78 @@ func (s *StageSupervisor) Go(name string, fn func()) {
 	}()
 }
 
-// begin registers an attempt entering a stage. It reports false when the
-// attempt was already abandoned by the watchdog (a newer generation of the
-// sample is in flight), in which case the worker must drop the item without
-// processing it.
-func (s *StageSupervisor) begin(stage string, seq, index, gen int) bool {
+// admitRun registers every member of a run a stage worker just received as
+// in flight, all under one holder id and one start time: from here until
+// settleRun (or end, for a failed member) the watchdog can see and abandon
+// each of them, including the run-mates still waiting behind a member the
+// worker is wedged on. Members already abandoned by the watchdog (a newer
+// generation of the sample is in flight) are dropped from the run
+// unprocessed.
+func admitRun[T any](s *StageSupervisor, stage string, r *run[item[T]]) {
+	if s.passive {
+		return
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.holders++
+	now := s.clock.Now()
+	keep := r.items[:0]
+	for _, v := range r.items {
+		if v.gen < s.valid[v.seq] {
+			continue
+		}
+		s.inflight[flightKey{seq: v.seq, gen: v.gen}] = flight{stage: stage, index: v.index, since: now, holder: s.holders}
+		keep = append(keep, v)
+	}
+	clear(r.items[len(keep):])
+	r.items = keep
+}
+
+// live reports whether an admitted attempt is still the sample's valid
+// generation; a worker checks it before processing each member, so a
+// member the watchdog abandoned while it waited in the run is never
+// processed (and never touches the dataset, cache or injector again).
+func (s *StageSupervisor) live(seq, gen int) bool {
 	if s.passive {
 		return true
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if gen < s.valid[seq] {
-		return false
-	}
-	s.inflight[flightKey{seq: seq, gen: gen}] = flight{stage: stage, index: index, since: s.clock.Now()}
-	return true
+	return gen >= s.valid[seq]
 }
 
-// end deregisters an attempt leaving a stage and reports whether its result
-// may be emitted: false means the watchdog abandoned the attempt while it
-// ran, so the worker must discard the output (recycling pooled buffers)
-// instead of sending it downstream. Once end returns true the attempt can
-// no longer be abandoned — it is out of the inflight table — so exactly one
-// generation of each sample ever emits.
+// settleRun deregisters every member of an output run about to be emitted
+// and removes the members the watchdog abandoned while the worker held
+// them, handing each one's output to discard (when non-nil) so its pooled
+// buffers recycle. Once a member survives settleRun it can no longer be
+// abandoned — it is out of the inflight table — so exactly one generation
+// of each sample ever emits.
+func settleRun[T any](s *StageSupervisor, r *run[item[T]], discard func(T)) {
+	if s.passive {
+		return
+	}
+	s.mu.Lock()
+	k := 0
+	for i, v := range r.items {
+		delete(s.inflight, flightKey{seq: v.seq, gen: v.gen})
+		if v.gen >= s.valid[v.seq] {
+			r.items[k], r.items[i] = r.items[i], r.items[k]
+			k++
+		}
+	}
+	s.mu.Unlock()
+	if discard != nil {
+		for _, v := range r.items[k:] {
+			discard(v.val)
+		}
+	}
+	clear(r.items[k:])
+	r.items = r.items[:k]
+}
+
+// end deregisters a failed attempt leaving a stage and reports whether its
+// error may be routed: false means the watchdog abandoned the attempt while
+// it ran, and a newer generation owns the sample.
 func (s *StageSupervisor) end(seq, gen int) bool {
 	if s.passive {
 		return true
@@ -292,9 +349,14 @@ type stalledFlight struct {
 	age float64
 }
 
-// scan flags every attempt in flight past the deadline, abandons and
-// re-admits it while restart budget lasts, and aborts the epoch otherwise.
-// It returns false once the epoch is over (fatal raised or abort observed).
+// scan flags every attempt in flight past the deadline. A stalled run is
+// one wedged worker holding all of its members, so the unit of response is
+// the holder: while restart budget lasts, each stalled holder consumes one
+// restart of its stage, one replacement worker is started, and every one
+// of its members is abandoned and re-admitted as a run of one at a fresh
+// generation. Over budget, or without StallRestart, the epoch aborts with a
+// *StallError naming the holder's lowest-seq member. It returns false once
+// the epoch is over (fatal raised or abort observed).
 func (s *StageSupervisor) scan(abort <-chan struct{}) bool {
 	now := s.clock.Now()
 	var stalled []stalledFlight
@@ -307,34 +369,48 @@ func (s *StageSupervisor) scan(abort <-chan struct{}) bool {
 		stalled = append(stalled, stalledFlight{key: k, fl: f, age: now - f.since})
 	}
 	// Deterministic handling order: map iteration must not decide which
-	// stall breaks the budget.
+	// stall breaks the budget. Holders go in order of their lowest stalled
+	// seq, each holder's members contiguous and in seq order.
 	sort.Slice(stalled, func(i, j int) bool { return stalled[i].key.seq < stalled[j].key.seq })
-	for _, sf := range stalled {
-		if !s.cfg.StallRestart || s.restarts[sf.fl.stage] >= s.cfg.maxRestarts() {
-			fatal = &StallError{Stage: sf.fl.stage, Index: sf.fl.index, Seconds: sf.age}
+	if len(stalled) > 1 {
+		rank := make(map[int]int, len(stalled))
+		for i, sf := range stalled {
+			if _, ok := rank[sf.fl.holder]; !ok {
+				rank[sf.fl.holder] = i
+			}
+		}
+		sort.SliceStable(stalled, func(i, j int) bool { return rank[stalled[i].fl.holder] < rank[stalled[j].fl.holder] })
+	}
+	abandoned := 0 // stalled[:abandoned] are the members of abandoned holders
+	for abandoned < len(stalled) {
+		first := stalled[abandoned].fl
+		if !s.cfg.StallRestart || s.restarts[first.stage] >= s.cfg.maxRestarts() {
+			fatal = &StallError{Stage: first.stage, Index: first.index, Seconds: stalled[abandoned].age}
 			break
 		}
-		s.restarts[sf.fl.stage]++
-		s.valid[sf.key.seq] = sf.key.gen + 1
+		s.restarts[first.stage]++
+		for ; abandoned < len(stalled) && stalled[abandoned].fl.holder == first.holder; abandoned++ {
+			sf := stalled[abandoned]
+			s.valid[sf.key.seq] = sf.key.gen + 1
+		}
 	}
 	s.mu.Unlock()
 
 	if len(stalled) > 0 {
 		s.snapshotQueues()
 	}
-	for _, sf := range stalled {
-		if fatal != nil && sf.fl.stage == fatal.Stage && sf.fl.index == fatal.Index {
-			break // this and later stalls were not abandoned
-		}
-		s.onStall()
-		// Restart the stage: the wedged worker is written off, so a fresh
-		// one takes its slot — otherwise a stage whose whole pool stalled
-		// could never consume its re-admitted samples.
-		s.mu.Lock()
-		body := s.workers[sf.fl.stage]
-		s.mu.Unlock()
-		if body != nil {
-			s.Go(sf.fl.stage, body)
+	for i, sf := range stalled[:abandoned] {
+		if i == 0 || stalled[i-1].fl.holder != sf.fl.holder {
+			s.onStall()
+			// Restart the stage: the wedged worker is written off, so a
+			// fresh one takes its slot — otherwise a stage whose whole pool
+			// stalled could never consume its re-admitted samples.
+			s.mu.Lock()
+			body := s.workers[sf.fl.stage]
+			s.mu.Unlock()
+			if body != nil {
+				s.Go(sf.fl.stage, body)
+			}
 		}
 		if !s.readmit(sf.key.seq, sf.fl.index, 0, sf.key.gen+1) {
 			return false // epoch aborted while re-admitting
@@ -355,7 +431,9 @@ func (s *StageSupervisor) scan(abort <-chan struct{}) bool {
 // snapshotQueues records every registered queue's occupancy and the inflight
 // population into obs gauges (pipeline.stall.queue.<name> and
 // pipeline.stall.inflight), so a stall report carries the DAG's congestion
-// state at detection time.
+// state at detection time. Queues that carry runs (read, retry, decode,
+// augment, completion) report runs, not samples; fail carries single
+// failures, and inflight counts samples.
 func (s *StageSupervisor) snapshotQueues() {
 	if s.reg == nil {
 		return
@@ -370,13 +448,14 @@ func (s *StageSupervisor) snapshotQueues() {
 	s.reg.Gauge("pipeline.stall.inflight").Set(float64(inflight))
 }
 
-// superviseProcess runs one stage attempt under the supervisor: inflight
-// registration around the Process call, panic recovery inside it. ok
-// reports whether the attempt is still valid — false means it was abandoned
-// (before or during processing) and the caller must discard out without
-// emitting or routing err.
+// superviseProcess runs one admitted stage attempt under the supervisor:
+// the abandonment check before the Process call, panic recovery inside it,
+// and deregistration of a failed attempt after it (a success stays in
+// flight until its run is settled). ok reports whether the attempt is still
+// valid — false means it was abandoned (before or during processing) and
+// the caller must discard out without emitting or routing err.
 func superviseProcess[In, Out any](sup *StageSupervisor, st Stage[In, Out], name string, v item[In]) (out Out, err error, ok bool) {
-	if !sup.begin(name, v.seq, v.index, v.gen) {
+	if !sup.live(v.seq, v.gen) {
 		return out, nil, false
 	}
 	func() {
@@ -387,6 +466,8 @@ func superviseProcess[In, Out any](sup *StageSupervisor, st Stage[In, Out], name
 		}()
 		out, err = st.Process(v.index, v.val)
 	}()
-	ok = sup.end(v.seq, v.gen)
-	return out, err, ok
+	if err != nil {
+		return out, err, sup.end(v.seq, v.gen)
+	}
+	return out, nil, true
 }

@@ -294,43 +294,81 @@ func TestSupervisorGoRecoversMachineryPanic(t *testing.T) {
 }
 
 func TestSupervisorAbandonSuppressesStaleAttempt(t *testing.T) {
-	// A begin for a generation older than the valid floor must refuse the
-	// attempt; an end after abandonment must refuse the emit. The deadline
-	// arms the flight bookkeeping — without a watchdog the supervisor runs
-	// passive and nothing can ever be abandoned.
+	// Admission must drop a member whose generation is below the valid
+	// floor; settling must refuse the emit of a member abandoned while its
+	// run was held, discarding its output, and end must refuse to route a
+	// failure of an abandoned attempt. The deadline arms the flight
+	// bookkeeping — without a watchdog the supervisor runs passive and
+	// nothing can ever be abandoned.
 	sup := newSupervisor(SupervisorConfig{StallDeadline: 10}, &trace.VirtualClock{}, nil)
-	if !sup.begin("read", 7, 3, 0) {
+	var free runFree[item[int]]
+	var discarded []int
+	discard := func(v int) { discarded = append(discarded, v) }
+
+	r := free.one(item[int]{seq: 7, index: 3, val: 70})
+	r.items = append(r.items, item[int]{seq: 8, index: 4, val: 80})
+	admitRun(sup, "read", r)
+	if len(r.items) != 2 || !sup.live(7, 0) {
 		t.Fatal("fresh attempt refused")
 	}
 	sup.mu.Lock()
-	sup.valid[7] = 1 // watchdog abandoned gen 0 while it ran
+	sup.valid[7] = 1 // watchdog abandoned gen 0 while the run was held
 	sup.mu.Unlock()
-	if sup.end(7, 0) {
-		t.Fatal("abandoned attempt allowed to emit")
+	if sup.live(7, 0) {
+		t.Fatal("abandoned attempt still live")
 	}
-	if sup.begin("read", 7, 3, 0) {
+	settleRun(sup, r, discard)
+	if len(r.items) != 1 || r.items[0].seq != 8 || !equalInts(discarded, []int{70}) {
+		t.Fatalf("abandoned attempt allowed to emit: run %v, discarded %v", r.items, discarded)
+	}
+	free.put(r)
+
+	r = free.one(item[int]{seq: 7, index: 3, val: 70})
+	admitRun(sup, "read", r)
+	if len(r.items) != 0 {
 		t.Fatal("stale generation allowed to start")
 	}
-	if !sup.begin("read", 7, 3, 1) {
+	r.items = append(r.items, item[int]{seq: 7, index: 3, gen: 1, val: 71})
+	admitRun(sup, "read", r)
+	if len(r.items) != 1 {
 		t.Fatal("successor generation refused")
 	}
-	if !sup.end(7, 1) {
+	settleRun(sup, r, discard)
+	if len(r.items) != 1 || len(discarded) != 1 {
 		t.Fatal("successor generation refused to emit")
+	}
+	free.put(r)
+
+	r = free.one(item[int]{seq: 9, index: 5})
+	admitRun(sup, "read", r)
+	sup.mu.Lock()
+	sup.valid[9] = 1
+	sup.mu.Unlock()
+	if sup.end(9, 0) {
+		t.Fatal("abandoned attempt allowed to route its failure")
+	}
+	if len(sup.inflight) != 0 {
+		t.Fatalf("%d flights left registered", len(sup.inflight))
 	}
 }
 
 func TestSupervisorPassiveSkipsFlightTracking(t *testing.T) {
-	// No stall deadline means no watchdog, so begin/end must admit every
-	// attempt without paying for the flight table on the hot path.
+	// No stall deadline means no watchdog, so admission, the live check,
+	// settling and end must pass every attempt without paying for the
+	// flight table on the hot path.
 	sup := newSupervisor(SupervisorConfig{}, &trace.VirtualClock{}, nil)
 	if !sup.passive {
 		t.Fatal("zero-deadline supervisor not passive")
 	}
-	if !sup.begin("read", 7, 3, 0) {
-		t.Fatal("passive begin refused an attempt")
+	var free runFree[item[int]]
+	r := free.one(item[int]{seq: 7, index: 3})
+	admitRun(sup, "read", r)
+	if len(r.items) != 1 || !sup.live(7, 0) {
+		t.Fatal("passive admission refused an attempt")
 	}
-	if !sup.end(7, 0) {
-		t.Fatal("passive end refused an emit")
+	settleRun(sup, r, nil)
+	if len(r.items) != 1 || !sup.end(7, 0) {
+		t.Fatal("passive settle refused an emit")
 	}
 	if len(sup.inflight) != 0 {
 		t.Fatalf("passive supervisor tracked %d flights", len(sup.inflight))
