@@ -53,23 +53,25 @@ vet:
 cover:
 	./scripts/coverage.sh
 
-# Short fuzz smoke over every codec fuzz target: seeds plus a few seconds
-# of exploration each. `go test -fuzz` takes one target at a time, so loop.
-# The pipeline's cache fuzzers (integrity, and the reference-model
+# Fuzz pass over every codec fuzz target: seeds plus FUZZTIME of
+# exploration each (10s by default, a smoke; the nightly CI lane runs
+# `make fuzz FUZZTIME=5m`). `go test -fuzz` takes one target at a time, so
+# loop. The pipeline's cache fuzzers (integrity, and the reference-model
 # differential) live in their own package, so they get their own
 # invocations after the codec loop.
+FUZZTIME ?= 10s
 FUZZ_TARGETS = FuzzFormatsOpenDecode FuzzDeltaFPRoundTrip FuzzLUTRoundTrip \
 	FuzzRawCosmoRoundTrip FuzzRawDeepCAMRoundTrip FuzzZfpcRoundTrip \
 	FuzzSeriesRoundTrip
 fuzz:
 	@for t in $(FUZZ_TARGETS); do \
-		$(GO) test -run=NONE -fuzz="^$$t$$" -fuzztime=10s ./internal/codec/ || exit 1; \
+		$(GO) test -run=NONE -fuzz="^$$t$$" -fuzztime=$(FUZZTIME) ./internal/codec/ || exit 1; \
 	done
-	$(GO) test -run=NONE -fuzz='^FuzzDeltaKernel$$' -fuzztime=10s ./internal/codec/deltafp/
-	$(GO) test -run=NONE -fuzz='^FuzzFromFloat32$$' -fuzztime=10s ./internal/fp16/
-	$(GO) test -run=NONE -fuzz='^FuzzCacheIntegrity$$' -fuzztime=10s ./internal/pipeline/
-	$(GO) test -run=NONE -fuzz='^FuzzSampleCacheModel$$' -fuzztime=10s ./internal/pipeline/
-	$(GO) test -run=NONE -fuzz='^FuzzTenantCache$$' -fuzztime=10s ./internal/dataserve/
-	$(GO) test -run=NONE -fuzz='^FuzzBreakerState$$' -fuzztime=10s ./internal/dataserve/
+	$(GO) test -run=NONE -fuzz='^FuzzDeltaKernel$$' -fuzztime=$(FUZZTIME) ./internal/codec/deltafp/
+	$(GO) test -run=NONE -fuzz='^FuzzFromFloat32$$' -fuzztime=$(FUZZTIME) ./internal/fp16/
+	$(GO) test -run=NONE -fuzz='^FuzzCacheIntegrity$$' -fuzztime=$(FUZZTIME) ./internal/pipeline/
+	$(GO) test -run=NONE -fuzz='^FuzzSampleCacheModel$$' -fuzztime=$(FUZZTIME) ./internal/pipeline/
+	$(GO) test -run=NONE -fuzz='^FuzzTenantCache$$' -fuzztime=$(FUZZTIME) ./internal/dataserve/
+	$(GO) test -run=NONE -fuzz='^FuzzBreakerState$$' -fuzztime=$(FUZZTIME) ./internal/dataserve/
 
 verify: build vet lint test race cover

@@ -410,6 +410,7 @@ func (format) Open(blob []byte) (codec.ChunkDecoder, error) {
 	d.c, d.h, d.w = c, h, w
 	d.shape = [3]int{c, h, w}
 	d.mantBits = 7 - expBits
+	d.unit = unitDelta[d.mantBits][:]
 	d.payload = payload
 	d.blobLen = len(blob)
 	if err := d.profile(); err != nil {
@@ -453,6 +454,7 @@ type Decoder struct {
 	c, h, w  int
 	shape    [3]int // [C, H, W], backing OutputShape
 	mantBits int
+	unit     []float32 // unitDelta[mantBits], 256 entries
 	offsets  []uint32
 	payload  []byte
 	blobLen  int
@@ -586,22 +588,27 @@ func (d *Decoder) deltaSegments(line []byte, out []fp16.Bits, exact bool) (over 
 	// the FP32 mantissa land the offset in the exponent field: the delta's
 	// magnitude bits are the segment's base exponent plus that.
 	shift := uint(23 - d.mantBits)
+	maxOff := uint32(1)<<(7-d.mantBits) - 1
 	for s := 0; s < nsegs; s++ {
 		if pos+7 > len(line) {
 			return 0, errors.New("deltafp: truncated segment header")
 		}
 		pivot := math.Float32frombits(binary.LittleEndian.Uint32(line[pos:]))
-		expBase := uint32(line[pos+4]) << 23
+		e := uint32(line[pos+4])
 		count := int(binary.LittleEndian.Uint16(line[pos+5:]))
 		pos += 7
 		if count < 1 || emitted+count > len(out) || pos+count-1 > len(line) {
 			return 0, errors.New("deltafp: segment overruns line")
 		}
 		codes := line[pos : pos+count-1]
-		if exact {
-			deltaSegmentExact(pivot, expBase, shift, codes, out[emitted:emitted+count])
-		} else {
-			over |= deltaSegment(pivot, expBase, shift, codes, out[emitted:emitted+count])
+		seg := out[emitted : emitted+count]
+		switch {
+		case exact:
+			deltaSegmentExact(pivot, e<<23, shift, codes, seg)
+		case scaledBase(e, maxOff):
+			over |= deltaSegmentScaled(pivot, math.Float32frombits(e<<23), d.unit, codes, seg)
+		default:
+			over |= deltaSegment(pivot, e<<23, shift, codes, seg)
 		}
 		pos += count - 1
 		emitted += count
@@ -631,8 +638,55 @@ func deltaSegmentExact(v float32, expBase uint32, shift uint, codes []byte, out 
 	}
 }
 
-// deltaSegment is the branch-free kernel: it returns the ORed fp16.Narrow
-// flags, and out is valid only if their sign bit is clear.
+// unitDelta[mantBits][b] is the delta code b denotes at exponent base 127,
+// built with deltaSegment's bit formula: ±(1 + m/2^mantBits)·2^off for
+// offset off and mantissa m, and -0 for code 0. Scaling an entry by 2^(e-127)
+// gives the delta at base e. Both factors are normal floats, so while the
+// product's exponent e + off stays in [1, 254] the multiplication only adds
+// exponents and is exact: it yields the very float32 the bit formula builds
+// at base e (and -0 stays -0).
+var unitDelta = func() (t [7][256]float32) {
+	for mantBits := 1; mantBits <= 6; mantBits++ {
+		shift := uint(23 - mantBits)
+		for b := range t[mantBits] {
+			bits := uint32(b&0x80)<<24 | (127<<23 + uint32(b&0x7F)<<shift)
+			if b == 0 {
+				bits = 0x80000000
+			}
+			t[mantBits][b] = math.Float32frombits(bits)
+		}
+	}
+	return t
+}()
+
+// scaledBase reports whether a segment with exponent base e, whose codes
+// have offsets up to maxOff, decodes through deltaSegmentScaled: when every
+// e + offset lies in [1, 254], each delta is a unitDelta entry times the
+// normal power of two 2^(e-127), exactly.
+func scaledBase(e, maxOff uint32) bool { return e >= 1 && e+maxOff <= 254 }
+
+// deltaSegmentScaled is deltaSegment for a segment whose deltas are all
+// normal: one table load and one multiply by scale = 2^(e-127) per delta.
+// The conversion to float32 keeps the product from fusing into the add, and
+// reslicing unit to 256 entries spares the byte-indexed load its bounds
+// check.
+func deltaSegmentScaled(v, scale float32, unit []float32, codes []byte, out []fp16.Bits) uint32 {
+	unit = unit[:256]
+	h, over := fp16.Narrow(v)
+	out[0] = h
+	out = out[1:][:len(codes)]
+	for k, b := range codes {
+		v += float32(unit[b] * scale)
+		h, o := fp16.Narrow(v)
+		out[k] = h
+		over |= o
+	}
+	return over
+}
+
+// deltaSegment is the branch-free kernel for any exponent base: it returns
+// the ORed fp16.Narrow flags, and out is valid only if their sign bit is
+// clear.
 func deltaSegment(v float32, expBase uint32, shift uint, codes []byte, out []fp16.Bits) uint32 {
 	h, over := fp16.Narrow(v)
 	out[0] = h
@@ -672,11 +726,13 @@ func BlobStats(blob []byte) (Stats, error) {
 	}
 	d := cd.(*Decoder)
 	src := d.c * d.h * d.w * 4
-	return Stats{
+	st := Stats{
 		C: d.c, H: d.h, W: d.w,
 		RawLines: d.nRaw, ConstLines: d.nConst, DeltaLines: d.nDelta,
 		EncodedBytes: d.blobLen,
 		SourceBytes:  src,
 		Ratio:        float64(src) / float64(d.blobLen),
-	}, nil
+	}
+	d.Recycle()
+	return st, nil
 }

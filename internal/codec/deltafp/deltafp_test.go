@@ -204,6 +204,33 @@ func TestCompressesClimateData(t *testing.T) {
 	t.Logf("ratio %.2fx raw=%d const=%d delta=%d", st.Ratio, st.RawLines, st.ConstLines, st.DeltaLines)
 }
 
+// TestBlobStatsRecycles: BlobStats hands its decoder back to the pool, so
+// a steady loop of calls allocates well under what an unrecycled Open does.
+// The race detector drops a share of pool Puts at random, so the bound is
+// half of Open's count rather than zero.
+func TestBlobStatsRecycles(t *testing.T) {
+	cfg := synthetic.DefaultClimateConfig()
+	cfg.Channels, cfg.Height, cfg.Width = 2, 8, 64
+	s, err := synthetic.GenerateClimate(cfg, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	blob := mustEncode(t, s.Data, Options{})
+	open := testing.AllocsPerRun(100, func() {
+		if _, err := Format().Open(blob); err != nil {
+			t.Fatal(err)
+		}
+	})
+	stats := testing.AllocsPerRun(100, func() {
+		if _, err := BlobStats(blob); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if stats >= open/2 {
+		t.Errorf("BlobStats allocates %.2f objects per call, an unrecycled Open %.2f", stats, open)
+	}
+}
+
 func TestChunkedMatchesSerial(t *testing.T) {
 	cfg := synthetic.DefaultClimateConfig()
 	cfg.Channels = 2

@@ -2,6 +2,7 @@ package deltafp
 
 import (
 	"encoding/binary"
+	"fmt"
 	"math"
 	"testing"
 
@@ -69,7 +70,7 @@ type kernelCase struct {
 var pinnedCases = func() []kernelCase {
 	negZero := uint32(0x80000000)
 	f := math.Float32bits
-	return []kernelCase{
+	return append([]kernelCase{
 		{
 			// Zero codes must leave the pivot alone: -0 + +0 would be +0.
 			name: "-0.0 pivot then zero codes", expBits: 3,
@@ -132,8 +133,39 @@ var pinnedCases = func() []kernelCase {
 			},
 			redo: true,
 		},
-	}
+	}, guardCases()...)
 }()
+
+// guardCases pin both sides of the scaled kernel's guard (scaledBase):
+// exponent bases 0, 1, 254-maxOffset, 255-maxOffset and 255 at three field
+// widths, maxOffset = 2^expBits - 1. From a +0 pivot each segment takes a
+// zero code, the smallest codes of both signs (cancelling to +0), the
+// largest offset of both signs, and last a negative delta: at the low bases
+// every value underflows FP16, but the last one's sign still shows, as -0.
+// From base 254-maxOffset up some delta reaches 2^127 or spills past the
+// exponent field, so those lines redo.
+func guardCases() []kernelCase {
+	var cases []kernelCase
+	for _, expBits := range []int{1, 3, 6} {
+		mantBits := 7 - expBits
+		maxOff := 1<<expBits - 1
+		top := byte(maxOff<<mantBits | 1) // largest offset, mantissa 1
+		codes := []byte{0, 0x01, 0x81, top, top | 0x80, 0x81}
+		for _, e := range []int{0, 1, 254 - maxOff, 255 - maxOff, 255} {
+			tc := kernelCase{
+				name:    fmt.Sprintf("exponent base %d, %d-bit offsets", e, expBits),
+				expBits: expBits,
+				segs:    []rawSeg{{0, uint8(e), codes}},
+				redo:    e > 1,
+			}
+			if e <= 1 {
+				tc.want = []fp16.Bits{0, 0, 0, 0, 0, 0, 0x8000}
+			}
+			cases = append(cases, tc)
+		}
+	}
+	return cases
+}
 
 // decodeBoth decodes blob with Format() and FormatHWC() and compares every
 // value with ref. On a [1,1,W] blob the two layouts coincide.
@@ -179,14 +211,49 @@ func TestDeltaKernelPinnedCases(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
-		over, err := cd.(*Decoder).deltaSegments(cd.(*Decoder).payload, make([]fp16.Bits, w), false)
+		fast := make([]fp16.Bits, w)
+		over, err := cd.(*Decoder).deltaSegments(cd.(*Decoder).payload, fast, false)
 		if err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
 		if redo := int32(over) < 0; redo != tc.redo {
 			t.Errorf("%s: branch-free pass flags a redo: %v, want %v", tc.name, redo, tc.redo)
 		}
+		// Even on a flagged line, every value the reference keeps finite
+		// is one the branch-free pass converted, and must match.
+		for i, h := range ref {
+			if h&0x7C00 != 0x7C00 && fast[i] != h {
+				t.Errorf("%s: branch-free pass gives %#04x at %d, reference %#04x", tc.name, fast[i], i, h)
+			}
+		}
 		decodeBoth(t, tc.name, blob, ref)
+	}
+}
+
+// TestUnitDeltaExact checks the scaled kernel's premise exhaustively and
+// its guard for tightness: for every field width and exponent base,
+// scaledBase admits the base iff unitDelta[mantBits][b] * 2^(e-127) is, for
+// every code b, bit for bit the delta deltaSegment's shift-and-or formula
+// builds at base e (-0 for code 0).
+func TestUnitDeltaExact(t *testing.T) {
+	for expBits := 1; expBits <= 6; expBits++ {
+		mantBits := 7 - expBits
+		shift := uint(23 - mantBits)
+		maxOff := uint32(1)<<expBits - 1
+		for e := uint32(0); e < 256; e++ {
+			scale := math.Float32frombits(e << 23)
+			exact := true
+			for b := 0; b < 256; b++ {
+				want := uint32(b&0x80)<<24 | (e<<23 + uint32(b&0x7F)<<shift)
+				if b == 0 {
+					want = 0x80000000
+				}
+				exact = exact && math.Float32bits(float32(unitDelta[mantBits][b]*scale)) == want
+			}
+			if exact != scaledBase(e, maxOff) {
+				t.Errorf("expBits %d, base %d: every scaled delta exact: %v, scaledBase: %v", expBits, e, exact, !exact)
+			}
+		}
 	}
 }
 

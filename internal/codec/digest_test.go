@@ -15,9 +15,10 @@ import (
 // TestDecodedDigests pins the decoded bits of seeded samples to digests
 // captured at commit 2c08fee, before the decode kernels were rewritten
 // (value-table fusion, FP16 fast path, width-specialised lookup,
-// segment-wise deltafp). The repo benchmark verifies samples against a
-// reference decoded by the same code, so it cannot see a kernel that
-// changed its answers; these constants can.
+// segment-wise deltafp); the two odd-dim cosmo-lut rows were captured at
+// 8379a6f, before the four-voxel LUT loop. The repo benchmark verifies
+// samples against a reference decoded by the same code, so it cannot see a
+// kernel that changed its answers; these constants can.
 func TestDecodedDigests(t *testing.T) {
 	climCfg := synthetic.DefaultClimateConfig()
 	climCfg.Channels, climCfg.Height, climCfg.Width = 16, 32, 48
@@ -51,9 +52,9 @@ func TestDecodedDigests(t *testing.T) {
 		t.Fatal(err)
 	}
 	checkKernelCoverage(t, richBlob)
-	cosmoBlob := func(maxCount int) []byte {
+	cosmoBlob := func(dim, maxCount int) []byte {
 		cfg := synthetic.DefaultCosmoConfig()
-		cfg.Dim, cfg.MaxCount = 16, maxCount
+		cfg.Dim, cfg.MaxCount = dim, maxCount
 		s, err := synthetic.GenerateCosmo(cfg, 3)
 		if err != nil {
 			t.Fatal(err)
@@ -64,11 +65,14 @@ func TestDecodedDigests(t *testing.T) {
 		}
 		return blob
 	}
-	wide, narrow := cosmoBlob(600), cosmoBlob(5) // 2-byte and 1-byte keys
+	wide, narrow := cosmoBlob(16, 600), cosmoBlob(16, 5) // 2-byte and 1-byte keys
+	// Planes of 17^2 and 33^2 voxels are not a multiple of four, so the
+	// kernel's four-voxel loop leaves a tail on every z-slice.
+	oddNarrow, oddWide := cosmoBlob(17, 5), cosmoBlob(33, 600)
 	for _, w := range []struct {
 		blob []byte
 		kw   int
-	}{{wide, 2}, {narrow, 1}} {
+	}{{wide, 2}, {narrow, 1}, {oddNarrow, 1}, {oddWide, 2}} {
 		st, err := lut.Format().Open(w.blob)
 		if err != nil {
 			t.Fatal(err)
@@ -92,6 +96,8 @@ func TestDecodedDigests(t *testing.T) {
 		{"cosmo-lut/1-byte", lut.Format(), narrow, 0x93a50f4180455caf},
 		{"cosmo-lut-unfused/2-byte", lut.FormatWithOp(lut.OpLog1p, false), wide, 0xccc1604d17161a91},
 		{"cosmo-lut/identity", lut.FormatWithOp(lut.OpIdentity, true), wide, 0x090366be77e27f98},
+		{"cosmo-lut/1-byte/17^3", lut.Format(), oddNarrow, 0xc413f10e7467979c},
+		{"cosmo-lut/2-byte/33^3", lut.Format(), oddWide, 0xeaade6c7d1a74bfc},
 	}
 	for _, tc := range cases {
 		cd, err := tc.format.Open(tc.blob)

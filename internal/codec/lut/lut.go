@@ -217,9 +217,10 @@ type sub struct {
 	ngroups  int
 	rawTable []byte // ngroups * 8 bytes of int16 groups
 	keys     []byte // (z1-z0)*dim^2 * keyWidth bytes
-	// decoded is the fused table: 4 FP16 outputs per group (8 bytes — the
-	// paper's lookup-value width), built once at Open.
-	decoded [][4]fp16.Bits
+	// decoded is the fused table: one 8-byte word per group (the paper's
+	// lookup-value width) packing the group's four FP16 outputs, channel c
+	// in bits 16c..16c+15, built once at Open.
+	decoded []uint64
 }
 
 // Decoder decodes a LUT blob. Chunks are z-slices; DecodeChunk may be called
@@ -236,7 +237,7 @@ type Decoder struct {
 	// tables is the decoder's freelist of fused-table backing slices,
 	// scavenged from recycled sub-volumes so a reused Decoder re-fuses its
 	// groups into existing memory.
-	tables [][][4]fp16.Bits
+	tables [][]uint64
 }
 
 // decoderPool recycles Decoder structs — with their z-maps, sub-volume
@@ -259,7 +260,7 @@ func getDecoder(dim int) *Decoder {
 }
 
 // getTable returns an n-group fused-table slice, preferring the freelist.
-func (d *Decoder) getTable(n int) [][4]fp16.Bits {
+func (d *Decoder) getTable(n int) []uint64 {
 	for i, t := range d.tables {
 		if cap(t) >= n {
 			last := len(d.tables) - 1
@@ -269,7 +270,7 @@ func (d *Decoder) getTable(n int) [][4]fp16.Bits {
 		}
 	}
 	//lint:ignore hotalloc freelist miss: Recycle keeps the table for the next sample
-	return make([][4]fp16.Bits, n)
+	return make([]uint64, n)
 }
 
 // Recycle implements codec.Recycler: it drops every blob reference, keeps
@@ -355,13 +356,9 @@ func (f format) Open(blob []byte) (codec.ChunkDecoder, error) {
 			vals := f.op.values()
 			s.decoded = d.getTable(ng)
 			for g := range s.decoded {
-				raw := s.rawTable[g*8 : g*8+8]
-				s.decoded[g] = [4]fp16.Bits{
-					vals[binary.LittleEndian.Uint16(raw[0:])],
-					vals[binary.LittleEndian.Uint16(raw[2:])],
-					vals[binary.LittleEndian.Uint16(raw[4:])],
-					vals[binary.LittleEndian.Uint16(raw[6:])],
-				}
+				r := binary.LittleEndian.Uint64(s.rawTable[g*8:])
+				s.decoded[g] = uint64(vals[uint16(r)]) | uint64(vals[uint16(r>>16)])<<16 |
+					uint64(vals[uint16(r>>32)])<<32 | uint64(vals[uint16(r>>48)])<<48
 			}
 		}
 		for z := z0; z < z1; z++ {
@@ -447,12 +444,13 @@ func (d *Decoder) DecodeChunk(chunk int, dst *tensor.Tensor) error {
 	local := (chunk - s.z0) * plane
 	base := chunk * plane
 	// The z-slice's four channel planes and its keys, resliced to lengths
-	// the compiler can relate so the loops below carry no bounds checks.
+	// (and plane capacities) the compiler can relate, so the loops below
+	// carry few bounds checks.
 	f := dst.F16s
-	c0 := f[base : base+plane]
-	c1 := f[vol+base:][:len(c0)]
-	c2 := f[2*vol+base:][:len(c0)]
-	c3 := f[3*vol+base:][:len(c0)]
+	c0 := f[base : base+plane : base+plane]
+	c1 := f[vol+base:][:len(c0):len(c0)]
+	c2 := f[2*vol+base:][:len(c0):len(c0)]
+	c3 := f[3*vol+base:][:len(c0):len(c0)]
 	keys := s.keys[local*s.keyWidth:][:len(c0)*s.keyWidth]
 	if !d.fused {
 		// Ablation path: evaluate the op per voxel, as the baseline
@@ -475,30 +473,71 @@ func (d *Decoder) DecodeChunk(chunk int, dst *tensor.Tensor) error {
 		}
 		return nil
 	}
-	// One loop per key width. len(table) == ngroups, so the per-voxel key
-	// range check is also the table's bounds check.
+	// Four voxels per step: one key load, the range check on all four keys
+	// (len(table) == ngroups, so it is also the table's bounds check) before
+	// any store, then the four packed table words transposed into one word
+	// of four consecutive voxels per channel plane.
 	table := s.decoded
-	if s.keyWidth == 1 {
-		keys = keys[:len(c0)]
-		for p := range c0 {
-			k := int(keys[p])
-			if k >= len(table) {
-				return keyError(k, len(table))
-			}
-			t := &table[k]
-			c0[p], c1[p], c2[p], c3[p] = t[0], t[1], t[2], t[3]
+	n := uint(len(table))
+	wide := s.keyWidth == 2
+	p := 0
+	for ; p+4 <= len(c0); p += 4 {
+		var k0, k1, k2, k3 uint
+		if wide {
+			w := binary.LittleEndian.Uint64(keys[2*p:])
+			k0, k1, k2, k3 = uint(w&0xFFFF), uint(w>>16&0xFFFF), uint(w>>32&0xFFFF), uint(w>>48)
+		} else {
+			w := binary.LittleEndian.Uint32(keys[p:])
+			k0, k1, k2, k3 = uint(w&0xFF), uint(w>>8&0xFF), uint(w>>16&0xFF), uint(w>>24)
 		}
-		return nil
+		if k0 >= n {
+			return keyError(int(k0), len(table))
+		}
+		if k1 >= n {
+			return keyError(int(k1), len(table))
+		}
+		if k2 >= n {
+			return keyError(int(k2), len(table))
+		}
+		if k3 >= n {
+			return keyError(int(k3), len(table))
+		}
+		// A 4x4 transpose of 16-bit lanes: t_v holds voxel v's channels
+		// 0..3, and channel c's word must hold voxels 0..3. First swap
+		// lanes between voxel pairs within 32-bit halves, then swap halves.
+		t0, t1, t2, t3 := table[k0], table[k1], table[k2], table[k3]
+		const lo16, lo32 = 0x0000FFFF0000FFFF, 0x00000000FFFFFFFF
+		u0 := t0&lo16 | t1&lo16<<16  // t0.0 t1.0 t0.2 t1.2
+		u1 := t0>>16&lo16 | t1&^lo16 // t0.1 t1.1 t0.3 t1.3
+		u2 := t2&lo16 | t3&lo16<<16
+		u3 := t2>>16&lo16 | t3&^lo16
+		put4(c0[p:p+4:p+4], u0&lo32|u2<<32)
+		put4(c1[p:p+4:p+4], u1&lo32|u3<<32)
+		put4(c2[p:p+4:p+4], u0>>32|u2&^lo32)
+		put4(c3[p:p+4:p+4], u1>>32|u3&^lo32)
 	}
-	for p := range c0 {
-		k := int(binary.LittleEndian.Uint16(keys[2*p:]))
-		if k >= len(table) {
-			return keyError(k, len(table))
+	// Planes whose size is not a multiple of four end in a per-voxel tail.
+	for ; p < len(c0); p++ {
+		var k uint
+		if wide {
+			k = uint(binary.LittleEndian.Uint16(keys[2*p:]))
+		} else {
+			k = uint(keys[p])
 		}
-		t := &table[k]
-		c0[p], c1[p], c2[p], c3[p] = t[0], t[1], t[2], t[3]
+		if k >= n {
+			return keyError(int(k), len(table))
+		}
+		t := table[k]
+		c0[p], c1[p], c2[p], c3[p] = fp16.Bits(t), fp16.Bits(t>>16), fp16.Bits(t>>32), fp16.Bits(t>>48)
 	}
 	return nil
+}
+
+// put4 stores w's four 16-bit lanes, lane 0 first, into dst. The compiler
+// combines the four element stores into one 64-bit store.
+func put4(dst []fp16.Bits, w uint64) {
+	dst = dst[:4]
+	dst[0], dst[1], dst[2], dst[3] = fp16.Bits(w), fp16.Bits(w>>16), fp16.Bits(w>>32), fp16.Bits(w>>48)
 }
 
 func keyError(k, ngroups int) error {
@@ -525,7 +564,7 @@ func BlobStats(blob []byte) (Stats, error) {
 	d := cd.(*Decoder)
 	n := d.dim * d.dim * d.dim
 	src := 4 * n * 2
-	return Stats{
+	st := Stats{
 		Dim:          d.dim,
 		SubVolumes:   len(d.subs),
 		Groups:       d.Groups(),
@@ -533,5 +572,7 @@ func BlobStats(blob []byte) (Stats, error) {
 		SourceBytes:  src,
 		RawF32Bytes:  4 * n * 4,
 		Ratio:        float64(src) / float64(d.blobLen),
-	}, nil
+	}
+	d.Recycle()
+	return st, nil
 }

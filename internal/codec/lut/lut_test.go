@@ -1,8 +1,10 @@
 package lut
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math"
+	"strings"
 	"sync"
 	"testing"
 
@@ -203,29 +205,60 @@ func TestFusedMatchesUnfused(t *testing.T) {
 	}
 }
 
-// TestKeyOutOfTable corrupts one voxel key past the group count: both key
-// widths, fused and unfused, must fail that chunk's decode.
+// TestKeyOutOfTable corrupts voxel keys past the group count: both key
+// widths, fused and unfused, must fail that chunk's decode and name the
+// first bad key in voxel order. A plane of 17^2 voxels is 72 four-voxel
+// steps and a one-voxel tail; the bad key goes to each lane of a step, with
+// a second, different bad key in every later lane, and to the tail.
 func TestKeyOutOfTable(t *testing.T) {
-	for _, maxCount := range []int{5, 600} { // 1-byte, 2-byte keys
-		s := genSampleMax(t, 16, 0, maxCount)
-		blob, err := Encode(s.Channels, s.Dim)
+	const dim, plane = 17, 17 * 17
+	for _, tc := range []struct {
+		maxCount, kw int
+	}{{5, 1}, {600, 2}} {
+		s := genSampleMax(t, dim, 0, tc.maxCount)
+		clean, err := Encode(s.Channels, s.Dim)
 		if err != nil {
 			t.Fatal(err)
 		}
-		// The keys are the blob's tail; the last one belongs to the last
-		// voxel of the last z-slice.
-		blob[len(blob)-1] = 0xFF
-		for _, fused := range []bool{true, false} {
-			cd, err := FormatWithOp(OpLog1p, fused).Open(blob)
-			if err != nil {
-				t.Fatal(err)
+		cd, err := Format().Open(clean)
+		if err != nil {
+			t.Fatal(err)
+		}
+		d := cd.(*Decoder)
+		ng := d.Groups()
+		if d.NumSubVolumes() != 1 || d.KeyWidth(0) != tc.kw || ng > 1<<(8*tc.kw)-2 {
+			t.Fatalf("blob has %d sub-volumes, kw=%d, %d groups", d.NumSubVolumes(), d.KeyWidth(0), ng)
+		}
+		// The keys are the blob's tail, one per voxel in x-fastest order.
+		keyStart := len(clean) - dim*plane*tc.kw
+		setKey := func(blob []byte, voxel, k int) {
+			if tc.kw == 1 {
+				blob[keyStart+voxel] = byte(k)
+			} else {
+				binary.LittleEndian.PutUint16(blob[keyStart+2*voxel:], uint16(k))
 			}
-			dst := tensor.New(tensor.F16, cd.OutputShape()...)
-			if err := cd.DecodeChunk(0, dst); err != nil {
-				t.Errorf("maxCount %d fused=%v: untouched chunk failed: %v", maxCount, fused, err)
+		}
+		const z, step = dim - 2, 40 // chunk z's voxels 4*step .. 4*step+3
+		for _, lane := range []int{0, 1, 2, 3, plane - 1 - 4*step} {
+			blob := append([]byte(nil), clean...)
+			p := 4*step + lane
+			setKey(blob, z*plane+p, ng)
+			for later := p + 1; later < 4*step+4; later++ {
+				setKey(blob, z*plane+later, ng+1)
 			}
-			if err := cd.DecodeChunk(s.Dim-1, dst); err == nil {
-				t.Errorf("maxCount %d fused=%v: out-of-table key decoded", maxCount, fused)
+			for _, fused := range []bool{true, false} {
+				cd, err := FormatWithOp(OpLog1p, fused).Open(blob)
+				if err != nil {
+					t.Fatal(err)
+				}
+				dst := tensor.New(tensor.F16, cd.OutputShape()...)
+				if err := cd.DecodeChunk(z+1, dst); err != nil {
+					t.Errorf("kw %d fused=%v: untouched chunk failed: %v", tc.kw, fused, err)
+				}
+				err = cd.DecodeChunk(z, dst)
+				if want := fmt.Sprintf("key %d out of table", ng); err == nil || !strings.Contains(err.Error(), want) {
+					t.Errorf("kw %d fused=%v, bad key at plane voxel %d: error %v, want %q", tc.kw, fused, p, err, want)
+				}
 			}
 		}
 	}
@@ -252,6 +285,32 @@ func TestCompressionRatio(t *testing.T) {
 		t.Errorf("compression ratio %.2f implausibly high", st.Ratio)
 	}
 	t.Logf("dim=%d groups=%d subs=%d ratio=%.2fx", st.Dim, st.Groups, st.SubVolumes, st.Ratio)
+}
+
+// TestBlobStatsRecycles: BlobStats hands its decoder, fused table
+// included, back to the pool, so a steady loop of calls allocates well
+// under what an unrecycled Open does. The race detector drops a share of
+// pool Puts at random, so the bound is half of Open's count rather than
+// zero.
+func TestBlobStatsRecycles(t *testing.T) {
+	s := genSample(t, 16, 2)
+	blob, err := Encode(s.Channels, s.Dim)
+	if err != nil {
+		t.Fatal(err)
+	}
+	open := testing.AllocsPerRun(100, func() {
+		if _, err := Format().Open(blob); err != nil {
+			t.Fatal(err)
+		}
+	})
+	stats := testing.AllocsPerRun(100, func() {
+		if _, err := BlobStats(blob); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if stats >= open/2 {
+		t.Errorf("BlobStats allocates %.2f objects per call, an unrecycled Open %.2f", stats, open)
+	}
 }
 
 func TestOneByteKeys(t *testing.T) {
@@ -493,6 +552,8 @@ func BenchmarkOpen(b *testing.B) {
 	}
 }
 
+// BenchmarkDecodeFused decodes a 4x48^3 sample into one reused tensor, so
+// it times the kernel, not the allocation of its output.
 func BenchmarkDecodeFused(b *testing.B) {
 	s := genSample(b, 48, 0)
 	blob, err := Encode(s.Channels, s.Dim)
@@ -503,10 +564,38 @@ func BenchmarkDecodeFused(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	dst := tensor.New(tensor.F16, cd.OutputShape()...)
 	b.SetBytes(int64(s.RawBytes()))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := codec.Decode(cd); err != nil {
+		if err := codec.DecodeInto(cd, dst); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkDecodeSample decodes one sample at the repo benchmark's
+// cosmoflow_gpu_cached size (4x64^3) into a rotation of 12 destinations,
+// as the pipeline's slab pool hands them out: each decode writes 2 MB that
+// is not already in cache, like a decode in the loader.
+func BenchmarkDecodeSample(b *testing.B) {
+	s := genSample(b, 64, 0)
+	blob, err := Encode(s.Channels, s.Dim)
+	if err != nil {
+		b.Fatal(err)
+	}
+	cd, err := Format().Open(blob)
+	if err != nil {
+		b.Fatal(err)
+	}
+	dsts := make([]*tensor.Tensor, 12)
+	for i := range dsts {
+		dsts[i] = tensor.New(tensor.F16, cd.OutputShape()...)
+	}
+	b.SetBytes(int64(dsts[0].Bytes()))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := codec.DecodeInto(cd, dsts[i%len(dsts)]); err != nil {
 			b.Fatal(err)
 		}
 	}
