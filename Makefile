@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: build test race lint lint-fixtures vet fault cover fuzz verify
+.PHONY: build test purego race lint lint-fixtures vet fault cover fuzz verify
 
 build:
 	$(GO) build ./...
@@ -14,6 +14,11 @@ test:
 	$(GO) test ./...
 	$(GO) test -run '^$$' -bench '^(BenchmarkOpen|BenchmarkDecodeFused|BenchmarkDecodeSample|BenchmarkFromFloat32)$$' -benchtime=1x ./internal/codec/lut/ ./internal/codec/deltafp/ ./internal/fp16/
 	$(GO) test -run '^$$' -bench '^(BenchmarkSampleCacheGetHit|BenchmarkSampleCacheGetHitParallel|BenchmarkCacheSum|BenchmarkServeHit|BenchmarkRaggedEpoch|BenchmarkPadded)$$' -benchtime=1x ./internal/pipeline/ ./internal/dataserve/
+
+# The portable FP16 conversion that the purego build tag forces, under the
+# codecs that call it, as hosts without F16C run it.
+purego:
+	$(GO) test -tags purego ./internal/fp16/... ./internal/codec/...
 
 # Race-detector pass over the concurrent subsystems (staged pipeline DAG
 # and its sample cache, multi-tenant data service, ring allreduce,
@@ -74,4 +79,4 @@ fuzz:
 	$(GO) test -run=NONE -fuzz='^FuzzTenantCache$$' -fuzztime=$(FUZZTIME) ./internal/dataserve/
 	$(GO) test -run=NONE -fuzz='^FuzzBreakerState$$' -fuzztime=$(FUZZTIME) ./internal/dataserve/
 
-verify: build vet lint test race cover
+verify: build vet lint test purego race cover

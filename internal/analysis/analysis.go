@@ -80,8 +80,10 @@ type Pass struct {
 	Path  string
 	Fset  *token.FileSet
 	Files []*ast.File
-	Pkg   *types.Package
-	Info  *types.Info
+	// AsmFiles are the package directory's assembly files (Package.AsmFiles).
+	AsmFiles []*token.File
+	Pkg      *types.Package
+	Info     *types.Info
 	// Module is the module-wide hot-path call graph over every package of
 	// the run (see BuildModule); flow-aware analyzers key off it.
 	Module *Module
@@ -190,6 +192,7 @@ func RunAnalyzers(pkgs []*Package, analyzers []*Analyzer) []Diagnostic {
 				Path:     pkg.Path,
 				Fset:     pkg.Fset,
 				Files:    pkg.Files,
+				AsmFiles: pkg.AsmFiles,
 				Pkg:      pkg.Types,
 				Info:     pkg.Info,
 				Module:   module,

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -35,6 +36,7 @@ var fixtures = []struct {
 	{"fixworkerguard", "scipp/internal/pipeline"},   // pipeline scope for the supervised-goroutine rule
 	{"fixbreakerstate", "scipp/internal/dataserve"}, // dataserve scope for the breaker transition rule
 	{"fixunsafe", "scipp/internal/fixunsafe"},
+	{"fixasm", "scipp/internal/fixasm"},
 }
 
 func moduleRoot(t *testing.T) string {
@@ -198,5 +200,64 @@ func TestUnsafeAllowedInTensor(t *testing.T) {
 	}
 	for _, d := range RunAnalyzers([]*Package{pkg}, []*Analyzer{UnsafeImport}) {
 		t.Errorf("unsafe flagged in internal/tensor: %s", d)
+	}
+}
+
+// TestAsmAllowedInFP16 loads the assembly fixture as internal/fp16, the one
+// package whose assembly is sanctioned.
+func TestAsmAllowedInFP16(t *testing.T) {
+	l, err := NewLoader(moduleRoot(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir, err := filepath.Abs(filepath.Join("testdata", "fixasm"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	pkg, err := l.LoadDir(dir, "scipp/internal/fp16")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(pkg.AsmFiles) != 1 {
+		t.Fatalf("loaded %d assembly files, want 1", len(pkg.AsmFiles))
+	}
+	for _, d := range RunAnalyzers([]*Package{pkg}, []*Analyzer{UnsafeImport}) {
+		t.Errorf("assembly flagged in internal/fp16: %s", d)
+	}
+}
+
+// TestLoaderHonoursBuildConstraints loads a package whose three files each
+// declare Pick: an amd64 file, a !amd64 file and one behind a tag no build
+// sets. Only the file go build would pick for this host may be loaded, or
+// type checking fails on the redeclaration. A directory whose only Go file
+// is excluded holds no package.
+func TestLoaderHonoursBuildConstraints(t *testing.T) {
+	l, err := NewLoader(moduleRoot(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir, err := filepath.Abs(filepath.Join("testdata", "fixbuild"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	pkg, err := l.LoadDir(dir, "scipp/internal/fixbuild")
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := "pick_other.go"
+	if runtime.GOARCH == "amd64" {
+		want = "pick_amd64.go"
+	}
+	var got []string
+	for _, f := range pkg.Files {
+		got = append(got, filepath.Base(pkg.Fset.File(f.Pos()).Name()))
+	}
+	if len(got) != 1 || got[0] != want {
+		t.Errorf("loaded %v, want [%s]", got, want)
+	}
+	for sub, want := range map[string]bool{"": true, "onlyignored": false} {
+		if ok, err := hasGoFiles(filepath.Join(dir, sub)); err != nil || ok != want {
+			t.Errorf("hasGoFiles(fixbuild/%s) = %v, %v; want %v", sub, ok, err, want)
+		}
 	}
 }

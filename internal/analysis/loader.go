@@ -3,6 +3,7 @@ package analysis
 import (
 	"fmt"
 	"go/ast"
+	"go/build"
 	"go/importer"
 	"go/parser"
 	"go/token"
@@ -21,8 +22,11 @@ type Package struct {
 	Dir   string
 	Fset  *token.FileSet
 	Files []*ast.File
-	Types *types.Package
-	Info  *types.Info
+	// AsmFiles are the directory's assembly (.s) files, whatever their
+	// build constraints, registered in Fset so findings can point at them.
+	AsmFiles []*token.File
+	Types    *types.Package
+	Info     *types.Info
 }
 
 // Loader parses and type-checks packages of one module using only the
@@ -135,17 +139,29 @@ func hasGoFiles(dir string) (bool, error) {
 		return false, err
 	}
 	for _, e := range entries {
-		name := e.Name()
-		if !e.IsDir() && strings.HasSuffix(name, ".go") && !strings.HasSuffix(name, "_test.go") {
-			return true, nil
+		if ok, err := isBuiltGoFile(dir, e); ok || err != nil {
+			return ok, err
 		}
 	}
 	return false, nil
 }
 
+// isBuiltGoFile reports whether e is a non-test Go file that the go command
+// would build in dir for this host: its GOOS/GOARCH file-name suffix and
+// //go:build line are evaluated as go build evaluates them by default, so a
+// pair like f_amd64.go / f_other.go contributes one file, not two.
+func isBuiltGoFile(dir string, e os.DirEntry) (bool, error) {
+	name := e.Name()
+	if e.IsDir() || !strings.HasSuffix(name, ".go") || strings.HasSuffix(name, "_test.go") {
+		return false, nil
+	}
+	return build.Default.MatchFile(dir, name)
+}
+
 // LoadDir parses and type-checks the non-test package in dir, registering it
-// under the given import path. Test files (_test.go) are excluded: the
-// analyzers govern shipped code only.
+// under the given import path. Test files (_test.go) and files the host's
+// build constraints exclude are left out: the analyzers govern the code
+// that ships, as go build selects it.
 func (l *Loader) LoadDir(dir, path string) (*Package, error) {
 	if pkg, ok := l.pkgs[path]; ok {
 		return pkg, nil
@@ -161,9 +177,18 @@ func (l *Loader) LoadDir(dir, path string) (*Package, error) {
 		return nil, err
 	}
 	var files []*ast.File
+	var asm []*token.File
 	for _, e := range entries {
 		name := e.Name()
-		if e.IsDir() || !strings.HasSuffix(name, ".go") || strings.HasSuffix(name, "_test.go") {
+		if !e.IsDir() && strings.HasSuffix(name, ".s") {
+			asm = append(asm, l.Fset.AddFile(filepath.Join(dir, name), -1, 0))
+			continue
+		}
+		ok, err := isBuiltGoFile(dir, e)
+		if err != nil {
+			return nil, err
+		}
+		if !ok {
 			continue
 		}
 		f, err := parser.ParseFile(l.Fset, filepath.Join(dir, name), nil, parser.ParseComments)
@@ -186,7 +211,7 @@ func (l *Loader) LoadDir(dir, path string) (*Package, error) {
 	if err != nil {
 		return nil, fmt.Errorf("analysis: type-checking %s: %w", path, err)
 	}
-	pkg := &Package{Path: path, Dir: dir, Fset: l.Fset, Files: files, Types: tpkg, Info: info}
+	pkg := &Package{Path: path, Dir: dir, Fset: l.Fset, Files: files, AsmFiles: asm, Types: tpkg, Info: info}
 	l.pkgs[path] = pkg
 	l.typed[path] = tpkg
 	return pkg, nil

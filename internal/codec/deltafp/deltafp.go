@@ -532,26 +532,29 @@ func (d *Decoder) DecodeChunk(chunk int, dst *tensor.Tensor) error {
 	return d.decodeLine(d.payload[d.offsets[chunk]:d.offsets[chunk+1]], dst.F16s[chunk*d.w:(chunk+1)*d.w])
 }
 
+// lineBlock is the number of values a line decodes as FP32 before their one
+// conversion to FP16: a stack array of it holds a whole line of every
+// dataset here (W ≤ 288), and wider lines convert block by block.
+const lineBlock = 512
+
 // decodeLine decodes one framed line (Open validated its mode and, for RAW
 // and CONST, its length) into the W values of out.
 //
-// RAW and DELTA values convert through fp16.Narrow, whose out-of-range flags
-// are ORed into one word per line: a line that reaches ±65520, Inf or NaN is
-// decoded again with fp16.FromFloat32, which handles those values. Only
-// extreme or hostile blobs have such lines.
+// RAW and DELTA lines decode in two passes per block of lineBlock values:
+// the FP32 values into a stack array, then one fp16.FromSlice into out. The
+// conversion is exact for every FP32 value, so no value needs a second look.
 func (d *Decoder) decodeLine(line []byte, out []fp16.Bits) error {
 	switch line[0] {
 	case modeRaw:
-		var over uint32
-		for i := range out {
-			h, o := fp16.Narrow(math.Float32frombits(binary.LittleEndian.Uint32(line[1+4*i:])))
-			out[i] = h
-			over |= o
-		}
-		if int32(over) < 0 {
-			for i := range out {
-				out[i] = fp16.FromFloat32(math.Float32frombits(binary.LittleEndian.Uint32(line[1+4*i:])))
+		var vals [lineBlock]float32
+		raw := line[1:]
+		for len(out) > 0 {
+			n := min(len(out), lineBlock)
+			for i := range vals[:n] {
+				vals[i] = math.Float32frombits(binary.LittleEndian.Uint32(raw[4*i:]))
 			}
+			fp16.FromSlice(out, vals[:n])
+			raw, out = raw[4*n:], out[n:]
 		}
 	case modeConst:
 		v := fp16.FromFloat32(math.Float32frombits(binary.LittleEndian.Uint32(line[1:])))
@@ -564,25 +567,15 @@ func (d *Decoder) decodeLine(line []byte, out []fp16.Bits) error {
 	return nil
 }
 
-// decodeDeltaLine reconstructs one DELTA line into out, segment by segment:
-// a branch-free pass first, and the per-value loop again when a value left
-// the range fp16.Narrow converts.
+// decodeDeltaLine reconstructs one DELTA line into out segment by segment.
+// A segment may straddle a block boundary: its running value carries on
+// into the next block.
 func (d *Decoder) decodeDeltaLine(line []byte, out []fp16.Bits) error {
-	over, err := d.deltaSegments(line, out, false)
-	if err == nil && int32(over) < 0 {
-		_, err = d.deltaSegments(line, out, true)
-	}
-	return err
-}
-
-// deltaSegments walks line's segments into out. With exact false each value
-// is converted by fp16.Narrow and the returned word has its sign bit set iff
-// some conversion must be discarded; with exact true every value goes
-// through fp16.FromFloat32 and the word is zero.
-func (d *Decoder) deltaSegments(line []byte, out []fp16.Bits, exact bool) (over uint32, err error) {
+	var vals [lineBlock]float32
+	n := 0       // values in vals
+	emitted := 0 // values converted into out
 	nsegs := int(binary.LittleEndian.Uint16(line[1:]))
 	pos := 3
-	emitted := 0
 	// A code byte is [sign:1][exponent-offset][mantissa] with the offset and
 	// mantissa fields contiguous, so its low 7 bits shifted to the top of
 	// the FP32 mantissa land the offset in the exponent field: the delta's
@@ -591,52 +584,49 @@ func (d *Decoder) deltaSegments(line []byte, out []fp16.Bits, exact bool) (over 
 	maxOff := uint32(1)<<(7-d.mantBits) - 1
 	for s := 0; s < nsegs; s++ {
 		if pos+7 > len(line) {
-			return 0, errors.New("deltafp: truncated segment header")
+			return errors.New("deltafp: truncated segment header")
 		}
-		pivot := math.Float32frombits(binary.LittleEndian.Uint32(line[pos:]))
+		v := math.Float32frombits(binary.LittleEndian.Uint32(line[pos:]))
 		e := uint32(line[pos+4])
 		count := int(binary.LittleEndian.Uint16(line[pos+5:]))
 		pos += 7
-		if count < 1 || emitted+count > len(out) || pos+count-1 > len(line) {
-			return 0, errors.New("deltafp: segment overruns line")
+		if count < 1 || emitted+n+count > len(out) || pos+count-1 > len(line) {
+			return errors.New("deltafp: segment overruns line")
 		}
 		codes := line[pos : pos+count-1]
-		seg := out[emitted : emitted+count]
-		switch {
-		case exact:
-			deltaSegmentExact(pivot, e<<23, shift, codes, seg)
-		case scaledBase(e, maxOff):
-			over |= deltaSegmentScaled(pivot, math.Float32frombits(e<<23), d.unit, codes, seg)
-		default:
-			over |= deltaSegment(pivot, e<<23, shift, codes, seg)
-		}
 		pos += count - 1
-		emitted += count
-	}
-	if emitted != len(out) || pos != len(line) {
-		return 0, errors.New("deltafp: line did not decode to full width")
-	}
-	return over, nil
-}
-
-// The two segment kernels decode the segment with pivot v and the given
-// codes into out (len(codes)+1 values). Their loop is the "software emulated
-// addition for floating-point numbers": computation in FP32, emission in
-// FP16.
-
-// deltaSegmentExact is the per-value kernel, the slow path of deltaSegment.
-func deltaSegmentExact(v float32, expBase uint32, shift uint, codes []byte, out []fp16.Bits) {
-	out[0] = fp16.FromFloat32(v)
-	out = out[1:][:len(codes)]
-	for k, b := range codes {
-		// Byte 0 is an exact-zero delta and leaves v alone: adding +0
-		// would turn a -0 pivot into +0.
-		if b != 0 {
-			v += math.Float32frombits(uint32(b&0x80)<<24 | (expBase + uint32(b&0x7F)<<shift))
+		if n == lineBlock {
+			fp16.FromSlice(out[emitted:], vals[:])
+			emitted, n = emitted+lineBlock, 0
 		}
-		out[k] = fp16.FromFloat32(v)
+		vals[n] = v
+		n++
+		for {
+			k := min(len(codes), lineBlock-n)
+			if scaledBase(e, maxOff) {
+				v = deltaSegmentScaled(v, math.Float32frombits(e<<23), d.unit, codes[:k], vals[n:n+k])
+			} else {
+				v = deltaSegment(v, e<<23, shift, codes[:k], vals[n:n+k])
+			}
+			codes, n = codes[k:], n+k
+			if len(codes) == 0 {
+				break
+			}
+			fp16.FromSlice(out[emitted:], vals[:])
+			emitted, n = emitted+lineBlock, 0
+		}
 	}
+	if emitted+n != len(out) || pos != len(line) {
+		return errors.New("deltafp: line did not decode to full width")
+	}
+	fp16.FromSlice(out[emitted:], vals[:n])
+	return nil
 }
+
+// The two segment kernels add the deltas the codes denote to the running
+// value v, store each sum in vals (len(codes) values) and return the last:
+// the "software emulated addition for floating-point numbers", computed in
+// FP32 and emitted as FP16 by the caller.
 
 // unitDelta[mantBits][b] is the delta code b denotes at exponent base 127,
 // built with deltaSegment's bit formula: ±(1 + m/2^mantBits)·2^off for
@@ -669,28 +659,21 @@ func scaledBase(e, maxOff uint32) bool { return e >= 1 && e+maxOff <= 254 }
 // normal: one table load and one multiply by scale = 2^(e-127) per delta.
 // The conversion to float32 keeps the product from fusing into the add, and
 // reslicing unit to 256 entries spares the byte-indexed load its bounds
-// check.
-func deltaSegmentScaled(v, scale float32, unit []float32, codes []byte, out []fp16.Bits) uint32 {
+// check. A finite delta leaves a NaN running value's payload alone.
+func deltaSegmentScaled(v, scale float32, unit []float32, codes []byte, vals []float32) float32 {
 	unit = unit[:256]
-	h, over := fp16.Narrow(v)
-	out[0] = h
-	out = out[1:][:len(codes)]
+	vals = vals[:len(codes)]
 	for k, b := range codes {
 		v += float32(unit[b] * scale)
-		h, o := fp16.Narrow(v)
-		out[k] = h
-		over |= o
+		vals[k] = v
 	}
-	return over
+	return v
 }
 
-// deltaSegment is the branch-free kernel for any exponent base: it returns
-// the ORed fp16.Narrow flags, and out is valid only if their sign bit is
-// clear.
-func deltaSegment(v float32, expBase uint32, shift uint, codes []byte, out []fp16.Bits) uint32 {
-	h, over := fp16.Narrow(v)
-	out[0] = h
-	out = out[1:][:len(codes)]
+// deltaSegment is the kernel for any exponent base, whose deltas may be
+// subnormal, infinite or NaN.
+func deltaSegment(v float32, expBase uint32, shift uint, codes []byte, vals []float32) float32 {
+	vals = vals[:len(codes)]
 	shift &= 31 // 17..22; the mask spares each shift its range check
 	for k, b := range codes {
 		// Byte 0 is an exact-zero delta: it selects -0, and v + (-0) == v
@@ -700,12 +683,14 @@ func deltaSegment(v float32, expBase uint32, shift uint, codes []byte, out []fp1
 		if b == 0 {
 			bits = 0x80000000
 		}
-		v += math.Float32frombits(bits)
-		h, o := fp16.Narrow(v)
-		out[k] = h
-		over |= o
+		// A NaN running value stays as it is. Adding a NaN delta to it
+		// would return whichever NaN operand the compiled add puts first.
+		if v == v {
+			v += math.Float32frombits(bits)
+		}
+		vals[k] = v
 	}
-	return over
+	return v
 }
 
 // Stats summarizes an encoded blob.

@@ -92,22 +92,24 @@ func mustEncode(t *testing.T, src *tensor.Tensor, opts Options) []byte {
 }
 
 func TestAbruptLineFallsBackToRaw(t *testing.T) {
-	w := 128
-	src := tensor.New(tensor.F32, 1, 1, w)
-	r := xrand.New(5)
-	for i := 0; i < w; i++ {
-		src.F32s[i] = float32(r.NormFloat64()) * float32(math.Pow(10, float64(r.Intn(8))-4))
-	}
-	dec, d := encodeDecode(t, src, Options{})
-	rawN, _, _ := d.LineModes()
-	if rawN != 1 {
-		t.Fatalf("wild line should be RAW; modes raw=%d", rawN)
-	}
-	// RAW is exact up to the FP16 emission.
-	for i := 0; i < w; i++ {
-		want := fp16.RoundTrip32(src.F32s[i])
-		if dec.At32(i) != want {
-			t.Fatalf("raw line value %d: got %g want %g", i, dec.At32(i), want)
+	// The second width spans three of the decoder's FP32 blocks.
+	for _, w := range []int{128, 1100} {
+		src := tensor.New(tensor.F32, 1, 1, w)
+		r := xrand.New(5)
+		for i := 0; i < w; i++ {
+			src.F32s[i] = float32(r.NormFloat64()) * float32(math.Pow(10, float64(r.Intn(8))-4))
+		}
+		dec, d := encodeDecode(t, src, Options{})
+		rawN, _, _ := d.LineModes()
+		if rawN != 1 {
+			t.Fatalf("wild line should be RAW; modes raw=%d", rawN)
+		}
+		// RAW is exact up to the FP16 emission.
+		for i := 0; i < w; i++ {
+			want := fp16.RoundTrip32(src.F32s[i])
+			if dec.At32(i) != want {
+				t.Fatalf("W=%d: raw line value %d: got %g want %g", w, i, dec.At32(i), want)
+			}
 		}
 	}
 }

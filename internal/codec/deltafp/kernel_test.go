@@ -37,7 +37,9 @@ func deltaBlob(expBits int, segs []rawSeg) (blob []byte, w int) {
 
 // refDecode is the format's definition of a DELTA line, one value at a
 // time with every field extracted separately — the oracle for the
-// segment-wise kernel.
+// segment-wise kernel. A NaN running value stays as it is: adding a NaN
+// delta to it would leave the choice between the two NaNs to the compiled
+// add's operand order.
 func refDecode(expBits int, segs []rawSeg) []fp16.Bits {
 	mantBits := 7 - expBits
 	var out []fp16.Bits
@@ -45,7 +47,7 @@ func refDecode(expBits int, segs []rawSeg) []fp16.Bits {
 		v := math.Float32frombits(s.pivot)
 		out = append(out, fp16.FromFloat32(v))
 		for _, b := range s.codes {
-			if b != 0 {
+			if b != 0 && v == v {
 				sign := uint32(b>>7) << 31
 				off := uint32(b>>uint(mantBits)) & (1<<uint(expBits) - 1)
 				mant := uint32(b) & (1<<uint(mantBits) - 1)
@@ -63,7 +65,6 @@ type kernelCase struct {
 	expBits int
 	segs    []rawSeg
 	want    []fp16.Bits // nil: the reference alone decides
-	redo    bool        // some value reaches ±65520, Inf or NaN
 }
 
 // pinnedCases are the kernel's edge cases; they also seed FuzzDeltaKernel.
@@ -98,7 +99,6 @@ var pinnedCases = func() []kernelCase {
 				{f(1), 60, []byte{0x7F, 0xFE, 0x7E, 0xFF}},
 				{f(1), 0xF0, []byte{0x7E, 0x7F, 0xFE, 0x01}},
 			},
-			redo: true,
 		},
 		{
 			// Up through 65504 into +Inf, down through 2^-14 into the
@@ -114,7 +114,6 @@ var pinnedCases = func() []kernelCase {
 				0x0819, 0x0631, 0x0431, 0x0131, 0x80CF, 0x80CF,
 				0x7E00, 0x7E00, 0x7E00,
 			},
-			redo: true,
 		},
 		{
 			// The middle segment climbs to 65520, which rounds to Inf,
@@ -131,10 +130,47 @@ var pinnedCases = func() []kernelCase {
 				0x7BFF, 0x7BFF, 0x7C00, 0x7C00, 0x7BFF, 0x7BFE,
 				0x4200,
 			},
-			redo: true,
 		},
+		{
+			// At base 255 a nonzero mantissa makes the delta a NaN. The
+			// first NaN delta replaces the finite running value; from then
+			// on the running value's NaN wins over NaN deltas of either
+			// sign, and a NaN pivot likewise keeps its own sign and payload.
+			name: "NaN deltas meet a NaN running value", expBits: 1,
+			segs: []rawSeg{
+				{f(1), 255, []byte{0x01, 0x81, 0x02, 0xC3, 0}},
+				{0xFFC24000, 255, []byte{0x05, 0x81, 0}},
+			},
+			want: []fp16.Bits{
+				0x3C00, 0x7E10, 0x7E10, 0x7E10, 0x7E10, 0x7E10,
+				0xFE12, 0xFE12, 0xFE12, 0xFE12,
+			},
+		},
+		wideCase(),
 	}, guardCases()...)
 }()
+
+// wideCase is a line of 1224 values, wider than the decoder's FP32 block
+// (lineBlock = 512): the first block ends exactly at a segment's end, the
+// second inside a segment, and the segments alternate between the scaled
+// kernel and the bit-formula one (bases 0 and 250). Codes come from a fixed
+// multiplicative sequence, one in eight a zero code.
+func wideCase() kernelCase {
+	tc := kernelCase{name: "wider than one block", expBits: 3}
+	x := uint32(7)
+	for i, n := range []int{256, 256, 200, 256, 256} {
+		codes := make([]byte, n-1)
+		for k := range codes {
+			x = x*2654435761 + 12345
+			if x>>29 != 0 {
+				codes[k] = byte(x >> 21)
+			}
+		}
+		base := []uint8{120, 0, 125, 250, 118}[i]
+		tc.segs = append(tc.segs, rawSeg{math.Float32bits(float32(i+1) * 0.75), base, codes})
+	}
+	return tc
+}
 
 // guardCases pin both sides of the scaled kernel's guard (scaledBase):
 // exponent bases 0, 1, 254-maxOffset, 255-maxOffset and 255 at three field
@@ -143,7 +179,7 @@ var pinnedCases = func() []kernelCase {
 // largest offset of both signs, and last a negative delta: at the low bases
 // every value underflows FP16, but the last one's sign still shows, as -0.
 // From base 254-maxOffset up some delta reaches 2^127 or spills past the
-// exponent field, so those lines redo.
+// exponent field.
 func guardCases() []kernelCase {
 	var cases []kernelCase
 	for _, expBits := range []int{1, 3, 6} {
@@ -156,7 +192,6 @@ func guardCases() []kernelCase {
 				name:    fmt.Sprintf("exponent base %d, %d-bit offsets", e, expBits),
 				expBits: expBits,
 				segs:    []rawSeg{{0, uint8(e), codes}},
-				redo:    e > 1,
 			}
 			if e <= 1 {
 				tc.want = []fp16.Bits{0, 0, 0, 0, 0, 0, 0x8000}
@@ -203,27 +238,6 @@ func TestDeltaKernelPinnedCases(t *testing.T) {
 				if ref[i] != tc.want[i] {
 					t.Fatalf("%s: reference gives %#04x at %d, pinned %#04x", tc.name, ref[i], i, tc.want[i])
 				}
-			}
-		}
-		// The branch-free pass must flag exactly the lines it cannot
-		// finish, or the redo never runs (or runs for nothing).
-		cd, err := Format().Open(blob)
-		if err != nil {
-			t.Fatalf("%s: %v", tc.name, err)
-		}
-		fast := make([]fp16.Bits, w)
-		over, err := cd.(*Decoder).deltaSegments(cd.(*Decoder).payload, fast, false)
-		if err != nil {
-			t.Fatalf("%s: %v", tc.name, err)
-		}
-		if redo := int32(over) < 0; redo != tc.redo {
-			t.Errorf("%s: branch-free pass flags a redo: %v, want %v", tc.name, redo, tc.redo)
-		}
-		// Even on a flagged line, every value the reference keeps finite
-		// is one the branch-free pass converted, and must match.
-		for i, h := range ref {
-			if h&0x7C00 != 0x7C00 && fast[i] != h {
-				t.Errorf("%s: branch-free pass gives %#04x at %d, reference %#04x", tc.name, fast[i], i, h)
 			}
 		}
 		decodeBoth(t, tc.name, blob, ref)

@@ -32,9 +32,9 @@ func TestDecodedDigests(t *testing.T) {
 	}
 	// That sample has no RAW line and no zero delta code, so a second one
 	// is rewritten to take every path of the deltafp kernel: a staircase
-	// line (zero codes), a line with an Inf (RAW, slow path) and a line that
-	// climbs past 65520 (DELTA, slow path). Its digests were captured with
-	// the per-value kernel that preceded the branch-free one.
+	// line (zero codes), a line with an Inf (RAW) and a line that climbs
+	// past 65520 (DELTA values that convert to Inf). Its digests were
+	// captured with the per-value kernel that preceded the branch-free one.
 	rich, err := synthetic.GenerateClimate(climCfg, 4)
 	if err != nil {
 		t.Fatal(err)

@@ -6,7 +6,9 @@
 // decompression frameworks we are aware of", §III). Go has no native float16,
 // so this package provides software conversion with round-to-nearest-even,
 // full denormal support, and Inf/NaN propagation, plus bulk conversion
-// kernels used on the (simulated) accelerator and host decode paths.
+// kernels used on the (simulated) accelerator and host decode paths. The
+// FP32-to-binary16 bulk kernel uses the hardware conversion (F16C) where the
+// CPU has it, as the paper's decoders do.
 package fp16
 
 import "math"
@@ -178,12 +180,30 @@ func (h Bits) IsInf(sign int) bool {
 // Neg returns h with its sign flipped.
 func (h Bits) Neg() Bits { return h ^ signMask16 }
 
-// FromSlice converts src FP32 values into dst binary16 values.
-// It panics if dst is shorter than src.
+// FromSlice converts src FP32 values into dst binary16 values, exactly as
+// FromFloat32 would one by one. On amd64 CPUs with F16C it converts eight
+// values per instruction; elsewhere, and under the purego build tag, it runs
+// fromSlicePortable. It panics if dst is shorter than src.
 func FromSlice(dst []Bits, src []float32) {
-	_ = dst[:len(src)]
+	fromSlice(dst[:len(src)], src)
+}
+
+// fromSlicePortable is FromSlice without hardware conversion. Narrow inlines
+// into the loop, and its out-of-range flags are ORed into one word: a slice
+// holding a value from ±65520 up, an Inf or a NaN is converted again with
+// FromFloat32, which handles those values.
+func fromSlicePortable(dst []Bits, src []float32) {
+	dst = dst[:len(src)]
+	var over uint32
 	for i, f := range src {
-		dst[i] = FromFloat32(f)
+		h, o := Narrow(f)
+		dst[i] = h
+		over |= o
+	}
+	if int32(over) < 0 {
+		for i, f := range src {
+			dst[i] = FromFloat32(f)
+		}
 	}
 }
 

@@ -303,6 +303,98 @@ func TestNarrowExhaustive(t *testing.T) {
 	}
 }
 
+// TestFromSliceExhaustive converts every FP32 pattern, 4.3 G in all, with
+// FromSlice into dst at an odd offset, in runs whose lengths cycle through
+// every remainder mod 8 (so the hardware body's one-at-a-time tail runs for
+// 0..7 values), and compares each result with the reference. One parallel
+// subtest per sign and exponent; skipped as TestNarrowExhaustive is.
+func TestFromSliceExhaustive(t *testing.T) {
+	if testing.Short() || raceEnabled || testing.CoverMode() != "" {
+		t.Skip("exhaustive sweep: skipped under -short, -race and -cover")
+	}
+	for top := uint32(0); top < 512; top++ {
+		t.Run(fmt.Sprintf("%03x", top), func(t *testing.T) {
+			t.Parallel()
+			src := make([]float32, 4096)
+			out := make([]Bits, 1+len(src))
+			dst := out[1:]
+			next, run := top<<23, 0
+			for end := next + 1<<23 - 1; ; run++ {
+				n := min(len(src)-run%8, int(end-next)+1)
+				for i := range src[:n] {
+					src[i] = math.Float32frombits(next + uint32(i))
+				}
+				FromSlice(dst, src[:n])
+				for i, f := range src[:n] {
+					if want := fromFloat32Ref(f); dst[i] != want {
+						t.Fatalf("%#08x: FromSlice = %#04x, reference %#04x", math.Float32bits(f), dst[i], want)
+					}
+				}
+				if next+uint32(n)-1 == end {
+					return
+				}
+				next += uint32(n)
+			}
+		})
+	}
+}
+
+// sliceInputs is a mixed batch for the slice-kernel tests: every special
+// class (signed zeros, subnormal and overflow boundaries, infinities,
+// signaling and quiet NaNs of both signs with payloads) between values from
+// a fixed multiplicative sequence over all bit patterns.
+func sliceInputs() []float32 {
+	special := []uint32{
+		0, 0x80000000, 0x33000000, 0x33000001, 0x387FE000, 0x387FF000, 0x38800000,
+		0x477FEFFF, 0x477FF000, 0xC77FF000, 0x7F7FFFFF, 0x7F800000, 0xFF800000,
+		0x7F800001, 0xFF812345, 0x7FC01234, 0xFFFFFFFF, 0x3F801000, 0x3F803000,
+	}
+	var in []float32
+	x := uint32(1)
+	for _, b := range special {
+		for k := 0; k < 3; k++ {
+			x = x*2654435761 + 12345
+			in = append(in, math.Float32frombits(x))
+		}
+		in = append(in, math.Float32frombits(b))
+	}
+	return in
+}
+
+// checkFromSlice runs a FromSlice body over every length 0..len(src) at
+// dst offsets 0..3 and requires FromFloat32's result for each value, with
+// the values around the written range left alone.
+func checkFromSlice(t *testing.T, name string, body func([]Bits, []float32)) {
+	t.Helper()
+	src := sliceInputs()
+	const guard = Bits(0x1234)
+	out := make([]Bits, len(src)+5)
+	for off := 0; off < 4; off++ {
+		for n := 0; n <= len(src); n++ {
+			for i := range out {
+				out[i] = guard
+			}
+			body(out[off:off+n], src[:n])
+			for i, h := range out {
+				want := guard
+				if i >= off && i < off+n {
+					want = FromFloat32(src[i-off])
+				}
+				if h != want {
+					t.Fatalf("%s: offset %d, length %d: out[%d] = %#04x, want %#04x", name, off, n, i, h, want)
+				}
+			}
+		}
+	}
+}
+
+// TestFromSliceBodies checks FromSlice as built and its portable body,
+// called directly so that the hardware build covers it too.
+func TestFromSliceBodies(t *testing.T) {
+	checkFromSlice(t, "FromSlice", FromSlice)
+	checkFromSlice(t, "fromSlicePortable", fromSlicePortable)
+}
+
 func FuzzFromFloat32(f *testing.F) {
 	for _, b := range []uint32{0, 0x80000000, 0x387FF000, 0x38800000, 0x477FF000, 0x477FEFFF, 0x7F800001, 0x3F801000} {
 		f.Add(b)

@@ -14,5 +14,8 @@ go test -run '^$' -bench '^(BenchmarkOpen|BenchmarkDecodeFused|BenchmarkDecodeSa
 go test -run '^$' -bench '^(BenchmarkSampleCacheGetHit|BenchmarkSampleCacheGetHitParallel|BenchmarkCacheSum|BenchmarkServeHit|BenchmarkRaggedEpoch|BenchmarkPadded)$' -benchtime=1x ./internal/pipeline/ ./internal/dataserve/
 # benchmark/ is its own module, so the ./... above never reaches it.
 (cd benchmark && go vet ./... && go test ./...)
+# The portable FP16 conversion the purego tag forces, under the codecs
+# that call it, as hosts without F16C run it.
+go test -tags purego ./internal/fp16/... ./internal/codec/...
 go test -race ./internal/pipeline/... ./internal/iosim/... ./internal/dataserve/... ./internal/dist/... ./internal/train/... ./internal/fault/... ./internal/obs/... ./internal/nn/... ./internal/sweep/... ./cmd/sweep/... ./internal/codec/... ./internal/fp16/...
 ./scripts/coverage.sh
