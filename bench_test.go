@@ -2,8 +2,8 @@ package scipp
 
 // One testing.B benchmark per table and figure of the paper's evaluation,
 // plus ablation benches for the design choices DESIGN.md calls out. Reduced
-// scales keep iterations fast; cmd/throughput etc. run the same harness at
-// paper scale. Custom metrics carry the figure's headline quantity (node
+// scales keep iterations fast; `go run ./cmd/sweep -suite paper` runs the
+// same drivers at the paper's calibration scale. Custom metrics carry the figure's headline quantity (node
 // samples/s, speedup, ratio) so `go test -bench .` prints the reproduced
 // numbers directly.
 

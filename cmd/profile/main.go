@@ -13,9 +13,12 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
-	"log"
+	"io"
+	"os"
+	"strings"
 
 	"scipp/internal/bench"
 	"scipp/internal/core"
@@ -28,30 +31,40 @@ import (
 )
 
 func main() {
-	log.SetFlags(0)
-	log.SetPrefix("profile: ")
-	platName := flag.String("platform", "Cori-V100", "Summit, Cori-V100 or Cori-A100")
-	scale := flag.Float64("scale", 0.5, "calibration fraction of paper-scale dims")
-	samples := flag.Int("samples", 8, "samples for the real pipeline profile")
-	flag.Parse()
+	if err := run(os.Args[1:], os.Stdout); err != nil && !errors.Is(err, flag.ErrHelp) {
+		fmt.Fprintln(os.Stderr, "profile:", err)
+		os.Exit(1)
+	}
+}
 
+// run is the whole command behind main: it parses args and writes the
+// three profiles to w.
+func run(args []string, w io.Writer) error {
+	fs := flag.NewFlagSet("profile", flag.ContinueOnError)
+	platName := fs.String("platform", "Cori-V100", "Summit, Cori-V100 or Cori-A100")
+	scale := fs.Float64("scale", 0.5, "calibration fraction of paper-scale dims")
+	samples := fs.Int("samples", 8, "samples for the real pipeline profile")
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
+	var b strings.Builder
 	p, err := platform.ByName(*platName)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 
 	// Part 1: simulated decode kernel, strategy comparison.
 	rows, err := bench.KernelSimCompare(*scale, p)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	fmt.Printf("DECODE KERNEL (warp-level simulation, %s %s, DeepCAM workload)\n", p.Name, p.GPU.Name)
-	fmt.Printf("%-14s %12s %12s\n", "strategy", "kernel (ms)", "occupancy")
+	fmt.Fprintf(&b, "DECODE KERNEL (warp-level simulation, %s %s, DeepCAM workload)\n", p.Name, p.GPU.Name)
+	fmt.Fprintf(&b, "%-14s %12s %12s\n", "strategy", "kernel (ms)", "occupancy")
 	for _, r := range rows {
-		fmt.Printf("%-14s %12.3f %11.0f%%\n", r.Strategy, r.KernelMs, 100*r.Occupancy)
+		fmt.Fprintf(&b, "%-14s %12.3f %11.0f%%\n", r.Strategy, r.KernelMs, 100*r.Occupancy)
 	}
 	if len(rows) == 2 && rows[0].KernelMs > 0 {
-		fmt.Printf("hierarchical assignment speedup: %.2fx (the §VI design point)\n\n",
+		fmt.Fprintf(&b, "hierarchical assignment speedup: %.2fx (the §VI design point)\n\n",
 			rows[1].KernelMs/rows[0].KernelMs)
 	}
 
@@ -64,7 +77,7 @@ func main() {
 	cfg.Width = 144
 	ds, err := core.BuildClimateDataset(cfg, *samples, core.Plugin)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	reg := obs.NewRegistry()
 	clock := trace.NewWallClock()
@@ -77,31 +90,31 @@ func main() {
 		Obs:    reg,
 	})
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	n, err := loader.Epoch(0).Drain()
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	fmt.Printf("REAL PIPELINE PROFILE (this host, %d samples, %dx%dx%d plugin decode)\n",
+	fmt.Fprintf(&b, "REAL PIPELINE PROFILE (this host, %d samples, %dx%dx%d plugin decode)\n",
 		n, cfg.Channels, cfg.Height, cfg.Width)
-	fmt.Print(trace.FormatBreakdown(tl.Breakdown()))
-	fmt.Printf("  wall span %.1f ms, loader busy %.1f ms (overlap from prefetch)\n",
+	fmt.Fprint(&b, trace.FormatBreakdown(tl.Breakdown()))
+	fmt.Fprintf(&b, "  wall span %.1f ms, loader busy %.1f ms (overlap from prefetch)\n",
 		1e3*tl.Span(), 1e3*tl.Busy("loader"))
 
 	s := reg.Snapshot()
-	fmt.Println()
-	fmt.Println("STAGE SPANS (obs registry, wall clock)")
+	fmt.Fprintln(&b)
+	fmt.Fprintln(&b, "STAGE SPANS (obs registry, wall clock)")
 	for _, stage := range []string{"pipeline.read", "pipeline.decode.cpu", "pipeline.prefetch_wait"} {
 		hv, ok := s.Histogram(stage + ".seconds")
 		if !ok || hv.Count == 0 {
 			continue
 		}
-		fmt.Printf("  %-26s %4d spans  total %8.2f ms  mean %8.3f ms\n",
+		fmt.Fprintf(&b, "  %-26s %4d spans  total %8.2f ms  mean %8.3f ms\n",
 			stage, hv.Count, 1e3*hv.Sum, 1e3*hv.Mean())
 	}
 	name := core.FormatFor(core.DeepCAM, core.Plugin).Name()
-	fmt.Printf("CODEC %s: opened %d blobs, %d -> %d bytes, %d chunks decoded\n",
+	fmt.Fprintf(&b, "CODEC %s: opened %d blobs, %d -> %d bytes, %d chunks decoded\n",
 		name,
 		s.Counter("codec."+name+".open.spans"),
 		s.Counter("codec."+name+".bytes_in"),
@@ -123,21 +136,23 @@ func main() {
 		Obs:    creg,
 	})
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	for epoch := 0; epoch < 2; epoch++ {
 		if _, err := cached.Epoch(epoch).Drain(); err != nil {
-			log.Fatal(err)
+			return err
 		}
 	}
 	cs := creg.Snapshot()
 	hits, misses := cs.Counter("pipeline.cache.hits"), cs.Counter("pipeline.cache.misses")
-	fmt.Println()
-	fmt.Printf("SAMPLE CACHE (%s node hierarchy, 2 epochs x %d samples)\n", p.Name, n)
-	fmt.Printf("  pipeline.cache.hits %d  misses %d  evictions %d  resident %d samples / %.1f KiB host\n",
+	fmt.Fprintln(&b)
+	fmt.Fprintf(&b, "SAMPLE CACHE (%s node hierarchy, 2 epochs x %d samples)\n", p.Name, n)
+	fmt.Fprintf(&b, "  pipeline.cache.hits %d  misses %d  evictions %d  resident %d samples / %.1f KiB host\n",
 		hits, misses, cs.Counter("pipeline.cache.evictions"),
 		cached.Cache().Stats().HostSamples, float64(cached.Cache().Stats().HostBytes)/1024)
 	iods := iosim.Dataset{Samples: n, SampleBytes: ds.EncodedBytes() / n}
-	fmt.Printf("  epoch-1 hit rate %.0f%% (iosim HitFraction predicts %.0f%%)\n",
+	fmt.Fprintf(&b, "  epoch-1 hit rate %.0f%% (iosim HitFraction predicts %.0f%%)\n",
 		100*float64(hits)/float64(n), 100*node.HitFraction(iods, 1))
+	_, err = io.WriteString(w, b.String())
+	return err
 }

@@ -13,11 +13,12 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"io"
-	"log"
 	"os"
+	"strings"
 
 	"scipp/internal/bench"
 	"scipp/internal/core"
@@ -28,34 +29,43 @@ import (
 )
 
 func main() {
-	log.SetFlags(0)
-	log.SetPrefix("sppinfo: ")
-	scale := flag.Float64("scale", 0.5, "calibration fraction of paper-scale sample dimensions (0,1]")
-	metrics := flag.Bool("metrics", false, "dump an obs metrics snapshot (figure replays + one live epoch) instead of the tables")
-	jsonOut := flag.Bool("json", false, "with -metrics, emit JSON instead of text")
-	flag.Parse()
+	if err := run(os.Args[1:], os.Stdout); err != nil && !errors.Is(err, flag.ErrHelp) {
+		fmt.Fprintln(os.Stderr, "sppinfo:", err)
+		os.Exit(1)
+	}
+}
 
+// run is the whole command behind main: it parses args and writes the
+// tables, or the metrics snapshot, to w.
+func run(args []string, w io.Writer) error {
+	fs := flag.NewFlagSet("sppinfo", flag.ContinueOnError)
+	scale := fs.Float64("scale", 0.5, "calibration fraction of paper-scale sample dimensions (0,1]")
+	metrics := fs.Bool("metrics", false, "dump an obs metrics snapshot (figure replays + one live epoch) instead of the tables")
+	jsonOut := fs.Bool("json", false, "with -metrics, emit JSON instead of text")
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
 	if *metrics {
-		if err := dumpMetrics(os.Stdout, *scale, *jsonOut); err != nil {
-			log.Fatal(err)
-		}
-		return
+		return dumpMetrics(w, *scale, *jsonOut)
 	}
 
-	fmt.Println(bench.TableI())
-	fmt.Println(bench.TableII())
+	var b strings.Builder
+	fmt.Fprintln(&b, bench.TableI())
+	fmt.Fprintln(&b, bench.TableII())
 
-	fmt.Println("CALIBRATED PER-SAMPLE WORKLOAD MODELS (paper-scale bytes)")
+	fmt.Fprintln(&b, "CALIBRATED PER-SAMPLE WORKLOAD MODELS (paper-scale bytes)")
 	for _, app := range []core.App{core.DeepCAM, core.CosmoFlow} {
 		m, err := bench.Calibrate(app, *scale)
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
-		fmt.Printf("%-10s raw-fp32=%6.1fMB stored=%6.1fMB gzip=%6.1fMB plugin=%6.1fMB decoded-fp16=%6.1fMB\n",
+		fmt.Fprintf(&b, "%-10s raw-fp32=%6.1fMB stored=%6.1fMB gzip=%6.1fMB plugin=%6.1fMB decoded-fp16=%6.1fMB\n",
 			app, mb(m.RawF32Bytes), mb(m.StoredBytes), mb(m.GzipBytes), mb(m.PluginBytes), mb(m.DecodedBytes))
-		fmt.Printf("%-10s plugin ratio vs stored: %.2fx, gzip ratio: %.2fx\n",
+		fmt.Fprintf(&b, "%-10s plugin ratio vs stored: %.2fx, gzip ratio: %.2fx\n",
 			"", float64(m.StoredBytes)/float64(m.PluginBytes), float64(m.StoredBytes)/float64(m.GzipBytes))
 	}
+	_, err := io.WriteString(w, b.String())
+	return err
 }
 
 // dumpMetrics fills one registry from the simulated figure replays plus a

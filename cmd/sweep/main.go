@@ -7,6 +7,7 @@
 //	sweep -suite serve -tenants 3  # multi-tenant data service
 //	sweep -suite overload          # overload protection and tier failover
 //	sweep -suite train -app deepcam
+//	sweep -suite paper             # the paper's tables and figures
 //
 // Unset size flags take the suite's own defaults.
 package main
@@ -34,12 +35,8 @@ func main() {
 // parse reads the command line into p, whose incoming values are the
 // flag defaults.
 func parse(args []string, p *suites.Params) (suite, jsonPath string, err error) {
-	var names []string
-	for _, s := range suites.All() {
-		names = append(names, s.Name)
-	}
 	fs := flag.NewFlagSet("sweep", flag.ContinueOnError)
-	fs.StringVar(&suite, "suite", "", "which sweep to run: "+strings.Join(names, ", "))
+	fs.StringVar(&suite, "suite", "", "which sweep to run: "+suiteNames())
 	fs.IntVar(&p.Samples, "samples", p.Samples, "dataset size")
 	fs.IntVar(&p.Epochs, "epochs", p.Epochs, "epochs per cell")
 	fs.Uint64Var(&p.Seed, "seed", p.Seed, "base seed (schedules, model init and faults)")
@@ -52,6 +49,15 @@ func parse(args []string, p *suites.Params) (suite, jsonPath string, err error) 
 	fs.IntVar(&p.CacheMB, "cache-mb", p.CacheMB, "train: host-memory sample cache in MiB (0 = uncached; caching never changes loss)")
 	fs.StringVar(&jsonPath, "json", "", "also write every cell's observations as JSON to this path")
 	return suite, jsonPath, fs.Parse(args)
+}
+
+// suiteNames lists the suites in -suite order.
+func suiteNames() string {
+	var names []string
+	for _, s := range suites.All() {
+		names = append(names, s.Name)
+	}
+	return strings.Join(names, ", ")
 }
 
 func run(args []string, stdout io.Writer) error {
@@ -68,7 +74,7 @@ func run(args []string, stdout io.Writer) error {
 		}
 	}
 	if s.Cells == nil {
-		return fmt.Errorf("-suite %q: want loader, serve, overload or train (-h lists the flags)", name)
+		return fmt.Errorf("-suite %q: want %s (-h lists the flags)", name, suiteNames())
 	}
 	q := s.Defaults
 	_, jsonPath, err := parse(args, &q)

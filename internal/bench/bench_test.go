@@ -337,9 +337,6 @@ func TestFig5Analysis(t *testing.T) {
 			t.Errorf("sample %d: power-law alpha %.2f", r.Sample, r.Alpha)
 		}
 	}
-	if !strings.Contains(res.String(), "unique-groups") {
-		t.Error("Fig5 formatting")
-	}
 }
 
 func TestTableFormatting(t *testing.T) {
@@ -490,10 +487,11 @@ func TestTimeToSolution(t *testing.T) {
 	cosmo := synthetic.DefaultCosmoConfig()
 	cosmo.Dim = 8
 	cfg := train.Config{Samples: 8, Batch: 4, Epochs: 12, Seed: 2, LR: 0.01, Warmup: 2}
-	res, err := TimeToSolution(testScale, platform.CoriV100(), 0.9, cosmo, cfg)
+	rs, err := TimeToSolution(testScale, []platform.Platform{platform.CoriV100()}, 0.9, cosmo, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
+	res := rs[0]
 	if res.EpochsBase <= 0 || res.EpochsPlugin <= 0 {
 		t.Fatalf("epochs not found: %+v", res)
 	}
@@ -505,11 +503,8 @@ func TestTimeToSolution(t *testing.T) {
 	if res.Speedup <= 1 {
 		t.Errorf("TTS speedup %.2f, want > 1", res.Speedup)
 	}
-	if !strings.Contains(res.String(), "TIME TO SOLUTION") {
-		t.Error("formatting")
-	}
 	// Unreachable target errors out.
-	if _, err := TimeToSolution(testScale, platform.CoriV100(), 1e-9, cosmo, cfg); err == nil {
+	if _, err := TimeToSolution(testScale, []platform.Platform{platform.CoriV100()}, 1e-9, cosmo, cfg); err == nil {
 		t.Error("unreachable target accepted")
 	}
 }

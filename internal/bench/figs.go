@@ -122,18 +122,6 @@ func Fig5(dim, nsamples int) (*Fig5Result, error) {
 	return res, nil
 }
 
-// String formats the Fig 5 analysis.
-func (r *Fig5Result) String() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "FIG 5: CosmoFlow sample content analysis (dim=%d)\n", r.Dim)
-	fmt.Fprintf(&b, "%8s %14s %14s %12s %8s\n", "sample", "unique-values", "unique-groups", "plaw-alpha", "R2")
-	for _, row := range r.Rows {
-		fmt.Fprintf(&b, "%8d %14d %14d %12.2f %8.2f\n",
-			row.Sample, row.UniqueValues, row.UniqueGroups, row.Alpha, row.R2)
-	}
-	return b.String()
-}
-
 // ThroughputRow is one bar group of Figs 8/10/11: node throughput per
 // pipeline variant for one (platform, set, staging, batch) cell.
 type ThroughputRow struct {

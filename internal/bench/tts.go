@@ -38,66 +38,54 @@ func epochsToTarget(losses []float64, target float64) int {
 	return -1
 }
 
-// TimeToSolution runs the CosmoFlow convergence experiment for both sample
-// classes, takes epochs-to-target from the real loss curves, and multiplies
-// by the modeled per-epoch wall time of the corresponding pipeline on p.
-func TimeToSolution(scale float64, p platform.Platform, target float64, cosmoCfg synthetic.CosmoConfig, trainCfg train.Config) (TTSResult, error) {
-	res := TTSResult{Platform: p.Name, TargetLoss: target}
-
+// TimeToSolution runs the CosmoFlow convergence experiment once for both
+// sample classes, takes epochs-to-target from the real loss curves, and
+// multiplies by the modeled per-epoch wall time of the corresponding
+// pipeline on each platform: one result per platform, in order.
+func TimeToSolution(scale float64, plats []platform.Platform, target float64, cosmoCfg synthetic.CosmoConfig, trainCfg train.Config) ([]TTSResult, error) {
 	base, err := train.CosmoFlow(cosmoCfg, trainCfg)
 	if err != nil {
-		return res, err
+		return nil, err
 	}
 	trainCfg.Encoded = true
 	plug, err := train.CosmoFlow(cosmoCfg, trainCfg)
 	if err != nil {
-		return res, err
+		return nil, err
 	}
-	res.EpochsBase = epochsToTarget(base, target)
-	res.EpochsPlugin = epochsToTarget(plug, target)
-	if res.EpochsBase < 0 || res.EpochsPlugin < 0 {
-		return res, fmt.Errorf("bench: target loss %g not reached within %d epochs (base %v, plugin %v)",
-			target, trainCfg.Epochs, res.EpochsBase, res.EpochsPlugin)
+	eb, ep := epochsToTarget(base, target), epochsToTarget(plug, target)
+	if eb < 0 || ep < 0 {
+		return nil, fmt.Errorf("bench: target loss %g not reached within %d epochs (base %v, plugin %v)",
+			target, trainCfg.Epochs, eb, ep)
 	}
-
 	m, err := Calibrate(core.CosmoFlow, scale)
 	if err != nil {
-		return res, err
+		return nil, err
 	}
-	samples := CosmoSmallPerGPU * p.GPUsPerNode
-	baseStep, err := Simulate(Scenario{
-		Platform: p, Model: m, Enc: core.Baseline,
-		SamplesPerNode: samples, Staged: true, Batch: trainCfg.Batch, Epoch: 1,
-	})
-	if err != nil {
-		return res, err
+	out := make([]TTSResult, len(plats))
+	for i, p := range plats {
+		samples := CosmoSmallPerGPU * p.GPUsPerNode
+		baseStep, err := Simulate(Scenario{
+			Platform: p, Model: m, Enc: core.Baseline,
+			SamplesPerNode: samples, Staged: true, Batch: trainCfg.Batch, Epoch: 1,
+		})
+		if err != nil {
+			return nil, err
+		}
+		plugStep, err := Simulate(Scenario{
+			Platform: p, Model: m, Enc: core.Plugin, Plugin: pipeline.GPUPlugin,
+			SamplesPerNode: samples, Staged: true, Batch: trainCfg.Batch, Epoch: 1,
+		})
+		if err != nil {
+			return nil, err
+		}
+		r := TTSResult{Platform: p.Name, TargetLoss: target, EpochsBase: eb, EpochsPlugin: ep,
+			EpochSecBase: float64(samples) / baseStep.Node, EpochSecPlugin: float64(samples) / plugStep.Node}
+		r.TTSBase = float64(eb) * r.EpochSecBase
+		r.TTSPlugin = float64(ep) * r.EpochSecPlugin
+		if r.TTSPlugin > 0 {
+			r.Speedup = r.TTSBase / r.TTSPlugin
+		}
+		out[i] = r
 	}
-	plugStep, err := Simulate(Scenario{
-		Platform: p, Model: m, Enc: core.Plugin, Plugin: pipeline.GPUPlugin,
-		SamplesPerNode: samples, Staged: true, Batch: trainCfg.Batch, Epoch: 1,
-	})
-	if err != nil {
-		return res, err
-	}
-	res.EpochSecBase = float64(samples) / baseStep.Node
-	res.EpochSecPlugin = float64(samples) / plugStep.Node
-	res.TTSBase = float64(res.EpochsBase) * res.EpochSecBase
-	res.TTSPlugin = float64(res.EpochsPlugin) * res.EpochSecPlugin
-	if res.TTSPlugin > 0 {
-		res.Speedup = res.TTSBase / res.TTSPlugin
-	}
-	return res, nil
-}
-
-// String formats the result.
-func (r TTSResult) String() string {
-	return fmt.Sprintf(
-		"TIME TO SOLUTION on %s (target loss %.3f)\n"+
-			"  base:   %d epochs x %.1f s/epoch = %.1f s\n"+
-			"  plugin: %d epochs x %.1f s/epoch = %.1f s\n"+
-			"  speedup %.2fx (convergence preserved -> gain tracks throughput)\n",
-		r.Platform, r.TargetLoss,
-		r.EpochsBase, r.EpochSecBase, r.TTSBase,
-		r.EpochsPlugin, r.EpochSecPlugin, r.TTSPlugin,
-		r.Speedup)
+	return out, nil
 }

@@ -11,7 +11,7 @@
 // alignment to a common exponent, the zfp integer lifting transform along
 // each axis, sequency-ordered coefficients, coarser quantization for higher
 // bands) in a simplified fixed-rate layout. It exists as a comparator: the
-// encbench tool reports its ratio/error next to the paper's domain codec,
+// paper suite's zfp rows report its ratio/error next to the domain codec,
 // and it intentionally decodes only to FP32 on the host — no FP16 output,
 // no operator fusion, no chunk-decoder plugin — mirroring the limitations
 // the paper cites.

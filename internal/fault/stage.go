@@ -45,6 +45,12 @@ type StageFaultConfig struct {
 	// StallSeconds bounds an injected stall on Clock when it implements
 	// trace.Alarm (default: unbounded — the stall holds until Release).
 	StallSeconds float64
+	// StallAdvance, when positive and Clock is a trace.Sleeper, passes that
+	// many seconds of Clock as each stall begins, before the wedge holds. On
+	// a trace.VirtualClock nothing else moves, injected stalls are then the
+	// only passage of time, so a watchdog on that clock sees a deadline
+	// pass exactly when a stall was injected, however slow the host.
+	StallAdvance float64
 	// Clock, when non-nil and a trace.Alarm, bounds Stall wedges in time.
 	Clock trace.Clock
 }
@@ -137,6 +143,9 @@ func (in *StageInjector) Blob(i int) ([]byte, error) {
 // is indefinite: exactly the silent-hang failure mode the watchdog exists
 // to detect.
 func (in *StageInjector) stall() {
+	if sl, ok := in.cfg.Clock.(trace.Sleeper); ok && in.cfg.StallAdvance > 0 {
+		sl.Sleep(in.cfg.StallAdvance)
+	}
 	var bound <-chan struct{}
 	cancel := func() {}
 	if a, ok := in.cfg.Clock.(trace.Alarm); ok && in.cfg.StallSeconds > 0 {

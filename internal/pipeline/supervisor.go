@@ -159,6 +159,10 @@ type StageSupervisor struct {
 	// be pure hot-path overhead and begin/end short-circuit instead. Panic
 	// recovery is unaffected — it lives in the workers' deferred recovers.
 	passive bool
+	// since is the clock reading when the supervisor was made, before any
+	// sample of its epoch was admitted: the watchdog's first tick counts
+	// from it.
+	since float64
 
 	mu       sync.Mutex
 	holders  int // runs admitted so far; the next run's holder id
@@ -171,7 +175,7 @@ type StageSupervisor struct {
 
 // newSupervisor returns a supervisor for one epoch of the DAG.
 func newSupervisor(cfg SupervisorConfig, clock trace.Clock, reg *obs.Registry) *StageSupervisor {
-	return &StageSupervisor{
+	s := &StageSupervisor{
 		cfg:      cfg,
 		clock:    clock,
 		reg:      reg,
@@ -185,6 +189,10 @@ func newSupervisor(cfg SupervisorConfig, clock trace.Clock, reg *obs.Registry) *
 		restarts: make(map[string]int),
 		workers:  make(map[string]func()),
 	}
+	if !s.passive {
+		s.since = clock.Now()
+	}
+	return s
 }
 
 // registerWorker records how to spawn one fresh worker of a stage, so the
@@ -322,11 +330,16 @@ func (s *StageSupervisor) recovered(stage string, index int, r any) error {
 // watch is the stall watchdog: it scans the inflight table every half
 // deadline and routes overdue attempts per StallRestart. It exits with the
 // epoch (abort or done) and requires an Alarm-capable clock; without one
-// (or with no deadline) the caller never starts it.
+// (or with no deadline) the caller never starts it. Each tick counts from
+// the reading taken before the previous scan (the first from s.since), not
+// from when the next alarm is armed: a virtual clock that jumps past a
+// deadline while the watchdog is between alarms brings the next scan
+// forward instead of slipping it past the jump.
 func (s *StageSupervisor) watch(alarm trace.Alarm, abort, done <-chan struct{}) {
 	tick := s.cfg.StallDeadline / 2
+	next := s.since + tick
 	for {
-		ch, cancel := alarm.After(s.clock.Now() + tick)
+		ch, cancel := alarm.After(next)
 		select {
 		case <-ch:
 		case <-abort:
@@ -336,6 +349,7 @@ func (s *StageSupervisor) watch(alarm trace.Alarm, abort, done <-chan struct{}) 
 			cancel()
 			return
 		}
+		next = s.clock.Now() + tick
 		if !s.scan(abort) {
 			return
 		}

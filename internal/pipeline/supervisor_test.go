@@ -2,6 +2,7 @@ package pipeline
 
 import (
 	"errors"
+	"fmt"
 	"reflect"
 	"testing"
 	"time"
@@ -274,6 +275,44 @@ func TestStallWatchdogOnVirtualClock(t *testing.T) {
 	}
 	if st := it.Stats(); st.Stalls != len(in.Log()) {
 		t.Fatalf("Stats.Stalls = %d, injector logged %d", st.Stalls, len(in.Log()))
+	}
+}
+
+// TestInjectedStallsOnVirtualClock drives the watchdog with the stall
+// injector alone: each wedge passes twice the deadline on the loader's
+// virtual clock. With one sample in flight the watchdog must flag exactly
+// the injected stalls, even when a wedge moves the clock while the
+// watchdog is between a scan and its next alarm, and the epoch must end.
+func TestInjectedStallsOnVirtualClock(t *testing.T) {
+	clock := &trace.VirtualClock{}
+	in := fault.WrapStage(testDataset(32), fault.StageFaultConfig{Seed: 9, Stall: 0.3, StallAdvance: 20, Clock: clock})
+	defer in.Release()
+	l, err := New(in, Config{
+		Format: countFormat{}, Batch: 4, Prefetch: 1, Clock: clock,
+		Supervise: SupervisorConfig{MaxRestarts: 64, StallDeadline: 10, StallRestart: true},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	it := l.Epoch(0)
+	drained := make(chan error, 1)
+	go func() {
+		n, err := it.Drain()
+		if err == nil && n != 32 {
+			err = fmt.Errorf("Drain = %d samples, want 32", n)
+		}
+		drained <- err
+	}()
+	select {
+	case err := <-drained:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(30 * time.Second):
+		t.Fatal("epoch hung: a stall was never flagged")
+	}
+	if st, n := it.Stats(), len(in.Log()); n == 0 || st.Stalls != n {
+		t.Fatalf("Stats.Stalls = %d, injector logged %d", st.Stalls, n)
 	}
 }
 

@@ -203,10 +203,19 @@ func runLoader(d domain, m loaderMix, plug pipeline.Plugin, cached bool, p Param
 	if err != nil {
 		return sweep.Result{}, err
 	}
+	// The watchdog runs on a virtual clock that only the stall injector
+	// moves, by twice the deadline per wedge: host speed cannot make a slow
+	// decode look like a stall, and every wedge passes the deadline. A cell
+	// that injects stalls admits one sample at a time, so the wedged attempt
+	// is the only one in flight when the clock moves and the watchdog flags
+	// exactly the injected stalls.
+	const deadline = 0.05
+	clock := &trace.VirtualClock{}
 	var injector *fault.StageInjector
 	var pds pipeline.Dataset = ds
 	if m.panicP > 0 || m.stall > 0 {
-		injector = fault.WrapStage(ds, fault.StageFaultConfig{Seed: p.Seed + 3, Panic: m.panicP, Stall: m.stall})
+		injector = fault.WrapStage(ds, fault.StageFaultConfig{Seed: p.Seed + 3, Panic: m.panicP, Stall: m.stall,
+			StallAdvance: 2 * deadline, Clock: clock})
 		defer injector.Release() // unwedge abandoned workers so they exit
 		pds = injector
 	}
@@ -220,10 +229,14 @@ func runLoader(d domain, m loaderMix, plug pipeline.Plugin, cached bool, p Param
 		Resilience: pipeline.Resilience{MaxRetries: 2},
 		Supervise: pipeline.SupervisorConfig{
 			MaxRestarts:   256,
-			StallDeadline: 0.05,
+			StallDeadline: deadline,
 			StallRestart:  true,
 		},
-		Obs: reg,
+		Clock: clock,
+		Obs:   reg,
+	}
+	if m.stall > 0 {
+		cfg.Prefetch = 1
 	}
 	if plug == pipeline.GPUPlugin {
 		cfg.Device = gpusim.New(platform.Summit().GPU)

@@ -46,4 +46,4 @@ func (s Suite) Cell(p Params, name string) sweep.Cell {
 }
 
 // All lists the suites in `-suite` order.
-func All() []Suite { return []Suite{Loader, Serve, Overload, Train} }
+func All() []Suite { return []Suite{Loader, Serve, Overload, Train, Paper} }

@@ -21,13 +21,18 @@ func testParams(suite string, seed uint64) Params {
 	return Params{Samples: 24, Epochs: 2, Seed: seed}
 }
 
-// TestCells runs every suite's real sweep: each cell must digest
+// TestCells runs every acceptance suite's real sweep: each cell must digest
 // bit-identically to its clean twin and reconcile its table, and no suite
 // may leak a goroutine. The train suite skips its wall-clock stall
 // scenarios (hang, slow), which the train package's elastic tests cover.
+// The paper suite has no expectations to reconcile: its check is
+// cmd/sweep's golden.
 func TestCells(t *testing.T) {
 	want := map[string]int{"loader": 28, "serve": 8, "overload": 40, "train": 4}
 	for _, s := range All() {
+		if s.Name == "paper" {
+			continue
+		}
 		t.Run(s.Name, func(t *testing.T) {
 			p := testParams(s.Name, 1)
 			cells := s.Cells(p)
@@ -199,5 +204,25 @@ func TestEvictionReconcile(t *testing.T) {
 				t.Fatal("mismatch not reported")
 			}
 		})
+	}
+}
+
+// TestPaperRecord pins the paper suite's number encoding: a printed field
+// is stored as the integer of its printed digits under its column head
+// (_eN for N decimals, a unit suffix dropped), a name field as head.name,
+// and the table shows each value back with its decimals.
+func TestPaperRecord(t *testing.T) {
+	o := row("ratio vs-clean node err mean exact", "%.2fx %+.2f %.0f %.1f%% %.4f %s", 2.8649, -5.125, 808.5, 17.46, 0.012512, "yes")
+	want := sweep.Obs{"ratio_e2": 286, "vs-clean_e2": -512, "node": 808, "err_e1": 175, "mean_e4": 125, "exact.yes": 1}
+	if len(o) != len(want) {
+		t.Errorf("got %v, want %v", o, want)
+	}
+	for k, v := range want {
+		if o[k] != v {
+			t.Errorf("%s = %d, want %d", k, o[k], v)
+		}
+	}
+	if got, show := showFixed(sweep.Result{Obs: o}), "err=17.5 exact.yes=1 mean=0.0125 node=808 ratio=2.86 vs-clean=-5.12"; got != show {
+		t.Errorf("showFixed = %q, want %q", got, show)
 	}
 }

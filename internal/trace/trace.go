@@ -138,7 +138,7 @@ func (t *Timeline) Reset() {
 }
 
 // FormatBreakdown renders a per-tag breakdown as aligned text rows sorted by
-// descending share, for the cmd/breakdown output.
+// descending share, for cmd/profile's output.
 func FormatBreakdown(b map[string]float64) string {
 	type row struct {
 		tag string

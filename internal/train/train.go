@@ -138,7 +138,8 @@ type Config struct {
 	// only where the bytes come from.
 	Cache pipeline.CacheConfig
 	// Faults, when non-nil, wraps the training dataset in a seeded fault
-	// injector — the harness of the robustness experiments (cmd/faultbench).
+	// injector — the harness of the robustness experiments (the paper suite's
+	// faults rows).
 	Faults *fault.Config
 	// Obs, when non-nil, instruments the run end to end: the loader emits
 	// stage spans and sample counters, the decode format is wrapped by

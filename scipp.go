@@ -273,5 +273,9 @@ func ScaleOut(sc Scenario, nodes []int) ([]bench.ScaleRow, error) {
 // TimeToSolution combines real epochs-to-target with the modeled epoch time
 // on a platform (CosmoFlow).
 func TimeToSolution(scale float64, p Platform, target float64, dataCfg CosmoConfig, trainCfg TrainConfig) (bench.TTSResult, error) {
-	return bench.TimeToSolution(scale, p, target, dataCfg, trainCfg)
+	rs, err := bench.TimeToSolution(scale, []Platform{p}, target, dataCfg, trainCfg)
+	if err != nil {
+		return bench.TTSResult{}, err
+	}
+	return rs[0], nil
 }
