@@ -350,33 +350,8 @@ func (in *Injector) Blob(i int) ([]byte, error) {
 	if !ok {
 		return in.ds.Blob(i)
 	}
-	access := in.log.bumpSample(i)
-	note := func(k Kind) {
-		in.log.record(Injection{Sample: i, Access: access, Kind: k, Rank: -1, Step: -1})
-	}
-	switch kind {
-	case TransientIO:
-		if access <= in.cfg.TransientFailures {
-			note(TransientIO)
-			return nil, MarkTransient(fmt.Errorf("fault: sample %d: injected transient I/O error (access %d)", i, access))
-		}
-		return in.ds.Blob(i)
-	case Lost:
-		note(Lost)
-		return nil, fmt.Errorf("fault: sample %d: injected permanent loss", i)
-	case Latency:
-		note(Latency)
-		if s, isSleeper := in.cfg.Clock.(trace.Sleeper); isSleeper {
-			s.Sleep(in.cfg.LatencySeconds)
-		}
-		return in.ds.Blob(i)
-	}
-	blob, err := in.ds.Blob(i)
-	if err != nil {
-		return nil, err
-	}
-	note(kind)
-	return damage(blob, kind, in.cfg.damageRNG(i)), nil
+	at := Injection{Sample: i, Access: in.log.bumpSample(i), Rank: -1, Step: -1}
+	return in.cfg.inject(in.log, at, kind, fmt.Sprintf("sample %d", i), i, func() ([]byte, error) { return in.ds.Blob(i) })
 }
 
 // Log returns the injection events so far, in canonical order.
@@ -400,6 +375,38 @@ func damage(blob []byte, kind Kind, rng *xrand.RNG) []byte {
 		out[rng.Intn(len(out))] ^= byte(1 + rng.Intn(255))
 	}
 	return out
+}
+
+// inject applies one assigned fault to access at.Access of an item named
+// who: a TransientIO fails the first TransientFailures accesses, Lost fails
+// every access, Latency sleeps on the clock, and Corrupt or Truncate damage
+// a copy of the clean blob (with damageRNG(i)). fetch reads the clean blob;
+// every applied fault is recorded in l.
+func (c Config) inject(l *log, at Injection, kind Kind, who string, i int, fetch func() ([]byte, error)) ([]byte, error) {
+	at.Kind = kind
+	switch kind {
+	case TransientIO:
+		if at.Access > c.TransientFailures {
+			return fetch()
+		}
+		l.record(at)
+		return nil, MarkTransient(fmt.Errorf("fault: %s: injected transient I/O error (access %d)", who, at.Access))
+	case Lost:
+		l.record(at)
+		return nil, fmt.Errorf("fault: %s: injected permanent loss", who)
+	case Latency:
+		l.record(at)
+		if s, isSleeper := c.Clock.(trace.Sleeper); isSleeper {
+			s.Sleep(c.LatencySeconds)
+		}
+		return fetch()
+	}
+	blob, err := fetch()
+	if err != nil {
+		return nil, err
+	}
+	l.record(at)
+	return damage(blob, kind, c.damageRNG(i)), nil
 }
 
 // hashBlob is FNV-1a over the blob: the format injector's stand-in for a
@@ -440,29 +447,12 @@ func (fi *FormatInjector) Open(blob []byte) (codec.ChunkDecoder, error) {
 	if !ok {
 		return fi.f.Open(blob)
 	}
-	access := fi.log.bumpKey(key)
-	note := func(k Kind) {
-		fi.log.record(Injection{Sample: -1, Key: key, Access: access, Kind: k, Rank: -1, Step: -1})
+	at := Injection{Sample: -1, Key: key, Access: fi.log.bumpKey(key), Rank: -1, Step: -1}
+	blob, err := cfg.inject(fi.log, at, kind, fmt.Sprintf("blob %016x", key), 0, func() ([]byte, error) { return blob, nil })
+	if err != nil {
+		return nil, err
 	}
-	switch kind {
-	case TransientIO:
-		if access <= cfg.TransientFailures {
-			note(TransientIO)
-			return nil, MarkTransient(fmt.Errorf("fault: blob %016x: injected transient open failure (access %d)", key, access))
-		}
-		return fi.f.Open(blob)
-	case Lost:
-		note(Lost)
-		return nil, fmt.Errorf("fault: blob %016x: injected permanent loss", key)
-	case Latency:
-		note(Latency)
-		if s, isSleeper := cfg.Clock.(trace.Sleeper); isSleeper {
-			s.Sleep(cfg.LatencySeconds)
-		}
-		return fi.f.Open(blob)
-	}
-	note(kind)
-	return fi.f.Open(damage(blob, kind, cfg.damageRNG(0)))
+	return fi.f.Open(blob)
 }
 
 // Log returns the injection events so far, in canonical order.

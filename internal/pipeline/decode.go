@@ -49,7 +49,10 @@ func (s *DecodeStage) Process(index int, in rawSample) (decodedSample, error) {
 	}
 	dst := s.pool.GetTensor(cd.OutputDType(), cd.OutputShape())
 	sp := s.ob.decode.Start()
-	t0 := s.clock.Now()
+	var t0 float64
+	if s.timeline != nil {
+		t0 = s.clock.Now()
+	}
 	switch s.plugin {
 	case GPUPlugin:
 		_, err = s.device.ExecuteInto(cd, dst)

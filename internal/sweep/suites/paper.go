@@ -341,7 +341,7 @@ func lutRow(i int) (sweep.Obs, error) {
 // convergenceCells: Fig 6's per-step DeepCAM losses, base and decoded;
 // Fig 7's per-epoch CosmoFlow means over the repetitions and the final-loss
 // spread; and the per-epoch loss of a 4-rank data-parallel CosmoFlow run
-// over a ring allreduce.
+// over a ring allreduce, which reproduces fig7's single-replica base curve.
 func convergenceCells(p Params) []sweep.Cell {
 	cells := table("fig6", 5*p.Epochs, func() ([]sweep.Obs, error) {
 		series, err := bench.Fig6(48, 2, 5*p.Epochs, p.Seed)
@@ -376,12 +376,15 @@ func convergenceCells(p Params) []sweep.Cell {
 	})...)
 	return append(cells, table("ranks4", p.Epochs, func() ([]sweep.Obs, error) {
 		cfg := train.Config{Samples: 32, Batch: 4, Epochs: p.Epochs, Seed: p.Seed, LR: 0.01, Warmup: 4}
-		losses, err := train.DataParallelCosmoFlow(cosmo16(), cfg, 4)
+		res, err := train.ElasticCosmoFlow(cosmo16(), cfg, train.ElasticConfig{Ranks: 4})
+		if err != nil {
+			return nil, err
+		}
 		var rows []sweep.Obs
-		for _, l := range losses {
+		for _, l := range res.Losses {
 			rows = append(rows, row("loss", "%.5f", l))
 		}
-		return rows, err
+		return rows, nil
 	})...)
 }
 

@@ -173,25 +173,25 @@ func TestEvictionReconcile(t *testing.T) {
 	ev := dist.Eviction{Rank: 1, Reason: "crash"}
 	for _, tc := range []struct {
 		name string
-		res  train.ElasticResult
+		res  train.Result
 		ok   bool
 	}{
-		{"matched", train.ElasticResult{
+		{"matched", train.Result{
 			RankLog:       []fault.Injection{crash},
 			Evictions:     []dist.Eviction{ev},
 			EvictionSteps: []int{3},
 		}, true},
-		{"missing eviction", train.ElasticResult{RankLog: []fault.Injection{crash}}, false},
-		{"wrong step", train.ElasticResult{
+		{"missing eviction", train.Result{RankLog: []fault.Injection{crash}}, false},
+		{"wrong step", train.Result{
 			RankLog:       []fault.Injection{crash},
 			Evictions:     []dist.Eviction{ev},
 			EvictionSteps: []int{4},
 		}, false},
-		{"spurious eviction", train.ElasticResult{
+		{"spurious eviction", train.Result{
 			Evictions:     []dist.Eviction{{Rank: 0, Reason: "timeout"}},
 			EvictionSteps: []int{2},
 		}, false},
-		{"slow injections ignored", train.ElasticResult{
+		{"slow injections ignored", train.Result{
 			RankLog: []fault.Injection{{Kind: fault.SlowRank, Rank: 2, Step: 1}},
 		}, true},
 	} {

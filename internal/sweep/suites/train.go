@@ -132,7 +132,7 @@ func runTrain(sc rankScenario, p Params) (sweep.Result, error) {
 	if ecfg.RankFaults != nil {
 		ecfg.RankFaults.Seed = p.Seed + 7
 	}
-	var res *train.ElasticResult
+	var res *train.Result
 	var err error
 	if p.App == "deepcam" {
 		clim := synthetic.DefaultClimateConfig()
@@ -161,7 +161,7 @@ func runTrain(sc rankScenario, p Params) (sweep.Result, error) {
 // observeElastic flattens an elastic run. evictions.matched counts the crash/hang
 // injections that map to an eviction of that rank absorbed at the injected
 // step — the pairing evictionExpect reconciles.
-func observeElastic(res *train.ElasticResult) sweep.Obs {
+func observeElastic(res *train.Result) sweep.Obs {
 	o := sweep.Obs{
 		"epochs":            int64(len(res.Losses)),
 		"alive":             int64(len(res.Alive)),

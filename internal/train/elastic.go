@@ -48,51 +48,25 @@ type ElasticConfig struct {
 	Source BatchSource
 }
 
-// ElasticResult is an elastic run's outcome: the loss curve plus the full
-// failure record, positioned so it reconciles exactly against the fault
-// injector's log.
-type ElasticResult struct {
-	// Losses is the per-epoch mean global training loss.
-	Losses []float64
-	// StepLosses is the per-step global loss (each step's batch-weighted
-	// mean over the ranks that survived it).
-	StepLosses []float64
-	// Evictions are the group's eviction records, in order.
-	Evictions []dist.Eviction
-	// EvictionSteps gives, parallel to Evictions, the global optimizer step
-	// during which each eviction was absorbed.
-	EvictionSteps []int
-	// RankLog is the injector's canonical fault log (nil without faults).
-	RankLog []fault.Injection
-	// Alive lists the ranks still live at the end of the run.
-	Alive []int
-	// Generations is the final ring generation (= evictions survived,
-	// counting from any ranks already down at start).
-	Generations int
-	// Stragglers lists the ranks flagged slow when the run ended.
-	Stragglers []int
-}
-
-// elasticSpec is the per-application half of the engine: model construction
-// and the loss closure. Everything else — sharding, fault injection, the
-// weighted gradient allreduce, retries, checkpointing — is shared.
+// elasticSpec is the per-application half of the engine: model and
+// optimizer construction, input normalization and the loss. Everything
+// else — the loader, sharding, fault injection, the weighted gradient
+// allreduce, retries, checkpointing — is shared by every training run.
 type elasticSpec struct {
 	app       string
 	newModel  func() (*nn.Sequential, error)
 	newOpt    func(cfg Config) nn.Optimizer
 	normalize bool
 	loss      func(m *nn.Sequential, x, y *tensor.Tensor) (float64, *tensor.Tensor)
+	// afterStep, when set, runs after every optimizer step with the count
+	// of completed steps and the lowest live replica (the validation hook).
+	afterStep func(step int, m *nn.Sequential) error
 }
 
-// ElasticDeepCAM trains the segmentation model across ecfg.Ranks elastic
-// replicas for cfg.Epochs epochs (the elastic engines are epoch-driven;
-// cfg.Steps is ignored).
-func ElasticDeepCAM(climCfg synthetic.ClimateConfig, cfg Config, ecfg ElasticConfig) (*ElasticResult, error) {
-	built, err := core.BuildClimateDataset(climCfg, cfg.Samples, cfg.encoding())
-	if err != nil {
-		return nil, err
-	}
-	spec := elasticSpec{
+// deepcamSpec is the segmentation model's half of the engine, shared by
+// ElasticDeepCAM and the validation driver.
+func deepcamSpec(climCfg synthetic.ClimateConfig) elasticSpec {
+	return elasticSpec{
 		app: "deepcam",
 		newModel: func() (*nn.Sequential, error) {
 			return models.MiniDeepCAM(climCfg.Channels, climCfg.Height, climCfg.Width)
@@ -103,12 +77,36 @@ func ElasticDeepCAM(climCfg synthetic.ClimateConfig, cfg Config, ecfg ElasticCon
 			return nn.SoftmaxCrossEntropy2D(m.Forward(x), y)
 		},
 	}
-	return elasticRun(built, core.DeepCAM, cfg, ecfg, spec)
+}
+
+// batch stacks samples [lo, hi) of b into the model input and labels.
+func (s elasticSpec) batch(b *pipeline.Batch, lo, hi int) (x, y *tensor.Tensor, err error) {
+	if x, err = StackData(b.Data[lo:hi]); err != nil {
+		return nil, nil, err
+	}
+	if s.normalize {
+		NormalizeChannels(x)
+	}
+	y, err = StackLabels(b.Labels[lo:hi])
+	return x, y, err
+}
+
+// ElasticDeepCAM trains the segmentation model across ecfg.Ranks elastic
+// replicas until cfg.Steps steps or cfg.Epochs epochs, whichever set bound
+// comes first.
+func ElasticDeepCAM(climCfg synthetic.ClimateConfig, cfg Config, ecfg ElasticConfig) (*Result, error) {
+	built, err := core.BuildClimateDataset(climCfg, cfg.Samples, cfg.encoding())
+	if err != nil {
+		return nil, err
+	}
+	return elasticRun(built, core.DeepCAM, cfg, ecfg, deepcamSpec(climCfg))
 }
 
 // ElasticCosmoFlow trains the regression model across ecfg.Ranks elastic
-// replicas for cfg.Epochs epochs.
-func ElasticCosmoFlow(cosmoCfg synthetic.CosmoConfig, cfg Config, ecfg ElasticConfig) (*ElasticResult, error) {
+// replicas until cfg.Steps steps or cfg.Epochs epochs, whichever set bound
+// comes first. At any rank count it follows the one-replica curve: the
+// shard-weighted allreduce gives every replica the global batch gradient.
+func ElasticCosmoFlow(cosmoCfg synthetic.CosmoConfig, cfg Config, ecfg ElasticConfig) (*Result, error) {
 	built, err := core.BuildCosmoDataset(cosmoCfg, cfg.Samples, cfg.encoding())
 	if err != nil {
 		return nil, err
@@ -124,21 +122,39 @@ func ElasticCosmoFlow(cosmoCfg synthetic.CosmoConfig, cfg Config, ecfg ElasticCo
 	return elasticRun(built, core.CosmoFlow, cfg, ecfg, spec)
 }
 
-func elasticRun(built pipeline.Dataset, app core.App, cfg Config, ecfg ElasticConfig, spec elasticSpec) (*ElasticResult, error) {
+// engine is one run's replica set: a model and optimizer per rank, the
+// communicator joining them and the optional rank fault injector.
+type engine struct {
+	spec     elasticSpec
+	group    *dist.Group
+	replicas []*nn.Sequential
+	opts     []nn.Optimizer
+	inj      *fault.RankInjector
+}
+
+// elasticRun is the training loop every run goes through.
+func elasticRun(built pipeline.Dataset, app core.App, cfg Config, ecfg ElasticConfig, spec elasticSpec) (*Result, error) {
 	if ecfg.Ranks <= 0 {
 		return nil, fmt.Errorf("train: invalid rank count %d", ecfg.Ranks)
 	}
 	source := ecfg.Source
+	var dataInj *fault.Injector
 	if source == nil {
-		ds, _ := withFaults(built, cfg)
+		var ds pipeline.Dataset
+		ds, dataInj = withFaults(built, cfg)
+		clock := cfg.obsClock()
 		loader, err := pipeline.New(ds, pipeline.Config{
-			Format:     core.FormatFor(app, cfg.encoding()),
-			Batch:      cfg.Batch,
-			Shuffle:    true,
-			Seed:       cfg.Seed,
-			DropLast:   true,
+			Format:  cfg.format(app, clock),
+			Batch:   cfg.Batch,
+			Shuffle: true,
+			Seed:    cfg.Seed,
+			// Replicas shard every batch, so a short tail batch that might
+			// not cover them is dropped; a lone replica trains on it.
+			DropLast:   ecfg.Ranks > 1,
 			Cache:      cfg.Cache,
 			Resilience: cfg.Resilience,
+			Clock:      clock,
+			Obs:        cfg.Obs,
 		})
 		if err != nil {
 			return nil, err
@@ -146,16 +162,15 @@ func elasticRun(built pipeline.Dataset, app core.App, cfg Config, ecfg ElasticCo
 		source = loaderSource{loader}
 	}
 
-	replicas := make([]*nn.Sequential, ecfg.Ranks)
-	opts := make([]nn.Optimizer, ecfg.Ranks)
-	for r := 0; r < ecfg.Ranks; r++ {
+	e := &engine{spec: spec, replicas: make([]*nn.Sequential, ecfg.Ranks), opts: make([]nn.Optimizer, ecfg.Ranks)}
+	for r := range e.replicas {
 		m, err := spec.newModel()
 		if err != nil {
 			return nil, err
 		}
 		m.InitHe(cfg.Seed) // identical init on every replica
-		replicas[r] = m
-		opts[r] = spec.newOpt(cfg)
+		e.replicas[r] = m
+		e.opts[r] = spec.newOpt(cfg)
 	}
 
 	// Resume before building the group: the checkpoint names the ranks that
@@ -164,14 +179,14 @@ func elasticRun(built pipeline.Dataset, app core.App, cfg Config, ecfg ElasticCo
 	// and optimizer state are identical across ranks by construction).
 	var meta CheckpointMeta
 	var err error
-	for r := 0; r < ecfg.Ranks; r++ {
-		meta, err = cfg.resumeInto(spec.app, replicas[r], opts[r])
+	for r := range e.replicas {
+		meta, err = cfg.resumeInto(spec.app, e.replicas[r], e.opts[r])
 		if err != nil {
 			return nil, err
 		}
 	}
 
-	group, err := dist.New(dist.Config{
+	e.group, err = dist.New(dist.Config{
 		Ranks:      ecfg.Ranks,
 		Clock:      ecfg.Clock,
 		Timeout:    ecfg.Timeout,
@@ -182,42 +197,43 @@ func elasticRun(built pipeline.Dataset, app core.App, cfg Config, ecfg ElasticCo
 	if err != nil {
 		return nil, err
 	}
-	var inj *fault.RankInjector
 	if ecfg.RankFaults != nil {
 		rc := *ecfg.RankFaults
 		if rc.Clock == nil {
 			rc.Clock = ecfg.Clock
 		}
-		inj = fault.NewRankInjector(rc)
+		e.inj = fault.NewRankInjector(rc)
 	}
 	sched := nn.WarmupSchedule{Base: cfg.LR, WarmupSteps: cfg.Warmup}
 
-	res := &ElasticResult{}
+	res := &Result{}
+	roll := newEpochRoll(cfg.Obs)
 	evSeen := 0
 	step := meta.Step
-	for epoch := meta.Epoch; epoch < cfg.Epochs; epoch++ {
+	for epoch := meta.Epoch; !cfg.done(epoch, step); epoch++ {
 		it := source.EpochBatches(epoch)
 		if it == nil {
 			return nil, fmt.Errorf("train: batch source yielded no epoch %d iterator (tenant detached?)", epoch)
 		}
 		var sum float64
-		var steps int
-		for {
+		steps := 0
+		full := false
+		for !cfg.done(epoch, step) {
 			b, err := it.Next()
-			if err != nil {
-				it.Close()
-				return nil, err
-			}
-			if b == nil {
+			if err == nil && b == nil {
+				full = true
 				break
 			}
-			loss, err := elasticStep(group, replicas, opts, inj, spec, sched, b, step)
+			var loss float64
+			if err == nil {
+				loss, err = e.step(b, step, sched.At(step))
+			}
 			if err != nil {
 				it.Close()
 				return nil, err
 			}
 			// Attribute any evictions absorbed during this step.
-			for _, ev := range group.Evictions()[evSeen:] {
+			for _, ev := range e.group.Evictions()[evSeen:] {
 				res.Evictions = append(res.Evictions, ev)
 				res.EvictionSteps = append(res.EvictionSteps, step)
 				evSeen++
@@ -226,60 +242,86 @@ func elasticRun(built pipeline.Dataset, app core.App, cfg Config, ecfg ElasticCo
 			sum += loss
 			steps++
 			step++
-		}
-		it.Close()
-		if steps == 0 {
-			return nil, fmt.Errorf("train: empty epoch %d", epoch)
-		}
-		res.Losses = append(res.Losses, sum/float64(steps))
-		leader := group.Alive()[0]
-		var down []int
-		for r := 0; r < ecfg.Ranks; r++ {
-			if !group.Live(r) {
-				down = append(down, r)
+			if spec.afterStep != nil {
+				if err := spec.afterStep(step, e.replicas[e.group.Alive()[0]]); err != nil {
+					it.Close()
+					return nil, err
+				}
 			}
 		}
-		if err := cfg.saveCheckpoint(spec.app, epoch+1, step, replicas[leader], opts[leader], down); err != nil {
-			return nil, err
+		res.Epochs = append(res.Epochs, roll.epoch(it))
+		it.Close()
+		if steps == 0 {
+			// Every sample skipped (or the dataset is empty): without this
+			// guard a fully degraded epoch would loop forever.
+			return nil, fmt.Errorf("train: epoch %d produced no batches", epoch)
+		}
+		if cfg.Steps <= 0 {
+			res.Losses = append(res.Losses, sum/float64(steps))
+		}
+		if full {
+			// Snapshots are taken only at true epoch boundaries, never at a
+			// mid-epoch step cutoff, so a resumed run replays no batch.
+			if err := e.checkpoint(cfg, epoch+1, step); err != nil {
+				return nil, err
+			}
 		}
 	}
-	res.Alive = group.Alive()
-	res.Generations = group.Generation()
-	res.Stragglers = group.Stragglers()
-	if inj != nil {
-		res.RankLog = inj.Log()
+	if cfg.Steps > 0 {
+		res.Losses = res.StepLosses
+	}
+	res.Alive = e.group.Alive()
+	res.Generations = e.group.Generation()
+	res.Stragglers = e.group.Stragglers()
+	if e.inj != nil {
+		res.RankLog = e.inj.Log()
+	}
+	if dataInj != nil {
+		res.Injections = dataInj.Log()
+	}
+	if cfg.Obs != nil {
+		res.Metrics = cfg.Obs.Snapshot()
 	}
 	return res, nil
 }
 
+// checkpoint snapshots the lowest live replica after `epoch` completed
+// epochs, recording the ranks already lost.
+func (e *engine) checkpoint(cfg Config, epoch, step int) error {
+	var down []int
+	for r := range e.replicas {
+		if !e.group.Live(r) {
+			down = append(down, r)
+		}
+	}
+	leader := e.group.Alive()[0]
+	return cfg.saveCheckpoint(e.spec.app, epoch, step, e.replicas[leader], e.opts[leader], down)
+}
+
 // rankOutcome is one rank's result for one step.
 type rankOutcome struct {
-	loss float64 // global batch-weighted loss after the allreduce
+	loss float64 // mean loss over the rank's shard
+	size int     // shard size in samples
 	died bool    // this rank left the group during the step
 	err  error   // non-recoverable failure
 }
 
-// elasticStep runs one synchronous optimizer step across the live ranks:
-// shard the batch, inject any scheduled rank faults, compute local gradients,
-// allreduce them sample-weighted, and apply the identical update everywhere.
-// Returns the step's global loss from the lowest surviving rank.
-func elasticStep(group *dist.Group, replicas []*nn.Sequential, opts []nn.Optimizer,
-	inj *fault.RankInjector, spec elasticSpec, sched nn.WarmupSchedule,
-	b *pipeline.Batch, step int) (float64, error) {
-
-	alive := group.Alive()
-	n := len(b.Data)
-	m := len(alive)
+// step runs one synchronous optimizer step across the live ranks: shard
+// the batch, inject any scheduled rank faults, compute local gradients,
+// allreduce them share-weighted, and apply the identical update everywhere.
+// It returns the step's global loss: the shard-weighted mean of the
+// surviving ranks' losses, so a lone replica reports its loss unchanged.
+func (e *engine) step(b *pipeline.Batch, step int, lr float64) (float64, error) {
+	alive := e.group.Alive()
+	n, m := len(b.Data), len(alive)
 	if n < m {
-		return 0, fmt.Errorf("train: batch of %d cannot shard over %d ranks", n, m)
+		return 0, fmt.Errorf("train: batch of %d samples is smaller than the %d live ranks", n, m)
 	}
 	// Contiguous shards over the live ranks in id order: sizes differ by at
-	// most one, and the allreduce weights each rank's gradient by its shard
-	// size so uneven shards still yield the exact global batch mean.
+	// most one, and the allreduce weights each rank's gradient by its share
+	// of the batch so uneven shards still yield the exact global batch mean.
 	base, rem := n/m, n%m
-	lr := sched.At(step)
-
-	outs := make([]rankOutcome, len(replicas))
+	outs := make([]rankOutcome, len(e.replicas))
 	var wg sync.WaitGroup
 	off := 0
 	for i, r := range alive {
@@ -287,70 +329,69 @@ func elasticStep(group *dist.Group, replicas []*nn.Sequential, opts []nn.Optimiz
 		if i < rem {
 			size++
 		}
-		lo, hi := off, off+size
-		off = hi
 		wg.Add(1)
 		go func(rank, lo, hi int) {
 			defer wg.Done()
-			outs[rank] = rankStep(group, replicas[rank], opts[rank], inj, spec, b, rank, step, lo, hi, lr)
-		}(r, lo, hi)
+			outs[rank] = e.rankStep(b, rank, step, lo, hi, lr)
+		}(r, off, off+size)
+		off += size
 	}
 	wg.Wait()
 
+	kept := 0
 	for _, r := range alive {
 		if outs[r].err != nil {
 			return 0, outs[r].err
 		}
-	}
-	for _, r := range alive {
 		if !outs[r].died {
-			return outs[r].loss, nil
+			kept += outs[r].size
 		}
 	}
-	return 0, fmt.Errorf("train: all ranks lost at step %d", step)
+	if kept == 0 {
+		return 0, fmt.Errorf("train: all ranks lost at step %d", step)
+	}
+	var loss float64
+	for _, r := range alive {
+		if o := outs[r]; !o.died {
+			loss += o.loss * (float64(o.size) / float64(kept))
+		}
+	}
+	return loss, nil
 }
 
 // rankStep is one rank's share of a step. The gradient synchronization
-// flattens every parameter gradient scaled by the local sample count into a
-// single buffer, appends [loss*count, count], and allreduce-sums it: dividing
-// by the summed count afterwards gives the exact global batch mean even when
-// shard sizes differ or a rank dies mid-step (its samples simply drop out of
-// the weighted sum). On a *RankError the local gradients are untouched, so
-// the retry refills the buffer and re-runs the collective on the rebuilt
-// ring.
-func rankStep(group *dist.Group, model *nn.Sequential, opt nn.Optimizer,
-	inj *fault.RankInjector, spec elasticSpec, b *pipeline.Batch,
-	rank, step, lo, hi int, lr float64) rankOutcome {
-
-	if inj != nil {
-		if kind, ok := inj.At(rank, step); ok {
+// flattens every parameter gradient scaled by the rank's share of the batch
+// into a single buffer, appends the share, and allreduce-sums it: dividing
+// by the summed share afterwards gives the exact global batch mean even
+// when shard sizes differ or a rank dies mid-step (its samples simply drop
+// out of the weighted sum). A lone replica's share is exactly 1, so its
+// gradients pass through unchanged. On a *RankError the local gradients are
+// untouched, so the retry refills the buffer and re-runs the collective on
+// the rebuilt ring.
+func (e *engine) rankStep(b *pipeline.Batch, rank, step, lo, hi int, lr float64) rankOutcome {
+	if e.inj != nil {
+		if kind, ok := e.inj.At(rank, step); ok {
 			switch kind {
 			case fault.CrashRank:
-				group.Leave(rank, "crash")
+				e.group.Leave(rank, "crash")
 				return rankOutcome{died: true}
 			case fault.HangRank:
 				// Never arrive at the collective; the goroutine parks until
 				// the group's deadline gives up on this rank.
-				<-group.Departed(rank)
+				<-e.group.Departed(rank)
 				return rankOutcome{died: true}
 			}
 			// SlowRank already stalled inside At via the injector's clock.
 		}
 	}
 
-	x, err := StackData(b.Data[lo:hi])
+	x, y, err := e.spec.batch(b, lo, hi)
 	if err != nil {
 		return rankOutcome{err: err}
 	}
-	if spec.normalize {
-		NormalizeChannels(x)
-	}
-	y, err := StackLabels(b.Labels[lo:hi])
-	if err != nil {
-		return rankOutcome{err: err}
-	}
+	model, opt := e.replicas[rank], e.opts[rank]
 	model.ZeroGrad()
-	loss, grad := spec.loss(model, x, y)
+	loss, grad := e.spec.loss(model, x, y)
 	model.Backward(grad)
 
 	params := model.Params()
@@ -358,8 +399,8 @@ func rankStep(group *dist.Group, model *nn.Sequential, opt nn.Optimizer,
 	for _, p := range params {
 		total += len(p.G)
 	}
-	buf := make([]float32, total+2)
-	w := float32(hi - lo)
+	buf := make([]float32, total+1)
+	w := float32(hi-lo) / float32(len(b.Data))
 	fill := func() {
 		o := 0
 		for _, p := range params {
@@ -368,19 +409,18 @@ func rankStep(group *dist.Group, model *nn.Sequential, opt nn.Optimizer,
 			}
 			o += len(p.G)
 		}
-		buf[total] = float32(loss) * w
-		buf[total+1] = w
+		buf[total] = w
 	}
 
 	// Bounded retry: each *RankError consumes at least one eviction, and the
 	// group can only shrink Size()-1 times before the ring is a singleton.
-	for attempt := 0; attempt < group.Size(); attempt++ {
+	for attempt := 0; attempt < e.group.Size(); attempt++ {
 		fill()
-		err := group.AllReduceSum(rank, buf)
+		err := e.group.AllReduceSum(rank, buf)
 		if err == nil {
-			tw := buf[total+1]
+			tw := buf[total]
 			if tw <= 0 {
-				return rankOutcome{err: fmt.Errorf("train: rank %d allreduced a non-positive sample count %v", rank, tw)}
+				return rankOutcome{err: fmt.Errorf("train: rank %d allreduced a non-positive batch share %v", rank, tw)}
 			}
 			inv := 1 / tw
 			o := 0
@@ -392,7 +432,7 @@ func rankStep(group *dist.Group, model *nn.Sequential, opt nn.Optimizer,
 			}
 			opt.SetLR(lr)
 			opt.Step(params)
-			return rankOutcome{loss: float64(buf[total] * inv)}
+			return rankOutcome{loss: loss, size: hi - lo}
 		}
 		var re *dist.RankError
 		if errors.As(err, &re) {

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"scipp/internal/fault"
+	"scipp/internal/obs"
 	"scipp/internal/trace"
 )
 
@@ -359,5 +360,47 @@ func TestElasticValidation(t *testing.T) {
 	// A batch smaller than the live rank count cannot shard.
 	if _, err := ElasticCosmoFlow(cosmo, cfg, ElasticConfig{Ranks: 3}); err == nil {
 		t.Error("unshardable batch accepted")
+	}
+}
+
+// TestEngineBoundsAndObs: a data-parallel run honours whichever of Steps
+// and Epochs it reaches first, checkpoints only at true epoch boundaries,
+// and is wired to Config.Obs like a one-replica run.
+func TestEngineBoundsAndObs(t *testing.T) {
+	reg := obs.NewRegistry()
+	cfg := Config{Samples: 8, Batch: 4, Epochs: 3, Steps: 5, Seed: 2, LR: 0.01, Warmup: 1,
+		Obs: reg, Clock: &trace.VirtualClock{}, CheckpointEvery: 1, Checkpoints: &CheckpointLog{}}
+	res, err := ElasticCosmoFlow(tinyCosmo(), cfg, ElasticConfig{Ranks: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Two steps per epoch: the step bound cuts the third epoch after one.
+	if len(res.Losses) != 5 || len(res.StepLosses) != 5 || len(res.Epochs) != 3 {
+		t.Fatalf("got %d losses, %d step losses, %d epochs; want 5, 5, 3",
+			len(res.Losses), len(res.StepLosses), len(res.Epochs))
+	}
+	if n := cfg.Checkpoints.Len(); n != 2 {
+		t.Errorf("%d checkpoints, want 2 (the cut epoch takes none)", n)
+	}
+	// The cut epoch may still be decoding prefetched samples while its
+	// accounting is read, so only the full epochs are compared exactly.
+	var decoded int64
+	for e, st := range res.Epochs {
+		d := st.Metrics.Counter("pipeline.samples.decoded")
+		if d == 0 || (e < 2 && int64(st.Decoded) != d) {
+			t.Errorf("epoch %d: Decoded %d, metric delta %d", e, st.Decoded, d)
+		}
+		decoded += d
+	}
+	if got := res.Metrics.Counter("pipeline.samples.decoded"); got < decoded {
+		t.Errorf("final snapshot decoded %d, epoch deltas sum to %d", got, decoded)
+	}
+	if g := res.Metrics.Gauge("dist.ring_size"); g.Value != 2 {
+		t.Errorf("dist.ring_size = %v, want 2", g.Value)
+	}
+
+	none, err := CosmoFlowRun(tinyCosmo(), Config{Samples: 4, Batch: 2, Seed: 1, LR: 0.01})
+	if err != nil || len(none.Losses) != 0 || len(none.Epochs) != 0 {
+		t.Errorf("a run with neither bound set trained: %+v, %v", none, err)
 	}
 }

@@ -6,7 +6,7 @@ import (
 )
 
 // BatchIter is one epoch's batch stream: the slice of pipeline.Iterator's
-// contract the training loops consume. Next returns (nil, nil) at a clean
+// contract the training loop consumes. Next returns (nil, nil) at a clean
 // end of epoch; Close aborts early without leaking.
 type BatchIter interface {
 	Next() (*pipeline.Batch, error)
@@ -37,7 +37,7 @@ func (s tenantSource) EpochBatches(epoch int) BatchIter {
 	return it
 }
 
-// NewTenantSource wires a dataserve tenant into the elastic engines: set
+// NewTenantSource wires a dataserve tenant into the training engine: set
 // ElasticConfig.Source to the result and the run draws its batches from
 // the shared service instead of building a private loader. The tenant's
 // schedule config (Batch, Shuffle, Seed, DropLast) must match what the

@@ -106,7 +106,7 @@ func TestElasticTwoTenantsOneService(t *testing.T) {
 		{Samples: 8, Batch: 2, Epochs: 2, Seed: 13, LR: 0.02, Warmup: 1},
 	}
 
-	var privates [2]*ElasticResult
+	var privates [2]*Result
 	for i, cfg := range cfgs {
 		res, err := ElasticCosmoFlow(cosmo, cfg, ElasticConfig{Ranks: 2})
 		if err != nil {
@@ -122,7 +122,7 @@ func TestElasticTwoTenantsOneService(t *testing.T) {
 		tenants[i] = attachCosmoTenant(t, svc, "cosmo", cfg)
 	}
 
-	var shared [2]*ElasticResult
+	var shared [2]*Result
 	errs := make([]error, 2)
 	var wg sync.WaitGroup
 	for i, cfg := range cfgs {

@@ -2,20 +2,19 @@
 // real gradient-descent training of the mini DeepCAM and CosmoFlow models on
 // base (FP32) versus decoded (FP16 plugin) samples, with the same learning
 // schedule and seeds for both sample classes — the paper's methodology of
-// changing nothing but the data feeder.
+// changing nothing but the data feeder. Every run, on one replica or many,
+// goes through one engine (elasticRun), so the single-replica figures and
+// the data-parallel and chaos runs share one step function.
 package train
 
 import (
 	"fmt"
 	"math"
-	"sync"
 
 	"scipp/internal/codec"
 	"scipp/internal/core"
 	"scipp/internal/dist"
 	"scipp/internal/fault"
-	"scipp/internal/models"
-	"scipp/internal/nn"
 	"scipp/internal/obs"
 	"scipp/internal/pipeline"
 	"scipp/internal/synthetic"
@@ -117,9 +116,12 @@ type Config struct {
 	Samples int
 	// Batch is the minibatch size (the paper uses 2/step for DeepCAM).
 	Batch int
-	// Steps bounds the total optimizer steps (DeepCAM tracks per step).
+	// Steps bounds the total optimizer steps. A Steps-bounded run reports
+	// one loss per step (DeepCAM tracks per step).
 	Steps int
-	// Epochs bounds full dataset traversals (CosmoFlow tracks per epoch).
+	// Epochs bounds full dataset traversals; an Epochs-bounded run reports
+	// one mean loss per epoch (CosmoFlow tracks per epoch). A run stops at
+	// whichever set bound it reaches first.
 	Epochs int
 	// Seed drives model init and shuffling; vary per repetition.
 	Seed uint64
@@ -162,6 +164,13 @@ type Config struct {
 	ResumeFrom *Checkpoint
 }
 
+// done reports whether a run positioned at (epoch, step) has reached a set
+// bound; a run with neither bound set does nothing.
+func (c Config) done(epoch, step int) bool {
+	return (c.Steps > 0 && step >= c.Steps) || (c.Epochs > 0 && epoch >= c.Epochs) ||
+		(c.Steps <= 0 && c.Epochs <= 0)
+}
+
 // obsClock resolves the clock shared by the loader and the instrumented
 // format: the configured clock, or one wall clock per run when
 // instrumentation is on.
@@ -183,7 +192,9 @@ func (c Config) format(app core.App, clock trace.Clock) codec.Format {
 
 // EpochStats is one epoch's loader error accounting within a run.
 type EpochStats struct {
-	// Decoded, Retried, Skipped mirror pipeline.Stats for the epoch.
+	// Decoded, Retried, Skipped mirror pipeline.Stats for the epoch (zero
+	// when the batch source keeps no pipeline.Stats, e.g. a dataserve
+	// tenant).
 	Decoded, Retried, Skipped int
 	// Metrics is the epoch's observability roll-up: the delta of every
 	// counter and histogram in Config.Obs across the epoch (zero when Obs
@@ -192,21 +203,40 @@ type EpochStats struct {
 	Metrics obs.Snapshot
 }
 
-// Result couples a run's loss curve with its resilience accounting, so
-// robustness experiments can assert on sample-loss budgets next to
-// convergence.
+// Result is a training run's outcome: the loss curve, the loader's
+// resilience accounting and, for data-parallel runs, the full rank-failure
+// record, positioned so it reconciles exactly against the fault injectors'
+// logs.
 type Result struct {
-	// Losses is the loss curve (per step for DeepCAM, per epoch for
-	// CosmoFlow).
+	// Losses is the loss curve: one value per optimizer step when
+	// Config.Steps bounds the run, otherwise one per-epoch mean.
 	Losses []float64
+	// StepLosses is the per-step global loss (each step's shard-weighted
+	// mean over the ranks that survived it).
+	StepLosses []float64
 	// Epochs is the per-epoch loader accounting, in epoch order.
 	Epochs []EpochStats
-	// Injections is the fault injector's log (nil unless Config.Faults
-	// was set).
+	// Injections is the data fault injector's log (nil unless
+	// Config.Faults was set).
 	Injections []fault.Injection
 	// Metrics is the run's final registry snapshot (zero when Config.Obs
 	// is nil).
 	Metrics obs.Snapshot
+	// Evictions are the group's eviction records, in order.
+	Evictions []dist.Eviction
+	// EvictionSteps gives, parallel to Evictions, the global optimizer step
+	// during which each eviction was absorbed.
+	EvictionSteps []int
+	// RankLog is the rank fault injector's canonical log (nil without
+	// ElasticConfig.RankFaults).
+	RankLog []fault.Injection
+	// Alive lists the ranks still live at the end of the run.
+	Alive []int
+	// Generations is the final ring generation (= evictions survived,
+	// counting from any ranks already down at start).
+	Generations int
+	// Stragglers lists the ranks flagged slow when the run ended.
+	Stragglers []int
 }
 
 // Skipped totals the skipped-sample count across the run's epochs.
@@ -239,11 +269,14 @@ func newEpochRoll(reg *obs.Registry) *epochRoll {
 	return &epochRoll{reg: reg, prev: reg.Snapshot()}
 }
 
-// epoch converts an iterator's accounting into an EpochStats entry and
-// advances the roll-up boundary.
-func (er *epochRoll) epoch(it *pipeline.Iterator) EpochStats {
-	st := it.Stats()
-	es := EpochStats{Decoded: st.Decoded, Retried: st.Retried, Skipped: st.Skipped}
+// epoch converts an epoch iterator's accounting into an EpochStats entry
+// and advances the roll-up boundary.
+func (er *epochRoll) epoch(it BatchIter) EpochStats {
+	var es EpochStats
+	if s, ok := it.(interface{ Stats() pipeline.Stats }); ok {
+		st := s.Stats()
+		es = EpochStats{Decoded: st.Decoded, Retried: st.Retried, Skipped: st.Skipped}
+	}
 	if er.reg != nil {
 		cur := er.reg.Snapshot()
 		es.Metrics = cur.Delta(er.prev)
@@ -270,98 +303,10 @@ func DeepCAM(climCfg synthetic.ClimateConfig, cfg Config) ([]float64, error) {
 }
 
 // DeepCAMRun is DeepCAM with full resilience accounting: the Result carries
-// per-epoch decoded/retried/skipped counts and the fault injector's log.
+// per-epoch decoded/retried/skipped counts and the fault injector's log. It
+// is a one-replica ElasticDeepCAM.
 func DeepCAMRun(climCfg synthetic.ClimateConfig, cfg Config) (*Result, error) {
-	built, err := core.BuildClimateDataset(climCfg, cfg.Samples, cfg.encoding())
-	if err != nil {
-		return nil, err
-	}
-	ds, inj := withFaults(built, cfg)
-	clock := cfg.obsClock()
-	loader, err := pipeline.New(ds, pipeline.Config{
-		Format:     cfg.format(core.DeepCAM, clock),
-		Batch:      cfg.Batch,
-		Shuffle:    true,
-		Seed:       cfg.Seed,
-		Cache:      cfg.Cache,
-		Resilience: cfg.Resilience,
-		Clock:      clock,
-		Obs:        cfg.Obs,
-	})
-	if err != nil {
-		return nil, err
-	}
-	model, err := models.MiniDeepCAM(climCfg.Channels, climCfg.Height, climCfg.Width)
-	if err != nil {
-		return nil, err
-	}
-	model.InitHe(cfg.Seed)
-	opt := nn.NewSGD(cfg.LR, 0.9)
-	sched := nn.WarmupSchedule{Base: cfg.LR, WarmupSteps: cfg.Warmup}
-	meta, err := cfg.resumeInto("deepcam", model, opt)
-	if err != nil {
-		return nil, err
-	}
-
-	res := &Result{}
-	roll := newEpochRoll(cfg.Obs)
-	step := meta.Step
-	for epoch := meta.Epoch; step < cfg.Steps; epoch++ {
-		it := loader.Epoch(epoch)
-		epochStart := step
-		full := false
-		for step < cfg.Steps {
-			b, err := it.Next()
-			if err != nil {
-				it.Close()
-				return nil, err
-			}
-			if b == nil {
-				full = true
-				break
-			}
-			x, err := StackData(b.Data)
-			if err != nil {
-				it.Close()
-				return nil, err
-			}
-			NormalizeChannels(x)
-			y, err := StackLabels(b.Labels)
-			if err != nil {
-				it.Close()
-				return nil, err
-			}
-			model.ZeroGrad()
-			logits := model.Forward(x)
-			loss, grad := nn.SoftmaxCrossEntropy2D(logits, y)
-			model.Backward(grad)
-			opt.SetLR(sched.At(step))
-			opt.Step(model.Params())
-			res.Losses = append(res.Losses, loss)
-			step++
-		}
-		res.Epochs = append(res.Epochs, roll.epoch(it))
-		it.Close()
-		if step == epochStart {
-			// Every sample skipped (or the dataset is empty): without this
-			// guard a fully degraded epoch would loop forever.
-			return nil, fmt.Errorf("train: epoch %d produced no batches", epoch)
-		}
-		if full {
-			// Snapshots are taken only at true epoch boundaries, never at a
-			// mid-epoch step cutoff, so a resumed run replays no batch.
-			if err := cfg.saveCheckpoint("deepcam", epoch+1, step, model, opt, nil); err != nil {
-				return nil, err
-			}
-		}
-	}
-	if inj != nil {
-		res.Injections = inj.Log()
-	}
-	if cfg.Obs != nil {
-		res.Metrics = cfg.Obs.Snapshot()
-	}
-	return res, nil
+	return ElasticDeepCAM(climCfg, cfg, ElasticConfig{Ranks: 1})
 }
 
 // CosmoFlow runs one Fig 7 repetition: per-epoch mean training loss of the
@@ -376,195 +321,7 @@ func CosmoFlow(cosmoCfg synthetic.CosmoConfig, cfg Config) ([]float64, error) {
 
 // CosmoFlowRun is CosmoFlow with full resilience accounting: the Result
 // carries per-epoch decoded/retried/skipped counts and the fault injector's
-// log.
+// log. It is a one-replica ElasticCosmoFlow.
 func CosmoFlowRun(cosmoCfg synthetic.CosmoConfig, cfg Config) (*Result, error) {
-	built, err := core.BuildCosmoDataset(cosmoCfg, cfg.Samples, cfg.encoding())
-	if err != nil {
-		return nil, err
-	}
-	ds, inj := withFaults(built, cfg)
-	clock := cfg.obsClock()
-	loader, err := pipeline.New(ds, pipeline.Config{
-		Format:     cfg.format(core.CosmoFlow, clock),
-		Batch:      cfg.Batch,
-		Shuffle:    true,
-		Seed:       cfg.Seed,
-		Cache:      cfg.Cache,
-		Resilience: cfg.Resilience,
-		Clock:      clock,
-		Obs:        cfg.Obs,
-	})
-	if err != nil {
-		return nil, err
-	}
-	model, err := models.MiniCosmoFlow(cosmoCfg.Dim)
-	if err != nil {
-		return nil, err
-	}
-	model.InitHe(cfg.Seed)
-	opt := nn.NewAdam(cfg.LR)
-	sched := nn.WarmupSchedule{Base: cfg.LR, WarmupSteps: cfg.Warmup}
-	meta, err := cfg.resumeInto("cosmoflow", model, opt)
-	if err != nil {
-		return nil, err
-	}
-
-	res := &Result{}
-	roll := newEpochRoll(cfg.Obs)
-	step := meta.Step
-	for epoch := meta.Epoch; epoch < cfg.Epochs; epoch++ {
-		it := loader.Epoch(epoch)
-		var sum float64
-		var steps int
-		for {
-			b, err := it.Next()
-			if err != nil {
-				it.Close()
-				return nil, err
-			}
-			if b == nil {
-				break
-			}
-			x, err := StackData(b.Data)
-			if err != nil {
-				it.Close()
-				return nil, err
-			}
-			y, err := StackLabels(b.Labels)
-			if err != nil {
-				it.Close()
-				return nil, err
-			}
-			model.ZeroGrad()
-			pred := model.Forward(x)
-			loss, grad := nn.MSELoss(pred, y)
-			model.Backward(grad)
-			opt.SetLR(sched.At(step))
-			opt.Step(model.Params())
-			sum += loss
-			steps++
-			step++
-		}
-		res.Epochs = append(res.Epochs, roll.epoch(it))
-		it.Close()
-		if steps == 0 {
-			return nil, fmt.Errorf("train: empty epoch %d", epoch)
-		}
-		res.Losses = append(res.Losses, sum/float64(steps))
-		if err := cfg.saveCheckpoint("cosmoflow", epoch+1, step, model, opt, nil); err != nil {
-			return nil, err
-		}
-	}
-	if inj != nil {
-		res.Injections = inj.Log()
-	}
-	if cfg.Obs != nil {
-		res.Metrics = cfg.Obs.Snapshot()
-	}
-	return res, nil
-}
-
-// DataParallelCosmoFlow trains with `ranks` synchronous data-parallel
-// replicas using ring-allreduced gradients (the NCCL/Horovod pattern),
-// returning per-epoch mean loss. Every replica holds an identical model;
-// each step shards the global batch across ranks.
-func DataParallelCosmoFlow(cosmoCfg synthetic.CosmoConfig, cfg Config, ranks int) ([]float64, error) {
-	if ranks <= 0 {
-		return nil, fmt.Errorf("train: invalid rank count %d", ranks)
-	}
-	if cfg.Batch%ranks != 0 {
-		return nil, fmt.Errorf("train: batch %d not divisible by %d ranks", cfg.Batch, ranks)
-	}
-	built, err := core.BuildCosmoDataset(cosmoCfg, cfg.Samples, cfg.encoding())
-	if err != nil {
-		return nil, err
-	}
-	ds, _ := withFaults(built, cfg)
-	loader, err := pipeline.New(ds, pipeline.Config{
-		Format:     core.FormatFor(core.CosmoFlow, cfg.encoding()),
-		Batch:      cfg.Batch,
-		Shuffle:    true,
-		Seed:       cfg.Seed,
-		DropLast:   true,
-		Cache:      cfg.Cache,
-		Resilience: cfg.Resilience,
-	})
-	if err != nil {
-		return nil, err
-	}
-	group, err := dist.NewGroup(ranks)
-	if err != nil {
-		return nil, err
-	}
-	replicas := make([]*nn.Sequential, ranks)
-	opts := make([]*nn.Adam, ranks)
-	for r := 0; r < ranks; r++ {
-		m, err := models.MiniCosmoFlow(cosmoCfg.Dim)
-		if err != nil {
-			return nil, err
-		}
-		m.InitHe(cfg.Seed) // identical init on every replica
-		replicas[r] = m
-		opts[r] = nn.NewAdam(cfg.LR)
-	}
-	shard := cfg.Batch / ranks
-
-	var epochLosses []float64
-	for epoch := 0; epoch < cfg.Epochs; epoch++ {
-		it := loader.Epoch(epoch)
-		var sum float64
-		var steps int
-		for {
-			b, err := it.Next()
-			if err != nil {
-				return nil, err
-			}
-			if b == nil {
-				break
-			}
-			partLoss := make([]float64, ranks)
-			rankErr := make([]error, ranks)
-			var wg sync.WaitGroup
-			for r := 0; r < ranks; r++ {
-				wg.Add(1)
-				go func(rank int) {
-					defer wg.Done()
-					m := replicas[rank]
-					lo, hi := rank*shard, (rank+1)*shard
-					x, _ := StackData(b.Data[lo:hi])
-					y, _ := StackLabels(b.Labels[lo:hi])
-					m.ZeroGrad()
-					pred := m.Forward(x)
-					loss, grad := nn.MSELoss(pred, y)
-					partLoss[rank] = loss
-					m.Backward(grad)
-					// Synchronize gradients: mean across replicas.
-					for _, p := range m.Params() {
-						if err := group.AllReduceMean(rank, p.G); err != nil {
-							rankErr[rank] = err
-							return
-						}
-					}
-					opts[rank].Step(m.Params())
-				}(r)
-			}
-			wg.Wait()
-			for _, err := range rankErr {
-				if err != nil {
-					return nil, err
-				}
-			}
-			var l float64
-			for _, pl := range partLoss {
-				l += pl
-			}
-			sum += l / float64(ranks)
-			steps++
-		}
-		if steps == 0 {
-			return nil, fmt.Errorf("train: empty epoch %d", epoch)
-		}
-		epochLosses = append(epochLosses, sum/float64(steps))
-	}
-	return epochLosses, nil
+	return ElasticCosmoFlow(cosmoCfg, cfg, ElasticConfig{Ranks: 1})
 }

@@ -142,27 +142,50 @@ func TestCosmoFlowDecodedTracksBase(t *testing.T) {
 func TestDataParallelMatchesSingleRankShapes(t *testing.T) {
 	cosmo := tinyCosmo()
 	cfg := Config{Samples: 8, Batch: 4, Epochs: 3, Seed: 7, LR: 0.01, Warmup: 1}
-	multi, err := DataParallelCosmoFlow(cosmo, cfg, 2)
+	multi, err := ElasticCosmoFlow(cosmo, cfg, ElasticConfig{Ranks: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(multi) != 3 {
-		t.Fatalf("got %d epochs", len(multi))
+	if len(multi.Losses) != 3 {
+		t.Fatalf("got %d epochs", len(multi.Losses))
 	}
 	// Loss must decrease under data-parallel training too.
-	if multi[len(multi)-1] >= multi[0] {
-		t.Errorf("data-parallel loss did not decrease: %v", multi)
+	if multi.Losses[len(multi.Losses)-1] >= multi.Losses[0] {
+		t.Errorf("data-parallel loss did not decrease: %v", multi.Losses)
 	}
 }
 
 func TestDataParallelValidation(t *testing.T) {
 	cosmo := tinyCosmo()
 	cfg := Config{Samples: 4, Batch: 3, Epochs: 1, Seed: 1, LR: 0.01}
-	if _, err := DataParallelCosmoFlow(cosmo, cfg, 2); err == nil {
-		t.Error("indivisible batch accepted")
+	if _, err := ElasticCosmoFlow(cosmo, cfg, ElasticConfig{Ranks: 4}); err == nil {
+		t.Error("batch smaller than the live ranks accepted")
 	}
-	if _, err := DataParallelCosmoFlow(cosmo, cfg, 0); err == nil {
+	if _, err := ElasticCosmoFlow(cosmo, cfg, ElasticConfig{Ranks: 0}); err == nil {
 		t.Error("zero ranks accepted")
+	}
+	// An uneven batch is weighted exactly, not rejected.
+	if _, err := ElasticCosmoFlow(cosmo, cfg, ElasticConfig{Ranks: 2}); err != nil {
+		t.Errorf("batch of 3 over 2 ranks: %v", err)
+	}
+}
+
+// TestDataParallelHonoursWarmup: a 4-rank run follows the one-replica
+// curve, warmup included. Each rank's shard-weighted gradient sums to the
+// global batch mean, so only float rounding separates the two.
+func TestDataParallelHonoursWarmup(t *testing.T) {
+	cosmo := tinyCosmo()
+	cfg := Config{Samples: 16, Batch: 4, Epochs: 1, Seed: 1, LR: 0.01, Warmup: 4}
+	one, err := CosmoFlow(cosmo, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	four, err := ElasticCosmoFlow(cosmo, cfg, ElasticConfig{Ranks: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rel := math.Abs(four.Losses[0]-one[0]) / math.Abs(one[0]); rel > 1e-5 {
+		t.Errorf("4-rank first-epoch loss %.7f, 1-rank %.7f (relative %.2g > 1e-5)", four.Losses[0], one[0], rel)
 	}
 }
 

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"scipp/internal/core"
-	"scipp/internal/models"
 	"scipp/internal/nn"
 	"scipp/internal/pipeline"
 	"scipp/internal/synthetic"
@@ -21,9 +20,9 @@ type Curves struct {
 	Val []float64
 }
 
-// evalDeepCAM computes the mean segmentation loss over a held-out loader
-// without updating the model.
-func evalDeepCAM(model *nn.Sequential, loader *pipeline.Loader) (float64, error) {
+// evalLoss computes the mean loss of model over one pass of a held-out
+// loader without updating the model.
+func evalLoss(spec elasticSpec, model *nn.Sequential, loader *pipeline.Loader) (float64, error) {
 	it := loader.Epoch(0)
 	defer it.Close()
 	var sum float64
@@ -36,17 +35,11 @@ func evalDeepCAM(model *nn.Sequential, loader *pipeline.Loader) (float64, error)
 		if b == nil {
 			break
 		}
-		x, err := StackData(b.Data)
+		x, y, err := spec.batch(b, 0, len(b.Data))
 		if err != nil {
 			return 0, err
 		}
-		NormalizeChannels(x)
-		y, err := StackLabels(b.Labels)
-		if err != nil {
-			return 0, err
-		}
-		logits := model.Forward(x)
-		loss, _ := nn.SoftmaxCrossEntropy2D(logits, y)
+		loss, _ := spec.loss(model, x, y)
 		sum += loss
 		steps++
 	}
@@ -59,7 +52,7 @@ func evalDeepCAM(model *nn.Sequential, loader *pipeline.Loader) (float64, error)
 // DeepCAMWithValidation runs the Fig 6 experiment tracking both the
 // training loss per step and the loss on a disjoint validation set
 // (generated with sample indices after the training range), evaluated every
-// evalEvery steps.
+// evalEvery steps and after the last one.
 func DeepCAMWithValidation(climCfg synthetic.ClimateConfig, cfg Config, valSamples, evalEvery int) (*Curves, error) {
 	if valSamples <= 0 || evalEvery <= 0 {
 		return nil, fmt.Errorf("train: need positive valSamples and evalEvery")
@@ -77,64 +70,31 @@ func DeepCAMWithValidation(climCfg synthetic.ClimateConfig, cfg Config, valSampl
 	if err != nil {
 		return nil, err
 	}
-	loader, err := pipeline.New(ds, pipeline.Config{
-		Format: core.FormatFor(core.DeepCAM, enc), Batch: cfg.Batch, Shuffle: true, Seed: cfg.Seed,
-	})
-	if err != nil {
-		return nil, err
-	}
 	valLoader, err := pipeline.New(valDS, pipeline.Config{
 		Format: core.FormatFor(core.DeepCAM, enc), Batch: cfg.Batch,
 	})
 	if err != nil {
 		return nil, err
 	}
-	model, err := models.MiniDeepCAM(climCfg.Channels, climCfg.Height, climCfg.Width)
+
+	curves := &Curves{}
+	spec := deepcamSpec(climCfg)
+	eval := spec
+	spec.afterStep = func(step int, m *nn.Sequential) error {
+		if step%evalEvery != 0 && step != cfg.Steps {
+			return nil
+		}
+		vl, err := evalLoss(eval, m, valLoader)
+		if err != nil {
+			return err
+		}
+		curves.Val = append(curves.Val, vl)
+		return nil
+	}
+	res, err := elasticRun(ds, core.DeepCAM, cfg, ElasticConfig{Ranks: 1}, spec)
 	if err != nil {
 		return nil, err
 	}
-	model.InitHe(cfg.Seed)
-	opt := nn.NewSGD(cfg.LR, 0.9)
-	sched := nn.WarmupSchedule{Base: cfg.LR, WarmupSteps: cfg.Warmup}
-
-	curves := &Curves{}
-	step := 0
-	for epoch := 0; step < cfg.Steps; epoch++ {
-		it := loader.Epoch(epoch)
-		for step < cfg.Steps {
-			b, err := it.Next()
-			if err != nil {
-				return nil, err
-			}
-			if b == nil {
-				break
-			}
-			x, err := StackData(b.Data)
-			if err != nil {
-				return nil, err
-			}
-			NormalizeChannels(x)
-			y, err := StackLabels(b.Labels)
-			if err != nil {
-				return nil, err
-			}
-			model.ZeroGrad()
-			logits := model.Forward(x)
-			loss, grad := nn.SoftmaxCrossEntropy2D(logits, y)
-			model.Backward(grad)
-			opt.SetLR(sched.At(step))
-			opt.Step(model.Params())
-			curves.Train = append(curves.Train, loss)
-			step++
-			if step%evalEvery == 0 || step == cfg.Steps {
-				vl, err := evalDeepCAM(model, valLoader)
-				if err != nil {
-					return nil, err
-				}
-				curves.Val = append(curves.Val, vl)
-			}
-		}
-		it.Close()
-	}
+	curves.Train = res.Losses
 	return curves, nil
 }
