@@ -7,12 +7,12 @@ GO ?= go
 build:
 	$(GO) build ./...
 
-# The other lines run the codec kernel, FP16 conversion, cache-hit layer
-# and ragged-loader (epoch, pad assembly) benchmarks for one iteration
-# each, so they keep compiling.
+# The other lines run the codec kernel, FP16 conversion, little-endian
+# element codec, cache-hit layer and ragged-loader (epoch, pad assembly)
+# benchmarks for one iteration each, so they keep compiling.
 test:
 	$(GO) test ./...
-	$(GO) test -run '^$$' -bench '^(BenchmarkOpen|BenchmarkDecodeFused|BenchmarkDecodeSample|BenchmarkFromFloat32)$$' -benchtime=1x ./internal/codec/lut/ ./internal/codec/deltafp/ ./internal/fp16/
+	$(GO) test -run '^$$' -bench '^(BenchmarkOpen|BenchmarkDecodeFused|BenchmarkDecodeSample|BenchmarkFromFloat32|BenchmarkDecodeLE)$$' -benchtime=1x ./internal/codec/lut/ ./internal/codec/deltafp/ ./internal/fp16/ ./internal/tensor/
 	$(GO) test -run '^$$' -bench '^(BenchmarkSampleCacheGetHit|BenchmarkSampleCacheGetHitParallel|BenchmarkCacheSum|BenchmarkServeHit|BenchmarkRaggedEpoch|BenchmarkPadded)$$' -benchtime=1x ./internal/pipeline/ ./internal/dataserve/
 
 # The portable FP16 conversion that the purego build tag forces, under the
@@ -74,6 +74,7 @@ fuzz:
 	done
 	$(GO) test -run=NONE -fuzz='^FuzzDeltaKernel$$' -fuzztime=$(FUZZTIME) ./internal/codec/deltafp/
 	$(GO) test -run=NONE -fuzz='^FuzzFromFloat32$$' -fuzztime=$(FUZZTIME) ./internal/fp16/
+	$(GO) test -run=NONE -fuzz='^FuzzDecodeLE$$' -fuzztime=$(FUZZTIME) ./internal/tensor/
 	$(GO) test -run=NONE -fuzz='^FuzzCacheIntegrity$$' -fuzztime=$(FUZZTIME) ./internal/pipeline/
 	$(GO) test -run=NONE -fuzz='^FuzzSampleCacheModel$$' -fuzztime=$(FUZZTIME) ./internal/pipeline/
 	$(GO) test -run=NONE -fuzz='^FuzzTenantCache$$' -fuzztime=$(FUZZTIME) ./internal/dataserve/

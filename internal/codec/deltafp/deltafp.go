@@ -220,11 +220,7 @@ func (e *lineEncoder) encodeLine(line []float32, payload []byte) []byte {
 }
 
 func appendRaw(payload []byte, line []float32) []byte {
-	payload = append(payload, modeRaw)
-	for _, v := range line {
-		payload = binary.LittleEndian.AppendUint32(payload, math.Float32bits(v))
-	}
-	return payload
+	return tensor.AppendLE(append(payload, modeRaw), line)
 }
 
 func (e *lineEncoder) packDelta(d deltaCode, minExp uint8) byte {
@@ -550,9 +546,7 @@ func (d *Decoder) decodeLine(line []byte, out []fp16.Bits) error {
 		raw := line[1:]
 		for len(out) > 0 {
 			n := min(len(out), lineBlock)
-			for i := range vals[:n] {
-				vals[i] = math.Float32frombits(binary.LittleEndian.Uint32(raw[4*i:]))
-			}
+			tensor.DecodeLE(vals[:n], raw)
 			fp16.FromSlice(out, vals[:n])
 			raw, out = raw[4*n:], out[n:]
 		}

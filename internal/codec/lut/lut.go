@@ -168,9 +168,7 @@ func Encode(channels [4][]int16, dim int) ([]byte, error) {
 		blob = append(blob, kw)
 		blob = binary.LittleEndian.AppendUint32(blob, uint32(len(s.table)))
 		for _, g := range s.table {
-			for _, v := range g {
-				blob = binary.LittleEndian.AppendUint16(blob, uint16(v))
-			}
+			blob = tensor.AppendLE(blob, g[:])
 		}
 		if kw == 1 {
 			for _, k := range s.keys {

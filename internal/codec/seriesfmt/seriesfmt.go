@@ -9,9 +9,7 @@
 package seriesfmt
 
 import (
-	"encoding/binary"
 	"fmt"
-	"math"
 	"sync"
 
 	"scipp/internal/codec"
@@ -110,12 +108,7 @@ func (d *seriesDecoder) DecodeChunk(chunk int, dst *tensor.Tensor) error {
 	if dst.DT != tensor.F32 || !dst.Shape.Equal(d.OutputShape()) {
 		return fmt.Errorf("seriesfmt: dst must be F32 %v", d.OutputShape())
 	}
-	out := dst.F32s[chunk*d.length : (chunk+1)*d.length]
-	off := 28 + 4*chunk*d.length
-	for i := range out {
-		out[i] = math.Float32frombits(binary.LittleEndian.Uint32(d.blob[off:]))
-		off += 4
-	}
+	tensor.DecodeLE(dst.F32s[chunk*d.length:(chunk+1)*d.length], d.blob[28+4*chunk*d.length:])
 	return nil
 }
 
@@ -126,8 +119,6 @@ func Params(blob []byte) ([4]float32, error) {
 		return [4]float32{}, fmt.Errorf("seriesfmt: %w", err)
 	}
 	var p [4]float32
-	for i := range p {
-		p[i] = math.Float32frombits(binary.LittleEndian.Uint32(blob[12+4*i:]))
-	}
+	tensor.DecodeLE(p[:], blob[12:])
 	return p, nil
 }

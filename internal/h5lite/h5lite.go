@@ -23,7 +23,6 @@ import (
 	"os"
 	"sort"
 
-	"scipp/internal/fp16"
 	"scipp/internal/tensor"
 )
 
@@ -159,20 +158,14 @@ func (f *File) Write(w io.Writer) error {
 }
 
 func packPayload(t *tensor.Tensor) []byte {
-	out := make([]byte, t.Bytes())
+	out := make([]byte, 0, t.Bytes())
 	switch t.DT {
 	case tensor.F32:
-		for i, v := range t.F32s {
-			binary.LittleEndian.PutUint32(out[i*4:], math.Float32bits(v))
-		}
+		return tensor.AppendLE(out, t.F32s)
 	case tensor.F16:
-		for i, v := range t.F16s {
-			binary.LittleEndian.PutUint16(out[i*2:], uint16(v))
-		}
+		return tensor.AppendLE(out, t.F16s)
 	case tensor.I16:
-		for i, v := range t.I16s {
-			binary.LittleEndian.PutUint16(out[i*2:], uint16(v))
-		}
+		return tensor.AppendLE(out, t.I16s)
 	}
 	return out
 }
@@ -201,17 +194,11 @@ func unpackPayload(dt tensor.DType, shape tensor.Shape, payload []byte) (*tensor
 	t := tensor.New(dt, shape...)
 	switch dt {
 	case tensor.F32:
-		for i := range t.F32s {
-			t.F32s[i] = math.Float32frombits(binary.LittleEndian.Uint32(payload[i*4:]))
-		}
+		tensor.DecodeLE(t.F32s, payload)
 	case tensor.F16:
-		for i := range t.F16s {
-			t.F16s[i] = fp16.Bits(binary.LittleEndian.Uint16(payload[i*2:]))
-		}
+		tensor.DecodeLE(t.F16s, payload)
 	case tensor.I16:
-		for i := range t.I16s {
-			t.I16s[i] = int16(binary.LittleEndian.Uint16(payload[i*2:]))
-		}
+		tensor.DecodeLE(t.I16s, payload)
 	}
 	return t, nil
 }

@@ -31,9 +31,6 @@ func (b *Batch) Release() {
 		return
 	}
 	b.released = true
-	for _, t := range b.Data {
-		b.pool.PutTensor(t)
-	}
 	b.pool.putBatch(b)
 }
 

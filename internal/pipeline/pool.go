@@ -111,6 +111,7 @@ type SlabPool struct {
 	mu      sync.Mutex
 	tensors map[slabClass][]*tensor.Tensor
 	batches []*Batch
+	padded  []*PaddedBatch
 
 	gets, hits int64
 }
@@ -162,6 +163,14 @@ func (p *SlabPool) GetTensor(dt tensor.DType, shape tensor.Shape) *tensor.Tensor
 // serve. Nil tensors are ignored, as are foreign tensors too small for any
 // class. The caller must not use t afterwards.
 func (p *SlabPool) PutTensor(t *tensor.Tensor) {
+	p.mu.Lock()
+	p.putTensorLocked(t)
+	p.mu.Unlock()
+}
+
+// putTensorLocked is PutTensor for a caller that holds p.mu, so a batch
+// release files all its tensors under one lock.
+func (p *SlabPool) putTensorLocked(t *tensor.Tensor) {
 	if t == nil {
 		return
 	}
@@ -169,11 +178,9 @@ func (p *SlabPool) PutTensor(t *tensor.Tensor) {
 	if class.elems == 0 {
 		return
 	}
-	p.mu.Lock()
 	if len(p.tensors[class]) < maxPooledPerClass {
 		p.tensors[class] = append(p.tensors[class], t)
 	}
-	p.mu.Unlock()
 }
 
 // GetBatch returns a reset Batch whose slices have at least the given
@@ -205,20 +212,50 @@ func (p *SlabPool) getBatch(capacity int) *Batch {
 	}
 }
 
-// putBatch clears b's slices (keeping their capacity) and shelves it.
+// putBatch files b's sample tensors and shelves b with its slices cleared
+// (keeping their capacity), all under one lock.
 func (p *SlabPool) putBatch(b *Batch) {
-	for i := range b.Data {
-		b.Data[i] = nil
-	}
-	for i := range b.Labels {
-		b.Labels[i] = nil
-	}
-	b.Data = b.Data[:0]
+	clear(b.Labels)
 	b.Labels = b.Labels[:0]
 	b.Indices = b.Indices[:0]
 	p.mu.Lock()
+	for _, t := range b.Data {
+		p.putTensorLocked(t)
+	}
+	clear(b.Data)
+	b.Data = b.Data[:0]
 	if len(p.batches) < maxPooledPerClass {
 		p.batches = append(p.batches, b)
+	}
+	p.mu.Unlock()
+}
+
+// getPadded returns a released PaddedBatch for reuse, or a new one. Its
+// slices keep their capacity, so a steady padded drain allocates nothing.
+func (p *SlabPool) getPadded() *PaddedBatch {
+	p.mu.Lock()
+	if n := len(p.padded); n > 0 {
+		pb := p.padded[n-1]
+		p.padded[n-1] = nil
+		p.padded = p.padded[:n-1]
+		p.mu.Unlock()
+		pb.released = false
+		return pb
+	}
+	p.mu.Unlock()
+	return &PaddedBatch{pool: p}
+}
+
+// putPadded files pb's two tensors and shelves pb, all under one lock.
+// Data and Mask keep pointing at the filed tensors until the next Padded
+// overwrites them; the pool owns both.
+func (p *SlabPool) putPadded(pb *PaddedBatch) {
+	clear(pb.Labels)
+	p.mu.Lock()
+	p.putTensorLocked(pb.Data)
+	p.putTensorLocked(pb.Mask)
+	if len(p.padded) < maxPooledPerClass {
+		p.padded = append(p.padded, pb)
 	}
 	p.mu.Unlock()
 }

@@ -217,6 +217,36 @@ func TestBatchReleaseRecyclesTensorsNotLabels(t *testing.T) {
 	}
 }
 
+// TestPaddedReleaseRecyclesStruct checks that PaddedBatch.Release files its
+// two tensors, drops its label references, and shelves the struct for the
+// next Padded to hand out again.
+func TestPaddedReleaseRecyclesStruct(t *testing.T) {
+	p := NewSlabPool()
+	label := tensor.New(tensor.F32, 1)
+	b := p.getBatch(2)
+	b.Data = append(b.Data, raggedSample(p, 1, 3), raggedSample(p, 2, 1))
+	b.Labels = append(b.Labels, label, label)
+	b.Indices = append(b.Indices, 0, 1)
+	pb, err := b.Padded()
+	if err != nil {
+		t.Fatal(err)
+	}
+	pb.Release()
+	if got := p.Stats(); got.FreeTensors != 2 || got.FreeBatches != 0 {
+		t.Fatalf("after padded release: %+v, want 2 free tensors and no free batch", got)
+	}
+	if pb.Labels[0] != nil || pb.Labels[1] != nil {
+		t.Error("released padded batch still references its labels")
+	}
+	again, err := b.Padded()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if again != pb || again.Labels[0] != label || !equalInts(again.Indices, []int{0, 1}) || !equalInts(again.Lengths, []int{3, 1}) {
+		t.Error("the next Padded did not reuse and refill the released struct")
+	}
+}
+
 func TestBatchReleaseIdempotentAndNilSafe(t *testing.T) {
 	var nilBatch *Batch
 	nilBatch.Release() // must not panic

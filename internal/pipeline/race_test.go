@@ -1,6 +1,7 @@
 package pipeline
 
 import (
+	"fmt"
 	"sort"
 	"sync"
 	"testing"
@@ -46,6 +47,68 @@ func TestConcurrentNext(t *testing.T) {
 	close(errs)
 	for err := range errs {
 		t.Fatal(err)
+	}
+	if len(got) != samples {
+		t.Fatalf("delivered %d samples, want %d", len(got), samples)
+	}
+	sort.Ints(got)
+	for i, idx := range got {
+		if idx != i {
+			t.Fatalf("sample %d delivered %d times or skipped", i, countOf(got, i))
+		}
+	}
+}
+
+// TestConcurrentNextPadded is TestConcurrentNext through NextPadded, with
+// every caller releasing its batch: the padded freelist and the one-lock
+// releases are shared by all callers, so a struct or tensor handed out twice
+// shows up as a wrong element or a race. Run with -race.
+func TestConcurrentNextPadded(t *testing.T) {
+	const samples = 64
+	l, err := New(testDataset(samples), Config{Format: raggedFormat{}, Batch: 3, Prefetch: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	it := l.Epoch(0)
+	defer it.Close()
+
+	const callers = 8
+	var mu sync.Mutex
+	var got []int
+	var wg sync.WaitGroup
+	errs := make(chan error, callers)
+	for c := 0; c < callers; c++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				pb, err := it.NextPadded()
+				if err != nil || pb == nil {
+					errs <- err
+					return
+				}
+				maxLen := pb.Data.Shape[2]
+				for k, i := range pb.Indices {
+					for tt := 0; tt < pb.Lengths[k]; tt++ {
+						if v := pb.Data.F32s[k*2*maxLen+tt]; v != float32(i)*100+float32(tt) {
+							errs <- fmt.Errorf("sample %d elem %d = %g", i, tt, v)
+							return
+						}
+					}
+				}
+				mu.Lock()
+				got = append(got, pb.Indices...)
+				mu.Unlock()
+				pb.Release()
+			}
+		}()
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		if err != nil {
+			t.Fatal(err)
+		}
 	}
 	if len(got) != samples {
 		t.Fatalf("delivered %d samples, want %d", len(got), samples)

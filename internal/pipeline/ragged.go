@@ -34,7 +34,8 @@ type PaddedBatch struct {
 // Size returns the number of samples in the batch.
 func (pb *PaddedBatch) Size() int { return len(pb.Lengths) }
 
-// Release hands the padded tensors back to the slab pool. Idempotent,
+// Release hands the padded batch — its struct, its slices and its two
+// tensors — back to the slab pool, under one pool lock. Idempotent,
 // nil-safe, and a no-op for batches not drawn from a pool. Labels are never
 // recycled — the Dataset owns them.
 func (pb *PaddedBatch) Release() {
@@ -42,8 +43,7 @@ func (pb *PaddedBatch) Release() {
 		return
 	}
 	pb.released = true
-	pb.pool.PutTensor(pb.Data)
-	pb.pool.PutTensor(pb.Mask)
+	pb.pool.putPadded(pb)
 }
 
 // Padded assembles the batch's per-sample tensors into one padded tensor
@@ -53,8 +53,9 @@ func (pb *PaddedBatch) Release() {
 // bit-identical to train.StackData over the same samples: the fixed-shape
 // path is the degenerate case of the ragged one, not a separate code path.
 //
-// The padded tensors are drawn from the batch's slab pool; recycled slab
-// memory is unspecified, so the padding region is zeroed explicitly. The
+// The padded batch and its tensors are drawn from the batch's slab pool;
+// recycled slab memory is unspecified, so the padding region is zeroed
+// explicitly. F16 and I16 samples widen row by row straight into Data. The
 // source batch is left untouched — callers that are done with it release it
 // themselves (NextPadded does).
 func (b *Batch) Padded() (*PaddedBatch, error) {
@@ -81,46 +82,42 @@ func (b *Batch) Padded() (*PaddedBatch, error) {
 		}
 	}
 
+	var pb *PaddedBatch
+	if b.pool != nil {
+		pb = b.pool.getPadded()
+	} else {
+		pb = new(PaddedBatch)
+	}
+	var dims [4]int // holds Data's shape on the stack up to rank 3
+	pb.Data = b.allocPadded(append(append(append(tensor.Shape(dims[:0]), n), lead...), maxLen))
+	pb.Mask = b.allocPadded(tensor.Shape{n, maxLen})
+	pb.Lengths = pb.Lengths[:0]
+	pb.Labels = append(pb.Labels[:0], b.Labels...)
+	pb.Indices = append(pb.Indices[:0], b.Indices...)
 	leadElems := lead.Elems()
-	stride := leadElems * maxLen
-	shape := make(tensor.Shape, 0, rank+1)
-	shape = append(shape, n)
-	shape = append(shape, lead...)
-	shape = append(shape, maxLen)
-
-	data := b.allocPadded(tensor.F32, shape)
-	mask := b.allocPadded(tensor.F32, tensor.Shape{n, maxLen})
-	lengths := make([]int, n)
 	for i, s := range b.Data {
 		li := s.Shape[rank-1]
-		lengths[i] = li
-		src := s.ToF32().F32s
-		base := i * stride
+		pb.Lengths = append(pb.Lengths, li)
+		base := i * leadElems * maxLen
 		for r := 0; r < leadElems; r++ {
-			row := data.F32s[base+r*maxLen : base+(r+1)*maxLen]
-			clear(row[copy(row, src[r*li:(r+1)*li]):])
+			row := pb.Data.F32s[base+r*maxLen : base+(r+1)*maxLen]
+			s.WidenF32(row[:li], r*li)
+			clear(row[li:])
 		}
-		mrow := mask.F32s[i*maxLen : (i+1)*maxLen]
+		mrow := pb.Mask.F32s[i*maxLen : (i+1)*maxLen]
 		for t := range mrow[:li] {
 			mrow[t] = 1
 		}
 		clear(mrow[li:])
 	}
-	return &PaddedBatch{
-		Data:    data,
-		Mask:    mask,
-		Lengths: lengths,
-		Labels:  append([]*tensor.Tensor(nil), b.Labels...),
-		Indices: append([]int(nil), b.Indices...),
-		pool:    b.pool,
-	}, nil
+	return pb, nil
 }
 
-func (b *Batch) allocPadded(dt tensor.DType, shape tensor.Shape) *tensor.Tensor {
+func (b *Batch) allocPadded(shape tensor.Shape) *tensor.Tensor {
 	if b.pool != nil {
-		return b.pool.GetTensor(dt, shape)
+		return b.pool.GetTensor(tensor.F32, shape)
 	}
-	return tensor.New(dt, shape...)
+	return tensor.New(tensor.F32, shape...)
 }
 
 // NextPadded returns the next batch in padded form, or (nil, nil) at the end

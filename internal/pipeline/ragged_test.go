@@ -8,6 +8,7 @@ import (
 
 	"scipp/internal/codec"
 	"scipp/internal/fault"
+	"scipp/internal/fp16"
 	"scipp/internal/tensor"
 )
 
@@ -146,6 +147,57 @@ func TestPaddedZeroFillsRecycledSlabs(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestPaddedWidensLikeToF32 pins the row-by-row widening of F16 and I16
+// samples straight into Data: every element carries the bits ToF32 gives it,
+// FP16 NaN payloads, subnormals and infinities included, and the padding is
+// zero.
+func TestPaddedWidensLikeToF32(t *testing.T) {
+	specials := []fp16.Bits{0x7C01, 0xFE01, 0x7E00, 0x0000, 0x8000, 0x0001, 0x83FF, 0x7C00, 0xFC00, 0x3C00, 0xC500, 0x7BFF}
+	lengths := []int{5, 0, 12, 7}
+	const rows, maxLen = 3, 12
+	p := NewSlabPool()
+	for _, dt := range []tensor.DType{tensor.F16, tensor.I16} {
+		b := p.getBatch(len(lengths))
+		for i, l := range lengths {
+			x := p.GetTensor(dt, tensor.Shape{rows, l})
+			for k := 0; k < x.Elems(); k++ {
+				if dt == tensor.F16 {
+					x.F16s[k] = specials[(i+k)%len(specials)]
+				} else {
+					x.I16s[k] = int16(k*1000 - 7000)
+				}
+			}
+			b.Data = append(b.Data, x)
+			b.Labels = append(b.Labels, nil)
+			b.Indices = append(b.Indices, i)
+		}
+		pb, err := b.Padded()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !pb.Data.Shape.Equal(tensor.Shape{len(lengths), rows, maxLen}) {
+			t.Fatalf("%v: padded shape %v", dt, pb.Data.Shape)
+		}
+		for i, x := range b.Data {
+			wide, l := x.ToF32().F32s, lengths[i]
+			for r := 0; r < rows; r++ {
+				for tt := 0; tt < maxLen; tt++ {
+					var want float32
+					if tt < l {
+						want = wide[r*l+tt]
+					}
+					got := pb.Data.F32s[(i*rows+r)*maxLen+tt]
+					if math.Float32bits(got) != math.Float32bits(want) {
+						t.Fatalf("%v sample %d [%d,%d] = %#x, want %#x", dt, i, r, tt, math.Float32bits(got), math.Float32bits(want))
+					}
+				}
+			}
+		}
+		pb.Release()
+		b.Release()
 	}
 }
 

@@ -139,3 +139,54 @@ func TestEpochAllocs(t *testing.T) {
 		t.Fatalf("a 16-sample cached epoch allocates %.0f times, want <= %d", got, parentCount)
 	}
 }
+
+// TestPaddedEpochAllocs is TestEpochAllocs drained through NextPadded: the
+// PaddedBatch structs, their slices and their shape headers are recycled by
+// the slab pool like Batch's, so in the steady state padding a batch
+// allocates nothing and a padded epoch allocates no more than a plain one.
+func TestPaddedEpochAllocs(t *testing.T) {
+	if testing.Short() {
+		t.Skip("allocation count is measured over many epochs")
+	}
+	l, err := New(testDataset(16), Config{
+		Format: countFormat{}, Batch: 4,
+		Stages: StageConfig{ReadWorkers: 2, DecodeWorkers: 4},
+		Cache:  CacheConfig{HostMemBytes: 1 << 20},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	epoch := 0
+	plain := func() {
+		if n, err := l.Epoch(epoch).Drain(); err != nil || n != 16 {
+			t.Fatalf("epoch %d: %d samples, %v", epoch, n, err)
+		}
+		epoch++
+	}
+	padded := func() {
+		it, n := l.Epoch(epoch), 0
+		for {
+			pb, err := it.NextPadded()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if pb == nil {
+				break
+			}
+			n += pb.Size()
+			pb.Release()
+		}
+		if n != 16 {
+			t.Fatalf("padded epoch %d: %d samples", epoch, n)
+		}
+		epoch++
+	}
+	plain()  // the cold epoch fills the cache and the freelists
+	padded() // and the padded freelist
+	want := testing.AllocsPerRun(50, plain)
+	got := testing.AllocsPerRun(50, padded)
+	t.Logf("%.0f allocations per padded epoch, %.0f per plain epoch", got, want)
+	if got > want {
+		t.Fatalf("a 16-sample padded epoch allocates %.0f times, a plain one %.0f: padding allocates", got, want)
+	}
+}

@@ -7,6 +7,7 @@ import (
 	"runtime"
 	"sync"
 
+	"scipp/internal/tensor"
 	"scipp/internal/xrand"
 )
 
@@ -182,18 +183,12 @@ const cosmoMagic = 0x43534D46 // "CSMF"
 func CosmoToRecord(s *CosmoSample) []byte {
 	d := s.Dim
 	n := d * d * d
-	out := make([]byte, 4+4+16+4*n*2)
+	out := make([]byte, 8, 4+4+16+4*n*2)
 	binary.LittleEndian.PutUint32(out[0:], cosmoMagic)
 	binary.LittleEndian.PutUint32(out[4:], uint32(d))
-	for i, p := range s.Params {
-		binary.LittleEndian.PutUint32(out[8+4*i:], math.Float32bits(p))
-	}
-	off := 24
-	for c := 0; c < 4; c++ {
-		for _, v := range s.Channels[c] {
-			binary.LittleEndian.PutUint16(out[off:], uint16(v))
-			off += 2
-		}
+	out = tensor.AppendLE(out, s.Params[:])
+	for _, ch := range s.Channels {
+		out = tensor.AppendLE(out, ch)
 	}
 	return out
 }
@@ -215,16 +210,10 @@ func CosmoFromRecord(rec []byte) (*CosmoSample, error) {
 		return nil, fmt.Errorf("synthetic: cosmo record length %d, want %d", len(rec), 24+4*n*2)
 	}
 	s := &CosmoSample{Dim: d}
-	for i := range s.Params {
-		s.Params[i] = math.Float32frombits(binary.LittleEndian.Uint32(rec[8+4*i:]))
-	}
-	off := 24
-	for c := 0; c < 4; c++ {
+	tensor.DecodeLE(s.Params[:], rec[8:])
+	for c := range s.Channels {
 		s.Channels[c] = make([]int16, n)
-		for i := 0; i < n; i++ {
-			s.Channels[c][i] = int16(binary.LittleEndian.Uint16(rec[off:]))
-			off += 2
-		}
+		tensor.DecodeLE(s.Channels[c], rec[24+2*n*c:])
 	}
 	return s, nil
 }

@@ -100,10 +100,10 @@ func GenerateWeather(cfg WeatherConfig, index int) (*WeatherSample, error) {
 	s := &WeatherSample{Data: tensor.New(tensor.F32, c, l)}
 	// Station climate normals drive both the series and the label, so the
 	// label is ground truth by construction (the ClimateSample pattern).
-	meanTemp := 268 + 30*rng.Float64()          // Kelvin-ish site mean
-	diurnal := 2 + 10*rng.Float64()             // daily swing amplitude
-	trend := (rng.Float64() - 0.3) * 2e-3       // per-observation drift
-	stormRate := 0.01 + 0.05*rng.Float64()      // storm probability per step
+	meanTemp := 268 + 30*rng.Float64()     // Kelvin-ish site mean
+	diurnal := 2 + 10*rng.Float64()        // daily swing amplitude
+	trend := (rng.Float64() - 0.3) * 2e-3  // per-observation drift
+	stormRate := 0.01 + 0.05*rng.Float64() // storm probability per step
 	s.Params = [4]float32{float32(meanTemp), float32(diurnal), float32(trend), float32(stormRate)}
 
 	phase := rng.Float64() * 2 * math.Pi
@@ -137,19 +137,12 @@ const weatherMagic = 0x57535243 // "WSRC"
 //	4 x f32 params | C x L x f32 observations (LE)
 func WeatherToRecord(s *WeatherSample) []byte {
 	c, l := s.Data.Shape[0], s.Data.Shape[1]
-	out := make([]byte, 12+16+4*c*l)
+	out := make([]byte, 12, 12+16+4*c*l)
 	binary.LittleEndian.PutUint32(out[0:], weatherMagic)
 	binary.LittleEndian.PutUint16(out[4:], uint16(c))
 	binary.LittleEndian.PutUint32(out[8:], uint32(l))
-	for i, p := range s.Params {
-		binary.LittleEndian.PutUint32(out[12+4*i:], math.Float32bits(p))
-	}
-	off := 28
-	for _, v := range s.Data.F32s {
-		binary.LittleEndian.PutUint32(out[off:], math.Float32bits(v))
-		off += 4
-	}
-	return out
+	out = tensor.AppendLE(out, s.Params[:])
+	return tensor.AppendLE(out, s.Data.F32s)
 }
 
 // WeatherHeader parses only a record's shape header: its channel count and
@@ -183,13 +176,7 @@ func WeatherFromRecord(rec []byte) (*WeatherSample, error) {
 		return nil, err
 	}
 	s := &WeatherSample{Data: tensor.New(tensor.F32, c, l)}
-	for i := range s.Params {
-		s.Params[i] = math.Float32frombits(binary.LittleEndian.Uint32(rec[12+4*i:]))
-	}
-	off := 28
-	for i := range s.Data.F32s {
-		s.Data.F32s[i] = math.Float32frombits(binary.LittleEndian.Uint32(rec[off:]))
-		off += 4
-	}
+	tensor.DecodeLE(s.Params[:], rec[12:])
+	tensor.DecodeLE(s.Data.F32s, rec[28:])
 	return s, nil
 }

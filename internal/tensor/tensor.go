@@ -9,6 +9,7 @@
 package tensor
 
 import (
+	"encoding/binary"
 	"fmt"
 	"unsafe"
 
@@ -157,7 +158,8 @@ func (t *Tensor) Bytes() int { return t.Elems() * t.DT.Size() }
 // write through either side shows in the other, and the view is valid as
 // long as t's storage is. An empty tensor yields an empty slice.
 //
-// This is the module's only use of unsafe. It exists so an in-process byte
+// This view and the little-endian element codec below (DecodeLE, AppendLE)
+// are the module's only use of unsafe. It exists so an in-process byte
 // store (the data service's shared cache) can hold a decoded sample as its
 // raw elements and copy them into a tensor again with one memmove. Bytes
 // written through this view are only meaningful to a reader in the same
@@ -174,12 +176,75 @@ func RawBytes(t *Tensor) []byte {
 	return nil
 }
 
+// Element is the set of tensor element types.
+type Element interface {
+	float32 | fp16.Bits | int16
+}
+
 // asBytes reinterprets an element slice as its backing bytes.
-func asBytes[E float32 | fp16.Bits | int16](s []E) []byte {
+func asBytes[E Element](s []E) []byte {
 	if len(s) == 0 {
 		return nil
 	}
 	return unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(s))), len(s)*int(unsafe.Sizeof(s[0])))
+}
+
+// hostLE reports whether the host stores elements little-endian, in which
+// case an element's in-memory bytes are already its serialized form.
+var hostLE = binary.NativeEndian.Uint16([]byte{1, 0}) == 1
+
+// DecodeLE fills dst with the first len(dst) elements of src, which holds
+// them little-endian (the byte order of every on-disk payload here). It
+// panics if src is shorter than that (programmer invariant: decoders check
+// payload lengths at Open). The bits are copied unchanged, NaN payloads
+// included. On a little-endian host the decode is one memmove.
+func DecodeLE[E Element](dst []E, src []byte) {
+	var e E
+	src = src[:len(dst)*int(unsafe.Sizeof(e))]
+	if hostLE {
+		copy(asBytes(dst), src)
+		return
+	}
+	decodeLEPortable(dst, src)
+}
+
+// AppendLE appends the little-endian encoding of src to dst and returns the
+// extended slice. On a little-endian host the encode is one memmove.
+func AppendLE[E Element](dst []byte, src []E) []byte {
+	if hostLE {
+		return append(dst, asBytes(src)...)
+	}
+	return appendLEPortable(dst, src)
+}
+
+// decodeLEPortable is DecodeLE element by element, correct on any host:
+// each element's bits are read little-endian and stored in native order.
+func decodeLEPortable[E Element](dst []E, src []byte) {
+	b := asBytes(dst)
+	if len(b) == 4*len(dst) {
+		for i := 0; i < len(b); i += 4 {
+			binary.NativeEndian.PutUint32(b[i:], binary.LittleEndian.Uint32(src[i:]))
+		}
+		return
+	}
+	for i := 0; i < len(b); i += 2 {
+		binary.NativeEndian.PutUint16(b[i:], binary.LittleEndian.Uint16(src[i:]))
+	}
+}
+
+// appendLEPortable is AppendLE element by element, correct on any host.
+func appendLEPortable[E Element](dst []byte, src []E) []byte {
+	b := asBytes(src)
+	if len(b) == 4*len(src) {
+		for i := 0; i < len(b); i += 4 {
+			dst = binary.LittleEndian.AppendUint32(dst, binary.NativeEndian.Uint32(b[i:]))
+		}
+		return dst
+	}
+	for i := 0; i < len(b); i += 2 {
+		dst = binary.LittleEndian.AppendUint16(dst, binary.NativeEndian.Uint16(b[i:]))
+	}
+	return dst
 }
 
 // Clone returns a deep copy.
@@ -232,15 +297,23 @@ func (t *Tensor) ToF32() *Tensor {
 		return t
 	}
 	out := New(F32, t.Shape...)
+	t.WidenF32(out.F32s, 0)
+	return out
+}
+
+// WidenF32 writes len(dst) elements of t, starting at element from, into dst
+// as FP32: the values ToF32 yields, without allocating a tensor for them.
+func (t *Tensor) WidenF32(dst []float32, from int) {
 	switch t.DT {
+	case F32:
+		copy(dst, t.F32s[from:from+len(dst)])
 	case F16:
-		fp16.ToSlice(out.F32s, t.F16s)
+		fp16.ToSlice(dst, t.F16s[from:from+len(dst)])
 	case I16:
-		for i, v := range t.I16s {
-			out.F32s[i] = float32(v)
+		for i, v := range t.I16s[from : from+len(dst)] {
+			dst[i] = float32(v)
 		}
 	}
-	return out
 }
 
 // ToF16 returns an F16 tensor with the same contents (rounded). If t is

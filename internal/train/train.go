@@ -37,8 +37,7 @@ func StackData(samples []*tensor.Tensor) (*tensor.Tensor, error) {
 		if !s.Shape.Equal(shape) {
 			return nil, fmt.Errorf("train: sample %d shape %v != %v", i, s.Shape, shape)
 		}
-		f := s.ToF32()
-		copy(out.F32s[i*stride:(i+1)*stride], f.F32s)
+		s.WidenF32(out.F32s[i*stride:(i+1)*stride], 0)
 	}
 	return out, nil
 }
