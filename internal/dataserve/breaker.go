@@ -4,16 +4,17 @@ package dataserve
 // from consuming shared decode capacity. Outcomes of the tenant's own
 // requests feed a sliding error window; when failures cross the threshold
 // the breaker trips open and the tenant's enqueues fast-fail with a typed
-// *BreakerError delivered straight to its iterator — no dispatcher slot,
-// no decode worker, no shared-cache pressure. After a backoff on the
-// service clock the breaker admits exactly one half-open probe; the
+// *BreakerError written straight into its iterator's reorder ring — no
+// queue slot, no decode worker, no shared-cache pressure. After a backoff
+// on the service clock the breaker admits exactly one half-open probe; the
 // probe's outcome either closes the breaker (window reset, backoff reset)
 // or reopens it with the backoff doubled up to a cap.
 //
 // All breaker state lives on the Tenant and is guarded by the service
-// mutex, like the dispatcher's pend queue: admission decisions happen in
-// enqueue and outcome recording in the workers, both of which already
-// hold svc.mu for queue accounting, so the breaker adds no lock. The
+// mutex, like the tenant's pend queue: admission decisions happen at
+// enqueue, which already holds svc.mu for queue accounting, and outcome
+// recording in the workers, which take svc.mu for it only when the
+// breaker is armed. The
 // scipplint breakerstate analyzer enforces the discipline mechanically:
 // every assignment to the breaker's state field must sit in a *Locked
 // method that also records an obs instrument.

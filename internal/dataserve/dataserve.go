@@ -6,17 +6,19 @@
 // high-throughput pipeline work mapped onto this repo's primitives: the
 // decoded-sample store is a pipeline.SampleCache (two-tier HostMem/NVMe
 // LRU with end-to-end integrity checksums and quarantine), decode work
-// runs on a shared worker pool fed by a deficit-weighted fair-queueing
-// dispatcher, and concurrent requests for the same sample collapse into
-// a single flight — waiters block on the one decode instead of
-// duplicating it. Each tenant keeps the single-owner loader contract it
-// would have had with a private pipeline.Loader: a deterministic
-// per-epoch schedule (same Source derivation, so batches are
-// bit-identical to a single-tenant run), an independent admission budget
-// whose backpressure reaches that tenant's source alone, and per-tenant
-// accounting (dataserve.tenant.* metrics, read back by Stats) that
-// reconciles exactly against the service totals and any fault-injector
-// log.
+// runs on a shared worker pool whose workers each pick their next request
+// by deficit-weighted fair queueing when they fall free, and concurrent
+// requests for the same sample collapse into a single flight — waiters
+// block on the one decode instead of duplicating it. Only two kinds of
+// goroutine carry a sample: the workers, and each tenant's consumer, whose
+// Next queues the tenant's requests and restores schedule order itself.
+// Each tenant keeps the single-owner loader contract it would have had
+// with a private pipeline.Loader: a deterministic per-epoch schedule (same
+// Source derivation, so batches are bit-identical to a single-tenant run),
+// an independent admission budget whose backpressure reaches that
+// tenant's schedule alone, and per-tenant accounting (dataserve.tenant.*
+// metrics, read back by Stats) that reconciles exactly against the service
+// totals and any fault-injector log.
 package dataserve
 
 import (
@@ -35,15 +37,12 @@ type Config struct {
 	// Workers is the decode worker pool width. Defaults to GOMAXPROCS,
 	// floored at 2 so single-flight waiters always leave a runnable owner.
 	Workers int
-	// QueueDepth bounds the dispatched-work queue between the fair-queueing
-	// dispatcher and the workers. Defaults to 2*Workers.
-	QueueDepth int
-	// Quantum is the deficit replenished per dispatcher visit, in cost
-	// units per unit of tenant weight: a tenant with weight w is granted
-	// Quantum*w units each round before the dispatcher moves on.
+	// Quantum is the deficit replenished per DRR visit, in cost units per
+	// unit of tenant weight: a tenant with weight w is granted Quantum*w
+	// units each round before the workers' pick moves on.
 	// Defaults to 2.
 	Quantum int
-	// CostUnitBytes switches the dispatcher from unit sample cost to
+	// CostUnitBytes switches the DRR pick from unit sample cost to
 	// byte-weighted cost: serving a sample charges
 	// ceil(payloadBytes/CostUnitBytes) deficit units instead of 1, so under
 	// a ragged domain a tenant drawing fat samples gets proportionally
@@ -68,11 +67,11 @@ type Config struct {
 	// a wall clock; tests pass a trace.VirtualClock to drive both
 	// deterministically.
 	Clock trace.Clock
-	// StallSeconds arms the slow-consumer watchdog: a tenant whose sink
-	// has been blocked on an undrained iterator for at least this long
-	// (on Clock) is detached, releasing its requests and pooled memory.
-	// 0 disables the watchdog. Requires Clock to implement trace.Alarm
-	// (both the wall clock and VirtualClock do).
+	// StallSeconds arms the slow-consumer watchdog: a tenant with a live
+	// iterator whose served outcomes have sat undrained for at least this
+	// long (on Clock) is detached, releasing its requests and pooled
+	// memory. 0 disables the watchdog. Requires Clock to implement
+	// trace.Alarm (both the wall clock and VirtualClock do).
 	StallSeconds float64
 }
 
@@ -82,9 +81,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.Workers < 2 {
 		c.Workers = 2
-	}
-	if c.QueueDepth <= 0 {
-		c.QueueDepth = 2 * c.Workers
 	}
 	if c.Quantum <= 0 {
 		c.Quantum = 2
@@ -98,7 +94,7 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// request is one tenant sample request queued for dispatch.
+// request is one tenant sample request queued for a worker.
 type request struct {
 	it    *Iterator
 	seq   int   // schedule position within the iterator's epoch
@@ -115,30 +111,28 @@ type Service struct {
 	ob    serviceObs
 	clock trace.Clock
 
-	// mu guards the dispatcher's state and the tenants' dispatcher-owned
+	// mu guards the fair-queueing state and the tenants' queue-owned
 	// fields. The dataserve.dispatched counter doubles as the queue-wait
 	// lag clock, so it is written only under mu.
 	mu        sync.Mutex
 	datasets  map[string]*sharedDataset
 	tenants   map[string]*Tenant
-	order     []*Tenant // dispatcher visiting order (attach order)
+	order     []*Tenant // DRR visiting order (attach order)
 	shedOrder []*Tenant // shed-pass order: ascending weight, then attach
 	cursor    int       // round-robin position in order
 	deficit   int       // remaining serve budget of order[cursor]
 	closed    bool
 
-	notify chan struct{} // capacity 1: wakes an idle dispatcher
+	queued sync.Cond     // on mu: signalled per queued request, broadcast by Close
 	abort  chan struct{} // closed by Close
-	workq  chan request
 	wg     sync.WaitGroup
 }
 
-// New starts a service: the fair-queueing dispatcher plus cfg.Workers
-// decode workers.
+// New starts a service: cfg.Workers decode workers, plus the slow-consumer
+// watchdog when StallSeconds arms it.
 func New(cfg Config) *Service {
 	s := newService(cfg)
-	s.wg.Add(1 + s.cfg.Workers)
-	go s.dispatch()
+	s.wg.Add(s.cfg.Workers)
 	for i := 0; i < s.cfg.Workers; i++ {
 		go s.worker()
 	}
@@ -150,24 +144,24 @@ func New(cfg Config) *Service {
 }
 
 // newService builds a service and its ledger without starting any
-// goroutine: New starts them, and white-box tests drive the dispatch loop
+// goroutine: New starts them, and white-box tests drive the DRR pick
 // themselves.
 func newService(cfg Config) *Service {
 	cfg = cfg.withDefaults()
-	return &Service{
+	s := &Service{
 		cfg:      cfg,
 		ob:       newServiceObs(cfg.Obs),
 		clock:    cfg.Clock,
 		datasets: make(map[string]*sharedDataset),
 		tenants:  make(map[string]*Tenant),
-		notify:   make(chan struct{}, 1),
 		abort:    make(chan struct{}),
-		workq:    make(chan request, cfg.QueueDepth),
 	}
+	s.queued.L = &s.mu
+	return s
 }
 
-// Close detaches every tenant, stops the dispatcher and workers, and waits
-// for them to exit. Idempotent.
+// Close detaches every tenant, stops the workers, and waits for them to
+// exit. Idempotent.
 func (s *Service) Close() {
 	s.mu.Lock()
 	if s.closed {
@@ -175,6 +169,7 @@ func (s *Service) Close() {
 		return
 	}
 	s.closed = true
+	s.queued.Broadcast()
 	tenants := make([]*Tenant, 0, len(s.tenants))
 	for _, t := range s.tenants {
 		tenants = append(tenants, t)
@@ -187,83 +182,65 @@ func (s *Service) Close() {
 	s.wg.Wait()
 }
 
-// enqueue appends a request to its tenant's pending queue and wakes the
-// dispatcher. It reports false when the service is closed or the tenant
-// detached, so the caller's source loop stops feeding. A request refused
-// by the tenant's open breaker never reaches the queue: its *BreakerError
-// outcome is delivered straight to the iterator, consuming no dispatcher
-// slot or decode worker.
-func (s *Service) enqueue(it *Iterator, seq, index int) bool {
-	t := it.t
-	s.mu.Lock()
-	if s.closed || t.detached {
-		s.mu.Unlock()
-		return false
-	}
-	allow, probe := t.admitBreakerLocked(s.clock.Now())
+// enqueueLocked queues schedule position seq of it behind its tenant's
+// pending requests and wakes one idle worker. A request refused by the
+// tenant's open breaker never reaches the queue: its *BreakerError outcome
+// goes straight into the iterator's reorder ring, consuming no worker.
+// Caller holds s.mu, and it.mu once Epoch has returned the iterator.
+func (s *Service) enqueueLocked(it *Iterator, seq int) {
+	t, index := it.t, it.order[seq]
+	now := s.clock.Now()
+	allow, probe := t.admitBreakerLocked(now)
 	if !allow {
-		retry := max(t.brk.until-s.clock.Now(), 0)
-		s.mu.Unlock()
 		s.ob.breakerRejects.Inc()
-		o := outcome{seq: seq, index: index, err: &BreakerError{Tenant: t.name, Index: index, Retry: retry}}
-		select {
-		case it.completions <- o:
-		case <-it.abort:
-		case <-s.abort:
-		}
-		return true
+		err := &BreakerError{Tenant: t.name, Index: index, Retry: max(t.brk.until-now, 0)}
+		it.ring[seq%len(it.ring)] = outcome{seq: seq, index: index, err: err}
+		return
 	}
 	t.pushLocked(request{it: it, seq: seq, index: index, enq: s.ob.dispatched.Value(), probe: probe})
-	s.mu.Unlock()
-	select {
-	case s.notify <- struct{}{}:
-	default:
-	}
-	return true
+	s.queued.Signal()
 }
 
-// dispatch is the fair-queueing loop: deficit round robin over the attached
-// tenants — each visit replenishes the tenant's deficit by Quantum*Weight
-// cost units and serves its pending requests against that budget before
-// moving on, so a tenant flooding requests is bounded to its weight share
-// per round and cannot starve a light tenant. Cost is 1 per sample, or the
-// sample's byte charge under Config.CostUnitBytes. Queue wait
-// is measured in dispatch lag (requests the service dispatched between a
-// request's enqueue and its own dispatch): a deterministic fairness signal
-// that does not depend on wall time.
-func (s *Service) dispatch() {
+// worker serves requests until the service closes, picking each by the
+// shed pass plus deficit round robin (nextRequest): a tenant flooding
+// requests is bounded to its weight share per round and cannot starve a
+// light tenant. Queue wait is measured in dispatch lag (requests the
+// service dispatched between a request's enqueue and its own dispatch): a
+// deterministic fairness signal that does not depend on wall time. A
+// worker that finds nothing pending sleeps on s.queued, and every queued
+// request signals one sleeper, so no request waits while a worker idles.
+func (s *Service) worker() {
 	defer s.wg.Done()
 	for {
 		r, shed, ok := s.nextRequest()
 		for _, sr := range shed {
-			s.deliverShed(sr)
+			s.deliver(sr.it, outcome{seq: sr.seq, index: sr.index, shed: true})
 		}
-		if !ok {
-			select {
-			case <-s.notify:
-				continue
-			case <-s.abort:
-				return
-			}
+		if ok {
+			s.process(r)
+			continue
 		}
-		select {
-		case s.workq <- r:
-		case <-s.abort:
+		s.mu.Lock()
+		for !s.closed && !s.pendingLocked() {
+			s.queued.Wait()
+		}
+		closed := s.closed
+		s.mu.Unlock()
+		if closed {
 			return
 		}
 	}
 }
 
-// deliverShed hands a shed request's outcome back to its iterator so the
-// reorder buffer accounts for the sequence slot; the iterator skips it
-// without failing the epoch.
-func (s *Service) deliverShed(r request) {
-	o := outcome{seq: r.seq, index: r.index, shed: true}
-	select {
-	case r.it.completions <- o:
-	case <-r.it.abort:
-	case <-s.abort:
+// pendingLocked reports whether any attached tenant has a queued request.
+// Caller holds s.mu.
+func (s *Service) pendingLocked() bool {
+	for _, t := range s.order {
+		if t.pendHead < len(t.pend) {
+			return true
+		}
 	}
+	return false
 }
 
 // nextRequest picks the next request under deficit round robin, after a
@@ -379,8 +356,9 @@ func (s *Service) rebuildShedOrderLocked() {
 
 // watchdog detaches tenants whose consumers stopped draining: every
 // StallSeconds/2 on the clock it scans the live iterators and severs any
-// tenant whose sink has been blocked for at least StallSeconds, so one
-// abandoned consumer cannot pin pooled memory and queue slots forever.
+// tenant with one whose consumer has left outcomes undrained for at least
+// StallSeconds, so one abandoned consumer cannot pin pooled memory and
+// queue slots forever.
 func (s *Service) watchdog(alarm trace.Alarm) {
 	defer s.wg.Done()
 	period := s.cfg.StallSeconds / 2
@@ -396,8 +374,11 @@ func (s *Service) watchdog(alarm trace.Alarm) {
 		var stale []*Tenant
 		s.mu.Lock()
 		for _, t := range s.order {
-			if t.cur != nil && t.cur.stalledFor(now) >= s.cfg.StallSeconds {
-				stale = append(stale, t)
+			for _, it := range t.live {
+				if it.stalledFor(now) >= s.cfg.StallSeconds {
+					stale = append(stale, t)
+					break
+				}
 			}
 		}
 		s.mu.Unlock()
@@ -409,27 +390,10 @@ func (s *Service) watchdog(alarm trace.Alarm) {
 	}
 }
 
-// worker consumes dispatched requests: fetch the sample through the shared
-// cache / single-flight layer, then deliver the outcome to the request's
-// iterator. Deliveries race tenant detach, so every send is guarded by the
-// iterator's abort and the service's; a dropped delivery recycles its
-// pooled tensor.
-func (s *Service) worker() {
-	defer s.wg.Done()
-	for {
-		var r request
-		select {
-		case r = <-s.workq:
-		case <-s.abort:
-			return
-		}
-		s.process(r)
-	}
-}
-
-// process serves one request end to end, crediting a successful serve's
-// payload bytes and feeding the outcome to the tenant's breaker before
-// delivery.
+// process serves one request end to end — fetch the sample through the
+// shared cache / single-flight layer, credit a successful serve's payload
+// bytes, feed the outcome to the tenant's breaker — and delivers the
+// outcome to the request's iterator.
 func (s *Service) process(r request) {
 	t := r.it.t
 	select {
@@ -439,7 +403,7 @@ func (s *Service) process(r request) {
 			t.breakerAbortProbeLocked()
 			s.mu.Unlock()
 		}
-		return // stale: iterator closed between dispatch and service
+		return // stale: iterator closed between enqueue and service
 	default:
 	}
 	data, label, err := t.sd.fetch(r.it, r.index)
@@ -448,22 +412,34 @@ func (s *Service) process(r request) {
 		s.ob.bytesServed.Add(n)
 		t.to.bytesServed.Add(n)
 	}
-	if err != errDetached && err != errClosed {
+	if t.brk != nil {
 		s.mu.Lock()
-		t.recordBreakerLocked(r.probe, err != nil, s.clock.Now())
-		s.mu.Unlock()
-	} else if r.probe {
-		s.mu.Lock()
-		t.breakerAbortProbeLocked()
+		if err != errDetached && err != errClosed {
+			t.recordBreakerLocked(r.probe, err != nil, s.clock.Now())
+		} else if r.probe {
+			t.breakerAbortProbeLocked()
+		}
 		s.mu.Unlock()
 	}
-	o := outcome{seq: r.seq, index: r.index, data: data, label: label, err: err}
+	s.deliver(r.it, outcome{seq: r.seq, index: r.index, data: data, label: label, err: err})
+}
+
+// deliver hands an outcome to its iterator's completions, or recycles its
+// tensor when the iterator has closed. The send does not wait on the
+// consumer: an iterator has at most Inflight requests outstanding, and
+// completions holds Inflight outcomes.
+func (s *Service) deliver(it *Iterator, o outcome) {
 	select {
-	case r.it.completions <- o:
-	case <-r.it.abort:
-		t.sd.pool.PutTensor(data)
-	case <-s.abort:
-		t.sd.pool.PutTensor(data)
+	case it.completions <- o:
+		// An empty buffer after the send means a consumer blocked in Next
+		// took o directly. The runtime queues that consumer behind this
+		// worker, which would run on through its next requests first;
+		// yield so the consumer's wait ends now.
+		if len(it.completions) == 0 {
+			runtime.Gosched()
+		}
+	case <-it.abort:
+		it.t.sd.pool.PutTensor(o.data)
 	}
 }
 

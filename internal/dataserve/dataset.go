@@ -87,11 +87,11 @@ type sharedDataset struct {
 // sampleRecord is what the service learns about a sample from its first
 // successful decode. A resident is only the raw element bytes, so a hit
 // needs the record's dtype and shape to draw its destination tensor; the
-// byte-weighted dispatcher prices requests with its payload size. Decode is
+// byte-weighted DRR pick prices requests with its payload size. Decode is
 // deterministic, so a record is written once, under sd.mu and before the
 // cache Put that admits the sample, and then only read: a hit reads it
 // after its Get (ordered after the Put by the cache mutex), a flight joiner
-// after f.done, and the dispatcher after known's load. known is its own
+// after f.done, and the DRR pick after known's load. known is its own
 // flag because a payload can be 0 bytes (an empty ragged sample with no
 // label).
 type sampleRecord struct {

@@ -56,7 +56,7 @@ func TestFairnessLightTenantLag(t *testing.T) {
 	const heavyInflight, lightInflight = 40, 4
 	ds := buildDataset(samples, testShape)
 
-	svc := dataserve.New(dataserve.Config{Workers: 2, QueueDepth: 2})
+	svc := dataserve.New(dataserve.Config{Workers: 2})
 	defer svc.Close()
 	err := svc.Register(dataserve.DatasetConfig{
 		Name:   "shared",
@@ -105,8 +105,9 @@ func TestFairnessLightTenantLag(t *testing.T) {
 	hs, ls := heavy.Stats(), light.Stats()
 	t.Logf("heavy: max=%d p99=%d  light: max=%d p99=%d",
 		hs.QueueWaitMax, hs.QueueWaitP99, ls.QueueWaitMax, ls.QueueWaitP99)
-	// The heavy tenant's burst outruns the throttled dispatch (QueueDepth 2,
-	// slow decodes), so its own tail requests wait out most of the backlog.
+	// The heavy tenant's burst outruns the two workers (slow decodes, and a
+	// worker picks only when free), so its own tail requests wait out most
+	// of the backlog.
 	// Without that standing queue the light tenant's bound would be vacuous.
 	if hs.QueueWaitMax < 16 {
 		t.Errorf("heavy tenant built no backlog (max lag %d); contention did not materialize", hs.QueueWaitMax)
@@ -214,7 +215,7 @@ func TestWeightedShares(t *testing.T) {
 	const samples = 40
 	ds := buildDataset(samples, testShape)
 
-	svc := dataserve.New(dataserve.Config{Workers: 2, QueueDepth: 2})
+	svc := dataserve.New(dataserve.Config{Workers: 2})
 	defer svc.Close()
 	err := svc.Register(dataserve.DatasetConfig{
 		Name:   "shared",

@@ -17,7 +17,7 @@ import (
 //	dataserve.cache.misses        shared-cache misses
 //	dataserve.cache.quarantined   integrity quarantines on the shared cache
 //	dataserve.cache.evictions     samples dropped by cache pressure
-//	dataserve.dispatched          requests served by the fair dispatcher
+//	dataserve.dispatched          requests workers took off the fair queue
 //	dataserve.bytes.served        payload bytes successfully served
 //	dataserve.bytes.shed          known payload bytes of shed requests
 //	dataserve.tenants             currently attached tenants (gauge)
@@ -154,15 +154,15 @@ type ServiceStats struct {
 	// transient-fault retries absorbed by flight owners (reconciles against
 	// an injector log).
 	CacheHits, CacheMisses, CacheQuarantined, Retries int64
-	// Dispatched counts requests the fair-queueing dispatcher served.
+	// Dispatched counts requests workers took off the fair queue.
 	Dispatched int64
 	// Shed counts requests dropped past their admission deadline, and
 	// BreakerRejects the requests fast-failed by open tenant breakers —
-	// neither ever consumed a dispatcher slot or decode worker.
+	// neither ever consumed a decode worker.
 	Shed, BreakerRejects int64
 	// ServedBytes totals the payload bytes (the decoded sample's raw
 	// element bytes, with no header, plus its label's) successfully served
-	// across all tenants — the byte-weighted dispatcher's cost basis, so it
+	// across all tenants — the byte-weighted DRR pick's cost basis, so it
 	// reconciles against Σ TenantStats.BytesServed exactly. ShedBytes is
 	// the same basis over shed requests whose sample size was already known
 	// (a never-decoded sample sheds as 0 bytes).
@@ -234,7 +234,7 @@ type TenantStats struct {
 	Shed, Skips int64
 	// BytesServed totals the payload bytes (the decoded sample's raw
 	// element bytes, with no header, plus its label's) successfully served
-	// to this tenant — the byte-weighted dispatcher's cost basis. Σ over
+	// to this tenant — the byte-weighted DRR pick's cost basis. Σ over
 	// tenants reconciles exactly against ServiceStats.ServedBytes.
 	BytesServed int64
 	// BreakerTrips counts transitions into the open state, BreakerProbes

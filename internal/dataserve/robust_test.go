@@ -162,7 +162,7 @@ func TestBreakerIsolation(t *testing.T) {
 	bad := &flakyDataset{inner: buildDataset(samples, testShape)}
 	bad.fail.Store(true)
 
-	svc := dataserve.New(dataserve.Config{Workers: 2, QueueDepth: 2})
+	svc := dataserve.New(dataserve.Config{Workers: 2})
 	defer svc.Close()
 	for name, ds := range map[string]pipeline.Dataset{"good": good, "bad": bad} {
 		if err := svc.Register(dataserve.DatasetConfig{
@@ -238,7 +238,7 @@ func TestBreakerIsolation(t *testing.T) {
 func TestShedDeadline(t *testing.T) {
 	const samples, batch = 48, 4
 	ds := buildDataset(samples, testShape)
-	svc := dataserve.New(dataserve.Config{Workers: 2, QueueDepth: 2})
+	svc := dataserve.New(dataserve.Config{Workers: 2})
 	defer svc.Close()
 	if err := svc.Register(dataserve.DatasetConfig{
 		Name: "shared", Data: ds,

@@ -3,7 +3,10 @@ package dataserve
 import (
 	"errors"
 	"fmt"
+	"math"
+	"slices"
 	"sync"
+	"sync/atomic"
 
 	"scipp/internal/pipeline"
 	"scipp/internal/tensor"
@@ -20,11 +23,12 @@ type TenantConfig struct {
 	Name string
 	// Dataset names the registered shared dataset to draw from. Required.
 	Dataset string
-	// Weight is the tenant's fair-queueing share: the dispatcher serves up
-	// to Quantum*Weight of its requests per round. Default 1.
+	// Weight is the tenant's fair-queueing share: the workers serve up to
+	// Quantum*Weight of its requests per round. Default 1.
 	Weight int
-	// Inflight is the admission budget — the tenant's source stops feeding
-	// once this many samples are requested but not yet consumed, so one
+	// Inflight is the admission budget: an epoch keeps this many samples
+	// requested ahead of its consumer. Epoch queues the first Inflight, and
+	// each sample Next consumes queues the one Inflight places later, so a
 	// slow consumer backpressures only its own schedule. Default 8.
 	Inflight int
 	// Batch is the minibatch size. Default 1.
@@ -68,7 +72,7 @@ func (c TenantConfig) withDefaults() TenantConfig {
 }
 
 // Tenant is one attached training job. Epoch starts a schedule, Detach
-// severs the tenant (closing any live iterator) without disturbing the
+// severs the tenant (closing its live iterators) without disturbing the
 // service's other tenants.
 type Tenant struct {
 	name string
@@ -78,14 +82,14 @@ type Tenant struct {
 	to   tenantObs
 
 	// Everything below is guarded by svc.mu. pend[pendHead:] are the
-	// queued requests, oldest first; cur is the live iterator, which Detach
-	// closes and the watchdog inspects.
+	// queued requests, oldest first; live are the iterators neither drained
+	// nor closed, which Detach closes and the watchdog inspects.
 	pend      []request
 	pendHead  int
 	detached  bool
 	brk       *breaker // nil when the breaker is disabled; set once at Attach
 	quotaUsed int64
-	cur       *Iterator
+	live      []*Iterator
 }
 
 // Attach registers a tenant with the service.
@@ -153,10 +157,10 @@ func (t *Tenant) popLocked() request {
 	return r
 }
 
-// Detach severs the tenant: its pending requests are dropped, its live
-// iterator (if any) is closed and drained, and the dispatcher stops
-// visiting it. In-progress flights it owns are service work and run to
-// completion, so tenants waiting on them are unaffected. Idempotent.
+// Detach severs the tenant: its pending requests are dropped, every live
+// iterator is closed, and the workers stop visiting it. In-progress
+// flights it owns are service work and run to completion, so tenants
+// waiting on them are unaffected. Idempotent.
 func (t *Tenant) Detach() {
 	s := t.svc
 	s.mu.Lock()
@@ -175,11 +179,21 @@ func (t *Tenant) Detach() {
 	}
 	s.rebuildShedOrderLocked()
 	s.ob.tenants.Set(float64(len(s.tenants)))
-	cur := t.cur
+	live := t.live
+	t.live = nil
 	s.mu.Unlock()
-	if cur != nil {
-		cur.Close()
+	for _, it := range live {
+		it.Close()
 	}
+}
+
+// retire drops it from the tenant's live iterators.
+func (t *Tenant) retire(it *Iterator) {
+	t.svc.mu.Lock()
+	if i := slices.Index(t.live, it); i >= 0 {
+		t.live = slices.Delete(t.live, i, i+1)
+	}
+	t.svc.mu.Unlock()
 }
 
 // outcome is one served sample (or its terminal error) on its way back to
@@ -195,82 +209,79 @@ type outcome struct {
 // deterministic schedule order, mirroring pipeline.Iterator's contract:
 // Next returns (nil, nil) at a clean end of epoch, a typed error on a
 // terminal failure or exhausted quota, and Close aborts early without
-// leaking goroutines or pooled tensors.
+// leaking pooled tensors. An epoch runs on its consumer's goroutine: Next
+// queues the requests and reorders the workers' completions itself.
 type Iterator struct {
 	t     *Tenant
-	epoch int
 	order []int // admitted schedule
 	quota *QuotaError
 
-	tokens      chan struct{}
+	// completions carries the workers' outcomes in completion order. It
+	// holds Inflight: at most Inflight schedule positions are outstanding,
+	// so a worker's send never waits on the consumer.
 	completions chan outcome
-	ordered     chan outcome
-	abort       chan struct{}
-	closeOnce   sync.Once
-	wg          sync.WaitGroup
-	done        bool // Next reached end of epoch (consumer-side only)
-	skips       int  // bad samples skipped this epoch (consumer-side only)
+	abort       chan struct{} // closed by Close
 
-	// stallMu guards the consumer's last-drain timestamp, read by the
-	// slow-consumer watchdog.
-	stallMu   sync.Mutex
-	lastDrain float64
+	// mu guards the consumer's state against a concurrent Close; Next
+	// holds it except while blocked on completions. ring is the reorder
+	// buffer: seq's outcome waits in ring[seq%Inflight] (seq -1 marks a
+	// free slot), which is free because at most Inflight schedule
+	// positions are outstanding.
+	mu     sync.Mutex
+	ring   []outcome
+	next   int  // schedule position Next delivers next
+	closed bool // Close ran: the ring and completions are recycled
+	done   bool // Next reached end of epoch
+	skips  int  // bad samples skipped this epoch
+
+	// lastDrain is the clock time, as float64 bits, of the consumer's last
+	// receive from completions; the slow-consumer watchdog reads it.
+	lastDrain atomic.Uint64
 }
 
-// noteDrain timestamps the consumer taking an outcome off the ordered
-// channel, resetting the watchdog's undrained-backlog timer.
+// noteDrain timestamps the consumer taking an outcome off completions,
+// resetting the watchdog's undrained-backlog timer.
 func (it *Iterator) noteDrain() {
-	now := it.t.svc.clock.Now()
-	it.stallMu.Lock()
-	it.lastDrain = now
-	it.stallMu.Unlock()
+	it.lastDrain.Store(math.Float64bits(it.t.svc.clock.Now()))
 }
 
 // stalledFor reports how long the consumer has been stalled at clock time
-// now, or -1 when it is not. A consumer is stalled when completed outcomes
-// sit buffered in ordered and nobody has drained one since lastDrain:
-// results are ready and nobody is taking them. (The sink itself never
-// wedges — ordered holds Inflight outcomes and the token budget caps
-// outstanding work at Inflight — so the backlog is the only stall signal.)
+// now, or -1 when it is not. A consumer is stalled when outcomes wait in
+// completions and nobody has received one since lastDrain: results are
+// ready and nobody is taking them.
 func (it *Iterator) stalledFor(now float64) float64 {
-	it.stallMu.Lock()
-	defer it.stallMu.Unlock()
-	if len(it.ordered) > 0 {
-		return now - it.lastDrain
+	if len(it.completions) > 0 {
+		return now - math.Float64frombits(it.lastDrain.Load())
 	}
 	return -1
 }
 
-// Epoch starts iterating the tenant's schedule for the given epoch. At
-// most one iterator should be live per tenant at a time; starting a new
-// epoch while one is open is allowed but shares the tenant's admission
-// budget. Returns nil if the tenant is detached.
+// Epoch starts iterating the tenant's schedule for the given epoch and
+// queues its first Inflight requests, so prefetch starts here. Several
+// iterators of one tenant may be live at once; each has its own Inflight
+// budget, and Detach closes them all. Returns nil if the tenant is
+// detached.
 func (t *Tenant) Epoch(epoch int) *Iterator {
-	var src pipeline.Source
+	var order []int
 	if t.cfg.Shuffle {
-		src = &pipeline.ShuffledSource{N: t.sd.ds.Len(), Seed: t.cfg.Seed}
+		order = (&pipeline.ShuffledSource{N: t.sd.ds.Len(), Seed: t.cfg.Seed}).Order(epoch)
 	} else {
-		src = &pipeline.SequentialSource{N: t.sd.ds.Len()}
+		order = (&pipeline.SequentialSource{N: t.sd.ds.Len()}).Order(epoch)
 	}
-	order := src.Order(epoch)
 	it := &Iterator{
 		t:           t,
-		epoch:       epoch,
-		tokens:      make(chan struct{}, t.cfg.Inflight),
 		completions: make(chan outcome, t.cfg.Inflight),
-		ordered:     make(chan outcome, t.cfg.Inflight),
 		abort:       make(chan struct{}),
+		ring:        make([]outcome, t.cfg.Inflight),
 	}
-	it.lastDrain = t.svc.clock.Now()
-	for i := 0; i < t.cfg.Inflight; i++ {
-		select {
-		case it.tokens <- struct{}{}:
-		default:
-		}
+	for i := range it.ring {
+		it.ring[i].seq = -1
 	}
-	// The detach check, the quota charge and publishing the iterator share
-	// one critical section, so a concurrent Detach either refuses this
-	// epoch or closes its iterator.
+	it.noteDrain()
+	// The detach check, the quota charge, publishing the iterator and
+	// queueing its first requests share one critical section, so a
+	// concurrent Detach either refuses this epoch or closes its iterator
+	// after the ring is written.
 	s := t.svc
 	s.mu.Lock()
 	if t.detached {
@@ -285,131 +296,48 @@ func (t *Tenant) Epoch(epoch int) *Iterator {
 		t.quotaUsed += int64(len(order))
 	}
 	it.order = order
-	t.cur = it
+	t.live = append(t.live, it)
+	for seq := 0; seq < min(t.cfg.Inflight, len(order)); seq++ {
+		s.enqueueLocked(it, seq)
+	}
 	s.mu.Unlock()
 	if it.quota != nil {
 		t.to.quotaDenied.Add(it.quota.Denied)
 	}
-	it.wg.Add(2)
-	go it.source()
-	go it.sink()
 	return it
-}
-
-// source feeds the epoch's schedule through the tenant's admission budget:
-// one token per in-flight sample, released as Next consumes outcomes, so
-// backpressure from this tenant's consumer reaches only this loop.
-func (it *Iterator) source() {
-	defer it.wg.Done()
-	for seq, index := range it.order {
-		select {
-		case <-it.tokens:
-		case <-it.abort:
-			return
-		case <-it.t.svc.abort:
-			return
-		}
-		if !it.t.svc.enqueue(it, seq, index) {
-			return
-		}
-	}
-}
-
-// sink restores schedule order over the workers' out-of-order completions
-// (the reorder-buffer idiom of pipeline.BatchStage) and closes ordered
-// when the whole epoch has been released. On abort it recycles whatever
-// decoded tensors it holds.
-func (it *Iterator) sink() {
-	defer it.wg.Done()
-	pool := it.t.sd.pool
-	pending := make(map[int]outcome, 8)
-	recycle := func() {
-		for _, o := range pending {
-			pool.PutTensor(o.data)
-		}
-		for {
-			select {
-			case o := <-it.completions:
-				pool.PutTensor(o.data)
-			default:
-				return
-			}
-		}
-	}
-	next := 0
-	for next < len(it.order) {
-		var o outcome
-		select {
-		case o = <-it.completions:
-		case <-it.abort:
-			recycle()
-			return
-		case <-it.t.svc.abort:
-			recycle()
-			return
-		}
-		pending[o.seq] = o
-		for {
-			r, ok := pending[next]
-			if !ok {
-				break
-			}
-			delete(pending, next)
-			next++
-			// The ordered buffer holds Inflight outcomes and the admission
-			// budget caps outstanding work at Inflight, so this send only
-			// blocks against teardown races — a stopped consumer shows up
-			// as an undrained ordered backlog, not a blocked sink.
-			select {
-			case it.ordered <- r:
-			case <-it.abort:
-				pool.PutTensor(r.data)
-				recycle()
-				return
-			case <-it.t.svc.abort:
-				pool.PutTensor(r.data)
-				recycle()
-				return
-			}
-		}
-	}
-	close(it.ordered)
 }
 
 // Next returns the next batch in schedule order, (nil, nil) at a clean end
 // of epoch, a *QuotaError when the quota truncated the schedule, or the
 // first terminal sample error. Returned batches come from the shared slab
-// pool; the consumer releases them when done.
+// pool; the consumer releases them when done. Next returns errDetached
+// once Close has run, including a Close from another goroutine while Next
+// is blocked.
 func (it *Iterator) Next() (*pipeline.Batch, error) {
+	it.mu.Lock()
+	defer it.mu.Unlock()
 	if it.done {
 		return nil, it.endErr()
+	}
+	if it.closed {
+		return nil, errDetached
 	}
 	t := it.t
 	b := t.sd.pool.GetBatch(t.cfg.Batch)
 	for len(b.Indices) < t.cfg.Batch {
-		var o outcome
-		var ok bool
-		select {
-		case o, ok = <-it.ordered:
-		case <-it.abort:
-			b.Release()
-			return nil, errDetached
-		case <-t.svc.abort:
-			b.Release()
-			return nil, errClosed
-		}
-		it.noteDrain()
-		if !ok {
+		if it.next == len(it.order) {
 			it.done = true
+			t.retire(it)
 			if len(b.Indices) == 0 || t.cfg.DropLast {
 				b.Release()
 				return nil, it.endErr()
 			}
 			break
 		}
-		select {
-		case it.tokens <- struct{}{}:
-		default:
+		o, err := it.take()
+		if err != nil {
+			b.Release()
+			return nil, err
 		}
 		if o.shed {
 			continue // shed past its deadline: already counted, not an error
@@ -434,6 +362,44 @@ func (it *Iterator) Next() (*pipeline.Batch, error) {
 	return b, nil
 }
 
+// take returns the outcome at schedule position it.next, receiving
+// completions into the ring until it arrives, and queues the request
+// Inflight positions later in its place. The caller holds it.mu, which
+// take releases while it blocks.
+func (it *Iterator) take() (outcome, error) {
+	slot := &it.ring[it.next%len(it.ring)]
+	for slot.seq != it.next {
+		it.mu.Unlock()
+		var o outcome
+		select {
+		case o = <-it.completions:
+		case <-it.abort:
+			it.mu.Lock()
+			return outcome{}, errDetached
+		}
+		it.mu.Lock()
+		if it.closed {
+			// Close recycled the ring while we waited; o is ours alone.
+			it.t.sd.pool.PutTensor(o.data)
+			return outcome{}, errDetached
+		}
+		it.noteDrain()
+		it.ring[o.seq%len(it.ring)] = o
+	}
+	o := *slot
+	*slot = outcome{seq: -1}
+	it.next++
+	if seq := it.next - 1 + len(it.ring); seq < len(it.order) {
+		s := it.t.svc
+		s.mu.Lock()
+		if !it.t.detached {
+			s.enqueueLocked(it, seq)
+		}
+		s.mu.Unlock()
+	}
+	return o, nil
+}
+
 // skippable reports whether err is a per-sample failure the epoch may
 // survive under MaxBadSamples: terminal decode failures and poison
 // rejections qualify; breaker rejections and teardown sentinels do not.
@@ -455,30 +421,30 @@ func (it *Iterator) endErr() error {
 	return nil
 }
 
-// Close aborts the epoch: the source stops feeding, queued deliveries are
-// dropped and their tensors recycled, and both epoch goroutines are
-// joined before Close returns, so a close mid-epoch leaks neither
-// goroutines nor pooled memory. Idempotent.
+// Close aborts the epoch: requests still queued are dropped when a worker
+// reaches them, outcomes held in the ring or waiting in completions are
+// recycled, and the iterator leaves the tenant's live set, so a close
+// mid-epoch leaks no pooled memory. Safe to call while Next is blocked, and
+// that Next returns errDetached. Idempotent.
 func (it *Iterator) Close() {
-	it.closeOnce.Do(func() { close(it.abort) })
-	it.wg.Wait()
-	pool := it.t.sd.pool
-drain:
-	for {
-		select {
-		case o, ok := <-it.ordered:
-			if !ok {
+	it.mu.Lock()
+	if !it.closed {
+		it.closed = true
+		close(it.abort)
+		pool := it.t.sd.pool
+		for _, o := range it.ring {
+			pool.PutTensor(o.data)
+		}
+	drain:
+		for {
+			select {
+			case o := <-it.completions:
+				pool.PutTensor(o.data)
+			default:
 				break drain
 			}
-			pool.PutTensor(o.data)
-		default:
-			break drain
 		}
 	}
-	s := it.t.svc
-	s.mu.Lock()
-	if it.t.cur == it {
-		it.t.cur = nil
-	}
-	s.mu.Unlock()
+	it.mu.Unlock()
+	it.t.retire(it)
 }

@@ -25,10 +25,11 @@ type Resilience struct {
 	// is exceeded the epoch fails with an *EpochError naming every bad
 	// sample.
 	MaxBadSamples int
-	// MaxLoggedErrors bounds the per-sample errors retained in Stats
-	// (default 8). Indices of bad samples are always all retained.
-	MaxLoggedErrors int
 }
+
+// maxLoggedErrors bounds the per-sample errors an iterator retains in
+// Stats. Indices of bad samples are always all retained.
+const maxLoggedErrors = 8
 
 // backoff returns the delay before retry attempt (0-based).
 func (r Resilience) backoff(attempt int) float64 {
@@ -40,13 +41,6 @@ func (r Resilience) backoff(attempt int) float64 {
 		}
 	}
 	return d
-}
-
-func (r Resilience) maxLoggedErrors() int {
-	if r.MaxLoggedErrors <= 0 {
-		return 8
-	}
-	return r.MaxLoggedErrors
 }
 
 // SampleError reports the failure of one sample, carrying its dataset index.
@@ -75,7 +69,7 @@ type EpochError struct {
 	// Indices are the dataset indices of every bad sample, in consumption
 	// order.
 	Indices []int
-	// Errors holds the first MaxLoggedErrors sample errors.
+	// Errors holds the first 8 sample errors.
 	Errors []*SampleError
 }
 
@@ -116,7 +110,7 @@ type Stats struct {
 	// BadSamples are the dataset indices of skipped (and, on epoch
 	// failure, quota-exceeding) samples, in consumption order.
 	BadSamples []int
-	// Errors holds the first MaxLoggedErrors sample errors.
+	// Errors holds the first 8 sample errors.
 	Errors []*SampleError
 }
 
@@ -167,7 +161,7 @@ func (it *Iterator) recordBad(se *SampleError, quota int) bool {
 	it.statsMu.Lock()
 	defer it.statsMu.Unlock()
 	it.stats.BadSamples = append(it.stats.BadSamples, se.Index)
-	if len(it.stats.Errors) < it.loader.cfg.Resilience.maxLoggedErrors() {
+	if len(it.stats.Errors) < maxLoggedErrors {
 		it.stats.Errors = append(it.stats.Errors, se)
 	}
 	if quota > 0 && len(it.stats.BadSamples) <= quota {
