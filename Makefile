@@ -8,13 +8,13 @@ build:
 	$(GO) build ./...
 
 # The other lines run the codec kernel, FP16 conversion, little-endian
-# element codec, cache-hit layer, warm tenant epoch and ragged-loader
-# (epoch, pad assembly) benchmarks for one iteration each, so they keep
-# compiling.
+# element codec, cache-hit layer, warm tenant epoch, cached loader epoch
+# and ragged-loader (epoch, pad assembly) benchmarks for one iteration
+# each, so they keep compiling and the whole-epoch path stays exercised.
 test:
 	$(GO) test ./...
 	$(GO) test -run '^$$' -bench '^(BenchmarkOpen|BenchmarkDecodeFused|BenchmarkDecodeSample|BenchmarkFromFloat32|BenchmarkDecodeLE)$$' -benchtime=1x ./internal/codec/lut/ ./internal/codec/deltafp/ ./internal/fp16/ ./internal/tensor/
-	$(GO) test -run '^$$' -bench '^(BenchmarkSampleCacheGetHit|BenchmarkSampleCacheGetHitParallel|BenchmarkCacheSum|BenchmarkServeHit|BenchmarkTenantEpoch|BenchmarkRaggedEpoch|BenchmarkPadded)$$' -benchtime=1x ./internal/pipeline/ ./internal/dataserve/
+	$(GO) test -run '^$$' -bench '^(BenchmarkSampleCacheGetHit|BenchmarkSampleCacheGetHitParallel|BenchmarkCacheSum|BenchmarkServeHit|BenchmarkTenantEpoch|BenchmarkRaggedEpoch|BenchmarkPadded|BenchmarkPipelineCachedEpoch)$$' -benchtime=1x ./internal/pipeline/ ./internal/dataserve/
 
 # The portable FP16 conversion that the purego build tag forces, under the
 # codecs that call it, as hosts without F16C run it.

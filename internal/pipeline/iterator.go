@@ -78,9 +78,10 @@ func (ob iterObs) noteError(err error) {
 	}
 }
 
-// Iterator yields batches of one epoch in schedule order, running the stage
-// DAG behind a schedule-order sink. Next is safe for concurrent callers;
-// each call returns a distinct batch.
+// Iterator yields batches of one epoch in schedule order. Its stage
+// workers are the only goroutines an epoch runs: Next admits samples,
+// restores schedule order and ends the epoch on the caller's goroutine.
+// Next is safe for concurrent callers; each call returns a distinct batch.
 type Iterator struct {
 	loader *Loader
 	order  []int
@@ -88,26 +89,44 @@ type Iterator struct {
 	ob     iterObs
 	sup    *StageSupervisor
 
-	// abort tears the DAG down on Close; tokens caps in-flight samples at
-	// Prefetch, one credit per admission run of runLen samples; batcher
-	// restores schedule order over stage completions.
-	abort    chan struct{}
-	stopOnce sync.Once
-	runLen   int
-	tokens   chan struct{}
-	batcher  *BatchStage
+	// abort tears the DAG down on Close; done closes once Next took the
+	// last scheduled position, and the workers exit on it. readq feeds the
+	// head stage — admissions, retries and watchdog re-admissions alike —
+	// and completions carries terminal outcomes to Next in completion
+	// order. Each holds Prefetch runs: every run carries at least one of
+	// the at most Prefetch samples in flight, so no send into either waits.
+	abort       chan struct{}
+	stopOnce    sync.Once
+	done        chan struct{}
+	readq       chan *run[item[struct{}]]
+	completions chan *run[outcome]
+	// runLen is the admission unit; window, a whole number of runs, is the
+	// span of schedule positions admitted ahead of the next one taken.
+	runLen, window int
 
-	mu  sync.Mutex // serializes batch assembly and pos
-	pos int
+	// mu serializes Next. ring is the reorder buffer: seq's outcome waits
+	// in ring[seq%Prefetch] until next reaches it — a slot that is free,
+	// because every pending seq lies in [next, next+window). ready counts
+	// the filled slots.
+	mu    sync.Mutex
+	ring  []pendingSlot
+	next  int
+	ready int
 
 	statsMu  sync.Mutex // guards stats (written by stage goroutines and Next)
 	stats    Stats
 	fatalErr error // first supervisor abort; surfaced by Next after teardown
 }
 
+// pendingSlot is one reorder-ring slot: an outcome waiting for its turn.
+type pendingSlot struct {
+	o  outcome
+	ok bool
+}
+
 // fatal records the supervision layer's terminal error (first one wins) and
-// tears the epoch down. Next surfaces the error once the ordered channel
-// drains: the epoch ends loudly, never by hanging.
+// tears the epoch down. Next surfaces the error once it can take no further
+// position: the epoch ends loudly, never by hanging.
 func (it *Iterator) fatal(err error) {
 	it.statsMu.Lock()
 	if it.fatalErr == nil {
@@ -123,35 +142,31 @@ func (it *Iterator) fatalError() error {
 	return it.fatalErr
 }
 
-// start assembles and launches the epoch's DAG:
+// start launches the epoch's stage workers:
 //
-//	source ──▶ read/cache ──▶ decode ──▶ [augment] ──▶ batch sink ──▶ Next
-//	   ▲          │ failures      │ failures   │ failures     │
-//	   tokens     └──────────▶ retry judge ◀───┴──────────────┘
-//	                 (transient: back to read; terminal: to sink)
+//	Epoch, Next ──admit──▶ read/cache ──▶ decode ──▶ [augment] ──▶ completions ──▶ Next
+//	                         ▲ │             │           │
+//	                         └─┴─────────────┴───────────┘ failures, judged by their worker:
+//	                            transient: back to read; terminal: to completions
 //
-// Each stage is a bounded worker pool; every queue is bounded; every send is
-// abort-guarded. Up to the sink, samples travel in runs of it.runLen (see
-// run): the source admits one run per credit, and each queue holds
-// ceil(QueueDepth/runLen) runs, so the samples a queue buffers stay at
-// QueueDepth. The retry judge re-admits transient failures at the read
-// stage as runs of one (re-reading the sample, so fault-injector access
-// counts match the monolithic loader) and forwards exhausted or permanent
-// failures to the sink as terminal outcomes, where they occupy their
-// schedule position.
+// Each stage is a bounded worker pool; every send is abort-guarded. Samples
+// travel in runs of it.runLen (see run): Epoch admits the first
+// Prefetch/runLen runs and Next admits one more each time it takes a run's
+// last position, so at most Prefetch samples are in flight; the queues
+// between stages hold ceil(Prefetch/runLen) runs. The worker whose attempt
+// failed judges it (hop.fail): a transient failure with retry budget left
+// re-enters the read stage as a run of one (re-reading the sample, so
+// fault-injector access counts match the monolithic loader); an exhausted
+// or permanent one goes to completions as a terminal outcome and occupies
+// its schedule position.
 func (it *Iterator) start() {
 	l := it.loader
 	cfg := l.cfg
 	runs := &l.runs
-	depth := (cfg.Stages.QueueDepth + it.runLen - 1) / it.runLen
+	depth := (cfg.Prefetch + it.runLen - 1) / it.runLen
 	sup := it.sup
-
-	readq := make(chan *run[item[struct{}]], depth)
-	retryq := make(chan *run[item[struct{}]], cfg.Prefetch)
+	readq, completions, abort, done := it.readq, it.completions, it.abort, it.done
 	decodeq := make(chan *run[item[rawSample]], depth)
-	failq := make(chan failure, cfg.Prefetch)
-	completionq := make(chan *run[outcome], depth)
-	abort, done := it.abort, it.batcher.done
 
 	// Supervisor wiring: terminal aborts surface through Next; abandoned
 	// (stalled) samples re-enter the head stage at a fresh generation with a
@@ -161,62 +176,63 @@ func (it *Iterator) start() {
 	sup.onPanic = it.notePanicked
 	sup.onStall = it.noteStalled
 	sup.readmit = func(seq, index, attempt, gen int) bool {
-		return sendItem(retryq, runs.ticks.one(item[struct{}]{seq: seq, index: index, attempt: attempt, gen: gen}), abort)
+		return sendItem(readq, runs.ticks.one(item[struct{}]{seq: seq, index: index, attempt: attempt, gen: gen}), abort)
 	}
 	// Queue probes feed the stall snapshot, so only a watched DAG (one
 	// with a stall deadline) registers them.
 	if !sup.passive {
 		sup.probe("read", func() int { return len(readq) })
-		sup.probe("retry", func() int { return len(retryq) })
 		sup.probe("decode", func() int { return len(decodeq) })
-		sup.probe("fail", func() int { return len(failq) })
-		sup.probe("completion", func() int { return len(completionq) })
+		sup.probe("completion", func() int { return len(completions) })
 	}
 
-	// toOutcome hands a decoded run to the sink as a run of outcomes.
+	// toOutcome hands a decoded run to Next as a run of outcomes.
 	toOutcome := func(r *run[item[decodedSample]]) bool {
 		o := runs.outs.get()
 		for _, v := range r.items {
 			o.items = append(o.items, outcome{seq: v.seq, index: v.index, data: v.val.data, label: v.val.label})
 		}
 		runs.dec.put(r)
-		return sendItem(completionq, o, abort)
+		return sendItem(completions, o, abort)
 	}
 	// discardDecoded recycles the pooled tensor of an abandoned attempt's
 	// decoded output — the re-admitted generation decodes into a fresh one.
 	discardDecoded := func(v decodedSample) { l.pool.PutTensor(v.data) }
-
-	// Source: admit the schedule in runs of runLen consecutive seqs, one
-	// credit (runLen samples of the in-flight budget) per run.
-	sup.Go("source", func() {
-		for lo := 0; lo < len(it.order); lo += it.runLen {
-			select {
-			case it.tokens <- struct{}{}:
-			case <-abort:
-				return
+	// fail is every stage's retry judgement: transient failures with retry
+	// budget left re-enter the read stage (after their backoff elapses on
+	// the iterator's clock); everything else is terminal.
+	pol := cfg.Resilience
+	fail := func(f failure) bool {
+		it.ob.noteError(f.err)
+		if errors.Is(f.err, fault.Transient) && f.attempt < pol.MaxRetries {
+			it.noteRetried()
+			retry := runs.ticks.one(item[struct{}]{seq: f.seq, index: f.index, attempt: f.attempt + 1, gen: f.gen})
+			if s, ok := it.clock.(trace.Sleeper); ok {
+				if delay := pol.backoff(f.attempt); delay > 0 {
+					sup.Go("retry-backoff", func() {
+						s.Sleep(delay)
+						sendItem(readq, retry, abort)
+					})
+					return true
+				}
 			}
-			r := runs.ticks.get()
-			for seq := lo; seq < min(lo+it.runLen, len(it.order)); seq++ {
-				r.items = append(r.items, item[struct{}]{seq: seq, index: it.order[seq]})
-			}
-			if !sendItem(readq, r, abort) {
-				return
-			}
+			return sendItem(readq, retry, abort)
 		}
-	})
+		return sendItem(completions, runs.outs.one(outcome{seq: f.seq, index: f.index, err: asSampleError(f.err, f.index)}), abort)
+	}
 
-	// Read (or cache) stage: the only stage fed by the retry queue.
+	// Read (or cache) stage: the head, fed by admissions and retries.
 	var head Stage[struct{}, rawSample] = &ReadStage{ds: l.ds, ob: it.ob}
 	if l.cache != nil {
 		head = &CacheStage{read: &ReadStage{ds: l.ds, ob: it.ob}, cache: l.cache, ob: it.ob}
 	}
 	runPool(sup, head, cfg.Stages.ReadWorkers, hop[struct{}, rawSample]{
-		in: readq, retry: retryq, ins: &runs.ticks, outs: &runs.raw,
+		in: readq, ins: &runs.ticks, outs: &runs.raw,
 		emit: func(r *run[item[rawSample]]) bool { return sendItem(decodeq, r, abort) },
-		fail: failq, onErr: it.ob.noteError,
+		fail: fail,
 	}, abort, done)
 
-	// Decode stage, emitting into augment when configured, else the sink.
+	// Decode stage, emitting into augment when configured, else to Next.
 	dec := &DecodeStage{
 		format: cfg.Format, plugin: cfg.Plugin, device: cfg.Device,
 		cpuWorkers: cfg.CPUWorkers, pool: l.pool, clock: it.clock,
@@ -231,52 +247,13 @@ func (it *Iterator) start() {
 		emitDecoded = func(r *run[item[decodedSample]]) bool { return sendItem(augmentq, r, abort) }
 		runPool(sup, Stage[decodedSample, decodedSample](&AugmentStage{fn: cfg.Augment, ob: it.ob}), cfg.Stages.AugmentWorkers, hop[decodedSample, decodedSample]{
 			in: augmentq, ins: &runs.dec, outs: &runs.dec,
-			emit: toOutcome, fail: failq, onErr: it.ob.noteError, discard: discardDecoded,
+			emit: toOutcome, fail: fail, discard: discardDecoded,
 		}, abort, done)
 	}
 	runPool(sup, Stage[rawSample, decodedSample](dec), cfg.Stages.DecodeWorkers, hop[rawSample, decodedSample]{
 		in: decodeq, ins: &runs.raw, outs: &runs.dec,
-		emit: emitDecoded, fail: failq, onErr: it.ob.noteError, discard: discardDecoded,
+		emit: emitDecoded, fail: fail, discard: discardDecoded,
 	}, abort, done)
-
-	// Retry judge: transient failures with retry budget left re-enter the
-	// read stage (after their backoff elapses on the iterator's clock);
-	// everything else is terminal and takes its schedule slot in the sink.
-	sup.Go("retry-judge", func() {
-		pol := cfg.Resilience
-		for {
-			var f failure
-			select {
-			case f = <-failq:
-			case <-abort:
-				return
-			case <-done:
-				return
-			}
-			if errors.Is(f.err, fault.Transient) && f.attempt < pol.MaxRetries {
-				it.noteRetried()
-				retry := runs.ticks.one(item[struct{}]{seq: f.seq, index: f.index, attempt: f.attempt + 1, gen: f.gen})
-				if s, ok := it.clock.(trace.Sleeper); ok {
-					if delay := pol.backoff(f.attempt); delay > 0 {
-						sup.Go("retry-backoff", func() {
-							s.Sleep(delay)
-							sendItem(retryq, retry, abort)
-						})
-						continue
-					}
-				}
-				if !sendItem(retryq, retry, abort) {
-					return
-				}
-				continue
-			}
-			if !sendItem(completionq, runs.outs.one(outcome{seq: f.seq, index: f.index, err: asSampleError(f.err, f.index)}), abort) {
-				return
-			}
-		}
-	})
-
-	sup.Go("batch-sink", func() { it.batcher.run(completionq, &runs.outs, abort) })
 
 	// Stall watchdog: runs only with a deadline and an alarm-capable clock
 	// (wall clocks and trace.VirtualClock both qualify).
@@ -285,6 +262,16 @@ func (it *Iterator) start() {
 			sup.Go("watchdog", func() { sup.watch(alarm, abort, done) })
 		}
 	}
+}
+
+// admit sends the run of schedule positions [lo, lo+runLen) to the head
+// stage; readq has room for it (see Iterator).
+func (it *Iterator) admit(lo int) {
+	r := it.loader.runs.ticks.get()
+	for seq := lo; seq < min(lo+it.runLen, len(it.order)); seq++ {
+		r.items = append(r.items, item[struct{}]{seq: seq, index: it.order[seq]})
+	}
+	sendItem(it.readq, r, it.abort)
 }
 
 // Next returns the next batch, or (nil, nil) at the end of the epoch.
@@ -313,22 +300,13 @@ func (it *Iterator) Next() (*Batch, error) {
 	want := it.loader.cfg.Batch
 	b := it.loader.pool.getBatch(want)
 	for len(b.Data) < want {
-		it.ob.queueDepth.Set(float64(len(it.batcher.ordered)))
-		wsp := it.ob.prefetchWait.Start()
-		o, ok := <-it.batcher.ordered
-		wsp.End()
+		o, ok := it.take()
 		if !ok {
 			if err := it.fatalError(); err != nil {
 				b.Release()
 				return nil, err
 			}
 			break
-		}
-		if (o.seq+1)%it.runLen == 0 { // an admission run consumed: admit the next
-			select {
-			case <-it.tokens:
-			default:
-			}
 		}
 		if o.err != nil {
 			se := asSampleError(o.err, o.index)
@@ -347,7 +325,6 @@ func (it *Iterator) Next() (*Batch, error) {
 		b.Labels = append(b.Labels, o.label)
 		b.Indices = append(b.Indices, o.index)
 		it.noteDecoded()
-		it.pos++
 	}
 	if len(b.Data) == 0 {
 		b.Release()
@@ -361,9 +338,55 @@ func (it *Iterator) Next() (*Batch, error) {
 	return b, nil
 }
 
-// Close abandons the epoch: the abort channel tears down the source, every
-// stage pool, the retry judge and the batch sink. Safe to call repeatedly
-// and concurrently with Next.
+// take returns the outcome at schedule position next, receiving completed
+// runs into the ring until it arrives, under one prefetch_wait span. Taking
+// a run's last position admits the run window positions ahead; taking the
+// epoch's last position closes done. ok is false at the end of the epoch
+// and once the epoch was torn down. The caller holds mu.
+func (it *Iterator) take() (outcome, bool) {
+	if it.next == len(it.order) {
+		return outcome{}, false
+	}
+	it.ob.queueDepth.Set(float64(it.ready))
+	wsp := it.ob.prefetchWait.Start()
+	slot := &it.ring[it.next%len(it.ring)]
+	for !slot.ok {
+		var r *run[outcome]
+		select {
+		case r = <-it.completions:
+		case <-it.abort:
+			wsp.End()
+			return outcome{}, false
+		}
+		for _, o := range r.items {
+			// A taken or filled position means a duplicate — impossible
+			// while the supervisor's exactly-one-emit-per-seq invariant
+			// holds, but dropped rather than miscounted if it ever breaks.
+			s := &it.ring[o.seq%len(it.ring)]
+			if o.seq < it.next || s.ok {
+				continue
+			}
+			*s = pendingSlot{o: o, ok: true}
+			it.ready++
+		}
+		it.loader.runs.outs.put(r)
+	}
+	wsp.End()
+	o := slot.o
+	*slot = pendingSlot{}
+	it.ready--
+	it.next++
+	if it.next == len(it.order) {
+		close(it.done)
+	} else if lo := it.next - it.runLen + it.window; it.next%it.runLen == 0 && lo < len(it.order) {
+		it.admit(lo)
+	}
+	return o, true
+}
+
+// Close abandons the epoch: the abort channel tears down every stage pool
+// and wakes a Next blocked on completions. Safe to call repeatedly and
+// concurrently with Next.
 func (it *Iterator) Close() {
 	it.stopOnce.Do(func() { close(it.abort) })
 }

@@ -7,18 +7,22 @@
 //
 // # Architecture
 //
-// The loader is an explicit stage DAG. A Source derives each epoch's sample
-// schedule (sequential, shuffled, or sharded by rank); the scheduled indices
-// flow through typed stages — Read (or Cache, when a storage-hierarchy cache
-// is configured), Decode, and optionally Augment — each a bounded worker
-// pool connected by bounded queues; and a batch sink restores schedule order
-// before Iterator.Next assembles minibatches and applies the Resilience
-// policy. Admission of new samples is capped at Prefetch in-flight, so
-// backpressure propagates from the consumer to the source. Between stages,
-// samples move in runs of up to eight, one channel operation per run, with
-// the run length derived from Prefetch and the pool widths (see run). Every
-// channel send in the stage machinery sits in a select with an abort escape
-// (the guardedsend lint rule), so Close never wedges a worker.
+// The loader is an explicit stage DAG run by consumers and workers only. A
+// Source derives each epoch's sample schedule (sequential, shuffled, or
+// sharded by rank); the scheduled indices flow through typed stages — Read
+// (or Cache, when a storage-hierarchy cache is configured), Decode, and
+// optionally Augment — each a bounded worker pool connected by bounded
+// queues. Iterator.Next, on the consumer's goroutine, admits samples into
+// the head stage, restores schedule order over the stages' completions,
+// assembles minibatches and applies the Resilience policy; a worker whose
+// attempt fails judges it itself, re-admitting a transient failure at the
+// head stage. Admission is capped at Prefetch samples in flight and moves
+// only as the consumer takes samples, so backpressure reaches admission
+// without a goroutine of its own. Between stages, samples move in runs of
+// up to eight, one channel operation per run, with the run length derived
+// from Prefetch and the pool widths (see run). Every channel send in the
+// stage machinery sits in a select with an abort escape (the guardedsend
+// lint rule), so Close never wedges a worker.
 package pipeline
 
 import (
@@ -50,12 +54,11 @@ func (p Plugin) String() string {
 	return "cpu"
 }
 
-// StageConfig sizes the per-stage worker pools and inter-stage queues of the
-// DAG. Zero pool widths default to a GOMAXPROCS-derived width capped at
-// Prefetch — wide enough to keep the in-flight admission cap busy, narrow
-// enough not to thrash the scheduler on small hosts; a zero queue depth
-// defaults to Prefetch. Worker counts never affect delivered order (the
-// batch sink restores schedule order), only throughput.
+// StageConfig sizes the per-stage worker pools of the DAG. Zero pool widths
+// default to a GOMAXPROCS-derived width capped at Prefetch — wide enough to
+// keep the in-flight admission cap busy, narrow enough not to thrash the
+// scheduler on small hosts. Worker counts never affect delivered order
+// (Next restores schedule order), only throughput.
 type StageConfig struct {
 	// ReadWorkers is the read/cache stage pool width.
 	ReadWorkers int
@@ -66,9 +69,6 @@ type StageConfig struct {
 	// AugmentWorkers is the augment stage pool width (ignored without an
 	// Augment transform).
 	AugmentWorkers int
-	// QueueDepth is the number of samples each inter-stage queue buffers;
-	// a queue that moves runs of R samples holds ceil(QueueDepth/R) runs.
-	QueueDepth int
 }
 
 func (s StageConfig) withDefaults(prefetch int) StageConfig {
@@ -90,9 +90,6 @@ func (s StageConfig) withDefaults(prefetch int) StageConfig {
 	}
 	if s.AugmentWorkers <= 0 {
 		s.AugmentWorkers = pool(2)
-	}
-	if s.QueueDepth <= 0 {
-		s.QueueDepth = prefetch
 	}
 	return s
 }
@@ -122,8 +119,8 @@ type Config struct {
 	// Shuffle/Seed — e.g. a ShardedSource for rank-partitioned loading. It
 	// must cover only valid dataset indices.
 	Source Source
-	// Stages sizes the per-stage worker pools and queues; zero values
-	// default to Prefetch.
+	// Stages sizes the per-stage worker pools; zero widths take a
+	// GOMAXPROCS-derived default (see StageConfig).
 	Stages StageConfig
 	// Cache, when enabled, interposes a storage-hierarchy sample cache
 	// (HostMem over NVMe, deterministic LRU) in front of Dataset reads. The
@@ -159,7 +156,9 @@ type Config struct {
 	// pipeline.decode.gpu / pipeline.augment / pipeline.prefetch_wait, all
 	// ".seconds"), sample accounting counters (pipeline.samples.*,
 	// pipeline.retries, pipeline.batches, pipeline.errors.*), the
-	// pipeline.queue_depth gauge, and — only when a cache is enabled —
+	// pipeline.queue_depth gauge — completed samples waiting for Next,
+	// counted in samples and never above Prefetch, sampled as Next takes
+	// each position — and, only when a cache is enabled,
 	// pipeline.cache.hits/misses/evictions. Nil keeps the hot path
 	// uninstrumented at the cost of one nil check per site.
 	Obs *obs.Registry
@@ -245,8 +244,9 @@ func (l *Loader) Schedule(epoch int) []int {
 	return src.Order(epoch)
 }
 
-// Epoch returns an iterator over the epoch's batches. The iterator runs the
-// stage DAG concurrently; call Close to release its workers early.
+// Epoch returns an iterator over the epoch's batches. It starts the stage
+// workers and admits the first Prefetch/runLen runs, so prefetch starts
+// here; call Close to release the workers early.
 func (l *Loader) Epoch(epoch int) *Iterator {
 	order := l.Schedule(epoch)
 	clock := l.cfg.Clock
@@ -255,16 +255,25 @@ func (l *Loader) Epoch(epoch int) *Iterator {
 	}
 	rl := l.runLen()
 	it := &Iterator{
-		loader:  l,
-		order:   order,
-		clock:   clock,
-		ob:      newIterObs(l.cfg.Obs, clock, l.cache != nil, "decode."+l.cfg.Plugin.String(), l.cfg.Augment != nil),
-		sup:     newSupervisor(l.cfg.Supervise, clock, l.cfg.Obs),
-		abort:   make(chan struct{}),
-		runLen:  rl,
-		tokens:  make(chan struct{}, l.cfg.Prefetch/rl),
-		batcher: newBatchStage(len(order), l.cfg.Stages.QueueDepth, l.cfg.Prefetch),
+		loader:      l,
+		order:       order,
+		clock:       clock,
+		ob:          newIterObs(l.cfg.Obs, clock, l.cache != nil, "decode."+l.cfg.Plugin.String(), l.cfg.Augment != nil),
+		sup:         newSupervisor(l.cfg.Supervise, clock, l.cfg.Obs),
+		abort:       make(chan struct{}),
+		done:        make(chan struct{}),
+		readq:       make(chan *run[item[struct{}]], l.cfg.Prefetch),
+		completions: make(chan *run[outcome], l.cfg.Prefetch),
+		runLen:      rl,
+		window:      l.cfg.Prefetch / rl * rl,
+		ring:        make([]pendingSlot, l.cfg.Prefetch),
 	}
 	it.start()
+	for lo := 0; lo < min(it.window, len(order)); lo += rl {
+		it.admit(lo)
+	}
+	if len(order) == 0 {
+		close(it.done) // nothing to take: the workers exit at once
+	}
 	return it
 }

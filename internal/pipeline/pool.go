@@ -96,8 +96,8 @@ const maxPooledPerClass = 1024
 // a Put on all paths (the poolleak analyzer's must-release rule), either
 // directly or by handing the buffer downstream.
 //
-// Ownership protocol: the decode stage Gets a tensor and hands it to the
-// batch sink inside its decodedSample (ownership moves with the sample);
+// Ownership protocol: the decode stage Gets a tensor and hands it to
+// Iterator.Next inside its decodedSample (ownership moves with the sample);
 // Iterator.Next hands it to the consumer inside a Batch; Batch.Release
 // returns the batch's sample tensors — never its labels, which the Dataset
 // owns — and the Batch itself. A consumer that retains tensors simply skips

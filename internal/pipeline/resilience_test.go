@@ -1,6 +1,7 @@
 package pipeline
 
 import (
+	"cmp"
 	"errors"
 	"sync"
 	"testing"
@@ -182,16 +183,28 @@ func TestQuotaExceededEpochError(t *testing.T) {
 	}
 }
 
+// TestTransientRetriesRecover retries transient Blob/Label failures away.
+// The window-of-one row is the tightest case for the head stage's own
+// retry send: one sample in flight, one worker per stage, and the read
+// worker sending every sample's retry into the one-run queue it reads.
 func TestTransientRetriesRecover(t *testing.T) {
 	tests := []struct {
 		name        string
 		blobFails   map[int]int
 		labelFails  map[int]int
 		wantRetried int
+		// batch (default 4), prefetch and stages size the loader.
+		batch, prefetch int
+		stages          StageConfig
 	}{
-		{"blob", map[int]int{2: 2, 6: 1}, nil, 3},
-		{"label", nil, map[int]int{4: 3}, 3},
-		{"mixed", map[int]int{1: 1}, map[int]int{5: 2}, 3},
+		{name: "blob", blobFails: map[int]int{2: 2, 6: 1}, wantRetried: 3},
+		{name: "label", labelFails: map[int]int{4: 3}, wantRetried: 3},
+		{name: "mixed", blobFails: map[int]int{1: 1}, labelFails: map[int]int{5: 2}, wantRetried: 3},
+		{
+			name:      "window-of-one",
+			blobFails: map[int]int{0: 1, 1: 1, 2: 1, 3: 1, 4: 1, 5: 1, 6: 1, 7: 1}, wantRetried: 8,
+			batch: 1, prefetch: 1, stages: StageConfig{ReadWorkers: 1, DecodeWorkers: 1},
+		},
 	}
 	for _, tc := range tests {
 		t.Run(tc.name, func(t *testing.T) {
@@ -204,7 +217,9 @@ func TestTransientRetriesRecover(t *testing.T) {
 			}
 			l, err := New(ds, Config{
 				Format:     countFormat{},
-				Batch:      4,
+				Batch:      cmp.Or(tc.batch, 4),
+				Prefetch:   tc.prefetch,
+				Stages:     tc.stages,
 				Resilience: Resilience{MaxRetries: 3},
 			})
 			if err != nil {

@@ -2,7 +2,9 @@ package pipeline
 
 import (
 	"reflect"
+	"runtime"
 	"testing"
+	"time"
 
 	"scipp/internal/tensor"
 )
@@ -107,10 +109,11 @@ func TestRunEpochMatchesPerSampleEpoch(t *testing.T) {
 }
 
 // TestEpochAllocs pins the steady-state allocation count of a small cached
-// epoch at its count before the DAG moved runs: runs come from loader-owned
-// freelists and the sink's reorder ring replaced a map, so batching the
-// hops must not add an allocation. The pools are sized explicitly so the
-// count does not depend on the host's core count.
+// epoch: runs come from loader-owned freelists and Next's reorder ring is
+// one slice, so what an epoch allocates is its iterator state — channels,
+// ring, supervisor, worker closures — and nothing per sample. The bound is
+// the measured count. The pools are sized explicitly so the count does not
+// depend on the host's core count.
 func TestEpochAllocs(t *testing.T) {
 	if testing.Short() {
 		t.Skip("allocation count is measured over many epochs")
@@ -132,12 +135,58 @@ func TestEpochAllocs(t *testing.T) {
 		epoch++
 	}
 	drain() // the cold epoch fills the cache and the freelists
-	const parentCount = 95
+	const parentCount = 73
 	got := testing.AllocsPerRun(50, drain)
 	t.Logf("%.0f allocations per epoch", got)
 	if got > parentCount {
 		t.Fatalf("a 16-sample cached epoch allocates %.0f times, want <= %d", got, parentCount)
 	}
+}
+
+// TestEpochStartsOnlyStageWorkers pins the consumer-driven epoch, the
+// loader's twin of dataserve's TestTenantEpochStartsNoGoroutines: Epoch and
+// Next admit samples and restore schedule order on the caller's goroutine,
+// and workers judge their own failures, so a live epoch runs its stage
+// workers and nothing else — and none of them outlives Drain.
+func TestEpochStartsOnlyStageWorkers(t *testing.T) {
+	const n = 64
+	stages := StageConfig{ReadWorkers: 2, DecodeWorkers: 4}
+	l, err := New(testDataset(n), Config{Format: countFormat{}, Batch: 4, Stages: stages})
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := settledGoroutines()
+	it := l.Epoch(0)
+	if got, want := runtime.NumGoroutine()-before, stages.ReadWorkers+stages.DecodeWorkers; got != want {
+		it.Close()
+		t.Fatalf("a live epoch runs %d goroutines, want its %d stage workers", got, want)
+	}
+	if got, err := it.Drain(); err != nil || got != n {
+		t.Fatalf("drained %d samples, %v; want %d", got, err, n)
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > before {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d epoch goroutines still running 5 s after Drain returned", runtime.NumGoroutine()-before)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// settledGoroutines returns the goroutine count once it has held still for
+// a few milliseconds (or after a second), so goroutines of earlier tests
+// that are still exiting do not skew a count taken against it.
+func settledGoroutines() int {
+	n := runtime.NumGoroutine()
+	for start, still := time.Now(), 0; still < 5 && time.Since(start) < time.Second; {
+		time.Sleep(2 * time.Millisecond)
+		if m := runtime.NumGoroutine(); m == n {
+			still++
+		} else {
+			n, still = m, 0
+		}
+	}
+	return n
 }
 
 // TestPaddedEpochAllocs is TestEpochAllocs drained through NextPadded: the

@@ -9,7 +9,7 @@ import (
 // Stage is one node of the staged DAG: a typed per-item transform executed
 // by a bounded worker pool. The pool moves samples between stages in runs
 // (see run), but a stage still sees one sample at a time and never blocks
-// on channels itself — queueing, backpressure, abort, retry routing and
+// on channels itself — queueing, backpressure, abort, retry judgement and
 // accounting all live in the pool runner, so a Stage implementation is
 // just the work: read bytes, decode, augment. Stages self-instrument (each
 // opens its own obs span per sample) so span boundaries stay exactly where
@@ -38,14 +38,15 @@ type item[T any] struct {
 	val T
 }
 
-// failure is one failed stage attempt, routed to the retry judge.
+// failure is one failed stage attempt, judged by the worker that made it
+// (see hop.fail).
 type failure struct {
 	seq, index, attempt, gen int
 	err                      error
 }
 
-// outcome is a sample's terminal result entering batch assembly: decoded
-// data, or the error that exhausted its retries.
+// outcome is a sample's terminal result entering Next's reorder ring:
+// decoded data, or the error that exhausted its retries.
 type outcome struct {
 	seq, index  int
 	data, label *tensor.Tensor
@@ -86,7 +87,7 @@ func runLen(prefetch, batch, widest int) int {
 // to runs drawn from a loader-owned runFree list, so a hop allocates
 // nothing. Per-sample work stays per sample: each member gets its own
 // Process call, span, supervision key and retry judgement, and a failed
-// member leaves its run and travels to the retry judge alone.
+// member leaves its run and is judged alone.
 type run[E any] struct {
 	items []E
 }
@@ -132,40 +133,40 @@ func (f *runFree[E]) one(v E) *run[E] {
 
 // runLists are the Loader's run freelists, one per hop payload type.
 type runLists struct {
-	ticks runFree[item[struct{}]]      // source and retries → read
+	ticks runFree[item[struct{}]]      // admissions and retries → read
 	raw   runFree[item[rawSample]]     // read → decode
 	dec   runFree[item[decodedSample]] // decode → augment
-	outs  runFree[outcome]             // → batch sink
+	outs  runFree[outcome]             // → Next
 }
 
-// hop is one stage pool's wiring: the queue it consumes (and, for the head
-// stage only, the retry queue), the freelists of its input and output runs,
-// and where its results go. emit takes ownership of a non-empty output run;
-// fail receives failed members one at a time. discard, when non-nil,
-// disposes the output of an attempt the watchdog abandoned while its run
-// was held (the sample was re-admitted; this copy's pooled buffers must
-// recycle, not emit).
+// hop is one stage pool's wiring: the queue it consumes, the freelists of
+// its input and output runs, and where its results go. emit takes ownership
+// of a non-empty output run. fail judges one failed member under the
+// Resilience policy — back into the head stage's queue for a retry, or into
+// Next's completions as a terminal outcome — on the worker's own goroutine.
+// discard, when non-nil, disposes the output of an attempt the watchdog
+// abandoned while its run was held (the sample was re-admitted; this copy's
+// pooled buffers must recycle, not emit). emit and fail report false once
+// the epoch aborted.
 type hop[In, Out any] struct {
-	in, retry <-chan *run[item[In]]
-	ins       *runFree[item[In]]
-	outs      *runFree[item[Out]]
-	emit      func(*run[item[Out]]) bool
-	fail      chan<- failure
-	onErr     func(error)
-	discard   func(Out)
+	in      <-chan *run[item[In]]
+	ins     *runFree[item[In]]
+	outs    *runFree[item[Out]]
+	emit    func(*run[item[Out]]) bool
+	fail    func(failure) bool
+	discard func(Out)
 }
 
 // runPool launches the worker pool of one stage under sup. A worker takes
 // one run per channel operation, registers every member in flight with the
 // stall watchdog (admitRun), applies st to each member through
 // superviseProcess — panic recovery plus the abandonment check — and
-// collects the successes into one output run. A failed member goes to
-// h.fail alone, after h.onErr observes it (error-kind accounting). Before
-// the output run is emitted, settleRun deregisters its members and drops,
-// through h.discard, those the watchdog abandoned while this worker held
-// them. Workers exit when the epoch aborts or when done closes — done only
-// closes after every scheduled sample reached a terminal outcome, so no
-// worker can still hold a run by then and nothing is lost.
+// collects the successes into one output run. A failed member is judged
+// alone, through h.fail. Before the output run is emitted, settleRun
+// deregisters its members and drops, through h.discard, those the watchdog
+// abandoned while this worker held them. Workers exit when the epoch aborts
+// or when done closes — done only closes once Next took every scheduled
+// position, so no worker can still hold a run by then and nothing is lost.
 //
 //scipp:hotpath
 func runPool[In, Out any](sup *StageSupervisor, st Stage[In, Out], workers int, h hop[In, Out], abort, done <-chan struct{}) {
@@ -175,7 +176,6 @@ func runPool[In, Out any](sup *StageSupervisor, st Stage[In, Out], workers int, 
 			var in *run[item[In]]
 			select {
 			case in = <-h.in:
-			case in = <-h.retry: // nil for every stage but the head: blocks forever
 			case <-abort:
 				return
 			case <-done:
@@ -193,8 +193,7 @@ func runPool[In, Out any](sup *StageSupervisor, st Stage[In, Out], workers int, 
 					continue
 				}
 				if err != nil {
-					h.onErr(err)
-					if !sendItem(h.fail, failure{seq: v.seq, index: v.index, attempt: v.attempt, gen: v.gen, err: err}, abort) {
+					if !h.fail(failure{seq: v.seq, index: v.index, attempt: v.attempt, gen: v.gen, err: err}) {
 						return
 					}
 					continue

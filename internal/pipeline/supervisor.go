@@ -445,9 +445,8 @@ func (s *StageSupervisor) scan(abort <-chan struct{}) bool {
 // snapshotQueues records every registered queue's occupancy and the inflight
 // population into obs gauges (pipeline.stall.queue.<name> and
 // pipeline.stall.inflight), so a stall report carries the DAG's congestion
-// state at detection time. Queues that carry runs (read, retry, decode,
-// augment, completion) report runs, not samples; fail carries single
-// failures, and inflight counts samples.
+// state at detection time. The queues (read, decode, augment, completion)
+// carry runs and report runs, not samples; inflight counts samples.
 func (s *StageSupervisor) snapshotQueues() {
 	if s.reg == nil {
 		return
