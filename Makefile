@@ -1,8 +1,9 @@
-# Development targets. CI runs `make verify`.
+# Development targets. Each gate command is written once, here: verify.sh
+# runs the gate's targets in order, and CI's steps call them one by one.
 
 GO ?= go
 
-.PHONY: build test purego race lint lint-fixtures vet fault cover fuzz verify
+.PHONY: build test bench-module purego race lint lint-fixtures vet fault cover fuzz verify
 
 build:
 	$(GO) build ./...
@@ -15,6 +16,10 @@ test:
 	$(GO) test ./...
 	$(GO) test -run '^$$' -bench '^(BenchmarkOpen|BenchmarkDecodeFused|BenchmarkDecodeSample|BenchmarkFromFloat32|BenchmarkDecodeLE)$$' -benchtime=1x ./internal/codec/lut/ ./internal/codec/deltafp/ ./internal/fp16/ ./internal/tensor/
 	$(GO) test -run '^$$' -bench '^(BenchmarkSampleCacheGetHit|BenchmarkSampleCacheGetHitParallel|BenchmarkCacheSum|BenchmarkServeHit|BenchmarkTenantEpoch|BenchmarkRaggedEpoch|BenchmarkPadded|BenchmarkPipelineCachedEpoch)$$' -benchtime=1x ./internal/pipeline/ ./internal/dataserve/
+
+# benchmark/ is its own module, so the ./... above never reaches it.
+bench-module:
+	cd benchmark && $(GO) vet ./... && $(GO) test ./...
 
 # The portable FP16 conversion that the purego build tag forces, under the
 # codecs that call it, as hosts without F16C run it.
@@ -81,4 +86,5 @@ fuzz:
 	$(GO) test -run=NONE -fuzz='^FuzzTenantCache$$' -fuzztime=$(FUZZTIME) ./internal/dataserve/
 	$(GO) test -run=NONE -fuzz='^FuzzBreakerState$$' -fuzztime=$(FUZZTIME) ./internal/dataserve/
 
-verify: build vet lint test purego race cover
+verify:
+	./verify.sh

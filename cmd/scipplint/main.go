@@ -1,6 +1,6 @@
 // Command scipplint runs the repository's static-analysis pass
 // (internal/analysis) over the module and reports violations of the
-// determinism, codec-contract, panic, concurrency, error-handling, and
+// determinism, codec-contract, panic, guarded-send, error-handling, and
 // hot-path memory-discipline invariants. It exits 0 when clean at the
 // chosen severity, 1 on findings, 2 on load failure.
 //

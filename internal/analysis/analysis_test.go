@@ -22,13 +22,14 @@ var fixtures = []struct {
 	{"fixdet", "scipp/internal/fixdet"},
 	{"fixmissing", "scipp/internal/codec/fixmissing"},
 	{"fixpanic", "scipp/internal/fixpanic"},
-	{"fixconc", "scipp/internal/dist"}, // hot-path scope for the send rule
+	{"fixconc", "scipp/internal/dist"}, // guarded-send scope for the loop send
 	{"fixerr", "scipp/internal/fixerr"},
 	{"fixdir", "scipp/internal/fixdir"},
 	{"fixretry", "scipp/internal/fixretry"},
-	{"fixdistsend", "scipp/internal/dist"},           // the guarded-send rule's three scopes,
+	{"fixdistsend", "scipp/internal/dist"},           // the guarded-send rule's four scopes,
 	{"fixstagesend", "scipp/internal/pipeline"},      // each with its own hint
 	{"fixdataservesend", "scipp/internal/dataserve"}, //
+	{"fixtrainsend", "scipp/internal/train"},         //
 	{"fixhotalloc", "scipp/internal/fixhotalloc"},
 	{"fixshapecontract", "scipp/internal/fixshapecontract"},
 	{"fixpoolleak", "scipp/internal/fixpoolleak"},
@@ -60,24 +61,30 @@ func render(diags []Diagnostic) string {
 	return b.String()
 }
 
+// fixtureDiags loads testdata/dir under import path and runs every
+// analyzer over it. Each call takes a fresh loader, because several
+// fixtures shadow a real import path.
+func fixtureDiags(t *testing.T, dir, path string) []Diagnostic {
+	t.Helper()
+	l, err := NewLoader(moduleRoot(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	abs, err := filepath.Abs(filepath.Join("testdata", dir))
+	if err != nil {
+		t.Fatal(err)
+	}
+	pkg, err := l.LoadDir(abs, path)
+	if err != nil {
+		t.Fatalf("loading fixture %s: %v", dir, err)
+	}
+	return RunAnalyzers([]*Package{pkg}, All())
+}
+
 func TestFixtures(t *testing.T) {
-	root := moduleRoot(t)
 	for _, tc := range fixtures {
 		t.Run(tc.dir, func(t *testing.T) {
-			// A fresh loader per fixture: fixconc shadows a real import path.
-			l, err := NewLoader(root)
-			if err != nil {
-				t.Fatal(err)
-			}
-			dir, err := filepath.Abs(filepath.Join("testdata", tc.dir))
-			if err != nil {
-				t.Fatal(err)
-			}
-			pkg, err := l.LoadDir(dir, tc.path)
-			if err != nil {
-				t.Fatalf("loading fixture: %v", err)
-			}
-			got := render(RunAnalyzers([]*Package{pkg}, All()))
+			got := render(fixtureDiags(t, tc.dir, tc.path))
 			golden := filepath.Join("testdata", tc.dir, "expect.txt")
 			if *update {
 				if err := os.WriteFile(golden, []byte(got), 0o644); err != nil {
@@ -96,34 +103,35 @@ func TestFixtures(t *testing.T) {
 	}
 }
 
-// TestFixtureSeverities pins the severity ladder: loop-variable capture is a
-// warning, everything else in the fixtures is an error.
+// warningAnalyzers are the analyzers whose findings are warnings; every
+// other analyzer reports errors.
+var warningAnalyzers = map[string]bool{
+	"hotalloc":       true,
+	"copydiscipline": true,
+	"shapecontract":  true,
+}
+
+// TestFixtureSeverities pins the severity ladder: across every fixture,
+// hotalloc, copydiscipline and shapecontract warn and every other analyzer
+// errors, so each analyzer reports at one severity only.
 func TestFixtureSeverities(t *testing.T) {
-	root := moduleRoot(t)
-	l, err := NewLoader(root)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dir, err := filepath.Abs(filepath.Join("testdata", "fixconc"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	pkg, err := l.LoadDir(dir, "scipp/internal/dist")
-	if err != nil {
-		t.Fatal(err)
-	}
-	diags := RunAnalyzers([]*Package{pkg}, All())
-	var warnings, errors int
-	for _, d := range diags {
-		switch d.Severity {
-		case Warning:
-			warnings++
-		case Error:
-			errors++
+	seen := make(map[string]bool)
+	for _, tc := range fixtures {
+		for _, d := range fixtureDiags(t, tc.dir, tc.path) {
+			seen[d.Analyzer] = true
+			want := Error
+			if warningAnalyzers[d.Analyzer] {
+				want = Warning
+			}
+			if d.Severity != want {
+				t.Errorf("%s: %s, want severity %s", tc.dir, d, want)
+			}
 		}
 	}
-	if warnings == 0 || errors == 0 {
-		t.Errorf("want both warnings and errors from fixconc, got %d warnings / %d errors", warnings, errors)
+	for name := range warningAnalyzers {
+		if !seen[name] {
+			t.Errorf("no fixture exercises warning analyzer %s", name)
+		}
 	}
 }
 

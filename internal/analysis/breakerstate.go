@@ -14,7 +14,8 @@ import (
 // serializes admission decisions against outcome recording — and that
 // function must also record an obs instrument (Inc/Add/Set/Observe), so a
 // breaker can never change position invisibly. A transition outside the
-// mutex races the dispatcher's admission check; a transition without an
+// mutex races the admission check a consumer's Next makes as it queues a
+// request; a transition without an
 // instrument is invisible to Stats, which is a typed view over those
 // instruments, and so to the exact reconciliation the overload tooling
 // asserts.

@@ -10,25 +10,27 @@ import (
 // internal/dist a bare send can block forever once a peer is evicted
 // mid-collective, wedging every survivor of the very failure the elastic
 // layer exists to absorb; in internal/pipeline the stage DAG's worker pools
-// hand samples between bounded queues whose consumer Iterator.Close can
-// tear down; in internal/dataserve the dispatcher, workers, and per-epoch
-// source/sink goroutines hand work across queues whose consumers can vanish
-// mid-send (tenant detach, iterator close, service shutdown).
+// hand runs across bounded queues that Iterator.Close can tear down; in
+// internal/dataserve the workers hand outcomes to consumers that can vanish
+// mid-send (tenant detach, iterator close, service shutdown); and in
+// internal/train the elastic step runs one goroutine per rank, none of
+// which may block once the group evicts a peer.
 var sendHints = map[string]string{
 	"scipp/internal/dist":      "use select { case ch <- v: case <-abort: }",
 	"scipp/internal/pipeline":  "use sendItem or select { case ch <- v: case <-abort: }",
 	"scipp/internal/dataserve": "use select { case ch <- v: case <-abort: } or a default case",
+	"scipp/internal/train":     "use select { case ch <- v: case <-abort: }",
 }
 
 // GuardedSend enforces one abort discipline across the concurrent
 // packages: every channel send must sit in a select that also has an escape
-// case — a receive (an abort or deadline channel) or a default. The
-// concurrency analyzer's loop rule is narrower (loops only); this one
-// covers every send in the packages sendHints lists. Test files are exempt
-// (the loader skips them).
+// case — a receive (an abort or deadline channel) or a default. It covers
+// every send in the packages sendHints lists, in loops or not, so none of
+// them can block past an abort. Test files are exempt (the loader skips
+// them).
 var GuardedSend = &Analyzer{
 	Name: "guardedsend",
-	Doc:  "flag channel sends in internal/dist, internal/pipeline and internal/dataserve not guarded by a select with an abort case",
+	Doc:  "flag channel sends in internal/dist, internal/pipeline, internal/dataserve and internal/train not guarded by a select with an abort case",
 	Run: func(pass *Pass) {
 		if hint, ok := sendHints[pass.Path]; ok {
 			reportUnguardedSends(pass, "channel send in "+strings.TrimPrefix(pass.Path, "scipp/")+" without an abort escape: "+hint)

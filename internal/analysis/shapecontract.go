@@ -8,8 +8,8 @@ import (
 // ShapeContract enforces the per-sample shape contract on hot paths. With
 // variable-shape samples, a dataset carries two distinct shapes: each
 // sample's own decoded shape (the decoder's OutputShape, or ProbeShape on
-// the encoded blob) and the archive-wide MaxShape() upper bound that only
-// the pool- and cache-sizing layers consume. Consulting MaxShape() inside
+// the encoded blob) and the archive-wide MaxShape() upper bound, which is
+// good for sizing at setup only. Consulting MaxShape() inside
 // a per-sample hot loop is almost always a bug in waiting: the bound is
 // loop-invariant (so the call belongs hoisted to setup), and sizing
 // per-sample work off the bound silently re-introduces the fixed-shape

@@ -1,6 +1,6 @@
-// Package fixconc is a lint fixture for concurrency hygiene. The analysis
-// tests load it under a hot-path import path so the select-less-send rule
-// applies.
+// Package fixconc is loaded as internal/dist, so guardedsend flags the loop
+// send in Broadcast. Locker's lock copy is left to go vet's copylocks check
+// and Spawn's loop capture to Go 1.22's per-iteration loop variables.
 package fixconc
 
 import "sync"

@@ -1,8 +1,8 @@
 // Package fixdataservesend is a lint fixture for the data service's send
 // discipline. The analysis tests load it under scipp/internal/dataserve so
 // the guardedsend rule applies: every send needs a select with an escape
-// case — the pattern the service's dispatcher, workers, and per-epoch
-// source/sink goroutines use so tenant detach can never wedge a send.
+// case — the pattern the service's workers use to hand outcomes to
+// consumers, so tenant detach can never wedge a send.
 package fixdataservesend
 
 // Bare sends directly with no select.

@@ -99,39 +99,6 @@ func funcDocs(files []*ast.File) map[*ast.BlockStmt]string {
 	return out
 }
 
-// lockTypeName returns the sync type name ("sync.Mutex", ...) if t is or
-// (transitively, through struct fields and arrays) contains a sync lock
-// type by value. Pointers, maps, slices, and channels break containment.
-func lockTypeName(t types.Type) string {
-	return lockTypeNameDepth(t, 0)
-}
-
-func lockTypeNameDepth(t types.Type, depth int) string {
-	if depth > 10 {
-		return ""
-	}
-	if named, ok := t.(*types.Named); ok {
-		obj := named.Obj()
-		if obj.Pkg() != nil && obj.Pkg().Path() == "sync" {
-			switch obj.Name() {
-			case "Mutex", "RWMutex", "WaitGroup", "Once", "Cond", "Map", "Pool":
-				return "sync." + obj.Name()
-			}
-		}
-	}
-	switch u := t.Underlying().(type) {
-	case *types.Struct:
-		for i := 0; i < u.NumFields(); i++ {
-			if name := lockTypeNameDepth(u.Field(i).Type(), depth+1); name != "" {
-				return name
-			}
-		}
-	case *types.Array:
-		return lockTypeNameDepth(u.Elem(), depth+1)
-	}
-	return ""
-}
-
 // hasPrefixAny reports whether s starts with any of the prefixes.
 func hasPrefixAny(s string, prefixes ...string) bool {
 	for _, p := range prefixes {

@@ -54,8 +54,8 @@ func (seriesFormat) ProbeShape(blob []byte) (tensor.DType, tensor.Shape, error) 
 }
 
 // Bounded wraps the series format with the archive-level shape bound its
-// generator guarantees, implementing codec.ShapeBounded for the sizing
-// layers (slab pools, cache byte budgets). The bound never reaches decode:
+// generator guarantees, implementing codec.ShapeBounded. Nothing in the
+// loader or the data service sizes by it. The bound never reaches decode:
 // per-sample shapes still come from each record's header.
 func Bounded(channels, maxLen int) codec.Format {
 	return boundedSeries{channels: channels, maxLen: maxLen}

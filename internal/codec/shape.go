@@ -2,19 +2,19 @@ package codec
 
 import "scipp/internal/tensor"
 
-// The fixed-shape pipeline consumed ChunkDecoder.OutputShape as a
-// dataset-wide constant. With variable-shape datasets every opened decoder
-// reports its own sample's shape (shape-in-header decode), and the two
-// optional Format capabilities below replace the places that consumed the
-// constant for something other than decoding the sample at hand:
+// With variable-shape datasets every opened decoder reports its own
+// sample's shape (shape-in-header decode). A Format may also declare two
+// optional capabilities:
 //
-//   - ShapeBounded declares a per-dataset upper bound, for sizing slab
-//     pools and cache budgets before any sample is opened.
+//   - ShapeBounded declares a per-dataset upper bound on decoded shapes.
 //   - ShapeProber reads one sample's decoded shape straight from its blob
-//     header, for byte-cost accounting that must not pay a full Open.
+//     header, without paying a full Open.
 //
-// Fixed-shape formats are the degenerate case: their bound is the one shape
-// every decoder reports.
+// No pipeline or service layer reads either: slab pools draw a capacity
+// class per sample and caches charge each sample's true bytes. Format
+// wrappers (obs.InstrumentFormat) forward both, so wrapping a format never
+// hides them. Fixed-shape formats are the degenerate case: their bound is
+// the one shape every decoder reports.
 
 // ShapeBounded is implemented by Formats whose decoded samples, while
 // individually variable-shaped, share a known upper-bound dtype and shape.
@@ -37,8 +37,7 @@ func MaxShape(f Format) (tensor.DType, tensor.Shape, bool) {
 }
 
 // ShapeProber is implemented by Formats that can read a sample's decoded
-// dtype and shape from its blob header without building a decoder — the
-// cheap path for per-sample byte-cost accounting.
+// dtype and shape from its blob header without building a decoder.
 type ShapeProber interface {
 	// ProbeShape parses only as much of blob as identifies the decoded
 	// tensor's dtype and shape.

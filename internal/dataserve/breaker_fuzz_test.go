@@ -29,7 +29,7 @@ func FuzzBreakerState(f *testing.F) {
 		tn := &Tenant{name: "fuzz", brk: newBreaker(cfg)}
 		now := 0.0
 		// pending holds the probe flags of admitted-but-unfinished requests
-		// in FIFO order, mirroring the dispatcher's queue.
+		// in FIFO order, mirroring the tenant's pending queue.
 		var pending []bool
 		for i, op := range data {
 			switch op % 5 {

@@ -9,7 +9,7 @@ import (
 
 // bareTenant builds a Tenant detached from any service, with just enough
 // wiring (breaker + instruments) to drive the breaker state machine
-// directly. The tests own the locking discipline the dispatcher normally
+// directly. The tests own the locking discipline the service mutex normally
 // provides.
 func bareTenant(cfg BreakerConfig) *Tenant {
 	return &Tenant{

@@ -10,7 +10,7 @@ import (
 )
 
 // The byte-weighted DRR tests drive nextRequest/shedLocked directly on a
-// service with no dispatcher or worker goroutines: the serve order is then
+// service with no worker goroutines: the serve order is then
 // a pure function of the pending queues, sizes and deficits, so the tests
 // pin the exact interleaving instead of a statistical bound.
 
@@ -92,7 +92,7 @@ func drainOrder(t *testing.T, s *Service, want int) []string {
 		order = append(order, r.it.t.name)
 	}
 	if len(order) != want {
-		t.Fatalf("dispatcher served %d requests, want %d", len(order), want)
+		t.Fatalf("DRR pick served %d requests, want %d", len(order), want)
 	}
 	return order
 }

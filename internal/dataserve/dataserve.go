@@ -138,7 +138,7 @@ func New(cfg Config) *Service {
 	}
 	if alarm, ok := s.clock.(trace.Alarm); ok && s.cfg.StallSeconds > 0 {
 		s.wg.Add(1)
-		go s.watchdog(alarm)
+		go s.watchdog(alarm, s.clock.Now())
 	}
 	return s
 }
@@ -358,12 +358,16 @@ func (s *Service) rebuildShedOrderLocked() {
 // StallSeconds/2 on the clock it scans the live iterators and severs any
 // tenant with one whose consumer has left outcomes undrained for at least
 // StallSeconds, so one abandoned consumer cannot pin pooled memory and
-// queue slots forever.
-func (s *Service) watchdog(alarm trace.Alarm) {
+// queue slots forever. Each tick counts from the reading taken before the
+// previous scan (the first from since, read in New), not from when the
+// next alarm is armed: a virtual clock that jumps while the watchdog scans
+// brings the next scan forward instead of slipping it past the jump.
+func (s *Service) watchdog(alarm trace.Alarm, since float64) {
 	defer s.wg.Done()
 	period := s.cfg.StallSeconds / 2
+	next := since + period
 	for {
-		ch, cancel := alarm.After(s.clock.Now() + period)
+		ch, cancel := alarm.After(next)
 		select {
 		case <-ch:
 		case <-s.abort:
@@ -371,6 +375,7 @@ func (s *Service) watchdog(alarm trace.Alarm) {
 			return
 		}
 		now := s.clock.Now()
+		next = now + period
 		var stale []*Tenant
 		s.mu.Lock()
 		for _, t := range s.order {

@@ -13,7 +13,7 @@ import (
 )
 
 // slowFormat wraps rawF32Format with a per-chunk decode delay so a burst of
-// requests builds a real dispatcher backlog: the fairness tests need the
+// requests builds a real worker backlog: the fairness tests need the
 // deficit-round-robin interleaving to be observable, not drained instantly.
 type slowFormat struct {
 	inner rawF32Format
@@ -48,8 +48,8 @@ func (d *slowDecoder) DecodeChunk(chunk int, dst *tensor.Tensor) error {
 // waits behind at most Inflight-1 = 3 of its own queue plus, per round
 // those take to drain (ceil(4/Quantum) = 2 rounds), the heavy tenant's
 // Quantum*Weight = 2 dispatches — about 7 dispatches, plus boundary slop
-// for the round the dispatcher is mid-quantum in. The histogram bucket
-// covering that is 16. An unfair dispatcher that drains the heavy backlog
+// for the round the DRR pick is mid-quantum in. The histogram bucket
+// covering that is 16. An unfair pick that drains the heavy backlog
 // first would show lag near the heavy tenant's backlog depth (~40).
 func TestFairnessLightTenantLag(t *testing.T) {
 	const samples = 48
@@ -122,8 +122,7 @@ func TestFairnessLightTenantLag(t *testing.T) {
 // TestDetachMidEpochNoLeak detaches a tenant in the middle of an epoch while
 // a second tenant keeps running: the survivor must stay bit-identical to its
 // single-tenant twin, and after the service closes no goroutines may remain
-// — a detach that strands flight waiters, workers, or the epoch's
-// source/sink pair shows up here.
+// — a detach that strands flight waiters or workers shows up here.
 func TestDetachMidEpochNoLeak(t *testing.T) {
 	before := runtime.NumGoroutine()
 	const samples, batch = 32, 4
@@ -209,7 +208,7 @@ func TestDetachMidEpochNoLeak(t *testing.T) {
 }
 
 // TestWeightedShares drives two backlogged tenants with weights 3:1 through
-// a throttled dispatcher and checks the DRR deficit actually skews service:
+// throttled workers and checks the DRR deficit actually skews service:
 // the weighted tenant's p99 queue wait must not exceed the unweighted one's.
 func TestWeightedShares(t *testing.T) {
 	const samples = 40

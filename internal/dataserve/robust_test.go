@@ -120,7 +120,7 @@ func TestBreakerTripAndRecover(t *testing.T) {
 	}
 
 	// While open and the clock frozen, a fresh epoch is cut off immediately:
-	// nothing reaches the dispatcher.
+	// no request reaches a worker.
 	dispatchedBefore := svc.Stats().Dispatched
 	it = tn.Epoch(1)
 	if _, err := it.Next(); !errors.As(err, &berr) {
@@ -128,7 +128,7 @@ func TestBreakerTripAndRecover(t *testing.T) {
 	}
 	it.Close()
 	if got := svc.Stats().Dispatched; got != dispatchedBefore {
-		t.Errorf("open breaker consumed %d dispatcher slots", got-dispatchedBefore)
+		t.Errorf("open breaker consumed %d worker dispatches", got-dispatchedBefore)
 	}
 
 	// The dataset heals and the backoff elapses: the next admission is the
@@ -231,7 +231,7 @@ func TestBreakerIsolation(t *testing.T) {
 	}
 }
 
-// TestShedDeadline floods a throttled dispatcher past a tenant's admission
+// TestShedDeadline floods throttled workers past a tenant's admission
 // deadline and checks the shed accounting closes exactly: every scheduled
 // sample is either delivered or shed, and the tenant and service totals
 // agree to the sample.
@@ -284,7 +284,7 @@ func TestShedDeadline(t *testing.T) {
 	if st.Shed != ts.Shed {
 		t.Errorf("service shed %d != tenant shed %d", st.Shed, ts.Shed)
 	}
-	// Shed requests never reached the dispatcher: dispatched + shed covers
+	// Shed requests never reached a worker: dispatched + shed covers
 	// the whole schedule.
 	if st.Dispatched+st.Shed != samples {
 		t.Errorf("dispatched %d + shed %d != scheduled %d", st.Dispatched, st.Shed, samples)
@@ -322,8 +322,8 @@ func TestSlowConsumerWatchdog(t *testing.T) {
 		t.Fatalf("Attach healthy: %v", err)
 	}
 
-	// Consume one batch, then stop draining: the sink blocks once ordered
-	// and completions fill, and the watchdog eventually severs the tenant.
+	// Consume one batch, then stop draining: outcomes wait undrained in
+	// completions, and the watchdog eventually severs the tenant.
 	it := slow.Epoch(0)
 	b, err := it.Next()
 	if err != nil || b == nil {

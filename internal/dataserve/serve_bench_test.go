@@ -40,7 +40,7 @@ func serveHit(tb testing.TB, sd *sharedDataset) {
 	sd.pool.PutTensor(dst)
 }
 
-// BenchmarkServeHit is a data-service hit without the dispatcher: one
+// BenchmarkServeHit is a data-service hit without the workers: one
 // checksum pass plus one memmove of the resident into a pooled tensor. Its
 // bound is a memcpy of the payload plus the CRC's throughput.
 func BenchmarkServeHit(b *testing.B) {

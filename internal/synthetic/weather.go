@@ -57,8 +57,8 @@ func (c WeatherConfig) Validate() error {
 }
 
 // MaxShape returns the elementwise upper bound of every station's decoded
-// series — the codec.ShapeBounded contract the pool- and cache-sizing
-// layers consume.
+// series, the shape seriesfmt.Bounded declares for the same Channels and
+// MaxLen.
 func (c WeatherConfig) MaxShape() tensor.Shape {
 	return tensor.Shape{c.Channels, c.MaxLen}
 }

@@ -10,11 +10,11 @@
 //   - Encoding/decoding: EncodeDeepCAM / EncodeCosmoFlow produce the
 //     domain-encoded blobs (§V); OpenFormat + DecodeFull reverse them,
 //     emitting FP16 samples with fused preprocessing (§VI).
-//   - Datasets and loading: BuildDataset generates encoded synthetic
-//     datasets; NewLoader wires the decode plugins (CPU or simulated GPU)
-//     into a prefetching loader.
-//   - Training: TrainDeepCAM / TrainCosmoFlow run the convergence
-//     experiments of Figs 6-7 on real from-scratch models.
+//   - Datasets and loading: BuildClimateDataset / BuildCosmoDataset
+//     generate encoded synthetic datasets; NewLoader wires the decode
+//     plugins (CPU or simulated GPU) into a prefetching loader.
+//   - Training: TrainCosmoFlow runs one Fig 7 convergence repetition on a
+//     real from-scratch model.
 //   - Evaluation: the Fig*/Table*/Headlines functions regenerate every
 //     evaluation artifact over the Table I platform models.
 package scipp
@@ -24,7 +24,6 @@ import (
 	"scipp/internal/codec"
 	"scipp/internal/codec/deltafp"
 	"scipp/internal/codec/lut"
-	"scipp/internal/codec/seriesfmt"
 	"scipp/internal/core"
 	"scipp/internal/gpusim"
 	"scipp/internal/pipeline"
@@ -67,10 +66,6 @@ type (
 	ClimateSample = synthetic.ClimateSample
 	// CosmoSample is one 4-redshift universe sub-volume.
 	CosmoSample = synthetic.CosmoSample
-	// WeatherConfig configures irregular weather-station series generation.
-	WeatherConfig = synthetic.WeatherConfig
-	// WeatherSample is one station's variable-length observation record.
-	WeatherSample = synthetic.WeatherSample
 	// PaddedBatch is a ragged minibatch padded dense, with a validity mask.
 	PaddedBatch = pipeline.PaddedBatch
 	// TrainConfig configures a convergence run.
@@ -132,15 +127,6 @@ func GenerateCosmo(cfg CosmoConfig, index int) (*CosmoSample, error) {
 	return synthetic.GenerateCosmo(cfg, index)
 }
 
-// DefaultWeatherConfig returns the small-archive weather-station data
-// configuration (four channels, series lengths 0..256).
-func DefaultWeatherConfig() WeatherConfig { return synthetic.DefaultWeatherConfig() }
-
-// GenerateWeather produces one station's irregular observation record.
-func GenerateWeather(cfg WeatherConfig, index int) (*WeatherSample, error) {
-	return synthetic.GenerateWeather(cfg, index)
-}
-
 // EncodeDeepCAM compresses a [C, H, W] FP32 climate stack with the paper's
 // differential floating-point scheme (§V-A).
 func EncodeDeepCAM(data *Tensor) ([]byte, error) {
@@ -179,15 +165,6 @@ func DecodeOnDevice(f Format, blob []byte, p Platform) (*Tensor, float64, error)
 	return gpusim.New(p.GPU).Execute(cd)
 }
 
-// BuildDataset generates n synthetic samples for app under its default
-// configuration scaled by dims (nil means defaults) and encodes them.
-func BuildDataset(app App, enc Encoding, n int) (*MemDataset, error) {
-	if app == CosmoFlow {
-		return core.BuildCosmoDataset(synthetic.DefaultCosmoConfig(), n, enc)
-	}
-	return core.BuildClimateDataset(synthetic.DefaultClimateConfig(), n, enc)
-}
-
 // BuildClimateDataset generates an encoded DeepCAM dataset under cfg.
 func BuildClimateDataset(cfg ClimateConfig, n int, enc Encoding) (*MemDataset, error) {
 	return core.BuildClimateDataset(cfg, n, enc)
@@ -198,28 +175,8 @@ func BuildCosmoDataset(cfg CosmoConfig, n int, enc Encoding) (*MemDataset, error
 	return core.BuildCosmoDataset(cfg, n, enc)
 }
 
-// BuildWeatherDataset generates a ragged weather-station dataset under cfg.
-// Blobs are raw-series records decodable by the "raw-series" format (see
-// SeriesFormat); labels are each station's four climate normals.
-func BuildWeatherDataset(cfg WeatherConfig, n int) (*MemDataset, error) {
-	return core.BuildWeatherDataset(cfg, n)
-}
-
-// SeriesFormat returns the variable-length station-series decode format,
-// bounded by the archive-level shape guarantee the pool- and cache-sizing
-// layers consume.
-func SeriesFormat(cfg WeatherConfig) Format {
-	return seriesfmt.Bounded(cfg.Channels, cfg.MaxLen)
-}
-
 // NewLoader builds a prefetching loader over ds.
 func NewLoader(ds Dataset, cfg LoaderConfig) (*Loader, error) { return core.NewLoader(ds, cfg) }
-
-// TrainDeepCAM runs the Fig 6 convergence experiment, returning per-step
-// training loss.
-func TrainDeepCAM(dataCfg ClimateConfig, cfg TrainConfig) ([]float64, error) {
-	return train.DeepCAM(dataCfg, cfg)
-}
 
 // TrainCosmoFlow runs one Fig 7 repetition, returning per-epoch loss.
 func TrainCosmoFlow(dataCfg CosmoConfig, cfg TrainConfig) ([]float64, error) {
