@@ -8,13 +8,14 @@ GO ?= go
 build:
 	$(GO) build ./...
 
-# The other lines run the codec kernel, FP16 conversion, little-endian
-# element codec, cache-hit layer, warm tenant epoch, cached loader epoch
-# and ragged-loader (epoch, pad assembly) benchmarks for one iteration
-# each, so they keep compiling and the whole-epoch path stays exercised.
+# The other lines run the codec kernel (deltafp's lane-penalty pair too),
+# FP16 conversion, little-endian element codec, cache-hit layer, warm
+# tenant epoch, cached loader epoch and ragged-loader (epoch, pad assembly)
+# benchmarks for one iteration each, so they keep compiling and the
+# whole-epoch path stays exercised.
 test:
 	$(GO) test ./...
-	$(GO) test -run '^$$' -bench '^(BenchmarkOpen|BenchmarkDecodeFused|BenchmarkDecodeSample|BenchmarkFromFloat32|BenchmarkDecodeLE)$$' -benchtime=1x ./internal/codec/lut/ ./internal/codec/deltafp/ ./internal/fp16/ ./internal/tensor/
+	$(GO) test -run '^$$' -bench '^(BenchmarkOpen|BenchmarkDecodeFused|BenchmarkDecodeSample|BenchmarkDecodeLanes|BenchmarkFromFloat32|BenchmarkDecodeLE)$$' -benchtime=1x ./internal/codec/lut/ ./internal/codec/deltafp/ ./internal/fp16/ ./internal/tensor/
 	$(GO) test -run '^$$' -bench '^(BenchmarkSampleCacheGetHit|BenchmarkSampleCacheGetHitParallel|BenchmarkCacheSum|BenchmarkServeHit|BenchmarkTenantEpoch|BenchmarkRaggedEpoch|BenchmarkPadded|BenchmarkPipelineCachedEpoch)$$' -benchtime=1x ./internal/pipeline/ ./internal/dataserve/
 
 # benchmark/ is its own module, so the ./... above never reaches it.
@@ -56,8 +57,12 @@ lint-fixtures:
 	$(GO) test ./cmd/scipplint/ -run TestRunJSONGolden -update
 	$(GO) test ./internal/analysis/ ./cmd/scipplint/
 
+# go vet ./... skips testdata, so the second line checks that vet's copylocks
+# still reports the lock copy in the fixconc fixture: the rule scipplint
+# leaves to vet.
 vet:
 	$(GO) vet ./...
+	$(GO) vet ./internal/analysis/testdata/fixconc/ 2>&1 | grep -q 'fix.go:16:16: Locker passes lock by value'
 
 # Coverage ratchet over the packages the observability layer locks down
 # (floors live in scripts/coverage_baseline.txt).

@@ -211,8 +211,8 @@ func TestUnsafeAllowedInTensor(t *testing.T) {
 	}
 }
 
-// TestAsmAllowedInFP16 loads the assembly fixture as internal/fp16, the one
-// package whose assembly is sanctioned.
+// TestAsmAllowedInFP16 loads the assembly fixture as internal/fp16, one of
+// the two packages whose assembly is sanctioned.
 func TestAsmAllowedInFP16(t *testing.T) {
 	l, err := NewLoader(moduleRoot(t))
 	if err != nil {
@@ -231,6 +231,38 @@ func TestAsmAllowedInFP16(t *testing.T) {
 	}
 	for _, d := range RunAnalyzers([]*Package{pkg}, []*Analyzer{UnsafeImport}) {
 		t.Errorf("assembly flagged in internal/fp16: %s", d)
+	}
+}
+
+// TestAsmAllowedInDeltafp loads the assembly fixture as
+// internal/codec/deltafp, the other package whose assembly is sanctioned,
+// and as packages whose paths only come close, which are still flagged (so
+// is the fixture as itself, in TestFixtures).
+func TestAsmAllowedInDeltafp(t *testing.T) {
+	l, err := NewLoader(moduleRoot(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir, err := filepath.Abs(filepath.Join("testdata", "fixasm"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for path, want := range map[string]int{
+		"scipp/internal/codec/deltafp":     0,
+		"scipp/internal/codec":             1,
+		"scipp/internal/codec/deltafp/sub": 1,
+		"scipp/internal/codec/lut":         1,
+	} {
+		pkg, err := l.LoadDir(dir, path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(pkg.AsmFiles) != 1 {
+			t.Fatalf("%s: loaded %d assembly files, want 1", path, len(pkg.AsmFiles))
+		}
+		if got := len(RunAnalyzers([]*Package{pkg}, []*Analyzer{UnsafeImport})); got != want {
+			t.Errorf("assembly in %s: %d findings, want %d", path, got, want)
+		}
 	}
 }
 

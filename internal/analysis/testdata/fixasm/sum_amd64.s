@@ -1,4 +1,4 @@
-// Flagged: only internal/fp16 may hold assembly.
+// Flagged: only internal/fp16 and internal/codec/deltafp may hold assembly.
 
 #include "textflag.h"
 

@@ -9,19 +9,21 @@ import "strings"
 // sample as raw element bytes and copy it back with one memmove. Every
 // other package reaches raw bytes through that view, so the aliasing it
 // creates is written, tested and reviewed in one place. Assembly belongs to
-// internal/fp16, whose hardware conversion kernels sit beside the portable
-// Go bodies they are tested against.
+// two packages, each holding hardware kernels beside the portable Go bodies
+// they are tested against: internal/fp16 (FP16 conversion, and the one CPU
+// probe) and internal/codec/deltafp (the lane kernel that decodes eight
+// DELTA lines at once).
 var UnsafeImport = &Analyzer{
 	Name: "unsafeimport",
-	Doc:  "allow import \"unsafe\" only in internal/tensor and assembly only in internal/fp16",
+	Doc:  "allow import \"unsafe\" only in internal/tensor and assembly only in internal/fp16 and internal/codec/deltafp",
 	Run:  runUnsafeImport,
 }
 
 func runUnsafeImport(pass *Pass) {
-	if !strings.HasSuffix(pass.Path, "/internal/fp16") {
+	if !strings.HasSuffix(pass.Path, "/internal/fp16") && !strings.HasSuffix(pass.Path, "/internal/codec/deltafp") {
 		for _, f := range pass.AsmFiles {
 			pass.Reportf(Error, f.Pos(0),
-				"assembly outside internal/fp16: put hardware kernels behind internal/fp16's portable bodies")
+				"assembly outside internal/fp16 and internal/codec/deltafp: put hardware kernels beside a portable Go body in one of them")
 		}
 	}
 	if strings.HasSuffix(pass.Path, "/internal/tensor") {

@@ -24,7 +24,9 @@ type Workload struct {
 	BytesIn  int // encoded bytes read
 	BytesOut int // decoded bytes written
 	Ops      int // arithmetic operation estimate (FP adds, table lookups...)
-	// Chunks is the number of independently decodable units.
+	// Chunks is the number of independently decodable units the cost
+	// models schedule. It may differ from the decoder's NumChunks: deltafp
+	// models one unit per line and decodes eight lines per chunk.
 	Chunks int
 	// DivergentChunks counts chunks whose decode has data-dependent control
 	// flow (differential-encoded lines); on the simulated GPU these execute

@@ -497,8 +497,9 @@ func (d *Decoder) OutputShape() tensor.Shape { return d.shape[:] }
 // OutputDType implements codec.ChunkDecoder: the plugin emits FP16.
 func (d *Decoder) OutputDType() tensor.DType { return tensor.F16 }
 
-// NumChunks implements codec.ChunkDecoder: one chunk per line.
-func (d *Decoder) NumChunks() int { return d.c * d.h }
+// NumChunks implements codec.ChunkDecoder: one chunk per group of eight
+// lines (the last group may be shorter).
+func (d *Decoder) NumChunks() int { return (d.c*d.h + laneCount - 1) / laneCount }
 
 // LineModes returns the number of RAW, CONST and DELTA lines.
 func (d *Decoder) LineModes() (raw, cnst, delta int) { return d.nRaw, d.nConst, d.nDelta }
@@ -515,17 +516,18 @@ func (d *Decoder) Workload() codec.Workload {
 	}
 }
 
-// DecodeChunk implements codec.ChunkDecoder, decoding line chunk into dst.
+// DecodeChunk implements codec.ChunkDecoder, decoding the lines of group
+// chunk into dst.
 //
 //scipp:hotpath
 func (d *Decoder) DecodeChunk(chunk int, dst *tensor.Tensor) error {
-	if chunk < 0 || chunk >= d.c*d.h {
+	if chunk < 0 || chunk >= d.NumChunks() {
 		return fmt.Errorf("deltafp: chunk %d out of range", chunk)
 	}
 	if dst.DT != tensor.F16 || !dst.Shape.Equal(d.OutputShape()) {
 		return fmt.Errorf("deltafp: dst must be F16 %v", d.OutputShape())
 	}
-	return d.decodeLine(d.payload[d.offsets[chunk]:d.offsets[chunk+1]], dst.F16s[chunk*d.w:(chunk+1)*d.w])
+	return d.decodeGroup(chunk, dst.F16s, lineLayout{h: d.c * d.h, rowStride: d.w, colStride: 1})
 }
 
 // lineBlock is the number of values a line decodes as FP32 before their one

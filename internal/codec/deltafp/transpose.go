@@ -36,7 +36,7 @@ func (formatHWC) Open(blob []byte) (codec.ChunkDecoder, error) {
 	return &hwcDecoder{inner: in, shape: [3]int{in.h, in.w, in.c}}, nil
 }
 
-// hwcDecoder decodes line chunks directly into [H, W, C] layout.
+// hwcDecoder decodes chunks of eight lines directly into [H, W, C] layout.
 type hwcDecoder struct {
 	inner *Decoder
 	shape [3]int // [H, W, C], backing OutputShape
@@ -60,37 +60,19 @@ func (d *hwcDecoder) Workload() codec.Workload {
 	return wl
 }
 
-// DecodeChunk decodes line chunk (channel ci, row hi) into the strided HWC
-// positions of dst.
+// DecodeChunk decodes the lines of group chunk into their strided HWC
+// positions in dst: element (hi, x, ci) lives at (hi*w + x)*c + ci.
 //
 //scipp:hotpath
 func (d *hwcDecoder) DecodeChunk(chunk int, dst *tensor.Tensor) error {
 	in := d.inner
-	if chunk < 0 || chunk >= in.c*in.h {
+	if chunk < 0 || chunk >= in.NumChunks() {
 		return fmt.Errorf("deltafp: chunk %d out of range", chunk)
 	}
 	if dst.DT != tensor.F16 || !dst.Shape.Equal(d.OutputShape()) {
 		return fmt.Errorf("deltafp: dst must be F16 %v", d.OutputShape())
 	}
-	ci, hi := chunk/in.h, chunk%in.h
-	// Reuse the contiguous line decode, then scatter: element (hi, x, ci)
-	// lives at (hi*w + x)*c + ci. The reconstruction is the loop-carried
-	// part; the scatter is the fused transpose.
-	sp := lineScratch.Get().(*[]fp16.Bits)
-	if cap(*sp) < in.w {
-		//lint:ignore hotalloc pool miss: the scratch line grows once, then recycles
-		*sp = make([]fp16.Bits, in.w)
-	}
-	tmp := (*sp)[:in.w]
-	err := in.decodeLine(in.payload[in.offsets[chunk]:in.offsets[chunk+1]], tmp)
-	if err == nil {
-		out := dst.F16s[hi*in.w*in.c+ci:]
-		for x, v := range tmp {
-			out[x*in.c] = v
-		}
-	}
-	lineScratch.Put(sp)
-	return err
+	return in.decodeGroup(chunk, dst.F16s, lineLayout{h: in.h, rowStride: in.w * in.c, colStride: in.c})
 }
 
 // lineScratch recycles the contiguous line buffers lines are decoded into

@@ -94,7 +94,7 @@ func TestFusedTransposeValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cd.NumChunks() != 2 {
+	if cd.NumChunks() != 1 { // both lines in one group of eight
 		t.Errorf("chunks = %d", cd.NumChunks())
 	}
 	dst := tensor.New(tensor.F16, 2, 16, 1)

@@ -25,6 +25,27 @@ no:
 	MOVB $0, ret+0(FP)
 	RET
 
+// func hasAVX2() bool
+//
+// CPUID leaf 7 (subleaf 0) must exist and report AVX2 (EBX bit 5). The OS
+// support for YMM state is hasF16C's XGETBV check.
+TEXT ·hasAVX2(SB), NOSPLIT, $0-1
+	XORL AX, AX
+	CPUID
+	CMPL AX, $7
+	JB   noavx2
+	MOVL $7, AX
+	XORL CX, CX
+	CPUID
+	SHRL $5, BX
+	ANDL $1, BX
+	MOVB BX, ret+0(FP)
+	RET
+
+noavx2:
+	MOVB $0, ret+0(FP)
+	RET
+
 // func fromSliceF16C(dst []Bits, src []float32)
 //
 // VCVTPS2PH with immediate 0 rounds to nearest even, whatever MXCSR says;
