@@ -1,8 +1,9 @@
 // Command scipplint runs the repository's static-analysis pass
 // (internal/analysis) over the module and reports violations of the
 // determinism, codec-contract, panic, guarded-send, error-handling, and
-// hot-path memory-discipline invariants. It exits 0 when clean at the
-// chosen severity, 1 on findings, 2 on load failure.
+// hot-path memory-discipline invariants, and functions nothing the module
+// runs can reach (deadcode). It exits 0 when clean at the chosen severity,
+// 1 on findings, 2 on load failure.
 //
 // Usage:
 //
@@ -10,6 +11,8 @@
 //
 // The only supported patterns are "./..." (the whole module, the default)
 // and module-relative package directories such as ./internal/pipeline.
+// Only a ./... run reports deadcode and stale lint directives: a run over
+// some packages lacks the callers and findings elsewhere in the module.
 // -severity sets the failure threshold: findings below it are still
 // printed but do not affect the exit code. -json emits the findings as a
 // JSON array (one object per diagnostic) instead of text lines.
@@ -77,6 +80,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		patterns = []string{"./..."}
 	}
 	var pkgs []*analysis.Package
+	var whole bool
 	for _, pat := range patterns {
 		switch {
 		case pat == "./..." || pat == "...":
@@ -85,7 +89,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 				fmt.Fprintln(stderr, "scipplint:", err)
 				return 2
 			}
-			pkgs = append(pkgs, all...)
+			pkgs, whole = append(pkgs, all...), true
 		default:
 			dir := filepath.Join(modRoot, filepath.FromSlash(strings.TrimPrefix(pat, "./")))
 			rel, err := filepath.Rel(modRoot, dir)
@@ -113,7 +117,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 			fmt.Fprintf(stdout, "  %-14s %s\n", a.Name, a.Doc)
 		}
 	}
-	diags := analysis.RunAnalyzers(pkgs, analyzers)
+	diags := analysis.RunAnalyzers(pkgs, analyzers, whole)
 	failing := 0
 	jsonOut := make([]jsonDiagnostic, 0, len(diags))
 	for _, d := range diags {

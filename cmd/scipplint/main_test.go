@@ -5,6 +5,7 @@ import (
 	"flag"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -63,5 +64,18 @@ func TestRunBadFlags(t *testing.T) {
 	}
 	if code := run([]string{"./../escape"}, &out, &errb); code != 2 {
 		t.Errorf("escaping pattern: exit = %d, want 2", code)
+	}
+}
+
+// TestRunSubsetHasNoDeadcode runs one package: its callers elsewhere in the
+// module are not loaded, so deadcode must stay silent rather than report
+// what only they reach.
+func TestRunSubsetHasNoDeadcode(t *testing.T) {
+	var out, errb bytes.Buffer
+	if code := run([]string{"./internal/pipeline"}, &out, &errb); code != 0 {
+		t.Errorf("exit = %d, want 0; stdout: %s stderr: %s", code, out.String(), errb.String())
+	}
+	if strings.Contains(out.String(), "[deadcode]") {
+		t.Errorf("deadcode reported on a subset run:\n%s", out.String())
 	}
 }

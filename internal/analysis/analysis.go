@@ -2,9 +2,10 @@
 // stdlib-only (go/ast, go/parser, go/types) diagnostic engine plus the
 // repo-specific analyzers that enforce the invariants the paper reproduction
 // depends on — deterministic randomness and timing, codec registry and
-// error contracts, panic discipline in library code, and abort-guarded
-// channel sends in the concurrent packages. Lock copies are left to go
-// vet's copylocks check.
+// error contracts, panic discipline in library code, abort-guarded
+// channel sends in the concurrent packages, and no function that nothing
+// the module runs can reach. Lock copies are left to go vet's copylocks
+// check.
 //
 // Diagnostics can be suppressed at a site with
 //
@@ -15,7 +16,8 @@
 //
 //	//lint:file-ignore <analyzer> <reason>
 //
-// The reason is mandatory: an unexplained suppression is itself reported.
+// The reason is mandatory: an unexplained suppression is itself reported,
+// and so, on a run over the whole module, is one that suppresses nothing.
 package analysis
 
 import (
@@ -178,15 +180,23 @@ func parseDirectives(fset *token.FileSet, f *ast.File, diags *[]Diagnostic) []*i
 // RunAnalyzers applies each analyzer to each package and returns the
 // surviving (non-suppressed) diagnostics sorted by position. The module's
 // hot-path call graph is built once over all packages and shared by every
-// pass, so cross-package reachability is consistent within the run.
-func RunAnalyzers(pkgs []*Package, analyzers []*Analyzer) []Diagnostic {
+// pass, so cross-package reachability is consistent within the run. whole
+// says pkgs is the entire module (a ./... run): only then does deadcode
+// report, and only then is a directive that suppressed nothing reported as
+// stale, since every analyzer has seen every reference.
+func RunAnalyzers(pkgs []*Package, analyzers []*Analyzer, whole bool) []Diagnostic {
 	var raw []Diagnostic
 	var directives []*ignoreDirective
-	module := BuildModule(pkgs)
 	for _, pkg := range pkgs {
 		for _, f := range pkg.Files {
 			directives = append(directives, parseDirectives(pkg.Fset, f, &raw)...)
 		}
+	}
+	module := BuildModule(pkgs)
+	if whole {
+		module.dead = deadFuncs(pkgs, module.funcs, directives)
+	}
+	for _, pkg := range pkgs {
 		for _, a := range analyzers {
 			pass := &Pass{
 				Analyzer: a,
@@ -213,6 +223,16 @@ func RunAnalyzers(pkgs []*Package, analyzers []*Analyzer) []Diagnostic {
 		}
 		if !suppressed {
 			out = append(out, d)
+		}
+	}
+	for _, dir := range directives {
+		if !dir.used && whole {
+			out = append(out, Diagnostic{
+				Analyzer: "lintdirective",
+				Severity: Error,
+				Pos:      dir.pos,
+				Message:  "stale lint directive: it suppresses no finding of " + strings.Join(dir.analyzers, ","),
+			})
 		}
 	}
 	sort.Slice(out, func(i, j int) bool {
@@ -244,5 +264,6 @@ func All() []*Analyzer {
 		WorkerGuard,
 		BreakerState,
 		UnsafeImport,
+		DeadCode,
 	}
 }

@@ -38,6 +38,7 @@ var fixtures = []struct {
 	{"fixbreakerstate", "scipp/internal/dataserve"}, // dataserve scope for the breaker transition rule
 	{"fixunsafe", "scipp/internal/fixunsafe"},
 	{"fixasm", "scipp/internal/fixasm"},
+	{"fixdeadcode", "scipp/internal/fixdeadcode"},
 }
 
 func moduleRoot(t *testing.T) string {
@@ -63,7 +64,9 @@ func render(diags []Diagnostic) string {
 
 // fixtureDiags loads testdata/dir under import path and runs every
 // analyzer over it. Each call takes a fresh loader, because several
-// fixtures shadow a real import path.
+// fixtures shadow a real import path. A main-package fixture imports
+// nothing from the module, so it runs as a whole module, the only run on
+// which deadcode reports.
 func fixtureDiags(t *testing.T, dir, path string) []Diagnostic {
 	t.Helper()
 	l, err := NewLoader(moduleRoot(t))
@@ -78,7 +81,7 @@ func fixtureDiags(t *testing.T, dir, path string) []Diagnostic {
 	if err != nil {
 		t.Fatalf("loading fixture %s: %v", dir, err)
 	}
-	return RunAnalyzers([]*Package{pkg}, All())
+	return RunAnalyzers([]*Package{pkg}, All(), pkg.Types.Name() == "main")
 }
 
 func TestFixtures(t *testing.T) {
@@ -113,7 +116,8 @@ var warningAnalyzers = map[string]bool{
 
 // TestFixtureSeverities pins the severity ladder: across every fixture,
 // hotalloc, copydiscipline and shapecontract warn and every other analyzer
-// errors, so each analyzer reports at one severity only.
+// errors, so each analyzer reports at one severity only. deadcode, which
+// gates the merge, must be among the analyzers seen erroring.
 func TestFixtureSeverities(t *testing.T) {
 	seen := make(map[string]bool)
 	for _, tc := range fixtures {
@@ -133,6 +137,9 @@ func TestFixtureSeverities(t *testing.T) {
 			t.Errorf("no fixture exercises warning analyzer %s", name)
 		}
 	}
+	if !seen[DeadCode.Name] {
+		t.Error("no fixture exercises deadcode")
+	}
 }
 
 // TestRepositoryIsLintClean is the self-test the merge gate relies on: the
@@ -149,7 +156,7 @@ func TestRepositoryIsLintClean(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, d := range RunAnalyzers(pkgs, All()) {
+	for _, d := range RunAnalyzers(pkgs, All(), true) {
 		t.Errorf("unexpected finding: %s", d)
 	}
 }
@@ -170,7 +177,7 @@ func TestDirectiveParsing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	diags := RunAnalyzers([]*Package{pkg}, All())
+	diags := RunAnalyzers([]*Package{pkg}, All(), false)
 	var sawMalformed, sawUnsuppressed bool
 	for _, d := range diags {
 		if d.Analyzer == "lintdirective" {
@@ -206,7 +213,7 @@ func TestUnsafeAllowedInTensor(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, d := range RunAnalyzers([]*Package{pkg}, []*Analyzer{UnsafeImport}) {
+	for _, d := range RunAnalyzers([]*Package{pkg}, []*Analyzer{UnsafeImport}, false) {
 		t.Errorf("unsafe flagged in internal/tensor: %s", d)
 	}
 }
@@ -229,7 +236,7 @@ func TestAsmAllowedInFP16(t *testing.T) {
 	if len(pkg.AsmFiles) != 1 {
 		t.Fatalf("loaded %d assembly files, want 1", len(pkg.AsmFiles))
 	}
-	for _, d := range RunAnalyzers([]*Package{pkg}, []*Analyzer{UnsafeImport}) {
+	for _, d := range RunAnalyzers([]*Package{pkg}, []*Analyzer{UnsafeImport}, false) {
 		t.Errorf("assembly flagged in internal/fp16: %s", d)
 	}
 }
@@ -260,7 +267,7 @@ func TestAsmAllowedInDeltafp(t *testing.T) {
 		if len(pkg.AsmFiles) != 1 {
 			t.Fatalf("%s: loaded %d assembly files, want 1", path, len(pkg.AsmFiles))
 		}
-		if got := len(RunAnalyzers([]*Package{pkg}, []*Analyzer{UnsafeImport})); got != want {
+		if got := len(RunAnalyzers([]*Package{pkg}, []*Analyzer{UnsafeImport}, false)); got != want {
 			t.Errorf("assembly in %s: %d findings, want %d", path, got, want)
 		}
 	}

@@ -39,6 +39,9 @@ type Module struct {
 	// hotVia maps each hot-reachable function to the annotated root it was
 	// reached from (itself, for roots) — context for diagnostics.
 	hotVia map[*types.Func]*types.Func
+	// dead is the set of functions deadcode reports, nil when the run does
+	// not cover the whole module (see deadcode.go).
+	dead map[*types.Func]bool
 }
 
 // funcNode is one module function in the call graph.
@@ -47,6 +50,9 @@ type funcNode struct {
 	decl  *ast.FuncDecl
 	root  bool
 	calls []callEdge
+	// refs are the functions the body mentions at all — called, taken as
+	// a value or as a method value — each as its generic origin.
+	refs []*types.Func
 }
 
 // callEdge is one static call site.
@@ -77,7 +83,7 @@ func BuildModule(pkgs []*Package) *Module {
 					continue
 				}
 				node := &funcNode{fn: fn, decl: fd, root: hasDirective(fd.Doc, hotPathDirective)}
-				collectCalls(pkg.Info, fd.Body, false, &node.calls)
+				collectCalls(pkg.Info, fd.Body, false, node)
 				m.funcs[fn] = node
 			}
 		}
@@ -147,30 +153,35 @@ func hasDirective(doc *ast.CommentGroup, directive string) bool {
 	return false
 }
 
-// collectCalls gathers the static call edges under n. errDom tracks whether
-// the walk is inside a branch whose condition mentions an error value.
-func collectCalls(info *types.Info, n ast.Node, errDom bool, out *[]callEdge) {
+// collectCalls gathers the static call edges and function references under
+// n into node. errDom tracks whether the walk is inside a branch whose
+// condition mentions an error value.
+func collectCalls(info *types.Info, n ast.Node, errDom bool, node *funcNode) {
 	switch n := n.(type) {
 	case nil:
 		return
 	case *ast.IfStmt:
 		if n.Init != nil {
-			collectCalls(info, n.Init, errDom, out)
+			collectCalls(info, n.Init, errDom, node)
 		}
-		collectCalls(info, n.Cond, errDom, out)
+		collectCalls(info, n.Cond, errDom, node)
 		branchDom := errDom || mentionsError(info, n.Cond)
-		collectCalls(info, n.Body, branchDom, out)
+		collectCalls(info, n.Body, branchDom, node)
 		if n.Else != nil {
-			collectCalls(info, n.Else, branchDom, out)
+			collectCalls(info, n.Else, branchDom, node)
 		}
 		return
 	case *ast.CallExpr:
 		if callee := staticCallee(info, n); callee != nil && !isPoolMethod(callee) {
-			*out = append(*out, callEdge{callee: callee, errDominated: errDom})
+			node.calls = append(node.calls, callEdge{callee: callee, errDominated: errDom})
+		}
+	case *ast.Ident:
+		if fn, ok := info.Uses[n].(*types.Func); ok {
+			node.refs = append(node.refs, fn.Origin())
 		}
 	}
 	for _, child := range childNodes(n) {
-		collectCalls(info, child, errDom, out)
+		collectCalls(info, child, errDom, node)
 	}
 }
 

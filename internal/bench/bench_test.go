@@ -508,3 +508,11 @@ func TestTimeToSolution(t *testing.T) {
 		t.Error("unreachable target accepted")
 	}
 }
+
+// Speedup returns a's node throughput over b's.
+func Speedup(a, b StepResult) float64 {
+	if b.Node == 0 {
+		return 0
+	}
+	return a.Node / b.Node
+}

@@ -338,6 +338,8 @@ func Fig12(scale float64) ([]BreakdownRow, error) {
 }
 
 // FormatBreakdown renders breakdown rows.
+//
+//lint:ignore deadcode reference formatter: TestRenderBreakdownMatchesFormat pins the metrics-backed RenderBreakdown to it
 func FormatBreakdown(title string, rows []BreakdownRow) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "%s\n", title)
@@ -496,6 +498,8 @@ type AblationRow struct {
 
 // DecodeStrategyAblation compares the hierarchical warp assignment against
 // the naive thread-per-line mapping for the DeepCAM decode kernel (§VI).
+//
+//lint:ignore deadcode no suite table prints this ablation; queued for deletion with its tests (ROADMAP item 9)
 func DecodeStrategyAblation(scale float64, p platform.Platform) (AblationRow, error) {
 	m, err := Calibrate(core.DeepCAM, scale)
 	if err != nil {

@@ -188,11 +188,3 @@ func Simulate(sc Scenario) (StepResult, error) {
 		Node:      perGPU * float64(g),
 	}, nil
 }
-
-// Speedup returns a's node throughput over b's.
-func Speedup(a, b StepResult) float64 {
-	if b.Node == 0 {
-		return 0
-	}
-	return a.Node / b.Node
-}

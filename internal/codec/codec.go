@@ -11,7 +11,6 @@ package codec
 
 import (
 	"fmt"
-	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -223,16 +222,4 @@ func Lookup(name string) (Format, error) {
 		return nil, fmt.Errorf("codec: unknown format %q", name)
 	}
 	return f, nil
-}
-
-// Formats returns the registered format names, sorted.
-func Formats() []string {
-	regMu.RLock()
-	defer regMu.RUnlock()
-	out := make([]string, 0, len(registry))
-	for k := range registry {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
 }

@@ -501,9 +501,6 @@ func (d *Decoder) OutputDType() tensor.DType { return tensor.F16 }
 // lines (the last group may be shorter).
 func (d *Decoder) NumChunks() int { return (d.c*d.h + laneCount - 1) / laneCount }
 
-// LineModes returns the number of RAW, CONST and DELTA lines.
-func (d *Decoder) LineModes() (raw, cnst, delta int) { return d.nRaw, d.nConst, d.nDelta }
-
 // Workload implements codec.ChunkDecoder.
 func (d *Decoder) Workload() codec.Workload {
 	n := d.c * d.h * d.w

@@ -45,7 +45,7 @@ func TestConstLine(t *testing.T) {
 		src.F32s[i] = 42.5
 	}
 	dec, d := encodeDecode(t, src, Options{})
-	raw, cnst, delta := d.LineModes()
+	raw, cnst, delta := d.nRaw, d.nConst, d.nDelta
 	if cnst != 2 || raw != 0 || delta != 0 {
 		t.Errorf("line modes raw=%d const=%d delta=%d, want all const", raw, cnst, delta)
 	}
@@ -63,7 +63,7 @@ func TestSmoothLineIsDelta(t *testing.T) {
 		src.F32s[i] = 100 + float32(math.Sin(float64(i)*0.05))
 	}
 	dec, d := encodeDecode(t, src, Options{})
-	_, _, delta := d.LineModes()
+	delta := d.nDelta
 	if delta != 1 {
 		t.Fatalf("smooth line not delta-encoded: modes %v", d)
 	}
@@ -100,7 +100,7 @@ func TestAbruptLineFallsBackToRaw(t *testing.T) {
 			src.F32s[i] = float32(r.NormFloat64()) * float32(math.Pow(10, float64(r.Intn(8))-4))
 		}
 		dec, d := encodeDecode(t, src, Options{})
-		rawN, _, _ := d.LineModes()
+		rawN := d.nRaw
 		if rawN != 1 {
 			t.Fatalf("wild line should be RAW; modes raw=%d", rawN)
 		}
@@ -119,7 +119,7 @@ func TestNonFiniteGoesRaw(t *testing.T) {
 	src.F32s[3] = float32(math.Inf(1))
 	src.F32s[5] = float32(math.NaN())
 	dec, d := encodeDecode(t, src, Options{})
-	rawN, _, _ := d.LineModes()
+	rawN := d.nRaw
 	if rawN != 1 {
 		t.Error("non-finite line must be RAW")
 	}
@@ -140,7 +140,7 @@ func TestZeroDeltaByte(t *testing.T) {
 		src.F32s[i] = 10 + float32(i/8) // steps with 8-long flats
 	}
 	dec, d := encodeDecode(t, src, Options{})
-	_, _, delta := d.LineModes()
+	delta := d.nDelta
 	if delta != 1 {
 		t.Fatalf("step line should delta-encode")
 	}
@@ -503,62 +503,6 @@ func BenchmarkDecodeParallel(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := codec.DecodeParallel(cd, 8); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func TestEncodeParallelByteIdentical(t *testing.T) {
-	cfg := synthetic.DefaultClimateConfig()
-	cfg.Channels = 4
-	cfg.Height = 48
-	cfg.Width = 160
-	s, err := synthetic.GenerateClimate(cfg, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	serial, err := Encode(s.Data, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, workers := range []int{1, 3, 8, 0} {
-		par, err := EncodeParallel(s.Data, Options{}, workers)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(par) != len(serial) {
-			t.Fatalf("workers=%d: length %d vs %d", workers, len(par), len(serial))
-		}
-		for i := range par {
-			if par[i] != serial[i] {
-				t.Fatalf("workers=%d: byte %d differs", workers, i)
-			}
-		}
-	}
-}
-
-func TestEncodeParallelValidation(t *testing.T) {
-	if _, err := EncodeParallel(tensor.New(tensor.F16, 1, 1, 4), Options{}, 2); err == nil {
-		t.Error("F16 input accepted")
-	}
-	if _, err := EncodeParallel(tensor.New(tensor.F32, 0, 1, 4), Options{}, 2); err == nil {
-		t.Error("empty input accepted")
-	}
-}
-
-func BenchmarkEncodeParallel(b *testing.B) {
-	cfg := synthetic.DefaultClimateConfig()
-	cfg.Channels = 4
-	cfg.Height = 96
-	cfg.Width = 384
-	s, err := synthetic.GenerateClimate(cfg, 0)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.SetBytes(int64(s.Data.Bytes()))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := EncodeParallel(s.Data, Options{}, 0); err != nil {
 			b.Fatal(err)
 		}
 	}

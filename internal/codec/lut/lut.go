@@ -391,9 +391,6 @@ func (d *Decoder) OutputDType() tensor.DType { return tensor.F16 }
 // NumChunks implements codec.ChunkDecoder: one chunk per z-slice.
 func (d *Decoder) NumChunks() int { return d.dim }
 
-// NumSubVolumes returns the number of independent lookup tables.
-func (d *Decoder) NumSubVolumes() int { return len(d.subs) }
-
 // Groups returns the total unique-group count across sub-volumes.
 func (d *Decoder) Groups() int {
 	n := 0
@@ -404,6 +401,8 @@ func (d *Decoder) Groups() int {
 }
 
 // KeyWidth returns the key width in bytes of sub-volume i.
+//
+//lint:ignore deadcode blob introspection: the lut and codec tests and the root benchmarks check key widths with it
 func (d *Decoder) KeyWidth(i int) int { return d.subs[i].keyWidth }
 
 // Workload implements codec.ChunkDecoder.

@@ -620,3 +620,6 @@ func BenchmarkDecodeUnfused(b *testing.B) {
 		}
 	}
 }
+
+// NumSubVolumes returns the number of independent lookup tables.
+func (d *Decoder) NumSubVolumes() int { return len(d.subs) }

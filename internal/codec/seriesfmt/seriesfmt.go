@@ -114,6 +114,8 @@ func (d *seriesDecoder) DecodeChunk(chunk int, dst *tensor.Tensor) error {
 
 // Params extracts the label parameters from a station record without
 // decoding the observation payload.
+//
+//lint:ignore deadcode the seriesfmt and codec fuzz tests read a blob's station normals back with it
 func Params(blob []byte) ([4]float32, error) {
 	if _, _, err := synthetic.WeatherHeader(blob); err != nil {
 		return [4]float32{}, fmt.Errorf("seriesfmt: %w", err)

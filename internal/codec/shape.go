@@ -28,6 +28,8 @@ type ShapeBounded interface {
 }
 
 // MaxShape returns f's declared decoded-shape bound, when it has one.
+//
+//lint:ignore deadcode queued for deletion with its tests (ROADMAP item 9); ShapeBounded stays, the benchmark forwards it
 func MaxShape(f Format) (tensor.DType, tensor.Shape, bool) {
 	if b, ok := f.(ShapeBounded); ok {
 		dt, shape := b.MaxShape()
@@ -48,6 +50,8 @@ type ShapeProber interface {
 // it implements ShapeProber, otherwise by opening the blob and consulting
 // the decoder (recycling it immediately). The fallback costs a full Open, so
 // hot paths should prefer formats with a real prober.
+//
+//lint:ignore deadcode queued for deletion with its tests (ROADMAP item 9); ShapeProber stays, the benchmark forwards it
 func ProbeShape(f Format, blob []byte) (tensor.DType, tensor.Shape, error) {
 	if p, ok := f.(ShapeProber); ok {
 		return p.ProbeShape(blob)

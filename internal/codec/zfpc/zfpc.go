@@ -375,6 +375,8 @@ func scatterBlock(out []float32, h, w, by, bx int, block *[16]float32) {
 }
 
 // EncodedSize predicts the blob size for a plane at a rate.
+//
+//lint:ignore deadcode size oracle: TestFixedRateSize checks the encoder's fixed-rate guarantee against it
 func EncodedSize(h, w, rate int) int {
 	bh, bw := (h+3)/4, (w+3)/4
 	perBlockBits := 8 + blockBits(rate)

@@ -1,5 +1,7 @@
 package zfpc
 
+//lint:file-ignore deadcode the zfp 3D comparator: no suite cell encodes a zfpc3d blob; queued for deletion with its tests (ROADMAP item 9)
+
 import (
 	"encoding/binary"
 	"errors"

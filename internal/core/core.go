@@ -272,21 +272,3 @@ func ReadCosmoTFRecord(path string, gz bool) (*pipeline.MemDataset, error) {
 	}
 	return ds, nil
 }
-
-// DatasetInfo summarizes a dataset's storage footprint for an encoding
-// comparison.
-type DatasetInfo struct {
-	Samples      int
-	EncodedBytes int
-	MeanSample   int
-}
-
-// Info summarizes ds.
-func Info(ds *pipeline.MemDataset) DatasetInfo {
-	total := ds.EncodedBytes()
-	mean := 0
-	if len(ds.Blobs) > 0 {
-		mean = total / len(ds.Blobs)
-	}
-	return DatasetInfo{Samples: ds.Len(), EncodedBytes: total, MeanSample: mean}
-}

@@ -47,7 +47,7 @@ func TestBuildClimateDatasetAllEncodings(t *testing.T) {
 		if ds.Len() != 3 {
 			t.Fatalf("%v: %d samples", enc, ds.Len())
 		}
-		sizes[enc] = Info(ds).MeanSample
+		sizes[enc] = ds.EncodedBytes() / ds.Len()
 		// Every blob must open under the matching format and decode.
 		f := FormatFor(DeepCAM, enc)
 		cd, err := f.Open(ds.Blobs[0])

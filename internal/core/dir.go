@@ -1,5 +1,7 @@
 package core
 
+//lint:file-ignore deadcode the on-disk climate and indexed TFRecord layouts that ROADMAP item 7's executed rows read
+
 import (
 	"fmt"
 	"io"

@@ -215,6 +215,8 @@ func (t *Tenant) breakerCloseLocked() {
 
 // invariantViolation reports the first internal consistency rule the
 // breaker violates, or "" — the FuzzBreakerState oracle.
+//
+//lint:ignore deadcode test oracle: the breaker tests and FuzzBreakerState check every transition against it
 func (b *breaker) invariantViolation() string {
 	// Bounds first: counting the ring below indexes by filled.
 	switch {

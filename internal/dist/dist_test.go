@@ -10,7 +10,7 @@ import (
 
 func runAllReduce(t *testing.T, n, size int, mean bool) [][]float32 {
 	t.Helper()
-	g, err := NewGroup(n)
+	g, err := New(Config{Ranks: n})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,7 +95,7 @@ func TestAllRanksIdentical(t *testing.T) {
 }
 
 func TestRepeatedCollectives(t *testing.T) {
-	g, err := NewGroup(3)
+	g, err := New(Config{Ranks: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,7 +125,7 @@ func TestRepeatedCollectives(t *testing.T) {
 }
 
 func TestBarrier(t *testing.T) {
-	g, err := NewGroup(4)
+	g, err := New(Config{Ranks: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -159,10 +159,10 @@ func TestBarrier(t *testing.T) {
 }
 
 func TestGroupValidation(t *testing.T) {
-	if _, err := NewGroup(0); err == nil {
+	if _, err := New(Config{Ranks: 0}); err == nil {
 		t.Error("zero-size group accepted")
 	}
-	g, _ := NewGroup(2)
+	g, _ := New(Config{Ranks: 2})
 	defer func() {
 		if recover() == nil {
 			t.Error("out-of-range rank accepted")
@@ -172,7 +172,7 @@ func TestGroupValidation(t *testing.T) {
 }
 
 func TestSingleRankNoOp(t *testing.T) {
-	g, _ := NewGroup(1)
+	g, _ := New(Config{Ranks: 1})
 	d := []float32{1, 2, 3}
 	if err := g.AllReduceSum(0, d); err != nil {
 		t.Fatal(err)

@@ -180,7 +180,7 @@ func TestDeadlineEvictsHangingRank(t *testing.T) {
 // buffer lengths all get a *MismatchError, nobody is evicted, and the group
 // remains usable for a following well-formed collective.
 func TestLengthMismatchTyped(t *testing.T) {
-	g, err := NewGroup(2)
+	g, err := New(Config{Ranks: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -225,7 +225,7 @@ func TestLengthMismatchTyped(t *testing.T) {
 // TestOpMismatchTyped: one rank at a barrier while the other runs an
 // allreduce is a typed mismatch, not a hang.
 func TestOpMismatchTyped(t *testing.T) {
-	g, err := NewGroup(2)
+	g, err := New(Config{Ranks: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -252,7 +252,7 @@ func TestOpMismatchTyped(t *testing.T) {
 // TestEvictedRankSelfError: an evicted rank calling back into the group
 // gets a self-flagged *RankError naming it, never a hang.
 func TestEvictedRankSelfError(t *testing.T) {
-	g, err := NewGroup(3)
+	g, err := New(Config{Ranks: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -310,7 +310,7 @@ func TestDownRanksAtConstruction(t *testing.T) {
 // generation's links by an aborted collective are drained at eviction, and
 // the rebuilt ring starts on fresh channels that cannot deliver them.
 func TestLinksDrainedOnEviction(t *testing.T) {
-	g, err := NewGroup(3)
+	g, err := New(Config{Ranks: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -361,7 +361,7 @@ func TestLinksDrainedOnEviction(t *testing.T) {
 // still running are drained only when the last exchange finishes, so the
 // drain cannot steal messages a mid-flight exchange still needs.
 func TestDrainDeferredWhileExchangeActive(t *testing.T) {
-	g, err := NewGroup(3)
+	g, err := New(Config{Ranks: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -526,4 +526,13 @@ func TestConcurrentBarrierCollectiveEviction(t *testing.T) {
 	if len(evs) != 1 || evs[0].Rank != victim {
 		t.Errorf("evictions = %+v", evs)
 	}
+}
+
+// EWMA returns rank's current step-time EWMA and whether one has been
+// recorded yet.
+func (g *Group) EWMA(rank int) (float64, bool) {
+	g.checkRank(rank)
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	return g.ewma[rank], g.ewmaSet[rank]
 }

@@ -15,7 +15,7 @@ func TestAllReduceUnevenCompletion(t *testing.T) {
 		elems  = 257 // not divisible by ranks: uneven segments too
 		rounds = 25
 	)
-	g, err := NewGroup(ranks)
+	g, err := New(Config{Ranks: ranks})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,7 +62,7 @@ func TestAllReduceUnevenCompletion(t *testing.T) {
 // skewed arrival, the pattern the data-parallel trainer uses per step.
 func TestAllReduceInterleavedWithBarrier(t *testing.T) {
 	const ranks = 4
-	g, err := NewGroup(ranks)
+	g, err := New(Config{Ranks: ranks})
 	if err != nil {
 		t.Fatal(err)
 	}

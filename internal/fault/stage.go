@@ -168,9 +168,6 @@ func (in *StageInjector) Release() {
 // Log returns the injection events so far, in canonical order.
 func (in *StageInjector) Log() []Injection { return in.log.snapshot() }
 
-// Summary aggregates the injection events so far.
-func (in *StageInjector) Summary() Summary { return in.log.summary() }
-
 // CacheFaultConfig sets the per-sample cache bit-rot probability.
 type CacheFaultConfig struct {
 	// Seed drives every injection decision; same seed, same faults.
@@ -235,6 +232,3 @@ func (ci *CacheInjector) Tamper(index int, blob []byte) bool {
 
 // Log returns the injection events so far, in canonical order.
 func (ci *CacheInjector) Log() []Injection { return ci.log.snapshot() }
-
-// Summary aggregates the injection events so far.
-func (ci *CacheInjector) Summary() Summary { return ci.log.summary() }

@@ -158,15 +158,5 @@ func (ti *TierInjector) probe() error {
 	return fmt.Errorf("fault: nvme tier dead: probe failed")
 }
 
-// Dead reports whether the injected tier is currently dead.
-func (ti *TierInjector) Dead() bool {
-	ti.mu.Lock()
-	defer ti.mu.Unlock()
-	return ti.dead
-}
-
 // Log returns the injection events so far, in canonical order.
 func (ti *TierInjector) Log() []Injection { return ti.log.snapshot() }
-
-// Summary aggregates the injection events so far.
-func (ti *TierInjector) Summary() Summary { return ti.log.summary() }

@@ -163,12 +163,16 @@ func (h Bits) ToFloat32() float32 {
 }
 
 // IsNaN reports whether h is a NaN.
+//
+//lint:ignore deadcode the fp16, deltafp and lut tests classify halves with it
 func (h Bits) IsNaN() bool {
 	return h&expMask16 == expMask16 && h&manMask16 != 0
 }
 
 // IsInf reports whether h is an infinity. sign > 0 checks +Inf, sign < 0
 // checks -Inf, sign == 0 checks either.
+//
+//lint:ignore deadcode queued for deletion with its tests (ROADMAP item 9)
 func (h Bits) IsInf(sign int) bool {
 	if h&expMask16 != expMask16 || h&manMask16 != 0 {
 		return false
@@ -178,6 +182,8 @@ func (h Bits) IsInf(sign int) bool {
 }
 
 // Neg returns h with its sign flipped.
+//
+//lint:ignore deadcode queued for deletion with its tests (ROADMAP item 9)
 func (h Bits) Neg() Bits { return h ^ signMask16 }
 
 // FromSlice converts src FP32 values into dst binary16 values, exactly as
@@ -222,6 +228,8 @@ func RoundTrip32(f float32) float32 { return FromFloat32(f).ToFloat32() }
 
 // ULP returns the spacing between h and the next representable binary16
 // value of larger magnitude, as an FP32 value. For Inf/NaN it returns NaN.
+//
+//lint:ignore deadcode queued for deletion with its tests (ROADMAP item 9)
 func (h Bits) ULP() float32 {
 	if h&expMask16 == expMask16 {
 		return float32(math.NaN())

@@ -151,15 +151,3 @@ func (d *Device) ExecuteInto(cd codec.ChunkDecoder, dst *tensor.Tensor) (float64
 	}
 	return d.KernelTime(cd.Workload()), nil
 }
-
-// SpeedupVsNaive reports the modeled kernel-time ratio naive/hierarchical
-// for a workload — the benefit of §VI's hierarchical warp assignment.
-func (d *Device) SpeedupVsNaive(w codec.Workload) float64 {
-	h := Device{GPU: d.GPU, Strategy: Hierarchical}
-	n := Device{GPU: d.GPU, Strategy: NaiveThreadPerChunk}
-	ht := h.KernelTime(w)
-	if ht == 0 {
-		return 1
-	}
-	return n.KernelTime(w) / ht
-}

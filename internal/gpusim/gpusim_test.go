@@ -51,12 +51,13 @@ func TestDivergencePenalty(t *testing.T) {
 	if td <= tu {
 		t.Errorf("divergent workload not slower: %g vs %g", td, tu)
 	}
-	// Hierarchical assignment must beat the naive mapping on divergent work.
-	if sp := d.SpeedupVsNaive(divergent); sp <= 1.5 {
+	// Hierarchical assignment must beat the naive mapping on divergent
+	// work, and be irrelevant on uniform work.
+	naive := Device{GPU: d.GPU, Strategy: NaiveThreadPerChunk}
+	if sp := naive.KernelTime(divergent) / td; sp <= 1.5 {
 		t.Errorf("hierarchical speedup %.2f, want > 1.5 on fully divergent work", sp)
 	}
-	// And be irrelevant on uniform work.
-	if sp := d.SpeedupVsNaive(uniform); sp != 1 {
+	if sp := naive.KernelTime(uniform) / tu; sp != 1 {
 		t.Errorf("uniform work speedup %.2f, want exactly 1", sp)
 	}
 }

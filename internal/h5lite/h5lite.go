@@ -65,18 +65,6 @@ func (f *File) Names() []string {
 	return out
 }
 
-// EncodedSize returns the number of bytes Write will produce.
-func (f *File) EncodedSize() int {
-	n := 4 + 4 + 4
-	for k, v := range f.Attrs {
-		n += 2 + len(k) + 2 + len(v)
-	}
-	for name, t := range f.datasets {
-		n += 2 + len(name) + 1 + 1 + 8*len(t.Shape) + 4 + 8 + t.Bytes()
-	}
-	return n
-}
-
 // Write serializes the file to w.
 func (f *File) Write(w io.Writer) error {
 	bw := bufio.NewWriter(w)

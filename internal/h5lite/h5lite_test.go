@@ -38,9 +38,6 @@ func TestRoundTrip(t *testing.T) {
 	if err := f.Write(&buf); err != nil {
 		t.Fatal(err)
 	}
-	if buf.Len() != f.EncodedSize() {
-		t.Errorf("EncodedSize = %d, actual %d", f.EncodedSize(), buf.Len())
-	}
 	g, err := Read(&buf)
 	if err != nil {
 		t.Fatal(err)

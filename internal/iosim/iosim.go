@@ -80,6 +80,8 @@ func sourceLevel(ds Dataset) Level {
 }
 
 // FitsNVMe reports whether a staged dataset fits the node NVMe.
+//
+//lint:ignore deadcode queued for deletion with its tests (ROADMAP item 9)
 func (n Node) FitsNVMe(ds Dataset) bool {
 	return ds.Bytes() <= int64(n.P.Storage.NVMeTB*1e12)
 }
@@ -113,6 +115,8 @@ func (n Node) ReadTime(ds Dataset, l Level, streams int) float64 {
 // StageTime returns the one-time cost of staging the dataset from the
 // shared FS to NVMe (bounded by the slower of FS read and NVMe write,
 // approximated by FS bandwidth).
+//
+//lint:ignore deadcode queued for deletion with its tests (ROADMAP item 9)
 func (n Node) StageTime(ds Dataset) float64 {
 	if !ds.Staged {
 		return 0
@@ -123,6 +127,8 @@ func (n Node) StageTime(ds Dataset) float64 {
 // EpochReadTime returns the total IO time of one epoch's sample reads at
 // the given epoch index: with consumers perfectly sharing the level's
 // bandwidth, it equals the dataset size over the full node bandwidth.
+//
+//lint:ignore deadcode queued for deletion with its tests (ROADMAP item 9)
 func (n Node) EpochReadTime(ds Dataset, epoch int) float64 {
 	l := n.ResidentLevel(ds, epoch)
 	return float64(ds.Samples) * n.ReadTime(ds, l, 1)

@@ -29,6 +29,8 @@ func (n Node) HitFraction(ds Dataset, epoch int) float64 {
 // PartialReadTime returns the expected per-sample read time under the
 // partial-caching model: hits stream from memory, misses from the staged
 // NVMe or the shared filesystem.
+//
+//lint:ignore deadcode queued for deletion with its tests (ROADMAP item 9)
 func (n Node) PartialReadTime(ds Dataset, epoch, streams int) float64 {
 	h := n.HitFraction(ds, epoch)
 	missLevel := sourceLevel(ds)

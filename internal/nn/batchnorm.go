@@ -1,5 +1,7 @@
 package nn
 
+//lint:file-ignore deadcode queued for deletion with its tests (ROADMAP item 9)
+
 import (
 	"fmt"
 	"math"

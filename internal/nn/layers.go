@@ -147,6 +147,8 @@ type Tanh struct {
 }
 
 // NewTanh returns a Tanh layer.
+//
+//lint:ignore deadcode queued for deletion with its tests (ROADMAP item 9)
 func NewTanh() *Tanh { return &Tanh{} }
 
 // Name implements Layer.

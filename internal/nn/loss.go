@@ -84,6 +84,8 @@ func SoftmaxCrossEntropy2D(logits *tensor.Tensor, labels *tensor.Tensor) (float6
 
 // Accuracy2D returns the fraction of pixels whose argmax class matches the
 // label.
+//
+//lint:ignore deadcode queued for deletion with its tests (ROADMAP item 9)
 func Accuracy2D(logits, labels *tensor.Tensor) float64 {
 	n, k, h, w := logits.Shape[0], logits.Shape[1], logits.Shape[2], logits.Shape[3]
 	plane := h * w

@@ -101,6 +101,8 @@ func (s *Sequential) ZeroGrad() {
 }
 
 // ParamCount returns the total number of learnable scalars.
+//
+//lint:ignore deadcode the nn and models tests size models with it
 func (s *Sequential) ParamCount() int {
 	n := 0
 	for _, p := range s.Params() {

@@ -127,26 +127,6 @@ func (h *Histogram) Observe(v float64) {
 	h.mu.Unlock()
 }
 
-// Count returns the number of observations; zero on a nil receiver.
-func (h *Histogram) Count() int64 {
-	if h == nil {
-		return 0
-	}
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.count
-}
-
-// Sum returns the sum of observations; zero on a nil receiver.
-func (h *Histogram) Sum() float64 {
-	if h == nil {
-		return 0
-	}
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.sum
-}
-
 // Quantile returns the upper bound of the bucket holding the q-quantile
 // observation: the smallest bound covering at least round(q*count)
 // observations, and at least one. It is +Inf when that observation fell in

@@ -34,6 +34,8 @@ func NewTracer(reg *Registry, clock trace.Clock) *Tracer {
 // WithTimeline returns a copy of the tracer that also mirrors every span
 // onto tl as a trace.Event on the given resource, bridging the metrics layer
 // to the existing timeline breakdowns. No-op on a nil receiver.
+//
+//lint:ignore deadcode queued for deletion with its tests (ROADMAP item 9)
 func (t *Tracer) WithTimeline(tl *trace.Timeline, resource string) *Tracer {
 	if t == nil {
 		return nil
@@ -42,14 +44,6 @@ func (t *Tracer) WithTimeline(tl *trace.Timeline, resource string) *Tracer {
 	c.timeline = tl
 	c.resource = resource
 	return &c
-}
-
-// Clock returns the tracer's clock, or nil on a nil receiver.
-func (t *Tracer) Clock() trace.Clock {
-	if t == nil {
-		return nil
-	}
-	return t.clock
 }
 
 // StageTimer is a per-stage span factory with its instruments resolved once:

@@ -243,15 +243,6 @@ func (c *SampleCache) SetTierFault(t TierFault) {
 	c.mu.Unlock()
 }
 
-// TierHealthy reports whether the NVMe tier is in service (true until
-// TierFailK consecutive access failures, and again after a successful
-// recovery probe).
-func (c *SampleCache) TierHealthy() bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return !c.nvmeDead
-}
-
 // nvmeReadLocked performs the tier access for a Get served from NVMe. It
 // reports whether the read succeeded; on failure the entry is dropped (its
 // media copy is unreadable) and the tier's health is charged.
@@ -406,7 +397,7 @@ func (c *SampleCache) Get(i int) (blob []byte, label *tensor.Tensor, ok, quarant
 // reports a change, installs the copy as the resident (copy-on-write: the
 // slice earlier hits handed out is never written). It reports the change.
 func (c *SampleCache) tamperLocked(e *cacheEntry) bool {
-	//lint:ignore hotalloc chaos runs only: the hook must never write into a served resident
+	// Chaos runs only: the hook must never write into a served resident.
 	cp := append([]byte(nil), e.blob...)
 	if !c.tamper.Tamper(e.index, cp) {
 		return false
@@ -518,6 +509,8 @@ func (c *SampleCache) removeLocked(e *cacheEntry) {
 // resident is indexed under its own key at its recorded level, and neither
 // tier exceeds its capacity. It reports the first discrepancy found; tests
 // call it after every mutation batch.
+//
+//lint:ignore deadcode test oracle: the cache, cache-model and dataserve tests check the byte accounting with it
 func (c *SampleCache) VerifyAccounting() error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -575,13 +568,6 @@ func (c *SampleCache) Stats() CacheStats {
 	return s
 }
 
-// Len returns the number of resident samples.
-func (c *SampleCache) Len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.entries)
-}
-
 // Resident reports whether sample i is indexed, without verifying it,
 // touching a tier or counting a lookup. A caller that orders admissions
 // under its own lock uses it to tell "truly absent" from "admitted since
@@ -633,7 +619,7 @@ func (s *CacheStage) Process(index int, _ struct{}) (rawSample, error) {
 	if err != nil {
 		return rawSample{}, err
 	}
-	//lint:ignore hotalloc Put adopts its blob and r.blob is dataset memory: rot must never reach it
+	// Put adopts its blob and r.blob is dataset memory: rot must never reach it.
 	owned := append([]byte(nil), r.blob...)
 	if dropped := s.cache.Put(index, owned, r.label); dropped > 0 {
 		s.ob.cacheEvictions.Add(int64(dropped))

@@ -392,3 +392,19 @@ func TestVerifyAccountingDetectsDrift(t *testing.T) {
 		}
 	}
 }
+
+// TierHealthy reports whether the NVMe tier is in service (true until
+// TierFailK consecutive access failures, and again after a successful
+// recovery probe).
+func (c *SampleCache) TierHealthy() bool {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return !c.nvmeDead
+}
+
+// Len returns the number of resident samples.
+func (c *SampleCache) Len() int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return len(c.entries)
+}

@@ -18,6 +18,8 @@ type ValueFreq struct {
 
 // UniqueValues returns the unique values in data with their frequencies,
 // sorted by decreasing frequency (rank order, as in Fig 5a).
+//
+//lint:ignore deadcode queued for deletion with its tests (ROADMAP item 9)
 func UniqueValues(data []float32) []ValueFreq {
 	m := make(map[float32]int)
 	for _, v := range data {
@@ -247,6 +249,8 @@ func Percentile(data []float64, p float64) float64 {
 // nbins buckets; out-of-range values (including ±Inf) clamp into the edge
 // buckets and NaN values are skipped. The clamping happens before the
 // float-to-int conversion so ±Inf cannot overflow into the wrong bucket.
+//
+//lint:ignore deadcode queued for deletion with its tests (ROADMAP item 9)
 func Histogram(data []float64, min, max float64, nbins int) []int {
 	h := make([]int, nbins)
 	if max <= min || nbins == 0 {

@@ -1,5 +1,7 @@
 package sweep
 
+//lint:file-ignore deadcode the shared test drivers: the suites' tests and the retired commands' test shims run cells, reruns and mutations through them
+
 import (
 	"runtime"
 	"sort"

@@ -36,6 +36,8 @@ type Suite struct {
 
 // Cell returns the named cell of s at p. It panics if the suite has no
 // such cell: only code that knows the axis tables asks for one by name.
+//
+//lint:ignore deadcode the suites' tests and the retired commands' test shims run one cell by name with it
 func (s Suite) Cell(p Params, name string) sweep.Cell {
 	for _, c := range s.Cells(p) {
 		if c.Name == name {

@@ -274,6 +274,8 @@ func ClimateToH5(s *ClimateSample) *h5lite.File {
 }
 
 // ClimateFromH5 unpacks a sample written by ClimateToH5.
+//
+//lint:ignore deadcode the inverse the synthetic tests check ClimateToH5 against
 func ClimateFromH5(f *h5lite.File) (*ClimateSample, error) {
 	data, ok := f.Get("climate/data")
 	if !ok {

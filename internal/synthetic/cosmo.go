@@ -220,6 +220,8 @@ func CosmoFromRecord(rec []byte) (*CosmoSample, error) {
 
 // RawBytes returns the in-memory FP32 size of the sample as the baseline
 // pipeline materializes it (4 channels of dim^3 float32).
+//
+//lint:ignore deadcode the lut and synthetic tests and the root benchmarks take raw cosmology bytes with it
 func (s *CosmoSample) RawBytes() int { return 4 * s.Dim * s.Dim * s.Dim * 4 }
 
 // StoredBytes returns the int16 on-disk payload size.

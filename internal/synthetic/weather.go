@@ -56,13 +56,6 @@ func (c WeatherConfig) Validate() error {
 	return nil
 }
 
-// MaxShape returns the elementwise upper bound of every station's decoded
-// series, the shape seriesfmt.Bounded declares for the same Channels and
-// MaxLen.
-func (c WeatherConfig) MaxShape() tensor.Shape {
-	return tensor.Shape{c.Channels, c.MaxLen}
-}
-
 // WeatherSample is one station's observation record.
 type WeatherSample struct {
 	// Data is the [C, L] FP32 series; L varies per station and may be 0.
@@ -170,6 +163,8 @@ func WeatherHeader(rec []byte) (channels, length int, err error) {
 }
 
 // WeatherFromRecord parses a payload written by WeatherToRecord.
+//
+//lint:ignore deadcode the inverse the synthetic tests check WeatherToRecord against
 func WeatherFromRecord(rec []byte) (*WeatherSample, error) {
 	c, l, err := WeatherHeader(rec)
 	if err != nil {

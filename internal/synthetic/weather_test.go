@@ -109,9 +109,6 @@ func TestWeatherValidateAndHeaderRejects(t *testing.T) {
 	if _, err := WeatherFromRecord([]byte{1}); err == nil {
 		t.Error("truncated record parsed")
 	}
-	if got := (WeatherConfig{Channels: 3, MaxLen: 17}).MaxShape(); !got.Equal(tensor.Shape{3, 17}) {
-		t.Errorf("MaxShape = %v", got)
-	}
 }
 
 func TestStationLenRange(t *testing.T) {

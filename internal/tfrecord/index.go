@@ -146,9 +146,6 @@ func OpenIndexed(path, idxPath string) (*IndexedFile, error) {
 // Len returns the record count.
 func (x *IndexedFile) Len() int { return x.ix.Len() }
 
-// Index returns the underlying index (for persisting via WriteTo).
-func (x *IndexedFile) Index() *Index { return x.ix }
-
 // Record reads record i, verifying its checksums.
 func (x *IndexedFile) Record(i int) ([]byte, error) {
 	if i < 0 || i >= x.ix.Len() {

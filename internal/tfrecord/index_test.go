@@ -203,3 +203,6 @@ func TestBuildIndexOnCorruptStream(t *testing.T) {
 		t.Error("corrupt stream indexed")
 	}
 }
+
+// Index returns the underlying index (for persisting via WriteTo).
+func (x *IndexedFile) Index() *Index { return x.ix }

@@ -73,9 +73,6 @@ func (w *Writer) Write(data []byte) error {
 	return nil
 }
 
-// Count returns the number of records written.
-func (w *Writer) Count() int { return w.n }
-
 // Close flushes buffers (and the gzip stream if present). It does not close
 // the underlying writer.
 func (w *Writer) Close() error {

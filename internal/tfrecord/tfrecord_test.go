@@ -214,3 +214,6 @@ func BenchmarkRead(b *testing.B) {
 		}
 	}
 }
+
+// Count returns the number of records written.
+func (w *Writer) Count() int { return w.n }

@@ -39,6 +39,8 @@ func (t *Timeline) Add(resource, tag string, start, end float64) {
 }
 
 // Events returns a copy of the recorded events sorted by start time.
+//
+//lint:ignore deadcode the trace and obs tests read recorded events with it
 func (t *Timeline) Events() []Event {
 	t.mu.Lock()
 	out := append([]Event(nil), t.events...)
@@ -48,6 +50,8 @@ func (t *Timeline) Events() []Event {
 }
 
 // Len returns the number of recorded events.
+//
+//lint:ignore deadcode the timeline tests of bench, gpusim and pipeline count events with it
 func (t *Timeline) Len() int {
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -85,6 +89,8 @@ func (t *Timeline) Breakdown() map[string]float64 {
 }
 
 // ResourceBreakdown sums durations per resource, per tag.
+//
+//lint:ignore deadcode queued for deletion with its tests (ROADMAP item 9)
 func (t *Timeline) ResourceBreakdown() map[string]map[string]float64 {
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -131,6 +137,8 @@ func (t *Timeline) Busy(resource string) float64 {
 }
 
 // Reset discards all events.
+//
+//lint:ignore deadcode queued for deletion with its tests (ROADMAP item 9)
 func (t *Timeline) Reset() {
 	t.mu.Lock()
 	t.events = t.events[:0]

@@ -104,35 +104,6 @@ func (l *CheckpointLog) Len() int {
 	return len(l.cps)
 }
 
-// Latest returns the most recent snapshot.
-func (l *CheckpointLog) Latest() (Checkpoint, bool) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if len(l.cps) == 0 {
-		return Checkpoint{}, false
-	}
-	return l.cps[len(l.cps)-1], true
-}
-
-// At returns the snapshot taken after `epoch` completed epochs.
-func (l *CheckpointLog) At(epoch int) (Checkpoint, bool) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	for _, cp := range l.cps {
-		if cp.Meta.Epoch == epoch {
-			return cp, true
-		}
-	}
-	return Checkpoint{}, false
-}
-
-// All returns every snapshot in epoch order.
-func (l *CheckpointLog) All() []Checkpoint {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return append([]Checkpoint(nil), l.cps...)
-}
-
 // saveCheckpoint snapshots the run at an epoch boundary when the configured
 // cadence says so. epoch counts COMPLETED epochs (the first boundary is 1).
 func (c Config) saveCheckpoint(app string, epoch, step int, model *nn.Sequential, opt nn.Optimizer, evicted []int) error {

@@ -58,13 +58,9 @@ type elasticSpec struct {
 	newOpt    func(cfg Config) nn.Optimizer
 	normalize bool
 	loss      func(m *nn.Sequential, x, y *tensor.Tensor) (float64, *tensor.Tensor)
-	// afterStep, when set, runs after every optimizer step with the count
-	// of completed steps and the lowest live replica (the validation hook).
-	afterStep func(step int, m *nn.Sequential) error
 }
 
-// deepcamSpec is the segmentation model's half of the engine, shared by
-// ElasticDeepCAM and the validation driver.
+// deepcamSpec is the segmentation model's half of the engine.
 func deepcamSpec(climCfg synthetic.ClimateConfig) elasticSpec {
 	return elasticSpec{
 		app: "deepcam",
@@ -242,12 +238,6 @@ func elasticRun(built pipeline.Dataset, app core.App, cfg Config, ecfg ElasticCo
 			sum += loss
 			steps++
 			step++
-			if spec.afterStep != nil {
-				if err := spec.afterStep(step, e.replicas[e.group.Alive()[0]]); err != nil {
-					it.Close()
-					return nil, err
-				}
-			}
 		}
 		res.Epochs = append(res.Epochs, roll.epoch(it))
 		it.Close()

@@ -404,3 +404,32 @@ func TestEngineBoundsAndObs(t *testing.T) {
 		t.Errorf("a run with neither bound set trained: %+v, %v", none, err)
 	}
 }
+
+// Latest returns the most recent snapshot.
+func (l *CheckpointLog) Latest() (Checkpoint, bool) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if len(l.cps) == 0 {
+		return Checkpoint{}, false
+	}
+	return l.cps[len(l.cps)-1], true
+}
+
+// At returns the snapshot taken after `epoch` completed epochs.
+func (l *CheckpointLog) At(epoch int) (Checkpoint, bool) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	for _, cp := range l.cps {
+		if cp.Meta.Epoch == epoch {
+			return cp, true
+		}
+	}
+	return Checkpoint{}, false
+}
+
+// All returns every snapshot in epoch order.
+func (l *CheckpointLog) All() []Checkpoint {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return append([]Checkpoint(nil), l.cps...)
+}

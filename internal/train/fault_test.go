@@ -244,3 +244,12 @@ func sameInts(a, b []int) bool {
 	}
 	return true
 }
+
+// Skipped totals the skipped-sample count across the run's epochs.
+func (r *Result) Skipped() int {
+	n := 0
+	for _, e := range r.Epochs {
+		n += e.Skipped
+	}
+	return n
+}

@@ -238,15 +238,6 @@ type Result struct {
 	Stragglers []int
 }
 
-// Skipped totals the skipped-sample count across the run's epochs.
-func (r *Result) Skipped() int {
-	n := 0
-	for _, e := range r.Epochs {
-		n += e.Skipped
-	}
-	return n
-}
-
 // withFaults wraps ds per cfg.Faults, returning the loader-facing dataset
 // and the injector (nil when fault injection is off).
 func withFaults(ds pipeline.Dataset, cfg Config) (pipeline.Dataset, *fault.Injector) {

@@ -90,6 +90,8 @@ func (r *RNG) Float64() float64 {
 }
 
 // Float32 returns a uniform float32 in [0, 1).
+//
+//lint:ignore deadcode the codec fuzz and deltafp tests draw FP32 values with it
 func (r *RNG) Float32() float32 {
 	return float32(r.Uint64()>>40) * (1.0 / (1 << 24))
 }
@@ -108,16 +110,10 @@ func (r *RNG) NormFloat64() float64 {
 }
 
 // LogNormal returns exp(mu + sigma*N(0,1)).
+//
+//lint:ignore deadcode queued for deletion with its tests (ROADMAP item 9)
 func (r *RNG) LogNormal(mu, sigma float64) float64 {
 	return math.Exp(mu + sigma*r.NormFloat64())
-}
-
-// Zipf returns an integer in [1, n] with P(k) proportional to k^-alpha,
-// using inverse-CDF sampling on a precomputed table held by the caller via
-// NewZipf for efficiency; this method is the one-shot variant for small n.
-func (r *RNG) Zipf(n int, alpha float64) int {
-	z := NewZipf(n, alpha)
-	return z.Sample(r)
 }
 
 // Zipf samples from a truncated power-law (Zipf) distribution over [1, n].
@@ -129,6 +125,8 @@ type Zipf struct {
 
 // NewZipf builds a sampler for P(k) ∝ k^-alpha, k in [1, n]. It panics if
 // n < 1 (programmer invariant, matching Intn's contract).
+//
+//lint:ignore deadcode the stats and xrand tests draw power-law samples with it
 func NewZipf(n int, alpha float64) *Zipf {
 	if n < 1 {
 		panic("xrand: Zipf with n < 1")
@@ -148,6 +146,8 @@ func NewZipf(n int, alpha float64) *Zipf {
 }
 
 // Sample draws one value in [1, n].
+//
+//lint:ignore deadcode the stats and xrand tests draw power-law samples with it
 func (z *Zipf) Sample(r *RNG) int {
 	u := r.Float64()
 	lo, hi := 0, len(z.cdf)-1
@@ -163,6 +163,8 @@ func (z *Zipf) Sample(r *RNG) int {
 }
 
 // Perm fills dst with a uniform random permutation of [0, len(dst)).
+//
+//lint:ignore deadcode queued for deletion with its tests (ROADMAP item 9)
 func (r *RNG) Perm(dst []int) {
 	for i := range dst {
 		dst[i] = i
