@@ -9,21 +9,23 @@ build:
 	$(GO) build ./...
 
 # The other lines run the codec kernel (deltafp's lane-penalty pair too),
-# FP16 conversion, little-endian element codec, cache-hit layer, warm
+# FP16 conversion, the cosmo-LUT gather and fuse kernels against their
+# portable bodies, little-endian element codec, cache-hit layer, warm
 # tenant epoch, cached loader epoch and ragged-loader (epoch, pad assembly)
 # benchmarks for one iteration each, so they keep compiling and the
 # whole-epoch path stays exercised.
 test:
 	$(GO) test ./...
-	$(GO) test -run '^$$' -bench '^(BenchmarkOpen|BenchmarkDecodeFused|BenchmarkDecodeSample|BenchmarkDecodeLanes|BenchmarkFromFloat32|BenchmarkDecodeLE)$$' -benchtime=1x ./internal/codec/lut/ ./internal/codec/deltafp/ ./internal/fp16/ ./internal/tensor/
+	$(GO) test -run '^$$' -bench '^(BenchmarkOpen|BenchmarkDecodeFused|BenchmarkDecodeSample|BenchmarkDecodeLanes|BenchmarkFromFloat32|BenchmarkLookupPlanes|BenchmarkFuseCounts|BenchmarkDecodeLE)$$' -benchtime=1x ./internal/codec/lut/ ./internal/codec/deltafp/ ./internal/fp16/ ./internal/tensor/
 	$(GO) test -run '^$$' -bench '^(BenchmarkSampleCacheGetHit|BenchmarkSampleCacheGetHitParallel|BenchmarkCacheSum|BenchmarkServeHit|BenchmarkTenantEpoch|BenchmarkRaggedEpoch|BenchmarkPadded|BenchmarkPipelineCachedEpoch)$$' -benchtime=1x ./internal/pipeline/ ./internal/dataserve/
 
 # benchmark/ is its own module, so the ./... above never reaches it.
 bench-module:
 	cd benchmark && $(GO) vet ./... && $(GO) test ./...
 
-# The portable FP16 conversion that the purego build tag forces, under the
-# codecs that call it, as hosts without F16C run it.
+# The portable FP16 conversion, cosmo-LUT gather and fuse bodies that the
+# purego build tag forces, under the codecs that call them, as hosts without
+# F16C or AVX-512 run them.
 purego:
 	$(GO) test -tags purego ./internal/fp16/... ./internal/codec/...
 

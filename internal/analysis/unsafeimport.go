@@ -10,9 +10,9 @@ import "strings"
 // other package reaches raw bytes through that view, so the aliasing it
 // creates is written, tested and reviewed in one place. Assembly belongs to
 // two packages, each holding hardware kernels beside the portable Go bodies
-// they are tested against: internal/fp16 (FP16 conversion, and the one CPU
-// probe) and internal/codec/deltafp (the lane kernel that decodes eight
-// DELTA lines at once).
+// they are tested against: internal/fp16 (FP16 conversion, the cosmo-LUT
+// gather and fuse kernels, and the one CPU probe) and internal/codec/deltafp
+// (the lane kernel that decodes eight DELTA lines at once).
 var UnsafeImport = &Analyzer{
 	Name: "unsafeimport",
 	Doc:  "allow import \"unsafe\" only in internal/tensor and assembly only in internal/fp16 and internal/codec/deltafp",

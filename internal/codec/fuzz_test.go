@@ -144,12 +144,19 @@ func FuzzDeltaFPRoundTrip(f *testing.F) {
 
 // FuzzLUTRoundTrip checks both LUT variants decode bit-identically to the
 // reference fp16.FromFloat32(OpLog1p.Apply(count)) for arbitrary particle
-// counts, and that fused and unfused agree.
+// counts, and that fused and unfused agree. Dims run 2..17, so the fused
+// decode's planes of 4..289 voxels take both of its paths: whole 16-voxel
+// blocks through the AVX-512 gather kernel where the host has it, and the
+// rest (every plane below 16 voxels, and each plane's tail) through the
+// portable body; fused tables of 4n+1..4n+3 groups end in the portable fuse
+// the same way. Under -tags purego every decode is portable.
 func FuzzLUTRoundTrip(f *testing.F) {
 	f.Add(uint64(7), uint8(2), uint16(300))
 	f.Add(uint64(0), uint8(6), uint16(2047))
+	f.Add(uint64(3), uint8(15), uint16(40))
+	f.Add(uint64(5), uint8(14), uint16(1))
 	f.Fuzz(func(t *testing.T, seed uint64, dim8 uint8, max16 uint16) {
-		dim := 2 + int(dim8)%7
+		dim := 2 + int(dim8)%16
 		maxCount := int(max16)%2048 + 1
 		n := dim * dim * dim
 		r := xrand.New(seed)

@@ -62,8 +62,8 @@ func (op Op) Apply(count int16) float32 {
 }
 
 // valueTable is fp16(op(count)) for every int16 bit pattern, indexed by
-// uint16(count).
-type valueTable [1 << 16]fp16.Bits
+// uint16(count), followed by the gather kernel's padding entry.
+type valueTable = fp16.CountTable
 
 // lazyValues is a valueTable built on first use.
 type lazyValues struct {
@@ -73,7 +73,7 @@ type lazyValues struct {
 
 func (l *lazyValues) get(op Op) *valueTable {
 	l.once.Do(func() {
-		for i := range l.t {
+		for i := range 1 << 16 {
 			l.t[i] = fp16.FromFloat32(op.Apply(int16(i)))
 		}
 	})
@@ -83,6 +83,11 @@ func (l *lazyValues) get(op Op) *valueTable {
 // valueTables holds one table per Op. They are process-wide — 128 KB each,
 // shared by every Decoder and every concurrent Open.
 var valueTables [2]lazyValues
+
+// useGather reports that Open and DecodeChunk run the whole blocks of their
+// table passes through fp16's AVX-512 kernels (fp16's CPU probe; a test
+// clears it to force the portable bodies).
+var useGather = fp16.AVX512()
 
 // values returns op's value table. op must be one of the package's
 // constants.
@@ -353,11 +358,11 @@ func (f format) Open(blob []byte) (codec.ChunkDecoder, error) {
 			// the per-count value table, one lookup per group entry.
 			vals := f.op.values()
 			s.decoded = d.getTable(ng)
-			for g := range s.decoded {
-				r := binary.LittleEndian.Uint64(s.rawTable[g*8:])
-				s.decoded[g] = uint64(vals[uint16(r)]) | uint64(vals[uint16(r>>16)])<<16 |
-					uint64(vals[uint16(r>>32)])<<32 | uint64(vals[uint16(r>>48)])<<48
+			done := 0
+			if useGather {
+				done = fp16.FuseBlocks(s.decoded, s.rawTable, vals)
 			}
+			fp16.FuseCounts(s.decoded, s.rawTable, vals, done)
 		}
 		for z := z0; z < z1; z++ {
 			if d.subOfZ[z] != -1 {
@@ -440,20 +445,16 @@ func (d *Decoder) DecodeChunk(chunk int, dst *tensor.Tensor) error {
 	vol := plane * d.dim
 	local := (chunk - s.z0) * plane
 	base := chunk * plane
-	// The z-slice's four channel planes and its keys, resliced to lengths
-	// (and plane capacities) the compiler can relate, so the loops below
-	// carry few bounds checks.
-	f := dst.F16s
-	c0 := f[base : base+plane : base+plane]
-	c1 := f[vol+base:][:len(c0):len(c0)]
-	c2 := f[2*vol+base:][:len(c0):len(c0)]
-	c3 := f[3*vol+base:][:len(c0):len(c0)]
-	keys := s.keys[local*s.keyWidth:][:len(c0)*s.keyWidth]
+	// The z-slice's four channel planes and its keys.
+	var planes [4][]fp16.Bits
+	for c := range planes {
+		planes[c] = dst.F16s[c*vol+base:][:plane:plane]
+	}
+	keys := s.keys[local*s.keyWidth:][:plane*s.keyWidth]
 	if !d.fused {
 		// Ablation path: evaluate the op per voxel, as the baseline
 		// preprocessing does.
-		planes := [4][]fp16.Bits{c0, c1, c2, c3}
-		for p := range c0 {
+		for p := range plane {
 			var k int
 			if s.keyWidth == 1 {
 				k = int(keys[p])
@@ -470,71 +471,21 @@ func (d *Decoder) DecodeChunk(chunk int, dst *tensor.Tensor) error {
 		}
 		return nil
 	}
-	// Four voxels per step: one key load, the range check on all four keys
-	// (len(table) == ngroups, so it is also the table's bounds check) before
-	// any store, then the four packed table words transposed into one word
-	// of four consecutive voxels per channel plane.
-	table := s.decoded
-	n := uint(len(table))
-	wide := s.keyWidth == 2
-	p := 0
-	for ; p+4 <= len(c0); p += 4 {
-		var k0, k1, k2, k3 uint
-		if wide {
-			w := binary.LittleEndian.Uint64(keys[2*p:])
-			k0, k1, k2, k3 = uint(w&0xFFFF), uint(w>>16&0xFFFF), uint(w>>32&0xFFFF), uint(w>>48)
-		} else {
-			w := binary.LittleEndian.Uint32(keys[p:])
-			k0, k1, k2, k3 = uint(w&0xFF), uint(w>>8&0xFF), uint(w>>16&0xFF), uint(w>>24)
-		}
-		if k0 >= n {
-			return keyError(int(k0), len(table))
-		}
-		if k1 >= n {
-			return keyError(int(k1), len(table))
-		}
-		if k2 >= n {
-			return keyError(int(k2), len(table))
-		}
-		if k3 >= n {
-			return keyError(int(k3), len(table))
-		}
-		// A 4x4 transpose of 16-bit lanes: t_v holds voxel v's channels
-		// 0..3, and channel c's word must hold voxels 0..3. First swap
-		// lanes between voxel pairs within 32-bit halves, then swap halves.
-		t0, t1, t2, t3 := table[k0], table[k1], table[k2], table[k3]
-		const lo16, lo32 = 0x0000FFFF0000FFFF, 0x00000000FFFFFFFF
-		u0 := t0&lo16 | t1&lo16<<16  // t0.0 t1.0 t0.2 t1.2
-		u1 := t0>>16&lo16 | t1&^lo16 // t0.1 t1.1 t0.3 t1.3
-		u2 := t2&lo16 | t3&lo16<<16
-		u3 := t2>>16&lo16 | t3&^lo16
-		put4(c0[p:p+4:p+4], u0&lo32|u2<<32)
-		put4(c1[p:p+4:p+4], u1&lo32|u3<<32)
-		put4(c2[p:p+4:p+4], u0>>32|u2&^lo32)
-		put4(c3[p:p+4:p+4], u1>>32|u3&^lo32)
+	// The kernel gathers the whole 16-voxel blocks up to the first one
+	// holding a bad key; the portable body does the rest and reports that
+	// key, so both paths leave the same planes behind.
+	done := 0
+	if useGather {
+		done = fp16.LookupBlocks(&planes, keys, s.keyWidth, s.decoded)
 	}
-	// Planes whose size is not a multiple of four end in a per-voxel tail.
-	for ; p < len(c0); p++ {
-		var k uint
-		if wide {
-			k = uint(binary.LittleEndian.Uint16(keys[2*p:]))
-		} else {
-			k = uint(keys[p])
+	if bad := fp16.LookupPlanes(&planes, keys, s.keyWidth, s.decoded, done); bad >= 0 {
+		k := int(keys[bad*s.keyWidth])
+		if s.keyWidth == 2 {
+			k = int(binary.LittleEndian.Uint16(keys[2*bad:]))
 		}
-		if k >= n {
-			return keyError(int(k), len(table))
-		}
-		t := table[k]
-		c0[p], c1[p], c2[p], c3[p] = fp16.Bits(t), fp16.Bits(t>>16), fp16.Bits(t>>32), fp16.Bits(t>>48)
+		return keyError(k, s.ngroups)
 	}
 	return nil
-}
-
-// put4 stores w's four 16-bit lanes, lane 0 first, into dst. The compiler
-// combines the four element stores into one 64-bit store.
-func put4(dst []fp16.Bits, w uint64) {
-	dst = dst[:4]
-	dst[0], dst[1], dst[2], dst[3] = fp16.Bits(w), fp16.Bits(w>>16), fp16.Bits(w>>32), fp16.Bits(w>>48)
 }
 
 func keyError(k, ngroups int) error {

@@ -93,7 +93,7 @@ func TestIdentityOpRoundTrip(t *testing.T) {
 func TestValueTables(t *testing.T) {
 	for _, op := range []Op{OpLog1p, OpIdentity} {
 		vals := op.values()
-		for i := range vals {
+		for i := range 1 << 16 {
 			if want := fp16.FromFloat32(op.Apply(int16(i))); vals[i] != want {
 				t.Fatalf("op %d count %d: table %#04x, direct %#04x", op, int16(i), vals[i], want)
 			}
@@ -313,6 +313,143 @@ func TestBlobStatsRecycles(t *testing.T) {
 	}
 }
 
+// decodeBoth decodes every chunk of blob with format f twice, through the
+// gather kernels (useGather as the host allows) and with the portable
+// bodies forced, into tensors pre-filled with a guard pattern. It returns
+// both outputs and each chunk's error text ("" for none), and fails unless
+// the two Opens fused identical tables.
+func decodeBoth(t *testing.T, f codec.Format, blob []byte) (out [2]*tensor.Tensor, errs [2][]string) {
+	t.Helper()
+	defer func(on bool) { useGather = on }(useGather)
+	var tables [2][][]uint64
+	for i, on := range []bool{fp16.AVX512(), false} {
+		useGather = on
+		cd, err := f.Open(blob)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, s := range cd.(*Decoder).subs {
+			tables[i] = append(tables[i], append([]uint64(nil), s.decoded...))
+		}
+		out[i] = tensor.New(tensor.F16, cd.OutputShape()...)
+		for k := range out[i].F16s {
+			out[i].F16s[k] = fp16.Bits(k*7919) | 1
+		}
+		for z := 0; z < cd.NumChunks(); z++ {
+			msg := ""
+			if err := cd.DecodeChunk(z, out[i]); err != nil {
+				msg = err.Error()
+			}
+			errs[i] = append(errs[i], msg)
+		}
+		codec.Recycle(cd)
+	}
+	if fmt.Sprint(tables[0]) != fmt.Sprint(tables[1]) {
+		t.Fatal("the fuse kernel and the portable fuse built different tables")
+	}
+	return out, errs
+}
+
+// TestGatherMatchesPortable decodes through the AVX-512 gather kernels and
+// through the portable bodies and requires identical bytes: 1- and 2-byte
+// keys, planes that are not a multiple of 16 voxels (dim 17 and 33), and a
+// z-split multi-table blob, under both fused operators.
+func TestGatherMatchesPortable(t *testing.T) {
+	t.Logf("AVX-512 kernels: %v", fp16.AVX512())
+	splitCh, splitDim := splitVolume()
+	for _, tc := range []struct {
+		name string
+		ch   [4][]int16
+		dim  int
+		kw   int
+	}{
+		{"1-byte keys, dim 17", genSampleMax(t, 17, 0, 5).Channels, 17, 1},
+		{"2-byte keys, dim 17", genSample(t, 17, 1).Channels, 17, 2},
+		{"2-byte keys, dim 33", genSample(t, 33, 2).Channels, 33, 2},
+		{"multi-table", splitCh, splitDim, 2},
+	} {
+		blob, err := Encode(tc.ch, tc.dim)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cd, err := Format().Open(blob)
+		if err != nil {
+			t.Fatal(err)
+		}
+		d := cd.(*Decoder)
+		if kw, subs := d.KeyWidth(0), d.NumSubVolumes(); kw != tc.kw || (subs > 1) != (tc.dim == splitDim) {
+			t.Fatalf("%s: blob has %d-byte keys in %d sub-volumes", tc.name, kw, subs)
+		}
+		codec.Recycle(cd)
+		for _, op := range []Op{OpLog1p, OpIdentity} {
+			out, errs := decodeBoth(t, FormatWithOp(op, true), blob)
+			if strings.Join(errs[0], "") != "" || strings.Join(errs[1], "") != "" {
+				t.Fatalf("%s: decode failed: %q / %q", tc.name, errs[0], errs[1])
+			}
+			vol := tc.dim * tc.dim * tc.dim
+			for i, h := range out[0].F16s {
+				if want := fp16.FromFloat32(op.Apply(tc.ch[i/vol][i%vol])); h != want || out[1].F16s[i] != want {
+					t.Fatalf("%s op %d: voxel %d: kernel %#04x, portable %#04x, want %#04x", tc.name, op, i, h, out[1].F16s[i], want)
+				}
+			}
+		}
+	}
+}
+
+// TestGatherBadKeyEachLane puts an out-of-range key at each of the 16
+// positions of one kernel block (a second bad key later in the block), in
+// a dim-33 plane whose 1089 voxels are 68 blocks and a one-voxel tail: the
+// kernel path must fail with the portable body's error and leave the same
+// partial planes, for both key widths.
+func TestGatherBadKeyEachLane(t *testing.T) {
+	const dim, plane, block, z = 33, 33 * 33, 20, 5
+	for _, tc := range []struct{ maxCount, kw int }{{3, 1}, {600, 2}} {
+		s := genSampleMax(t, dim, 3, tc.maxCount)
+		clean, err := Encode(s.Channels, dim)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cd, err := Format().Open(clean)
+		if err != nil {
+			t.Fatal(err)
+		}
+		d := cd.(*Decoder)
+		ng, kw, subs := d.Groups(), d.KeyWidth(0), d.NumSubVolumes()
+		codec.Recycle(cd)
+		if subs != 1 || kw != tc.kw || ng > 1<<(8*kw)-2 {
+			t.Fatalf("blob has %d sub-volumes, %d groups for %d-byte keys", subs, ng, kw)
+		}
+		keyStart := len(clean) - dim*plane*kw
+		setKey := func(blob []byte, voxel, k int) {
+			if kw == 1 {
+				blob[keyStart+voxel] = byte(k)
+			} else {
+				binary.LittleEndian.PutUint16(blob[keyStart+2*voxel:], uint16(k))
+			}
+		}
+		for lane := 0; lane < 16; lane++ {
+			blob := append([]byte(nil), clean...)
+			p := 16*block + lane
+			setKey(blob, z*plane+p, ng)
+			if lane < 15 {
+				setKey(blob, z*plane+p+1+(15-lane)/2, ng+1)
+			}
+			out, errs := decodeBoth(t, Format(), blob)
+			want := fmt.Sprintf("lut: key %d out of table (%d groups)", ng, ng)
+			for ch, msg := range errs[0] {
+				if msg != errs[1][ch] || (ch == z) != (msg == want) {
+					t.Fatalf("kw %d lane %d chunk %d: kernel error %q, portable %q, want %q at chunk %d", kw, lane, ch, msg, errs[1][ch], want, z)
+				}
+			}
+			for i, h := range out[0].F16s {
+				if h != out[1].F16s[i] {
+					t.Fatalf("kw %d lane %d: element %d: kernel %#04x, portable %#04x", kw, lane, i, h, out[1].F16s[i])
+				}
+			}
+		}
+	}
+}
+
 func TestOneByteKeys(t *testing.T) {
 	// A tiny low-diversity volume should fit in 256 groups and use 1-byte keys.
 	dim := 8
@@ -464,6 +601,45 @@ func TestOpenRejectsGarbage(t *testing.T) {
 	// Trailing junk.
 	if _, err := Format().Open(append(append([]byte(nil), blob...), 0xFF)); err == nil {
 		t.Error("trailing bytes accepted")
+	}
+	if _, err := FormatWithOp(Op(7), true).Open(blob); err == nil || !strings.Contains(err.Error(), "unknown op") {
+		t.Errorf("unknown operator: %v", err)
+	}
+	// Hand-framed blobs of dim 2, one zero-key plane per z-slice of each
+	// sub-volume: each breaks one framing rule and must fail with it.
+	type subHdr struct{ z0, z1, kw, ng int }
+	frame := func(dim, nsub int, subs ...subHdr) []byte {
+		b := binary.LittleEndian.AppendUint32(nil, blobMagic)
+		b = binary.LittleEndian.AppendUint32(b, uint32(dim))
+		b = binary.LittleEndian.AppendUint32(b, uint32(nsub))
+		for _, h := range subs {
+			b = binary.LittleEndian.AppendUint32(b, uint32(h.z0))
+			b = binary.LittleEndian.AppendUint32(b, uint32(h.z1))
+			b = append(b, byte(h.kw))
+			b = binary.LittleEndian.AppendUint32(b, uint32(h.ng))
+			b = append(b, make([]byte, 8*h.ng+max(h.z1-h.z0, 0)*dim*dim*h.kw)...)
+		}
+		return b
+	}
+	for _, tc := range []struct {
+		blob []byte
+		want string
+	}{
+		{frame(2, 0), "invalid header"},
+		{frame(2, 3, subHdr{0, 2, 1, 1}), "invalid header"},
+		{frame(2, 2, subHdr{0, 2, 1, 1}), "truncated sub-volume header"},
+		{frame(2, 1, subHdr{0, 2, 3, 1}), "invalid sub-volume"},
+		{frame(2, 1, subHdr{1, 1, 1, 1}), "invalid sub-volume"},
+		{frame(2, 1, subHdr{0, 2, 1, 257}), "1-byte keys with >256 groups"},
+		{frame(2, 2, subHdr{0, 1, 1, 1}, subHdr{0, 1, 1, 1}), "overlapping sub-volumes at z=0"},
+		{frame(2, 1, subHdr{0, 1, 1, 1}), "z=1 not covered"},
+	} {
+		if _, err := Format().Open(tc.blob); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%d-byte blob: error %v, want %q", len(tc.blob), err, tc.want)
+		}
+	}
+	if _, err := Format().Open(frame(2, 2, subHdr{0, 1, 1, 1}, subHdr{1, 2, 2, 3})); err != nil {
+		t.Errorf("well-framed two-table blob rejected: %v", err)
 	}
 }
 

@@ -15,9 +15,19 @@ var useAVX2 = useF16C && hasAVX2()
 func hasAVX2() bool
 
 // AVX2 reports whether kernels may use AVX2 and F16C: the CPU has both and
-// the OS saves the YMM registers. It is the one CPU probe the module's
-// assembly kernels consult.
+// the OS saves the YMM registers. It and AVX512 are the one CPU probe the
+// module's assembly kernels consult.
 func AVX2() bool { return useAVX2 }
+
+// useAVX512 reports that, on top of useAVX2, the CPU runs AVX-512 F and BW
+// and the OS saves the opmask and ZMM registers.
+var useAVX512 = useAVX2 && hasAVX512()
+
+func hasAVX512() bool
+
+// AVX512 reports whether kernels may use AVX-512 F and BW on top of AVX2:
+// the gather kernels (LookupBlocks, FuseBlocks) run only then.
+func AVX512() bool { return useAVX512 }
 
 // fromSliceF16C is FromSlice in hardware. VCVTPS2PH rounds to nearest even,
 // saturates to Inf, keeps signed zeros and subnormals, and quiets NaNs

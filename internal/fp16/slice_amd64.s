@@ -82,3 +82,32 @@ loop1:
 done:
 	VZEROUPPER
 	RET
+
+// func hasAVX512() bool
+//
+// CPUID leaf 7 (subleaf 0) must report AVX512F (EBX bit 16) and AVX512BW
+// (EBX bit 30), and XCR0 must show the OS saving the opmask, ZMM_Hi256 and
+// Hi16_ZMM state (bits 5-7) besides XMM and YMM (bits 1-2). Leaf 1's
+// OSXSAVE bit, which XGETBV needs, is hasF16C's check.
+TEXT ·hasAVX512(SB), NOSPLIT, $0-1
+	XORL AX, AX
+	CPUID
+	CMPL AX, $7
+	JB   noavx512
+	MOVL $7, AX
+	XORL CX, CX
+	CPUID
+	ANDL $0x40010000, BX
+	CMPL BX, $0x40010000
+	JNE  noavx512
+	XORL CX, CX
+	XGETBV
+	ANDL $0xE6, AX
+	CMPL AX, $0xE6
+	JNE  noavx512
+	MOVB $1, ret+0(FP)
+	RET
+
+noavx512:
+	MOVB $0, ret+0(FP)
+	RET

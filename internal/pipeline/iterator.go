@@ -1,10 +1,8 @@
 package pipeline
 
 import (
-	"errors"
 	"sync"
 
-	"scipp/internal/fault"
 	"scipp/internal/obs"
 	"scipp/internal/trace"
 )
@@ -84,32 +82,28 @@ func (ob iterObs) noteError(err error) {
 // Next is safe for concurrent callers; each call returns a distinct batch.
 type Iterator struct {
 	loader *Loader
-	order  []int
-	clock  trace.Clock
-	ob     iterObs
-	sup    *StageSupervisor
+	// es is the machinery the epoch runs on, borrowed from the Loader
+	// (see epochState). Next hands it back once it takes the last
+	// scheduled position or sees the epoch torn down, and sets es to nil;
+	// order lies in es's memory and is not read after that either.
+	es    *epochState
+	order []int
+	clock trace.Clock
+	ob    iterObs
 
-	// abort tears the DAG down on Close; done closes once Next took the
-	// last scheduled position, and the workers exit on it. readq feeds the
-	// head stage — admissions, retries and watchdog re-admissions alike —
-	// and completions carries terminal outcomes to Next in completion
-	// order. Each holds Prefetch runs: every run carries at least one of
-	// the at most Prefetch samples in flight, so no send into either waits.
-	abort       chan struct{}
-	stopOnce    sync.Once
-	done        chan struct{}
-	readq       chan *run[item[struct{}]]
-	completions chan *run[outcome]
+	// stop closes once Next took the last scheduled position, or on Close:
+	// the workers exit on it, and it is every stage send's abort escape.
+	stop     chan struct{}
+	stopOnce sync.Once
 	// runLen is the admission unit; window, a whole number of runs, is the
 	// span of schedule positions admitted ahead of the next one taken.
 	runLen, window int
 
-	// mu serializes Next. ring is the reorder buffer: seq's outcome waits
+	// mu serializes Next. The reorder ring is es.ring: seq's outcome waits
 	// in ring[seq%Prefetch] until next reaches it — a slot that is free,
 	// because every pending seq lies in [next, next+window). ready counts
 	// the filled slots.
 	mu    sync.Mutex
-	ring  []pendingSlot
 	next  int
 	ready int
 
@@ -142,136 +136,14 @@ func (it *Iterator) fatalError() error {
 	return it.fatalErr
 }
 
-// start launches the epoch's stage workers:
-//
-//	Epoch, Next ──admit──▶ read/cache ──▶ decode ──▶ [augment] ──▶ completions ──▶ Next
-//	                         ▲ │             │           │
-//	                         └─┴─────────────┴───────────┘ failures, judged by their worker:
-//	                            transient: back to read; terminal: to completions
-//
-// Each stage is a bounded worker pool; every send is abort-guarded. Samples
-// travel in runs of it.runLen (see run): Epoch admits the first
-// Prefetch/runLen runs and Next admits one more each time it takes a run's
-// last position, so at most Prefetch samples are in flight; the queues
-// between stages hold ceil(Prefetch/runLen) runs. The worker whose attempt
-// failed judges it (hop.fail): a transient failure with retry budget left
-// re-enters the read stage as a run of one (re-reading the sample, so
-// fault-injector access counts match the monolithic loader); an exhausted
-// or permanent one goes to completions as a terminal outcome and occupies
-// its schedule position.
-func (it *Iterator) start() {
-	l := it.loader
-	cfg := l.cfg
-	runs := &l.runs
-	depth := (cfg.Prefetch + it.runLen - 1) / it.runLen
-	sup := it.sup
-	readq, completions, abort, done := it.readq, it.completions, it.abort, it.done
-	decodeq := make(chan *run[item[rawSample]], depth)
-
-	// Supervisor wiring: terminal aborts surface through Next; abandoned
-	// (stalled) samples re-enter the head stage at a fresh generation with a
-	// reset attempt count — the wedge was the stage's fault, not the
-	// sample's, so its retry budget survives intact.
-	sup.fatalFn = it.fatal
-	sup.onPanic = it.notePanicked
-	sup.onStall = it.noteStalled
-	sup.readmit = func(seq, index, attempt, gen int) bool {
-		return sendItem(readq, runs.ticks.one(item[struct{}]{seq: seq, index: index, attempt: attempt, gen: gen}), abort)
-	}
-	// Queue probes feed the stall snapshot, so only a watched DAG (one
-	// with a stall deadline) registers them.
-	if !sup.passive {
-		sup.probe("read", func() int { return len(readq) })
-		sup.probe("decode", func() int { return len(decodeq) })
-		sup.probe("completion", func() int { return len(completions) })
-	}
-
-	// toOutcome hands a decoded run to Next as a run of outcomes.
-	toOutcome := func(r *run[item[decodedSample]]) bool {
-		o := runs.outs.get()
-		for _, v := range r.items {
-			o.items = append(o.items, outcome{seq: v.seq, index: v.index, data: v.val.data, label: v.val.label})
-		}
-		runs.dec.put(r)
-		return sendItem(completions, o, abort)
-	}
-	// discardDecoded recycles the pooled tensor of an abandoned attempt's
-	// decoded output — the re-admitted generation decodes into a fresh one.
-	discardDecoded := func(v decodedSample) { l.pool.PutTensor(v.data) }
-	// fail is every stage's retry judgement: transient failures with retry
-	// budget left re-enter the read stage (after their backoff elapses on
-	// the iterator's clock); everything else is terminal.
-	pol := cfg.Resilience
-	fail := func(f failure) bool {
-		it.ob.noteError(f.err)
-		if errors.Is(f.err, fault.Transient) && f.attempt < pol.MaxRetries {
-			it.noteRetried()
-			retry := runs.ticks.one(item[struct{}]{seq: f.seq, index: f.index, attempt: f.attempt + 1, gen: f.gen})
-			if s, ok := it.clock.(trace.Sleeper); ok {
-				if delay := pol.backoff(f.attempt); delay > 0 {
-					sup.Go("retry-backoff", func() {
-						s.Sleep(delay)
-						sendItem(readq, retry, abort)
-					})
-					return true
-				}
-			}
-			return sendItem(readq, retry, abort)
-		}
-		return sendItem(completions, runs.outs.one(outcome{seq: f.seq, index: f.index, err: asSampleError(f.err, f.index)}), abort)
-	}
-
-	// Read (or cache) stage: the head, fed by admissions and retries.
-	var head Stage[struct{}, rawSample] = &ReadStage{ds: l.ds, ob: it.ob}
-	if l.cache != nil {
-		head = &CacheStage{read: &ReadStage{ds: l.ds, ob: it.ob}, cache: l.cache, ob: it.ob}
-	}
-	runPool(sup, head, cfg.Stages.ReadWorkers, hop[struct{}, rawSample]{
-		in: readq, ins: &runs.ticks, outs: &runs.raw,
-		emit: func(r *run[item[rawSample]]) bool { return sendItem(decodeq, r, abort) },
-		fail: fail,
-	}, abort, done)
-
-	// Decode stage, emitting into augment when configured, else to Next.
-	dec := &DecodeStage{
-		format: cfg.Format, plugin: cfg.Plugin, device: cfg.Device,
-		cpuWorkers: cfg.CPUWorkers, pool: l.pool, clock: it.clock,
-		timeline: cfg.Trace, tag: "decode-" + cfg.Plugin.String(), ob: it.ob,
-	}
-	emitDecoded := toOutcome
-	if cfg.Augment != nil {
-		augmentq := make(chan *run[item[decodedSample]], depth)
-		if !sup.passive {
-			sup.probe("augment", func() int { return len(augmentq) })
-		}
-		emitDecoded = func(r *run[item[decodedSample]]) bool { return sendItem(augmentq, r, abort) }
-		runPool(sup, Stage[decodedSample, decodedSample](&AugmentStage{fn: cfg.Augment, ob: it.ob}), cfg.Stages.AugmentWorkers, hop[decodedSample, decodedSample]{
-			in: augmentq, ins: &runs.dec, outs: &runs.dec,
-			emit: toOutcome, fail: fail, discard: discardDecoded,
-		}, abort, done)
-	}
-	runPool(sup, Stage[rawSample, decodedSample](dec), cfg.Stages.DecodeWorkers, hop[rawSample, decodedSample]{
-		in: decodeq, ins: &runs.raw, outs: &runs.dec,
-		emit: emitDecoded, fail: fail, discard: discardDecoded,
-	}, abort, done)
-
-	// Stall watchdog: runs only with a deadline and an alarm-capable clock
-	// (wall clocks and trace.VirtualClock both qualify).
-	if cfg.Supervise.StallDeadline > 0 {
-		if alarm, ok := it.clock.(trace.Alarm); ok {
-			sup.Go("watchdog", func() { sup.watch(alarm, abort, done) })
-		}
-	}
-}
-
 // admit sends the run of schedule positions [lo, lo+runLen) to the head
-// stage; readq has room for it (see Iterator).
+// stage; readq has room for it (see epochState).
 func (it *Iterator) admit(lo int) {
 	r := it.loader.runs.ticks.get()
 	for seq := lo; seq < min(lo+it.runLen, len(it.order)); seq++ {
 		r.items = append(r.items, item[struct{}]{seq: seq, index: it.order[seq]})
 	}
-	sendItem(it.readq, r, it.abort)
+	sendItem(it.es.readq, r, it.stop)
 }
 
 // Next returns the next batch, or (nil, nil) at the end of the epoch.
@@ -341,28 +213,31 @@ func (it *Iterator) Next() (*Batch, error) {
 // take returns the outcome at schedule position next, receiving completed
 // runs into the ring until it arrives, under one prefetch_wait span. Taking
 // a run's last position admits the run window positions ahead; taking the
-// epoch's last position closes done. ok is false at the end of the epoch
-// and once the epoch was torn down. The caller holds mu.
+// epoch's last position closes stop. ok is false at the end of the epoch
+// and once the epoch was torn down; either way the iterator has released
+// its epoch state. The caller holds mu.
 func (it *Iterator) take() (outcome, bool) {
-	if it.next == len(it.order) {
+	es := it.es
+	if es == nil {
 		return outcome{}, false
 	}
 	it.ob.queueDepth.Set(float64(it.ready))
 	wsp := it.ob.prefetchWait.Start()
-	slot := &it.ring[it.next%len(it.ring)]
+	slot := &es.ring[it.next%len(es.ring)]
 	for !slot.ok {
 		var r *run[outcome]
 		select {
-		case r = <-it.completions:
-		case <-it.abort:
+		case r = <-es.completions:
+		case <-it.stop:
 			wsp.End()
+			it.release()
 			return outcome{}, false
 		}
 		for _, o := range r.items {
 			// A taken or filled position means a duplicate — impossible
 			// while the supervisor's exactly-one-emit-per-seq invariant
 			// holds, but dropped rather than miscounted if it ever breaks.
-			s := &it.ring[o.seq%len(it.ring)]
+			s := &es.ring[o.seq%len(es.ring)]
 			if o.seq < it.next || s.ok {
 				continue
 			}
@@ -377,18 +252,31 @@ func (it *Iterator) take() (outcome, bool) {
 	it.ready--
 	it.next++
 	if it.next == len(it.order) {
-		close(it.done)
+		it.Close()
+		it.release()
 	} else if lo := it.next - it.runLen + it.window; it.next%it.runLen == 0 && lo < len(it.order) {
 		it.admit(lo)
 	}
 	return o, true
 }
 
-// Close abandons the epoch: the abort channel tears down every stage pool
-// and wakes a Next blocked on completions. Safe to call repeatedly and
+// release empties the reorder ring, whose outcomes hold sample tensors
+// only a torn-down epoch leaves there, and gives up the iterator's hold on
+// the epoch state (see epochState); the iterator does not touch the state
+// afterwards. The caller holds mu, or is Epoch.
+func (it *Iterator) release() {
+	if es := it.es; es != nil {
+		it.es, it.order = nil, nil
+		clear(es.ring)
+		es.sup.drop()
+	}
+}
+
+// Close abandons the epoch: closing stop tears down every stage pool and
+// wakes a Next blocked on completions. Safe to call repeatedly and
 // concurrently with Next.
 func (it *Iterator) Close() {
-	it.stopOnce.Do(func() { close(it.abort) })
+	it.stopOnce.Do(func() { close(it.stop) })
 }
 
 // Drain runs the full epoch, releasing each batch back to the slab pool,

@@ -28,6 +28,7 @@ package pipeline
 import (
 	"errors"
 	"runtime"
+	"sync"
 
 	"scipp/internal/codec"
 	"scipp/internal/gpusim"
@@ -185,6 +186,10 @@ type Loader struct {
 	cache *SampleCache // nil unless cfg.Cache is enabled; shared by epochs
 	pool  *SlabPool    // recycles sample tensors and batches across epochs
 	runs  runLists     // recycles the DAG's runs across hops and epochs
+	// spare holds the epoch machinery finished epochs handed back (see
+	// epochState); Epoch takes from it before building its own.
+	spareMu sync.Mutex
+	spare   []*epochState
 }
 
 // New validates the configuration and returns a Loader.
@@ -232,48 +237,52 @@ func (l *Loader) Pool() *SlabPool { return l.pool }
 // Schedule returns the sample order for an epoch, as derived by the
 // configured Source (default: sequential, or seeded per-epoch shuffle when
 // Shuffle is set).
-func (l *Loader) Schedule(epoch int) []int {
-	src := l.cfg.Source
-	if src == nil {
-		if l.cfg.Shuffle {
-			src = &ShuffledSource{N: l.ds.Len(), Seed: l.cfg.Seed}
-		} else {
-			src = &SequentialSource{N: l.ds.Len()}
-		}
+func (l *Loader) Schedule(epoch int) []int { return l.schedule(nil, epoch) }
+
+// schedule is Schedule writing the default sources' order into buf's
+// memory when it has room; a configured Source returns its own slice.
+func (l *Loader) schedule(buf []int, epoch int) []int {
+	if l.cfg.Source != nil {
+		return l.cfg.Source.Order(epoch)
 	}
-	return src.Order(epoch)
+	order := identity(buf, l.ds.Len())
+	if l.cfg.Shuffle {
+		shuffled(order, l.cfg.Seed, epoch)
+	}
+	return order
 }
 
 // Epoch returns an iterator over the epoch's batches. It starts the stage
 // workers and admits the first Prefetch/runLen runs, so prefetch starts
 // here; call Close to release the workers early.
 func (l *Loader) Epoch(epoch int) *Iterator {
-	order := l.Schedule(epoch)
 	clock := l.cfg.Clock
 	if clock == nil {
 		clock = trace.NewWallClock()
 	}
+	es := l.takeSpare()
+	if es == nil {
+		es = l.newEpochState(clock)
+	}
 	rl := l.runLen()
 	it := &Iterator{
-		loader:      l,
-		order:       order,
-		clock:       clock,
-		ob:          newIterObs(l.cfg.Obs, clock, l.cache != nil, "decode."+l.cfg.Plugin.String(), l.cfg.Augment != nil),
-		sup:         newSupervisor(l.cfg.Supervise, clock, l.cfg.Obs),
-		abort:       make(chan struct{}),
-		done:        make(chan struct{}),
-		readq:       make(chan *run[item[struct{}]], l.cfg.Prefetch),
-		completions: make(chan *run[outcome], l.cfg.Prefetch),
-		runLen:      rl,
-		window:      l.cfg.Prefetch / rl * rl,
-		ring:        make([]pendingSlot, l.cfg.Prefetch),
+		loader: l,
+		es:     es,
+		order:  l.schedule(es.order, epoch),
+		clock:  clock,
+		ob:     newIterObs(l.cfg.Obs, clock, l.cache != nil, es.dec.Name(), l.cfg.Augment != nil),
+		stop:   make(chan struct{}),
+		runLen: rl,
+		window: l.cfg.Prefetch / rl * rl,
 	}
-	it.start()
-	for lo := 0; lo < min(it.window, len(order)); lo += rl {
+	es.reset(it)
+	es.start()
+	for lo := 0; lo < min(it.window, len(it.order)); lo += rl {
 		it.admit(lo)
 	}
-	if len(order) == 0 {
-		close(it.done) // nothing to take: the workers exit at once
+	if len(it.order) == 0 {
+		it.Close() // nothing to take: the workers exit at once
+		it.release()
 	}
 	return it
 }

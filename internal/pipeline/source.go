@@ -29,7 +29,7 @@ type SequentialSource struct {
 func (s *SequentialSource) Len() int { return s.N }
 
 // Order implements Source.
-func (s *SequentialSource) Order(int) []int { return identity(s.N) }
+func (s *SequentialSource) Order(int) []int { return identity(nil, s.N) }
 
 // ShuffledSource yields a per-epoch deterministic permutation of 0..N-1,
 // derived from (Seed, epoch) exactly as the pre-DAG loader did, so existing
@@ -46,7 +46,7 @@ func (s *ShuffledSource) Len() int { return s.N }
 
 // Order implements Source.
 func (s *ShuffledSource) Order(epoch int) []int {
-	return shuffled(identity(s.N), s.Seed, epoch)
+	return shuffled(identity(nil, s.N), s.Seed, epoch)
 }
 
 // ShardedSource yields rank's strided share of the (optionally shuffled)
@@ -91,7 +91,7 @@ func (s *ShardedSource) Order(epoch int) []int {
 	if s.World <= 0 {
 		return nil
 	}
-	order := identity(s.N)
+	order := identity(nil, s.N)
 	if s.Shuffle {
 		order = shuffled(order, s.Seed, epoch)
 	}
@@ -102,9 +102,12 @@ func (s *ShardedSource) Order(epoch int) []int {
 	return shard
 }
 
-// identity returns 0..n-1.
-func identity(n int) []int {
-	order := make([]int, n)
+// identity returns 0..n-1, in buf's memory when it has room.
+func identity(buf []int, n int) []int {
+	if cap(buf) < n {
+		buf = make([]int, n)
+	}
+	order := buf[:n]
 	for i := range order {
 		order[i] = i
 	}

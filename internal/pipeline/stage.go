@@ -157,62 +157,67 @@ type hop[In, Out any] struct {
 	discard func(Out)
 }
 
-// runPool launches the worker pool of one stage under sup. A worker takes
-// one run per channel operation, registers every member in flight with the
-// stall watchdog (admitRun), applies st to each member through
-// superviseProcess — panic recovery plus the abandonment check — and
-// collects the successes into one output run. A failed member is judged
-// alone, through h.fail. Before the output run is emitted, settleRun
-// deregisters its members and drops, through h.discard, those the watchdog
-// abandoned while this worker held them. Workers exit when the epoch aborts
-// or when done closes — done only closes once Next took every scheduled
-// position, so no worker can still hold a run by then and nothing is lost.
-//
-//scipp:hotpath
-func runPool[In, Out any](sup *StageSupervisor, st Stage[In, Out], workers int, h hop[In, Out], abort, done <-chan struct{}) {
-	name := st.Name()
+// stageWorker builds the worker body of one stage pool, fenced by the
+// supervisor and registered with it for watchdog restarts; the epoch state
+// builds it once and launches it for every epoch. A worker takes one run
+// per channel operation, registers every member in flight with the stall
+// watchdog (admitRun), applies st to each member through superviseProcess
+// — panic recovery plus the abandonment check — and collects the successes
+// into one output run. A failed member is judged alone, through h.fail.
+// Before the output run is emitted, settleRun deregisters its members and
+// drops, through h.discard, those the watchdog abandoned while this worker
+// held them. Workers exit when the epoch's stop channel closes — at the
+// end of the epoch only once Next took every scheduled position, so no
+// worker can still hold a run by then and nothing is lost.
+func stageWorker[In, Out any](es *epochState, st Stage[In, Out], h hop[In, Out]) func() {
+	sup, name := es.sup, st.Name()
 	work := func() {
+		stop := es.stop
 		for {
 			var in *run[item[In]]
 			select {
 			case in = <-h.in:
-			case <-abort:
-				return
-			case <-done:
+			case <-stop:
 				return
 			}
-			admitRun(sup, name, in)
-			out := h.outs.get()
-			for _, v := range in.items {
-				res, err, ok := superviseProcess(sup, st, name, v)
-				if !ok {
-					// Abandoned attempt: a newer generation owns this seq.
-					if err == nil && h.discard != nil {
-						h.discard(res)
-					}
-					continue
-				}
-				if err != nil {
-					if !h.fail(failure{seq: v.seq, index: v.index, attempt: v.attempt, gen: v.gen, err: err}) {
-						return
-					}
-					continue
-				}
-				out.items = append(out.items, item[Out]{seq: v.seq, index: v.index, attempt: v.attempt, gen: v.gen, val: res})
-			}
-			h.ins.put(in)
-			settleRun(sup, out, h.discard)
-			if len(out.items) == 0 {
-				h.outs.put(out)
-				continue
-			}
-			if !h.emit(out) {
+			if !runStage(sup, st, name, h, in) {
 				return
 			}
 		}
 	}
 	sup.registerWorker(name, work)
-	for w := 0; w < workers; w++ {
-		sup.Go(name, work)
+	return sup.fence(name, work)
+}
+
+// runStage is one worker step over the run in: it reports false once the
+// epoch stopped while a result was being routed.
+//
+//scipp:hotpath
+func runStage[In, Out any](sup *StageSupervisor, st Stage[In, Out], name string, h hop[In, Out], in *run[item[In]]) bool {
+	admitRun(sup, name, in)
+	out := h.outs.get()
+	for _, v := range in.items {
+		res, err, ok := superviseProcess(sup, st, name, v)
+		if !ok {
+			// Abandoned attempt: a newer generation owns this seq.
+			if err == nil && h.discard != nil {
+				h.discard(res)
+			}
+			continue
+		}
+		if err != nil {
+			if !h.fail(failure{seq: v.seq, index: v.index, attempt: v.attempt, gen: v.gen, err: err}) {
+				return false
+			}
+			continue
+		}
+		out.items = append(out.items, item[Out]{seq: v.seq, index: v.index, attempt: v.attempt, gen: v.gen, val: res})
 	}
+	h.ins.put(in)
+	settleRun(sup, out, h.discard)
+	if len(out.items) == 0 {
+		h.outs.put(out)
+		return true
+	}
+	return h.emit(out)
 }

@@ -5,6 +5,7 @@ import (
 	"runtime/debug"
 	"sort"
 	"sync"
+	"sync/atomic"
 
 	"scipp/internal/fault"
 	"scipp/internal/obs"
@@ -164,6 +165,12 @@ type StageSupervisor struct {
 	// from it.
 	since float64
 
+	// users counts the goroutines Go and launch started that are still
+	// running, plus the holds taken with hold; idle, when set, runs each
+	// time the count drops to zero (the epoch state's hand-back).
+	users atomic.Int32
+	idle  func()
+
 	mu       sync.Mutex
 	holders  int // runs admitted so far; the next run's holder id
 	inflight map[flightKey]flight
@@ -173,11 +180,11 @@ type StageSupervisor struct {
 	probes   []queueProbe
 }
 
-// newSupervisor returns a supervisor for one epoch of the DAG.
+// newSupervisor returns a supervisor for an epoch of the DAG; reset readies
+// it for each later one.
 func newSupervisor(cfg SupervisorConfig, clock trace.Clock, reg *obs.Registry) *StageSupervisor {
 	s := &StageSupervisor{
 		cfg:      cfg,
-		clock:    clock,
 		reg:      reg,
 		passive:  cfg.StallDeadline <= 0,
 		fatalFn:  func(error) {},
@@ -189,10 +196,35 @@ func newSupervisor(cfg SupervisorConfig, clock trace.Clock, reg *obs.Registry) *
 		restarts: make(map[string]int),
 		workers:  make(map[string]func()),
 	}
+	s.reset(clock)
+	return s
+}
+
+// reset starts a new epoch's books on clock: no flights, generations or
+// restarts, and the watchdog's first tick counted from now. The previous
+// epoch's goroutines must all have exited. Registered workers and queue
+// probes stay.
+func (s *StageSupervisor) reset(clock trace.Clock) {
+	s.clock = clock
+	s.holders = 0
+	clear(s.inflight)
+	clear(s.valid)
+	clear(s.restarts)
 	if !s.passive {
 		s.since = clock.Now()
 	}
-	return s
+}
+
+// hold counts one user of the supervisor's epoch besides its goroutines
+// (the iterator, until Next ends the epoch); drop ends it.
+func (s *StageSupervisor) hold() { s.users.Add(1) }
+
+// drop ends a hold, or a goroutine's run, and calls idle if it was the
+// last user.
+func (s *StageSupervisor) drop() {
+	if s.users.Add(-1) == 0 && s.idle != nil {
+		s.idle()
+	}
 }
 
 // registerWorker records how to spawn one fresh worker of a stage, so the
@@ -212,20 +244,31 @@ func (s *StageSupervisor) probe(name string, length func() int) {
 	s.mu.Unlock()
 }
 
-// Go launches fn as a supervised pipeline goroutine. A panic escaping fn is
-// machinery failure (not a stage transform crash, which superviseProcess
-// absorbs earlier): it is recovered and converted into a clean epoch abort
-// with a typed *WorkerPanicError, so a bug in the pipeline itself can never
-// wedge a training run waiting on a dead goroutine.
-func (s *StageSupervisor) Go(name string, fn func()) {
-	go func() {
+// Go launches fn as a supervised pipeline goroutine (see fence).
+func (s *StageSupervisor) Go(name string, fn func()) { s.launch(s.fence(name, fn)) }
+
+// fence wraps fn for launch. A panic escaping fn is machinery failure (not
+// a stage transform crash, which superviseProcess absorbs earlier): it is
+// recovered and converted into a clean epoch abort with a typed
+// *WorkerPanicError, so a bug in the pipeline itself can never wedge a
+// training run waiting on a dead goroutine. The goroutine's exit is a drop.
+func (s *StageSupervisor) fence(name string, fn func()) func() {
+	return func() {
+		defer s.drop()
 		defer func() {
 			if r := recover(); r != nil {
 				s.fatalFn(&WorkerPanicError{Stage: name, Index: -1, Value: r, Stack: string(debug.Stack())})
 			}
 		}()
 		fn()
-	}()
+	}
+}
+
+// launch starts a fenced body as a goroutine counted among the users. A
+// body built once and launched every epoch costs no allocation.
+func (s *StageSupervisor) launch(fenced func()) {
+	s.users.Add(1)
+	go fenced()
 }
 
 // admitRun registers every member of a run a stage worker just received as
@@ -329,28 +372,25 @@ func (s *StageSupervisor) recovered(stage string, index int, r any) error {
 
 // watch is the stall watchdog: it scans the inflight table every half
 // deadline and routes overdue attempts per StallRestart. It exits with the
-// epoch (abort or done) and requires an Alarm-capable clock; without one
+// epoch (stop closes) and requires an Alarm-capable clock; without one
 // (or with no deadline) the caller never starts it. Each tick counts from
 // the reading taken before the previous scan (the first from s.since), not
 // from when the next alarm is armed: a virtual clock that jumps past a
 // deadline while the watchdog is between alarms brings the next scan
 // forward instead of slipping it past the jump.
-func (s *StageSupervisor) watch(alarm trace.Alarm, abort, done <-chan struct{}) {
+func (s *StageSupervisor) watch(alarm trace.Alarm, stop <-chan struct{}) {
 	tick := s.cfg.StallDeadline / 2
 	next := s.since + tick
 	for {
 		ch, cancel := alarm.After(next)
 		select {
 		case <-ch:
-		case <-abort:
-			cancel()
-			return
-		case <-done:
+		case <-stop:
 			cancel()
 			return
 		}
 		next = s.clock.Now() + tick
-		if !s.scan(abort) {
+		if !s.scan(stop) {
 			return
 		}
 	}
@@ -371,7 +411,7 @@ type stalledFlight struct {
 // generation. Over budget, or without StallRestart, the epoch aborts with a
 // *StallError naming the holder's lowest-seq member. It returns false once
 // the epoch is over (fatal raised or abort observed).
-func (s *StageSupervisor) scan(abort <-chan struct{}) bool {
+func (s *StageSupervisor) scan(stop <-chan struct{}) bool {
 	now := s.clock.Now()
 	var stalled []stalledFlight
 	var fatal *StallError
@@ -435,7 +475,7 @@ func (s *StageSupervisor) scan(abort <-chan struct{}) bool {
 		return false
 	}
 	select {
-	case <-abort:
+	case <-stop:
 		return false
 	default:
 	}

@@ -9,8 +9,8 @@ import (
 	"scipp/internal/xrand"
 )
 
-// Weather-station irregular time series: the variable-length domain of
-// ROADMAP item 4. Each sample is one station's observation record — a
+// Weather-station irregular time series: the variable-length domain.
+// Each sample is one station's observation record — a
 // [C, L] FP32 series whose length L differs per station (sensor outages,
 // staggered commissioning dates, dead stations with zero observations) —
 // which is exactly the shape irregularity MLPerf HPC reports real
