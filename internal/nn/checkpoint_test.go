@@ -2,7 +2,6 @@ package nn
 
 import (
 	"bytes"
-	"math"
 	"testing"
 
 	"scipp/internal/tensor"
@@ -80,56 +79,5 @@ func TestSaveWeightsRejectsDuplicateNames(t *testing.T) {
 	var buf bytes.Buffer
 	if err := SaveWeights(&buf, m); err == nil {
 		t.Error("duplicate parameter names accepted")
-	}
-}
-
-func TestIoU2D(t *testing.T) {
-	// 1 sample, 2 classes, 2x2: predictions argmax to [0,0;1,1],
-	// labels [0,1;1,1].
-	logits := tensor.New(tensor.F32, 1, 2, 2, 2)
-	// class-0 plane favored at pixels 0,1; class-1 plane at pixels 2,3.
-	logits.F32s[0], logits.F32s[1] = 1, 1 // c0: p0, p1
-	logits.F32s[6], logits.F32s[7] = 1, 1 // c1: p2, p3
-	labels := tensor.New(tensor.I16, 1, 2, 2)
-	labels.I16s[0], labels.I16s[1], labels.I16s[2], labels.I16s[3] = 0, 1, 1, 1
-	ious := IoU2D(logits, labels)
-	// class 0: inter {p0}, union {p0, p1} -> 0.5
-	if math.Abs(ious[0]-0.5) > 1e-12 {
-		t.Errorf("IoU class 0 = %g, want 0.5", ious[0])
-	}
-	// class 1: inter {p2,p3}, union {p1,p2,p3} -> 2/3
-	if math.Abs(ious[1]-2.0/3) > 1e-12 {
-		t.Errorf("IoU class 1 = %g, want 2/3", ious[1])
-	}
-	m := MeanIoU(ious)
-	if math.Abs(m-(0.5+2.0/3)/2) > 1e-12 {
-		t.Errorf("mean IoU = %g", m)
-	}
-}
-
-func TestIoUUndefinedClass(t *testing.T) {
-	logits := tensor.New(tensor.F32, 1, 3, 1, 1)
-	logits.F32s[0] = 1 // predicts class 0
-	labels := tensor.New(tensor.I16, 1, 1, 1)
-	ious := IoU2D(logits, labels)
-	if ious[0] != 1 {
-		t.Errorf("class 0 IoU = %g", ious[0])
-	}
-	if !math.IsNaN(ious[1]) || !math.IsNaN(ious[2]) {
-		t.Error("absent classes should be NaN")
-	}
-	if MeanIoU(ious) != 1 {
-		t.Error("mean IoU should skip NaN classes")
-	}
-	if !math.IsNaN(MeanIoU([]float64{math.NaN()})) {
-		t.Error("all-NaN mean should be NaN")
-	}
-}
-
-func TestMAE(t *testing.T) {
-	pred := tensor.FromF32([]float32{1, 2, 3, 4}, 2, 2)
-	target := tensor.FromF32([]float32{2, 2, 1, 4}, 2, 2)
-	if got := MAE(pred, target); math.Abs(got-(1+0+2+0)/4.0) > 1e-12 {
-		t.Errorf("MAE = %g", got)
 	}
 }

@@ -7,186 +7,6 @@ import (
 	"scipp/internal/xrand"
 )
 
-// DilatedConv2D is a 2D convolution with dilation (atrous convolution) —
-// the characteristic operator of DeepLabv3+ ("encoder-decoder with atrous
-// separable convolution"), which DeepCAM's model is built on. A dilation of
-// 1 is a plain convolution; dilation d samples the kernel taps d pixels
-// apart, enlarging the receptive field at constant cost.
-type DilatedConv2D struct {
-	InC, OutC, K, Stride, Pad, Dilation int
-	Weight, Bias                        *Param
-
-	x *tensor.Tensor
-}
-
-// NewDilatedConv2D builds a KxK convolution with the given dilation. It
-// panics on a non-positive config (programmer invariant: layer wiring is
-// static).
-func NewDilatedConv2D(name string, inC, outC, k, stride, pad, dilation int) *DilatedConv2D {
-	if inC <= 0 || outC <= 0 || k <= 0 || stride <= 0 || pad < 0 || dilation <= 0 {
-		panic(fmt.Sprintf("nn: bad DilatedConv2D config %d %d %d %d %d %d", inC, outC, k, stride, pad, dilation))
-	}
-	return &DilatedConv2D{
-		InC: inC, OutC: outC, K: k, Stride: stride, Pad: pad, Dilation: dilation,
-		Weight: newParam(name+".w", outC, inC, k, k),
-		Bias:   newParam(name+".b", outC),
-	}
-}
-
-// Name implements Layer.
-func (c *DilatedConv2D) Name() string { return c.Weight.Name[:len(c.Weight.Name)-2] }
-
-// Params implements Layer.
-func (c *DilatedConv2D) Params() []*Param { return []*Param{c.Weight, c.Bias} }
-
-func (c *DilatedConv2D) outDims(h, w int) (int, int) {
-	ek := (c.K-1)*c.Dilation + 1 // effective kernel extent
-	ho := (h+2*c.Pad-ek)/c.Stride + 1
-	wo := (w+2*c.Pad-ek)/c.Stride + 1
-	return ho, wo
-}
-
-// Forward implements Layer. It panics unless x is FP32 [N, InC, H, W]
-// large enough for a non-empty output (programmer invariant).
-func (c *DilatedConv2D) Forward(x *tensor.Tensor) *tensor.Tensor {
-	checkF32(x, 4, "DilatedConv2D")
-	n, cin, h, w := x.Shape[0], x.Shape[1], x.Shape[2], x.Shape[3]
-	if cin != c.InC {
-		panic(fmt.Sprintf("nn: DilatedConv2D expects %d input channels, got %d", c.InC, cin))
-	}
-	ho, wo := c.outDims(h, w)
-	if ho <= 0 || wo <= 0 {
-		panic(fmt.Sprintf("nn: DilatedConv2D output %dx%d is empty", ho, wo))
-	}
-	out := tensor.New(tensor.F32, n, c.OutC, ho, wo)
-	c.x = x
-	wgt, bias := c.Weight.W, c.Bias.W
-	d := c.Dilation
-	parallelFor(n*c.OutC, func(job int) {
-		ni, co := job/c.OutC, job%c.OutC
-		xBase := ni * cin * h * w
-		oBase := (ni*c.OutC + co) * ho * wo
-		wBase := co * cin * c.K * c.K
-		for oy := 0; oy < ho; oy++ {
-			iy0 := oy*c.Stride - c.Pad
-			for ox := 0; ox < wo; ox++ {
-				ix0 := ox*c.Stride - c.Pad
-				acc := bias[co]
-				for ci := 0; ci < cin; ci++ {
-					xC := xBase + ci*h*w
-					wC := wBase + ci*c.K*c.K
-					for ky := 0; ky < c.K; ky++ {
-						iy := iy0 + ky*d
-						if iy < 0 || iy >= h {
-							continue
-						}
-						row := xC + iy*w
-						wRow := wC + ky*c.K
-						for kx := 0; kx < c.K; kx++ {
-							ix := ix0 + kx*d
-							if ix < 0 || ix >= w {
-								continue
-							}
-							acc += x.F32s[row+ix] * wgt[wRow+kx]
-						}
-					}
-				}
-				out.F32s[oBase+oy*wo+ox] = acc
-			}
-		}
-	})
-	return out
-}
-
-// Backward implements Layer. It panics unless grad matches the forward
-// output shape (programmer invariant).
-func (c *DilatedConv2D) Backward(grad *tensor.Tensor) *tensor.Tensor {
-	x := c.x
-	n, cin, h, w := x.Shape[0], x.Shape[1], x.Shape[2], x.Shape[3]
-	ho, wo := c.outDims(h, w)
-	if !grad.Shape.Equal(tensor.Shape{n, c.OutC, ho, wo}) {
-		panic(fmt.Sprintf("nn: DilatedConv2D backward grad shape %v", grad.Shape))
-	}
-	dx := tensor.New(tensor.F32, n, cin, h, w)
-	d := c.Dilation
-
-	parallelFor(c.OutC, func(co int) {
-		wBase := co * cin * c.K * c.K
-		var db float32
-		for ni := 0; ni < n; ni++ {
-			gBase := (ni*c.OutC + co) * ho * wo
-			xBase := ni * cin * h * w
-			for oy := 0; oy < ho; oy++ {
-				iy0 := oy*c.Stride - c.Pad
-				for ox := 0; ox < wo; ox++ {
-					g := grad.F32s[gBase+oy*wo+ox]
-					if g == 0 {
-						continue
-					}
-					db += g
-					ix0 := ox*c.Stride - c.Pad
-					for ci := 0; ci < cin; ci++ {
-						xC := xBase + ci*h*w
-						wC := wBase + ci*c.K*c.K
-						for ky := 0; ky < c.K; ky++ {
-							iy := iy0 + ky*d
-							if iy < 0 || iy >= h {
-								continue
-							}
-							row := xC + iy*w
-							wRow := wC + ky*c.K
-							for kx := 0; kx < c.K; kx++ {
-								ix := ix0 + kx*d
-								if ix < 0 || ix >= w {
-									continue
-								}
-								c.Weight.G[wRow+kx] += g * x.F32s[row+ix]
-							}
-						}
-					}
-				}
-			}
-		}
-		c.Bias.G[co] += db
-	})
-
-	wgt := c.Weight.W
-	parallelFor(n*cin, func(job int) {
-		ni, ci := job/cin, job%cin
-		dxC := (ni*cin + ci) * h * w
-		for co := 0; co < c.OutC; co++ {
-			gBase := (ni*c.OutC + co) * ho * wo
-			wC := (co*cin + ci) * c.K * c.K
-			for oy := 0; oy < ho; oy++ {
-				iy0 := oy*c.Stride - c.Pad
-				for ox := 0; ox < wo; ox++ {
-					g := grad.F32s[gBase+oy*wo+ox]
-					if g == 0 {
-						continue
-					}
-					ix0 := ox*c.Stride - c.Pad
-					for ky := 0; ky < c.K; ky++ {
-						iy := iy0 + ky*d
-						if iy < 0 || iy >= h {
-							continue
-						}
-						row := dxC + iy*w
-						wRow := wC + ky*c.K
-						for kx := 0; kx < c.K; kx++ {
-							ix := ix0 + kx*d
-							if ix < 0 || ix >= w {
-								continue
-							}
-							dx.F32s[row+ix] += g * wgt[wRow+kx]
-						}
-					}
-				}
-			}
-		}
-	})
-	return dx
-}
-
 // Dropout randomly zeroes activations during training — the "random weight
 // drop-offs" the paper lists among CosmoFlow's run-to-run variability
 // sources (§VIII-A). Deterministic given the seed sequence; a Dropout with

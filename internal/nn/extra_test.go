@@ -160,3 +160,19 @@ func TestLeakyReLUForward(t *testing.T) {
 	}()
 	NewLeakyReLU(1)
 }
+
+func TestConvRejectsInputSmallerThanKernel(t *testing.T) {
+	// A 3-tap stride-2 kernel over a 2x2 unpadded input has no position:
+	// truncating division once rounded its extent up to a 1x1 output.
+	x := tensor.New(tensor.F32, 1, 1, 2, 2)
+	for _, c := range []Layer{NewConv2D("c", 1, 1, 3, 2, 0), NewDilatedConv2D("d", 1, 1, 2, 3, 0, 3)} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s: empty output accepted", c.Name())
+				}
+			}()
+			c.Forward(x)
+		}()
+	}
+}

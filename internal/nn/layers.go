@@ -2,7 +2,6 @@ package nn
 
 import (
 	"fmt"
-	"math"
 
 	"scipp/internal/tensor"
 )
@@ -137,184 +136,6 @@ func (r *ReLU) Backward(grad *tensor.Tensor) *tensor.Tensor {
 		if r.mask[i] {
 			dx.F32s[i] = g
 		}
-	}
-	return dx
-}
-
-// Tanh is the hyperbolic-tangent activation.
-type Tanh struct {
-	y []float32
-}
-
-// NewTanh returns a Tanh layer.
-//
-//lint:ignore deadcode queued for deletion with its tests (ROADMAP item 9)
-func NewTanh() *Tanh { return &Tanh{} }
-
-// Name implements Layer.
-func (t *Tanh) Name() string { return "tanh" }
-
-// Params implements Layer.
-func (t *Tanh) Params() []*Param { return nil }
-
-// Forward implements Layer.
-func (t *Tanh) Forward(x *tensor.Tensor) *tensor.Tensor {
-	out := tensor.New(tensor.F32, x.Shape...)
-	if cap(t.y) < len(x.F32s) {
-		t.y = make([]float32, len(x.F32s))
-	}
-	t.y = t.y[:len(x.F32s)]
-	for i, v := range x.F32s {
-		y := float32(math.Tanh(float64(v)))
-		out.F32s[i] = y
-		t.y[i] = y
-	}
-	return out
-}
-
-// Backward implements Layer.
-func (t *Tanh) Backward(grad *tensor.Tensor) *tensor.Tensor {
-	dx := tensor.New(tensor.F32, grad.Shape...)
-	for i, g := range grad.F32s {
-		dx.F32s[i] = g * (1 - t.y[i]*t.y[i])
-	}
-	return dx
-}
-
-// MaxPool2D is 2x2 (or KxK) max pooling with stride K over [N, C, H, W].
-type MaxPool2D struct {
-	K    int
-	arg  []int
-	inSh tensor.Shape
-}
-
-// NewMaxPool2D returns a KxK/stride-K max-pool layer. It panics if k <= 0
-// (programmer invariant).
-func NewMaxPool2D(k int) *MaxPool2D {
-	if k <= 0 {
-		panic("nn: bad MaxPool2D k")
-	}
-	return &MaxPool2D{K: k}
-}
-
-// Name implements Layer.
-func (m *MaxPool2D) Name() string { return "maxpool2d" }
-
-// Params implements Layer.
-func (m *MaxPool2D) Params() []*Param { return nil }
-
-// Forward implements Layer.
-func (m *MaxPool2D) Forward(x *tensor.Tensor) *tensor.Tensor {
-	checkF32(x, 4, "MaxPool2D")
-	n, c, h, w := x.Shape[0], x.Shape[1], x.Shape[2], x.Shape[3]
-	ho, wo := h/m.K, w/m.K
-	out := tensor.New(tensor.F32, n, c, ho, wo)
-	m.inSh = x.Shape.Clone()
-	if cap(m.arg) < out.Elems() {
-		m.arg = make([]int, out.Elems())
-	}
-	m.arg = m.arg[:out.Elems()]
-	parallelFor(n*c, func(job int) {
-		base := job * h * w
-		oBase := job * ho * wo
-		for oy := 0; oy < ho; oy++ {
-			for ox := 0; ox < wo; ox++ {
-				best := float32(math.Inf(-1))
-				bestIdx := -1
-				for ky := 0; ky < m.K; ky++ {
-					for kx := 0; kx < m.K; kx++ {
-						idx := base + (oy*m.K+ky)*w + ox*m.K + kx
-						if v := x.F32s[idx]; v > best {
-							best = v
-							bestIdx = idx
-						}
-					}
-				}
-				o := oBase + oy*wo + ox
-				out.F32s[o] = best
-				m.arg[o] = bestIdx
-			}
-		}
-	})
-	return out
-}
-
-// Backward implements Layer.
-func (m *MaxPool2D) Backward(grad *tensor.Tensor) *tensor.Tensor {
-	dx := tensor.New(tensor.F32, m.inSh...)
-	for o, g := range grad.F32s {
-		dx.F32s[m.arg[o]] += g
-	}
-	return dx
-}
-
-// MaxPool3D is KxKxK/stride-K max pooling over [N, C, D, H, W].
-type MaxPool3D struct {
-	K    int
-	arg  []int
-	inSh tensor.Shape
-}
-
-// NewMaxPool3D returns a KxKxK/stride-K max-pool layer. It panics if k <= 0
-// (programmer invariant).
-func NewMaxPool3D(k int) *MaxPool3D {
-	if k <= 0 {
-		panic("nn: bad MaxPool3D k")
-	}
-	return &MaxPool3D{K: k}
-}
-
-// Name implements Layer.
-func (m *MaxPool3D) Name() string { return "maxpool3d" }
-
-// Params implements Layer.
-func (m *MaxPool3D) Params() []*Param { return nil }
-
-// Forward implements Layer.
-func (m *MaxPool3D) Forward(x *tensor.Tensor) *tensor.Tensor {
-	checkF32(x, 5, "MaxPool3D")
-	n, c, d, h, w := x.Shape[0], x.Shape[1], x.Shape[2], x.Shape[3], x.Shape[4]
-	do, ho, wo := d/m.K, h/m.K, w/m.K
-	out := tensor.New(tensor.F32, n, c, do, ho, wo)
-	m.inSh = x.Shape.Clone()
-	if cap(m.arg) < out.Elems() {
-		m.arg = make([]int, out.Elems())
-	}
-	m.arg = m.arg[:out.Elems()]
-	parallelFor(n*c, func(job int) {
-		base := job * d * h * w
-		oBase := job * do * ho * wo
-		for oz := 0; oz < do; oz++ {
-			for oy := 0; oy < ho; oy++ {
-				for ox := 0; ox < wo; ox++ {
-					best := float32(math.Inf(-1))
-					bestIdx := -1
-					for kz := 0; kz < m.K; kz++ {
-						for ky := 0; ky < m.K; ky++ {
-							for kx := 0; kx < m.K; kx++ {
-								idx := base + ((oz*m.K+kz)*h+oy*m.K+ky)*w + ox*m.K + kx
-								if v := x.F32s[idx]; v > best {
-									best = v
-									bestIdx = idx
-								}
-							}
-						}
-					}
-					o := oBase + (oz*ho+oy)*wo + ox
-					out.F32s[o] = best
-					m.arg[o] = bestIdx
-				}
-			}
-		}
-	})
-	return out
-}
-
-// Backward implements Layer.
-func (m *MaxPool3D) Backward(grad *tensor.Tensor) *tensor.Tensor {
-	dx := tensor.New(tensor.F32, m.inSh...)
-	for o, g := range grad.F32s {
-		dx.F32s[m.arg[o]] += g
 	}
 	return dx
 }

@@ -81,28 +81,3 @@ func SoftmaxCrossEntropy2D(logits *tensor.Tensor, labels *tensor.Tensor) (float6
 	}
 	return total / float64(pixels), grad
 }
-
-// Accuracy2D returns the fraction of pixels whose argmax class matches the
-// label.
-//
-//lint:ignore deadcode queued for deletion with its tests (ROADMAP item 9)
-func Accuracy2D(logits, labels *tensor.Tensor) float64 {
-	n, k, h, w := logits.Shape[0], logits.Shape[1], logits.Shape[2], logits.Shape[3]
-	plane := h * w
-	correct := 0
-	for ni := 0; ni < n; ni++ {
-		base := ni * k * plane
-		for p := 0; p < plane; p++ {
-			best, bestC := float32(math.Inf(-1)), 0
-			for c := 0; c < k; c++ {
-				if v := logits.F32s[base+c*plane+p]; v > best {
-					best, bestC = v, c
-				}
-			}
-			if int16(bestC) == labels.I16s[ni*plane+p] {
-				correct++
-			}
-		}
-	}
-	return float64(correct) / float64(n*plane)
-}

@@ -122,12 +122,6 @@ func TestReLUGradients(t *testing.T) {
 	checkLayerGradients(t, NewReLU(), x, 1e-2)
 }
 
-func TestTanhGradients(t *testing.T) {
-	r := xrand.New(7)
-	x := randTensor(r, 2, 10)
-	checkLayerGradients(t, NewTanh(), x, 1e-2)
-}
-
 func TestMaxPool2DGradients(t *testing.T) {
 	r := xrand.New(8)
 	x := randTensor(r, 2, 2, 6, 6)
@@ -233,28 +227,6 @@ func TestSoftmaxCEGradientNumeric(t *testing.T) {
 		if math.Abs(float64(grad.F32s[i])-num) > 1e-3 {
 			t.Errorf("CE grad[%d] = %g, numeric %g", i, grad.F32s[i], num)
 		}
-	}
-}
-
-func TestAccuracy2D(t *testing.T) {
-	logits := tensor.New(tensor.F32, 1, 2, 1, 2)
-	// pixel 0: class 1 wins; pixel 1: class 0 wins.
-	logits.F32s[0], logits.F32s[2] = 0, 1 // class 0 plane
-	logits.F32s[1], logits.F32s[3] = 2, 0 // wait: plane layout [C, H, W]
-	labels := tensor.New(tensor.I16, 1, 1, 2)
-	labels.I16s[0] = 1
-	labels.I16s[1] = 0
-	// plane size = 2. class0 plane = [0, 1], class1 plane = [2, 0]... see below
-	logits.F32s[0] = 0.0 // c0 p0
-	logits.F32s[1] = 1.0 // c0 p1
-	logits.F32s[2] = 2.0 // c1 p0
-	logits.F32s[3] = 0.0 // c1 p1
-	if acc := Accuracy2D(logits, labels); acc != 1.0 {
-		t.Errorf("accuracy = %g, want 1", acc)
-	}
-	labels.I16s[0] = 0
-	if acc := Accuracy2D(logits, labels); acc != 0.5 {
-		t.Errorf("accuracy = %g, want 0.5", acc)
 	}
 }
 
