@@ -9,25 +9,27 @@ build:
 	$(GO) build ./...
 
 # The other lines run the codec kernel (deltafp's lane-penalty pair too),
-# FP16 conversion, the cosmo-LUT gather and fuse kernels against their
-# portable bodies, little-endian element codec, training convolution and
+# FP16 conversion, the cosmo-LUT gather and fuse kernels and the cache's
+# CRC-pair kernel against their portable bodies, little-endian element
+# codec, training convolution and
 # max-pool, cache-hit layer, warm tenant epoch, cached loader epoch and
 # ragged-loader (epoch, pad assembly) benchmarks for one iteration each, so
 # they keep compiling and the whole-epoch path stays exercised.
 test:
 	$(GO) test ./...
-	$(GO) test -run '^$$' -bench '^(BenchmarkOpen|BenchmarkDecodeFused|BenchmarkDecodeSample|BenchmarkDecodeLanes|BenchmarkFromFloat32|BenchmarkLookupPlanes|BenchmarkFuseCounts|BenchmarkDecodeLE|BenchmarkConv|BenchmarkMaxPool)$$' -benchtime=1x ./internal/codec/lut/ ./internal/codec/deltafp/ ./internal/fp16/ ./internal/tensor/ ./internal/nn/
+	$(GO) test -run '^$$' -bench '^(BenchmarkOpen|BenchmarkDecodeFused|BenchmarkDecodeSample|BenchmarkDecodeLanes|BenchmarkFromFloat32|BenchmarkLookupPlanes|BenchmarkFuseCounts|BenchmarkCRCPair|BenchmarkDecodeLE|BenchmarkConv|BenchmarkMaxPool)$$' -benchtime=1x ./internal/codec/lut/ ./internal/codec/deltafp/ ./internal/fp16/ ./internal/tensor/ ./internal/nn/
 	$(GO) test -run '^$$' -bench '^(BenchmarkSampleCacheGetHit|BenchmarkSampleCacheGetHitParallel|BenchmarkCacheSum|BenchmarkServeHit|BenchmarkTenantEpoch|BenchmarkRaggedEpoch|BenchmarkPadded|BenchmarkPipelineCachedEpoch)$$' -benchtime=1x ./internal/pipeline/ ./internal/dataserve/
 
 # benchmark/ is its own module, so the ./... above never reaches it.
 bench-module:
 	cd benchmark && $(GO) vet ./... && $(GO) test ./...
 
-# The portable FP16 conversion, cosmo-LUT gather and fuse bodies that the
-# purego build tag forces, under the codecs that call them, as hosts without
-# F16C or AVX-512 run them.
+# The portable FP16 conversion, cosmo-LUT gather and fuse, and CRC-pair
+# bodies that the purego build tag forces, under the codecs, the sample
+# cache and the data service that call them, as hosts without F16C, AVX-512
+# or VPCLMULQDQ run them.
 purego:
-	$(GO) test -tags purego ./internal/fp16/... ./internal/codec/...
+	$(GO) test -tags purego ./internal/fp16/... ./internal/codec/... ./internal/pipeline/ ./internal/dataserve/
 
 # Race-detector pass over the concurrent subsystems (staged pipeline DAG
 # and its sample cache, multi-tenant data service, ring allreduce,
@@ -87,6 +89,7 @@ fuzz:
 	done
 	$(GO) test -run=NONE -fuzz='^FuzzDeltaKernel$$' -fuzztime=$(FUZZTIME) ./internal/codec/deltafp/
 	$(GO) test -run=NONE -fuzz='^FuzzFromFloat32$$' -fuzztime=$(FUZZTIME) ./internal/fp16/
+	$(GO) test -run=NONE -fuzz='^FuzzCRCPair$$' -fuzztime=$(FUZZTIME) ./internal/fp16/
 	$(GO) test -run=NONE -fuzz='^FuzzDecodeLE$$' -fuzztime=$(FUZZTIME) ./internal/tensor/
 	$(GO) test -run=NONE -fuzz='^FuzzCacheIntegrity$$' -fuzztime=$(FUZZTIME) ./internal/pipeline/
 	$(GO) test -run=NONE -fuzz='^FuzzSampleCacheModel$$' -fuzztime=$(FUZZTIME) ./internal/pipeline/

@@ -11,8 +11,9 @@ import "strings"
 // creates is written, tested and reviewed in one place. Assembly belongs to
 // two packages, each holding hardware kernels beside the portable Go bodies
 // they are tested against: internal/fp16 (FP16 conversion, the cosmo-LUT
-// gather and fuse kernels, and the one CPU probe) and internal/codec/deltafp
-// (the lane kernel that decodes eight DELTA lines at once).
+// gather and fuse kernels, the sample cache's CRC-pair folding kernel, and
+// the one CPU probe) and internal/codec/deltafp (the lane kernel that
+// decodes eight DELTA lines at once).
 var UnsafeImport = &Analyzer{
 	Name: "unsafeimport",
 	Doc:  "allow import \"unsafe\" only in internal/tensor and assembly only in internal/fp16 and internal/codec/deltafp",

@@ -434,13 +434,16 @@ func (s *Service) process(r request) {
 // consumer: an iterator has at most Inflight requests outstanding, and
 // completions holds Inflight outcomes.
 func (s *Service) deliver(it *Iterator, o outcome) {
+	// Read once, before the send: once the consumer has taken o it may end
+	// the epoch and hand completions to the tenant's next one.
+	completions := it.completions
 	select {
-	case it.completions <- o:
+	case completions <- o:
 		// An empty buffer after the send means a consumer blocked in Next
 		// took o directly. The runtime queues that consumer behind this
 		// worker, which would run on through its next requests first;
 		// yield so the consumer's wait ends now.
-		if len(it.completions) == 0 {
+		if len(completions) == 0 {
 			runtime.Gosched()
 		}
 	case <-it.abort:

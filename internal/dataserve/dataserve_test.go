@@ -688,3 +688,27 @@ func TestHotIndexQuarantineRace(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestFetchRefusesMisfitResident takes TestMaterializeRefusesMisfitResident's
+// case through the service: once an epoch has learned and admitted every
+// sample, a resident two bytes short, put around the service, ends the next
+// epoch with the misfit error instead of a half-filled tensor.
+func TestFetchRefusesMisfitResident(t *testing.T) {
+	svc := newService(t, buildDataset(2, testShape), nil, dataserve.DatasetConfig{})
+	tn, err := svc.Attach(dataserve.TenantConfig{Name: "x", Dataset: "shared", Batch: 2, Inflight: 1})
+	if err != nil {
+		t.Fatalf("Attach: %v", err)
+	}
+	tenantDigest(t, tn, 1)
+	c := svc.Cache("shared")
+	blob, label, ok, _ := c.Get(0)
+	if !ok {
+		t.Fatal("sample 0 not resident after an epoch")
+	}
+	c.Put(0, blob[:len(blob)-2], label)
+	it := tn.Epoch(1)
+	defer it.Close()
+	if b, err := it.Next(); err == nil || !strings.Contains(err.Error(), "cannot fill") {
+		t.Fatalf("epoch over a misfit resident: batch %v, err %v; want the misfit error", b != nil, err)
+	}
+}

@@ -182,20 +182,23 @@ func (sd *sharedDataset) fetch(it *Iterator, index int) (*tensor.Tensor, *tensor
 	for {
 		// Hit path: the shared cache verifies integrity after releasing its
 		// own lock; a quarantined resident reports a miss and re-decodes.
-		enc, label, hit, quarantined := sd.cache.Get(index)
-		sd.svc.noteCacheGet(hit, quarantined)
-		if hit && rec.known.Load() {
-			sd.mu.Lock()
-			owned := sd.owner[index] == t.name
-			sd.dedupLocked(t, index)
-			sd.mu.Unlock()
-			if owned {
-				t.to.hitsOwned.Inc()
-			} else {
-				t.to.hitsBorrowed.Inc()
+		if rec.known.Load() {
+			data, label, hit, quarantined, err := sd.hitInto(rec, index)
+			sd.svc.noteCacheGet(hit, quarantined)
+			if hit {
+				sd.noteHit(t, index)
+				return data, label, err
 			}
-			data, err := sd.materialize(rec, enc)
-			return data, label, err
+		} else {
+			enc, label, hit, quarantined := sd.cache.Get(index)
+			sd.svc.noteCacheGet(hit, quarantined)
+			if hit && rec.known.Load() {
+				// A flight learned the record between the check above
+				// and the Get.
+				sd.noteHit(t, index)
+				data, err := sd.materialize(rec, enc)
+				return data, label, err
+			}
 		}
 		sd.mu.Lock()
 		if f, ok := sd.flights[index]; ok {
@@ -245,6 +248,40 @@ func (sd *sharedDataset) fetch(it *Iterator, index int) (*tensor.Tensor, *tensor
 		return nil, nil, &SampleError{Dataset: sd.name, Tenant: t.name, Index: index, Err: err}
 	}
 	return data, label, nil
+}
+
+// hitInto serves sample index from the shared cache into a tensor it draws
+// for the learned record rec, so the cache verifies the resident and copies
+// it out in one pass. A miss hands the tensor back to the pool, and so does
+// a hit on a resident the record's sample does not fit, which reports the
+// misfit as err.
+//
+//scipp:hotpath
+func (sd *sharedDataset) hitInto(rec *sampleRecord, index int) (data, label *tensor.Tensor, hit, quarantined bool, err error) {
+	data = sd.pool.GetTensor(rec.dt, rec.shape)
+	enc, label, hit, quarantined := sd.cache.GetInto(index, tensor.RawBytes(data))
+	if hit && len(enc) == rec.data {
+		return data, label, true, false, nil
+	}
+	sd.pool.PutTensor(data)
+	if hit {
+		return nil, nil, true, false, rec.misfit(len(enc))
+	}
+	return nil, nil, false, quarantined, nil
+}
+
+// noteHit is a cache hit's bookkeeping: tenant t's first touch of sample
+// index, and its owned or borrowed hit.
+func (sd *sharedDataset) noteHit(t *Tenant, index int) {
+	sd.mu.Lock()
+	owned := sd.owner[index] == t.name
+	sd.dedupLocked(t, index)
+	sd.mu.Unlock()
+	if owned {
+		t.to.hitsOwned.Inc()
+	} else {
+		t.to.hitsBorrowed.Inc()
+	}
 }
 
 // join waits out another request's decode of sample index and serves its
@@ -363,7 +400,7 @@ func (sd *sharedDataset) decodeOnce(index int) (*tensor.Tensor, []byte, *tensor.
 	return dst, append([]byte(nil), tensor.RawBytes(dst)...), label, nil
 }
 
-// materialize copies a resident's (or a flight's) raw element bytes into
+// materialize copies a flight's (or a resident's) raw element bytes into
 // the caller's own pooled tensor, shaped by the sample's learned record:
 // one pool draw and one memmove. A resident whose length disagrees with the
 // record was admitted around the service and is refused, not half-copied.
@@ -371,9 +408,15 @@ func (sd *sharedDataset) decodeOnce(index int) (*tensor.Tensor, []byte, *tensor.
 //scipp:hotpath
 func (sd *sharedDataset) materialize(rec *sampleRecord, enc []byte) (*tensor.Tensor, error) {
 	if len(enc) != rec.data {
-		return nil, fmt.Errorf("dataserve: a %d-byte resident cannot fill a %d-byte %s%v sample", len(enc), rec.data, rec.dt, rec.shape)
+		return nil, rec.misfit(len(enc))
 	}
 	dst := sd.pool.GetTensor(rec.dt, rec.shape)
 	copy(tensor.RawBytes(dst), enc)
 	return dst, nil
+}
+
+// misfit is the error for an n-byte resident that cannot fill the record's
+// sample: one admitted around the service.
+func (rec *sampleRecord) misfit(n int) error {
+	return fmt.Errorf("dataserve: a %d-byte resident cannot fill a %d-byte %s%v sample", n, rec.data, rec.dt, rec.shape)
 }

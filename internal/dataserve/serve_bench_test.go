@@ -26,23 +26,19 @@ func hitDataset() *sharedDataset {
 	return sd
 }
 
-// serveHit is one shared-cache hit's data path: the verified Get and the
-// copy into a pooled tensor, which goes back to the pool.
+// serveHit is one shared-cache hit's data path: the pool draw, the
+// verified copy into it, and the tensor back to the pool.
 func serveHit(tb testing.TB, sd *sharedDataset) {
-	enc, _, ok, _ := sd.cache.Get(0)
-	if !ok {
-		tb.Fatal("resident missed")
-	}
-	dst, err := sd.materialize(&sd.learned[0], enc)
-	if err != nil {
-		tb.Fatal(err)
+	dst, _, ok, _, err := sd.hitInto(&sd.learned[0], 0)
+	if !ok || err != nil {
+		tb.Fatalf("resident missed (hit %v, err %v)", ok, err)
 	}
 	sd.pool.PutTensor(dst)
 }
 
-// BenchmarkServeHit is a data-service hit without the workers: one
-// checksum pass plus one memmove of the resident into a pooled tensor. Its
-// bound is a memcpy of the payload plus the CRC's throughput.
+// BenchmarkServeHit is a data-service hit without the workers: one pass
+// that checksums the resident and copies it into a pooled tensor. Its bound
+// is a memcpy of the payload.
 func BenchmarkServeHit(b *testing.B) {
 	sd := hitDataset()
 	b.SetBytes(int64(sd.learned[0].data))
@@ -66,5 +62,45 @@ func TestMaterializeRefusesMisfitResident(t *testing.T) {
 	enc, _, _, _ := sd.cache.Get(0)
 	if _, err := sd.materialize(&sd.learned[0], enc[:len(enc)-2]); err == nil {
 		t.Fatal("a resident two bytes short was materialized")
+	}
+}
+
+// TestHitRefusesMisfitResident is TestMaterializeRefusesMisfitResident's
+// case on the hit path fetch takes: a resident two bytes short, admitted
+// around the service, is a verified hit that is refused, and the tensor
+// drawn for it goes back to the pool.
+func TestHitRefusesMisfitResident(t *testing.T) {
+	sd := hitDataset()
+	enc, _, _, _ := sd.cache.Get(0)
+	sd.cache.Put(0, enc[:len(enc)-2], nil)
+	data, _, hit, _, err := sd.hitInto(&sd.learned[0], 0)
+	if !hit || err == nil || data != nil {
+		t.Fatalf("misfit resident: hit %v, err %v, data %v; want a refused hit", hit, err, data != nil)
+	}
+	if st := sd.pool.Stats(); st.Gets != 1 || st.FreeTensors != 1 {
+		t.Fatalf("pool %+v: the refused hit's tensor did not come back", st)
+	}
+}
+
+// TestHitLateMismatch changes the resident behind the ownership rule, where
+// only the cache's checksum-and-copy pass after unlocking can see it: the
+// hit must turn into a quarantined miss (the cache relocks, reverses the
+// hit and drops the entry) and the tensor drawn for it must go back to the
+// pool.
+func TestHitLateMismatch(t *testing.T) {
+	sd := hitDataset()
+	enc, _, _, _ := sd.cache.Get(0)
+	enc[100] ^= 1
+	before := sd.cache.Stats()
+	data, _, hit, quarantined, err := sd.hitInto(&sd.learned[0], 0)
+	if hit || !quarantined || err != nil || data != nil {
+		t.Fatalf("late mismatch: hit %v, quarantined %v, err %v; want a quarantined miss", hit, quarantined, err)
+	}
+	st := sd.cache.Stats()
+	if st.Hits != before.Hits || st.Misses != before.Misses+1 || st.Quarantined != 1 || sd.cache.Resident(0) {
+		t.Fatalf("cache %+v after %+v: want the hit reversed and the entry quarantined", st, before)
+	}
+	if ps := sd.pool.Stats(); ps.Gets != 1 || ps.FreeTensors != 1 {
+		t.Fatalf("pool %+v: the missed hit's tensor did not come back", ps)
 	}
 }

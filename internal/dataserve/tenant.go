@@ -90,6 +90,18 @@ type Tenant struct {
 	brk       *breaker // nil when the breaker is disabled; set once at Attach
 	quotaUsed int64
 	live      []*Iterator
+	spare     epochBufs // the last cleanly ended epoch's, for the next Epoch
+}
+
+// epochBufs is the memory an epoch's iterator runs on: its schedule, reorder
+// ring and completions. An epoch whose schedule ran to its end has no
+// request outstanding, so it hands them to its tenant and the next Epoch
+// reuses them: back-to-back warm epochs then allocate only the Iterator and
+// its abort channel.
+type epochBufs struct {
+	order       []int
+	ring        []outcome
+	completions chan outcome
 }
 
 // Attach registers a tenant with the service.
@@ -187,11 +199,17 @@ func (t *Tenant) Detach() {
 	}
 }
 
-// retire drops it from the tenant's live iterators.
-func (t *Tenant) retire(it *Iterator) {
+// retire drops it from the tenant's live iterators. An iterator whose
+// schedule ended (Next took its last position) also hands its epochBufs to
+// the tenant and forgets them; the caller then holds it.mu.
+func (t *Tenant) retire(it *Iterator, ended bool) {
 	t.svc.mu.Lock()
 	if i := slices.Index(t.live, it); i >= 0 {
 		t.live = slices.Delete(t.live, i, i+1)
+	}
+	if ended {
+		t.spare = epochBufs{order: it.order, ring: it.ring, completions: it.completions}
+		it.order, it.ring, it.completions = nil, nil, nil
 	}
 	t.svc.mu.Unlock()
 }
@@ -262,27 +280,35 @@ func (it *Iterator) stalledFor(now float64) float64 {
 // budget, and Detach closes them all. Returns nil if the tenant is
 // detached.
 func (t *Tenant) Epoch(epoch int) *Iterator {
+	s := t.svc
+	s.mu.Lock()
+	bufs := t.spare
+	t.spare = epochBufs{}
+	s.mu.Unlock()
+	if bufs.ring == nil {
+		bufs.ring = make([]outcome, t.cfg.Inflight)
+		for i := range bufs.ring {
+			bufs.ring[i].seq = -1
+		}
+		bufs.completions = make(chan outcome, t.cfg.Inflight)
+	}
 	var order []int
 	if t.cfg.Shuffle {
-		order = (&pipeline.ShuffledSource{N: t.sd.ds.Len(), Seed: t.cfg.Seed}).Order(epoch)
+		order = (&pipeline.ShuffledSource{N: t.sd.ds.Len(), Seed: t.cfg.Seed}).OrderInto(bufs.order, epoch)
 	} else {
-		order = (&pipeline.SequentialSource{N: t.sd.ds.Len()}).Order(epoch)
+		order = (&pipeline.SequentialSource{N: t.sd.ds.Len()}).OrderInto(bufs.order, epoch)
 	}
 	it := &Iterator{
 		t:           t,
-		completions: make(chan outcome, t.cfg.Inflight),
+		completions: bufs.completions,
 		abort:       make(chan struct{}),
-		ring:        make([]outcome, t.cfg.Inflight),
-	}
-	for i := range it.ring {
-		it.ring[i].seq = -1
+		ring:        bufs.ring,
 	}
 	it.noteDrain()
 	// The detach check, the quota charge, publishing the iterator and
 	// queueing its first requests share one critical section, so a
 	// concurrent Detach either refuses this epoch or closes its iterator
 	// after the ring is written.
-	s := t.svc
 	s.mu.Lock()
 	if t.detached {
 		s.mu.Unlock()
@@ -327,7 +353,7 @@ func (it *Iterator) Next() (*pipeline.Batch, error) {
 	for len(b.Indices) < t.cfg.Batch {
 		if it.next == len(it.order) {
 			it.done = true
-			t.retire(it)
+			t.retire(it, true)
 			if len(b.Indices) == 0 || t.cfg.DropLast {
 				b.Release()
 				return nil, it.endErr()
@@ -446,5 +472,5 @@ func (it *Iterator) Close() {
 		}
 	}
 	it.mu.Unlock()
-	it.t.retire(it)
+	it.t.retire(it, false)
 }

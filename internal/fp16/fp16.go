@@ -9,6 +9,10 @@
 // kernels used on the (simulated) accelerator and host decode paths. The
 // FP32-to-binary16 bulk kernel uses the hardware conversion (F16C) where the
 // CPU has it, as the paper's decoders do.
+//
+// The package also holds the module's other hardware kernels beside their
+// portable bodies, under its one CPU probe: the cosmo-LUT gather and fuse
+// (gather.go) and the sample cache's CRC pair (crcpair.go).
 package fp16
 
 import "math"

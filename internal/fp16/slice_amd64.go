@@ -15,8 +15,8 @@ var useAVX2 = useF16C && hasAVX2()
 func hasAVX2() bool
 
 // AVX2 reports whether kernels may use AVX2 and F16C: the CPU has both and
-// the OS saves the YMM registers. It and AVX512 are the one CPU probe the
-// module's assembly kernels consult.
+// the OS saves the YMM registers. It, AVX512 and useVPCLMULQDQ are the one
+// CPU probe the module's assembly kernels consult.
 func AVX2() bool { return useAVX2 }
 
 // useAVX512 reports that, on top of useAVX2, the CPU runs AVX-512 F and BW
@@ -28,6 +28,12 @@ func hasAVX512() bool
 // AVX512 reports whether kernels may use AVX-512 F and BW on top of AVX2:
 // the gather kernels (LookupBlocks, FuseBlocks) run only then.
 func AVX512() bool { return useAVX512 }
+
+// useVPCLMULQDQ reports that, on top of useAVX512, the CPU runs carry-less
+// multiplies on ZMM registers: CRCPair's folding kernel runs only then.
+var useVPCLMULQDQ = useAVX512 && hasVPCLMULQDQ()
+
+func hasVPCLMULQDQ() bool
 
 // fromSliceF16C is FromSlice in hardware. VCVTPS2PH rounds to nearest even,
 // saturates to Inf, keeps signed zeros and subnormals, and quiets NaNs

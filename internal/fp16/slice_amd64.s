@@ -111,3 +111,25 @@ TEXT ·hasAVX512(SB), NOSPLIT, $0-1
 noavx512:
 	MOVB $0, ret+0(FP)
 	RET
+
+// func hasVPCLMULQDQ() bool
+//
+// CPUID leaf 7 (subleaf 0) must report VPCLMULQDQ (ECX bit 10): carry-less
+// multiplies on ZMM registers. The AVX-512 state it needs is hasAVX512's
+// check.
+TEXT ·hasVPCLMULQDQ(SB), NOSPLIT, $0-1
+	XORL AX, AX
+	CPUID
+	CMPL AX, $7
+	JB   novpclmul
+	MOVL $7, AX
+	XORL CX, CX
+	CPUID
+	SHRL $10, CX
+	ANDL $1, CX
+	MOVB CX, ret+0(FP)
+	RET
+
+novpclmul:
+	MOVB $0, ret+0(FP)
+	RET

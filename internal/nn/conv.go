@@ -2,7 +2,6 @@ package nn
 
 import (
 	"fmt"
-	"math"
 
 	"scipp/internal/tensor"
 )
@@ -324,8 +323,12 @@ func (m *MaxPool) Forward(x *tensor.Tensor) *tensor.Tensor {
 		for oz := 0; oz < do; oz++ {
 			for oy := 0; oy < ho; oy++ {
 				orow, arow := oc[(oz*ho+oy)*wo:][:wo], ac[(oz*ho+oy)*wo:][:wo]
+				// Each window starts from its first input, so its argmax
+				// is always a real index and a window of NaNs (or of
+				// -Infs) pools to its first element rather than to -Inf.
+				first := job*vol + (oz*kd*h+oy*k)*w
 				for ox := range orow {
-					orow[ox], arow[ox] = float32(math.Inf(-1)), -1
+					orow[ox], arow[ox] = xs[first+ox*k], first+ox*k
 				}
 				// Each window sees its inputs in (kz, ky, kx) order, one
 				// input row at a time.

@@ -134,6 +134,40 @@ func TestMaxPool3DGradients(t *testing.T) {
 	checkLayerGradients(t, NewMaxPool3D(2), x, 1e-2)
 }
 
+// TestMaxPoolNaNWindow pools an input whose first window is all NaN: the
+// window pools to NaN with its argmax at a real input, so Backward routes
+// the window's gradient there instead of indexing -1, and the other
+// windows are untouched.
+func TestMaxPoolNaNWindow(t *testing.T) {
+	nan := float32(math.NaN())
+	for _, tc := range []struct {
+		pool  *MaxPool
+		shape []int
+	}{
+		{NewMaxPool2D(2), []int{1, 1, 2, 4}},
+		{NewMaxPool3D(2), []int{1, 1, 2, 2, 4}},
+	} {
+		x := tensor.New(tensor.F32, tc.shape...)
+		for i := range x.F32s {
+			x.F32s[i] = float32(i)
+		}
+		// The first window: x in {0, 1} of every row.
+		w := tc.shape[len(tc.shape)-1]
+		for row := 0; row < len(x.F32s)/w; row++ {
+			x.F32s[row*w], x.F32s[row*w+1] = nan, nan
+		}
+		out := tc.pool.Forward(x)
+		if len(out.F32s) != 2 || !math.IsNaN(float64(out.F32s[0])) || out.F32s[1] != float32(len(x.F32s)-1) {
+			t.Fatalf("%s: pooled %v, want [NaN %d]", tc.pool.Name(), out.F32s, len(x.F32s)-1)
+		}
+		grad := tensor.FromF32([]float32{3, 5}, out.Shape...)
+		dx := tc.pool.Backward(grad)
+		if dx.F32s[0] != 3 || dx.F32s[len(dx.F32s)-1] != 5 {
+			t.Fatalf("%s: gradient %v, want 3 at the NaN window's first input and 5 at the last", tc.pool.Name(), dx.F32s)
+		}
+	}
+}
+
 func TestUpsample2DGradients(t *testing.T) {
 	r := xrand.New(10)
 	x := randTensor(r, 1, 2, 3, 3)

@@ -11,7 +11,8 @@ import (
 // reorder ring, the queues between stages, the stage structs, their worker
 // bodies and the supervisor. The Loader keeps one and resets it on each
 // Epoch instead of rebuilding it, so a warm epoch allocates only its
-// Iterator, its stop channel and (without Config.Clock) its wall clock.
+// Iterator and its stop channel. Without Config.Clock the epoch runs on the
+// state's own wall clock, re-anchored by each Epoch that takes the state.
 //
 // An epoch holds its state from Epoch until Next has taken the last
 // position (or seen the epoch torn down) and every goroutine the epoch
@@ -48,6 +49,10 @@ type epochState struct {
 	dec   DecodeStage
 	aug   AugmentStage
 	pools []stagePool
+
+	// wall is the epoch's clock when Config.Clock is nil; each Epoch that
+	// takes the state re-anchors it.
+	wall trace.WallClock
 }
 
 // stagePool is one stage's worker pool: its width and the fenced worker
@@ -74,14 +79,13 @@ type stagePool struct {
 // or permanent one goes to completions as a terminal outcome and occupies
 // its schedule position. The closures built here read the running epoch's
 // iterator through es.it, so they serve every epoch the state runs.
-func (l *Loader) newEpochState(clock trace.Clock) *epochState {
+func (l *Loader) newEpochState() *epochState {
 	cfg := l.cfg
 	rl := l.runLen()
 	depth := (cfg.Prefetch + rl - 1) / rl
 	runs := &l.runs
 	es := &epochState{
 		l:           l,
-		sup:         newSupervisor(cfg.Supervise, clock, cfg.Obs),
 		ring:        make([]pendingSlot, cfg.Prefetch),
 		readq:       make(chan *run[item[struct{}]], cfg.Prefetch),
 		decodeq:     make(chan *run[item[rawSample]], depth),
@@ -98,6 +102,8 @@ func (l *Loader) newEpochState(clock trace.Clock) *epochState {
 		es.order = make([]int, 0, l.ds.Len())
 	}
 	es.cache = CacheStage{read: &es.read, cache: l.cache}
+	// Each epoch's reset moves the supervisor to that epoch's clock.
+	es.sup = newSupervisor(cfg.Supervise, &es.wall, cfg.Obs)
 	sup := es.sup
 
 	// Supervisor wiring: terminal aborts surface through Next; abandoned

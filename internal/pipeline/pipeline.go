@@ -256,13 +256,14 @@ func (l *Loader) schedule(buf []int, epoch int) []int {
 // workers and admits the first Prefetch/runLen runs, so prefetch starts
 // here; call Close to release the workers early.
 func (l *Loader) Epoch(epoch int) *Iterator {
-	clock := l.cfg.Clock
-	if clock == nil {
-		clock = trace.NewWallClock()
-	}
 	es := l.takeSpare()
 	if es == nil {
-		es = l.newEpochState(clock)
+		es = l.newEpochState()
+	}
+	clock := l.cfg.Clock
+	if clock == nil {
+		es.wall.Reanchor()
+		clock = &es.wall
 	}
 	rl := l.runLen()
 	it := &Iterator{

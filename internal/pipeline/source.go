@@ -29,7 +29,10 @@ type SequentialSource struct {
 func (s *SequentialSource) Len() int { return s.N }
 
 // Order implements Source.
-func (s *SequentialSource) Order(int) []int { return identity(nil, s.N) }
+func (s *SequentialSource) Order(epoch int) []int { return s.OrderInto(nil, epoch) }
+
+// OrderInto is Order written into buf's memory when it has room.
+func (s *SequentialSource) OrderInto(buf []int, _ int) []int { return identity(buf, s.N) }
 
 // ShuffledSource yields a per-epoch deterministic permutation of 0..N-1,
 // derived from (Seed, epoch) exactly as the pre-DAG loader did, so existing
@@ -45,8 +48,11 @@ type ShuffledSource struct {
 func (s *ShuffledSource) Len() int { return s.N }
 
 // Order implements Source.
-func (s *ShuffledSource) Order(epoch int) []int {
-	return shuffled(identity(nil, s.N), s.Seed, epoch)
+func (s *ShuffledSource) Order(epoch int) []int { return s.OrderInto(nil, epoch) }
+
+// OrderInto is Order written into buf's memory when it has room.
+func (s *ShuffledSource) OrderInto(buf []int, epoch int) []int {
+	return shuffled(identity(buf, s.N), s.Seed, epoch)
 }
 
 // ShardedSource yields rank's strided share of the (optionally shuffled)

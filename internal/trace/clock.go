@@ -17,22 +17,33 @@ type Clock interface {
 	Now() float64
 }
 
-// wallClock reads real elapsed time, anchored at construction.
-type wallClock struct {
+// WallClock reads real elapsed seconds since its anchor. NewWallClock
+// anchors one at construction; an owner that needs a fresh zero per run
+// (the loader's epoch state) holds one and re-anchors it with Reanchor,
+// instead of boxing a new clock into Clock each run. Reanchor must not race
+// a read.
+type WallClock struct {
 	t0 time.Time
 }
 
 // NewWallClock returns a Clock measuring real elapsed seconds since the
-// call. It is the one place library code may touch the wall clock: profiling
-// a real pipeline run (cmd/profile, benchmark/, pipeline.Config.Trace) is
-// inherently a wall-time measurement.
+// call. WallClock's methods are the one place library code may touch the
+// wall clock: profiling a real pipeline run (cmd/profile, benchmark/,
+// pipeline.Config.Trace) is inherently a wall-time measurement.
 func NewWallClock() Clock {
+	w := new(WallClock)
+	w.Reanchor()
+	return w
+}
+
+// Reanchor restarts w's count at zero.
+func (w *WallClock) Reanchor() {
 	//lint:ignore determinism the sanctioned wall-time source for real-pipeline profiling
-	return wallClock{t0: time.Now()}
+	w.t0 = time.Now()
 }
 
 // Now implements Clock.
-func (w wallClock) Now() float64 {
+func (w *WallClock) Now() float64 {
 	//lint:ignore determinism the sanctioned wall-time source for real-pipeline profiling
 	return time.Since(w.t0).Seconds()
 }
@@ -48,7 +59,7 @@ type Sleeper interface {
 
 // Sleep implements Sleeper by really sleeping: wall-clock runs pay their
 // backoff delays in wall time.
-func (w wallClock) Sleep(d float64) {
+func (w *WallClock) Sleep(d float64) {
 	if d <= 0 {
 		return
 	}
@@ -69,7 +80,7 @@ type Alarm interface {
 }
 
 // After implements Alarm with a real timer.
-func (w wallClock) After(t float64) (<-chan struct{}, func()) {
+func (w *WallClock) After(t float64) (<-chan struct{}, func()) {
 	ch := make(chan struct{})
 	d := t - w.Now()
 	if d <= 0 {
