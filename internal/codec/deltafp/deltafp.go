@@ -45,41 +45,30 @@ const (
 
 const blobMagic = 0x44465043 // "DFPC"
 
-// Options tune the encoder. The zero value is replaced by Default().
+// Options tune the encoder.
 type Options struct {
-	// ExpBits is the width of the per-delta exponent-offset field
-	// (paper: 3). MantBits = 7 - ExpBits.
+	// ExpBits is the width of the per-delta exponent-offset field;
+	// MantBits = 7 - ExpBits. 0 takes the paper's 3 (3 exponent bits, 4
+	// mantissa bits, 1 sign bit per delta).
 	ExpBits int
-	// MaxSegFrac caps DELTA segments at W*MaxSegFrac before falling back to
-	// RAW (abrupt lines).
-	MaxSegFrac float64
-	// RelTol closes a segment (resetting to an exact pivot) when a single
-	// delta's quantization error exceeds RelTol of the value magnitude.
-	RelTol float64
-	// ConstTol declares a line CONST when every neighbor delta is below
-	// ConstTol relative to the line's magnitude.
-	ConstTol float64
 }
 
-// Default returns the paper's configuration: 3 exponent bits, 4 mantissa
-// bits, 1 sign bit per delta.
-func Default() Options {
-	return Options{ExpBits: 3, MaxSegFrac: 1.0 / 8, RelTol: 0.05, ConstTol: 1e-7}
-}
+// The encoder's fixed segmentation tolerances.
+const (
+	// maxSegFrac caps DELTA segments at W*maxSegFrac before falling back
+	// to RAW (abrupt lines).
+	maxSegFrac = 1.0 / 8
+	// relTol closes a segment (resetting to an exact pivot) when a single
+	// delta's quantization error exceeds relTol of the value magnitude.
+	relTol = 0.05
+	// constTol declares a line CONST when every neighbor delta is below
+	// constTol relative to the line's magnitude.
+	constTol = 1e-7
+)
 
 func (o Options) withDefaults() Options {
-	d := Default()
 	if o.ExpBits == 0 {
-		o.ExpBits = d.ExpBits
-	}
-	if o.MaxSegFrac == 0 {
-		o.MaxSegFrac = d.MaxSegFrac
-	}
-	if o.RelTol == 0 {
-		o.RelTol = d.RelTol
-	}
-	if o.ConstTol == 0 {
-		o.ConstTol = d.ConstTol
+		o.ExpBits = 3
 	}
 	return o
 }
@@ -87,9 +76,6 @@ func (o Options) withDefaults() Options {
 func (o Options) validate() error {
 	if o.ExpBits < 1 || o.ExpBits > 6 {
 		return fmt.Errorf("deltafp: ExpBits %d out of [1,6]", o.ExpBits)
-	}
-	if o.MaxSegFrac <= 0 || o.MaxSegFrac > 1 {
-		return fmt.Errorf("deltafp: MaxSegFrac %g out of (0,1]", o.MaxSegFrac)
 	}
 	return nil
 }
@@ -181,7 +167,7 @@ func (e *lineEncoder) encodeLine(line []float32, payload []byte) []byte {
 
 	// CONST check: every neighbor delta below tolerance.
 	isConst := true
-	tol := e.opts.ConstTol * maxAbs
+	tol := constTol * maxAbs
 	for i := 1; i < w; i++ {
 		if math.Abs(float64(line[i]-line[i-1])) > tol {
 			isConst = false
@@ -248,7 +234,7 @@ type segment struct {
 // non-encodable deltas).
 func (e *lineEncoder) buildSegments(line []float32) ([]segment, bool) {
 	w := len(line)
-	maxSegs := int(float64(w) * e.opts.MaxSegFrac)
+	maxSegs := int(float64(w) * maxSegFrac)
 	if maxSegs < 1 {
 		maxSegs = 1
 	}
@@ -324,9 +310,9 @@ func (e *lineEncoder) buildSegments(line []float32) ([]segment, bool) {
 				code.sign = 1
 			}
 			qd := dequant(code, mantBits)
-			// Quality guard: a single-step quantization error beyond RelTol
+			// Quality guard: a single-step quantization error beyond relTol
 			// of the value magnitude forces an exact pivot reset.
-			if qErr := math.Abs(float64(qd) - d); qErr > e.opts.RelTol*math.Abs(float64(line[j]))+1e-12 {
+			if qErr := math.Abs(float64(qd) - d); qErr > relTol*math.Abs(float64(line[j]))+1e-12 {
 				break
 			}
 			minE, maxE, haveExp = nMin, nMax, true

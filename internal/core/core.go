@@ -186,19 +186,17 @@ type LoaderConfig struct {
 	Batch    int
 	Shuffle  bool
 	Seed     uint64
-	Workers  int
 }
 
 // NewLoader builds a pipeline.Loader for ds under cfg, wiring the matching
 // format and, for the GPU plugin, a simulated device of the platform's GPU.
 func NewLoader(ds pipeline.Dataset, cfg LoaderConfig) (*pipeline.Loader, error) {
 	pc := pipeline.Config{
-		Format:     FormatFor(cfg.App, cfg.Encoding),
-		Plugin:     cfg.Plugin,
-		Batch:      cfg.Batch,
-		Shuffle:    cfg.Shuffle,
-		Seed:       cfg.Seed,
-		CPUWorkers: cfg.Workers,
+		Format:  FormatFor(cfg.App, cfg.Encoding),
+		Plugin:  cfg.Plugin,
+		Batch:   cfg.Batch,
+		Shuffle: cfg.Shuffle,
+		Seed:    cfg.Seed,
 	}
 	if cfg.Plugin == pipeline.GPUPlugin {
 		if cfg.Encoding != Plugin {

@@ -28,11 +28,9 @@ type BreakerConfig struct {
 	// Window is the sliding outcome window size, in requests. Default 16.
 	Window int
 	// Backoff is the open interval before the first half-open probe, in
-	// seconds on the service clock. Default 0.05.
+	// seconds on the service clock. Default 0.05. Repeated probe failures
+	// double it up to 64*Backoff.
 	Backoff float64
-	// MaxBackoff caps the doubling on repeated probe failures. Default
-	// 64*Backoff.
-	MaxBackoff float64
 }
 
 func (c BreakerConfig) withDefaults() BreakerConfig {
@@ -42,11 +40,11 @@ func (c BreakerConfig) withDefaults() BreakerConfig {
 	if c.Backoff <= 0 {
 		c.Backoff = 0.05
 	}
-	if c.MaxBackoff <= 0 {
-		c.MaxBackoff = 64 * c.Backoff
-	}
 	return c
 }
+
+// maxBackoff caps the open interval's doubling on repeated probe failures.
+func (c BreakerConfig) maxBackoff() float64 { return 64 * c.Backoff }
 
 // breakerState is the circuit breaker's position.
 type breakerState int
@@ -179,9 +177,7 @@ func (t *Tenant) breakerTripLocked(now float64) {
 func (t *Tenant) breakerReopenLocked(now float64) {
 	b := t.brk
 	b.backoff *= 2
-	if b.backoff > b.cfg.MaxBackoff {
-		b.backoff = b.cfg.MaxBackoff
-	}
+	b.backoff = min(b.backoff, b.cfg.maxBackoff())
 	b.state = breakerOpen
 	b.probing = false
 	b.until = now + b.backoff
@@ -246,8 +242,8 @@ func (b *breaker) invariantViolation() string {
 	switch {
 	case b.fails != fails:
 		return "failure count disagrees with window contents"
-	case b.backoff < b.cfg.Backoff || b.backoff > b.cfg.MaxBackoff:
-		return "backoff outside [Backoff, MaxBackoff]"
+	case b.backoff < b.cfg.Backoff || b.backoff > b.cfg.maxBackoff():
+		return "backoff outside [Backoff, 64*Backoff]"
 	case b.probing && b.state != breakerHalfOpen:
 		return "probe in flight outside half-open"
 	case b.state == breakerClosed && b.fails >= b.cfg.Threshold:

@@ -7,7 +7,7 @@ import "testing"
 // request drops, clock advances — and asserts after every single event
 // that the breaker's internal invariants hold: the failure count always
 // matches the window contents, probes only exist half-open, the backoff
-// stays inside [Backoff, MaxBackoff], and a closed breaker never sits on
+// stays inside [Backoff, 64*Backoff], and a closed breaker never sits on
 // an exhausted error budget. The first two bytes pick the configuration so
 // the corpus explores threshold/window interactions (threshold above the
 // window size must simply never trip).
@@ -61,9 +61,9 @@ func FuzzBreakerState(f *testing.F) {
 		// again once the (capped) backoff fully elapses.
 		if tn.brk.state != breakerClosed {
 			tn.breakerAbortProbeLocked()
-			now += tn.brk.cfg.MaxBackoff + 1
+			now += tn.brk.cfg.maxBackoff() + 1
 			if allow, _ := tn.admitBreakerLocked(now); !allow {
-				t.Fatalf("breaker still rejecting %g s past the backoff cap", tn.brk.cfg.MaxBackoff+1)
+				t.Fatalf("breaker still rejecting %g s past the backoff cap", tn.brk.cfg.maxBackoff()+1)
 			}
 			if msg := tn.brk.invariantViolation(); msg != "" {
 				t.Fatalf("final probe admission left breaker inconsistent: %s", msg)

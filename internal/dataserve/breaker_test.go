@@ -35,14 +35,14 @@ func TestBreakerStateString(t *testing.T) {
 
 func TestBreakerConfigDefaults(t *testing.T) {
 	c := BreakerConfig{Threshold: 3}.withDefaults()
-	if c.Window != 16 || c.Backoff != 0.05 || c.MaxBackoff != 64*0.05 {
+	if c.Window != 16 || c.Backoff != 0.05 || c.maxBackoff() != 64*0.05 {
 		t.Fatalf("zero-value defaults wrong: %+v", c)
 	}
 	c = BreakerConfig{Threshold: 3, Window: 4, Backoff: 2}.withDefaults()
-	if c.MaxBackoff != 128 {
-		t.Fatalf("MaxBackoff default = %g, want 64*Backoff = 128", c.MaxBackoff)
+	if c.maxBackoff() != 128 {
+		t.Fatalf("backoff cap = %g, want 64*Backoff = 128", c.maxBackoff())
 	}
-	explicit := BreakerConfig{Threshold: 3, Window: 8, Backoff: 1, MaxBackoff: 4}
+	explicit := BreakerConfig{Threshold: 3, Window: 8, Backoff: 1}
 	if got := explicit.withDefaults(); got != explicit {
 		t.Fatalf("explicit config rewritten: %+v", got)
 	}
@@ -53,7 +53,7 @@ func TestBreakerConfigDefaults(t *testing.T) {
 // open (failed probe, backoff doubles then caps), half-open -> closed
 // (successful probe, window and backoff reset).
 func TestBreakerFullCycle(t *testing.T) {
-	tn := bareTenant(BreakerConfig{Threshold: 2, Window: 4, Backoff: 1, MaxBackoff: 2})
+	tn := bareTenant(BreakerConfig{Threshold: 2, Window: 4, Backoff: 1})
 	b := tn.brk
 	now := 0.0
 
@@ -86,7 +86,7 @@ func TestBreakerFullCycle(t *testing.T) {
 		t.Fatalf("straggler outcome moved state to %v", b.state)
 	}
 
-	// Probe fails: reopen with backoff doubled (1 -> 2, at the cap).
+	// Probe fails: reopen with backoff doubled (1 -> 2).
 	tn.recordBreakerLocked(true, true, now)
 	if b.state != breakerOpen || b.backoff != 2 {
 		t.Fatalf("after failed probe state=%v backoff=%g, want open/2", b.state, b.backoff)
@@ -96,20 +96,23 @@ func TestBreakerFullCycle(t *testing.T) {
 		t.Fatalf("straggler closed an open breaker: %v", b.state)
 	}
 
-	// Second failed probe: backoff stays capped at MaxBackoff.
-	now = b.until
-	if _, probe := tn.admitBreakerLocked(now); !probe {
-		t.Fatal("second probe not admitted")
-	}
-	tn.recordBreakerLocked(true, true, now)
-	if b.backoff != 2 {
-		t.Fatalf("backoff after capped reopen = %g, want 2", b.backoff)
+	// Five more failed probes double the backoff to its cap, 64*Backoff;
+	// the next one leaves it there.
+	for want := 4.0; want <= 128; want *= 2 {
+		now = b.until
+		if _, probe := tn.admitBreakerLocked(now); !probe {
+			t.Fatalf("probe toward backoff %g not admitted", want)
+		}
+		tn.recordBreakerLocked(true, true, now)
+		if capped := min(want, 64); b.backoff != capped {
+			t.Fatalf("backoff after failed probe = %g, want %g", b.backoff, capped)
+		}
 	}
 
 	// Successful probe: closed, window and backoff reset.
 	now = b.until
 	if _, probe := tn.admitBreakerLocked(now); !probe {
-		t.Fatal("third probe not admitted")
+		t.Fatal("closing probe not admitted")
 	}
 	tn.recordBreakerLocked(true, false, now)
 	if b.state != breakerClosed || b.backoff != 1 || b.fails != 0 || b.filled != 0 {
@@ -120,9 +123,10 @@ func TestBreakerFullCycle(t *testing.T) {
 		t.Fatalf("invariant violated after full cycle: %s", v)
 	}
 
+	// One trip from closed plus seven failed probes; eight probes in all.
 	st := tn.Stats()
-	if trips, probes, rejects := st.BreakerTrips, st.BreakerProbes, st.BreakerRejects; trips != 3 || probes != 3 || rejects != 2 {
-		t.Fatalf("counters trips/probes/rejects = %d/%d/%d, want 3/3/2", trips, probes, rejects)
+	if trips, probes, rejects := st.BreakerTrips, st.BreakerProbes, st.BreakerRejects; trips != 8 || probes != 8 || rejects != 2 {
+		t.Fatalf("counters trips/probes/rejects = %d/%d/%d, want 8/8/2", trips, probes, rejects)
 	}
 }
 
@@ -222,10 +226,6 @@ func TestErrorStringsAndUnwrap(t *testing.T) {
 	pe := &PoisonError{Dataset: "cosmo", Tenant: "b", Index: 7, Tenants: 2}
 	if !strings.Contains(pe.Error(), "poisoned (failed 2 tenants)") {
 		t.Fatalf("PoisonError malformed: %q", pe.Error())
-	}
-	qe := &QuotaError{Tenant: "c", Quota: 10, Denied: 4}
-	if !strings.Contains(qe.Error(), "quota 10 exhausted, 4 samples denied") {
-		t.Fatalf("QuotaError malformed: %q", qe.Error())
 	}
 	tn := &Tenant{name: "c"}
 	if tn.Name() != "c" {

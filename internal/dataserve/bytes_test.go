@@ -7,16 +7,15 @@ import (
 	"scipp/internal/pipeline"
 )
 
-// TestByteAccountingReconciles runs two tenants over a shared dataset with
-// byte-weighted dispatch armed and checks the byte ledger end to end:
-// schedules stay bit-identical to their single-tenant twins (cost changes
-// when samples ship, never what ships), every tenant's BytesServed is
-// exactly epochs * Σ payload, and the service total is the tenant sum.
+// TestByteAccountingReconciles runs two tenants over a shared dataset and
+// checks the byte ledger end to end: schedules stay bit-identical to their
+// single-tenant twins, every tenant's BytesServed is exactly
+// epochs * Σ payload, and the service total is the tenant sum.
 func TestByteAccountingReconciles(t *testing.T) {
 	const samples, batch, epochs = 24, 4, 2
 	ds := buildDataset(samples, testShape)
 
-	svc := dataserve.New(dataserve.Config{Workers: 4, Quantum: 4, CostUnitBytes: 64})
+	svc := dataserve.New(dataserve.Config{Workers: 4})
 	defer svc.Close()
 	err := svc.Register(dataserve.DatasetConfig{
 		Name:   "shared",
@@ -42,7 +41,7 @@ func TestByteAccountingReconciles(t *testing.T) {
 	for i, seed := range []uint64{21, 22} {
 		got := tenantDigest(t, tenants[i], epochs)
 		if want := loaderDigest(t, ds, batch, true, seed, epochs); got != want {
-			t.Errorf("tenant %d digest %#x != single-tenant twin %#x under byte-weighted dispatch", i, got, want)
+			t.Errorf("tenant %d digest %#x != single-tenant twin %#x", i, got, want)
 		}
 	}
 

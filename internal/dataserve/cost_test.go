@@ -9,10 +9,10 @@ import (
 	"scipp/internal/tensor"
 )
 
-// The byte-weighted DRR tests drive nextRequest/shedLocked directly on a
-// service with no worker goroutines: the serve order is then
-// a pure function of the pending queues, sizes and deficits, so the tests
-// pin the exact interleaving instead of a statistical bound.
+// The DRR tests drive nextRequest/shedLocked directly on a service with no
+// worker goroutines: the serve order is then a pure function of the
+// pending queues and deficits, so the tests pin the exact interleaving
+// instead of a statistical bound.
 
 // inertFormat satisfies the registration check; these tests never decode.
 type inertFormat struct{}
@@ -22,8 +22,8 @@ func (inertFormat) Open([]byte) (codec.ChunkDecoder, error) {
 	return nil, fmt.Errorf("inert format never decodes")
 }
 
-// idleSamples is the length of an idle tenant's dataset: the cost tests
-// price sample indices up to 7.
+// idleSamples is the length of an idle tenant's dataset: the tests learn
+// sizes for sample indices up to 7.
 const idleSamples = 8
 
 // idleTenant registers an inert dataset under its own name and attaches a
@@ -97,12 +97,19 @@ func drainOrder(t *testing.T, s *Service, want int) []string {
 	return order
 }
 
+// TestUnitCostRoundRobinLegacy pins the unit-cost pick: every serve
+// charges one deficit unit, so a's 400-byte samples and b's 1-byte ones
+// alternate exactly as equal ones would.
 func TestUnitCostRoundRobinLegacy(t *testing.T) {
-	s := newService(Config{Quantum: 2})
+	s := newService(Config{})
 	a := idleTenant(t, s, TenantConfig{Name: "a"})
 	b := idleTenant(t, s, TenantConfig{Name: "b"})
-	pend(s, a, 0, 0, 0, 0, 0, 0)
-	pend(s, b, 0, 0, 0, 0, 0, 0)
+	for i := 0; i < idleSamples; i++ {
+		learnSize(a, i, 400)
+		learnSize(b, i, 1)
+	}
+	pend(s, a, 0, 1, 2, 3, 4, 5)
+	pend(s, b, 0, 1, 2, 3, 4, 5)
 
 	got := drainOrder(t, s, 12)
 	// The cursor starts on a with zero leftover deficit, so the first
@@ -115,57 +122,8 @@ func TestUnitCostRoundRobinLegacy(t *testing.T) {
 	}
 }
 
-func TestByteCostSkewsDispatch(t *testing.T) {
-	s := newService(Config{Quantum: 4, CostUnitBytes: 100})
-	big := idleTenant(t, s, TenantConfig{Name: "big"})
-	small := idleTenant(t, s, TenantConfig{Name: "small"})
-	// Sizes as one warm epoch would have learned them: big's samples cost
-	// ceil(400/100) = 4 units, small's cost 1.
-	for i := 0; i < 8; i++ {
-		learnSize(big, i, 400)
-		learnSize(small, i, 100)
-	}
-	pend(s, big, 0, 1, 2, 3, 4, 5, 6, 7)
-	pend(s, small, 0, 1, 2, 3, 4, 5, 6, 7)
-
-	got := drainOrder(t, s, 16)
-	// Each replenishment grants Quantum*Weight = 4 units: one big sample
-	// or four small ones per visit — byte fairness, not sample fairness.
-	want := []string{
-		"small", "small", "small", "small", "big",
-		"small", "small", "small", "small", "big",
-		"big", "big", "big", "big", "big", "big",
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("serve %d went to %s, want %s (full order %v)", i, got[i], want[i], got)
-		}
-	}
-}
-
-func TestByteCostCapAndUnknownSize(t *testing.T) {
-	s := newService(Config{Quantum: 2, CostUnitBytes: 10})
-	tn := idleTenant(t, s, TenantConfig{Name: "solo"})
-	// Sample 0's size is unknown (cost 1); sample 1 would cost 10_000/10 =
-	// 1000 units but is capped at Quantum*Weight = 2, so it still ships on
-	// a fresh deficit and only overdrafts its own tenant's round.
-	learnSize(tn, 1, 10_000)
-	pend(s, tn, 0, 1, 0, 1)
-
-	if got, want := s.serveCostLocked(tn, request{index: 0}), 1; got != want {
-		t.Errorf("unknown-size cost %d, want %d", got, want)
-	}
-	if got, want := s.serveCostLocked(tn, request{index: 1}), 2; got != want {
-		t.Errorf("capped cost %d, want %d", got, want)
-	}
-	order := drainOrder(t, s, 4)
-	if len(order) != 4 {
-		t.Fatalf("capped-cost backlog did not drain: %v", order)
-	}
-}
-
 func TestShedBytesAccounting(t *testing.T) {
-	s := newService(Config{Quantum: 2, CostUnitBytes: 100})
+	s := newService(Config{})
 	tn := idleTenant(t, s, TenantConfig{Name: "late", DeadlineLag: 1})
 	learnSize(tn, 0, 250)
 	learnSize(tn, 1, 150)
@@ -192,7 +150,7 @@ func TestShedBytesAccounting(t *testing.T) {
 }
 
 func TestPendQueueReusesBackingArray(t *testing.T) {
-	s := newService(Config{Quantum: 4})
+	s := newService(Config{})
 	tn := idleTenant(t, s, TenantConfig{Name: "steady"})
 	pend(s, tn, 0, 1, 2, 3)
 	backing := &tn.pend[:1][0]

@@ -37,26 +37,6 @@ type Config struct {
 	// Workers is the decode worker pool width. Defaults to GOMAXPROCS,
 	// floored at 2 so single-flight waiters always leave a runnable owner.
 	Workers int
-	// Quantum is the deficit replenished per DRR visit, in cost units per
-	// unit of tenant weight: a tenant with weight w is granted Quantum*w
-	// units each round before the workers' pick moves on.
-	// Defaults to 2.
-	Quantum int
-	// CostUnitBytes switches the DRR pick from unit sample cost to
-	// byte-weighted cost: serving a sample charges
-	// ceil(payloadBytes/CostUnitBytes) deficit units instead of 1, so under
-	// a ragged domain a tenant drawing fat samples gets proportionally
-	// fewer dispatches per round than one drawing thin samples, and the
-	// fair share becomes bytes per round rather than samples per round.
-	// The charge is floored at 1 and capped at the tenant's full
-	// replenishment (Quantum*Weight), so any sample is servable within one
-	// visit. A sample's payload size (the decoded tensor's raw element
-	// bytes plus its label's) is learned when its first decode is admitted;
-	// until then it is charged unit cost, so a cold service converges to
-	// byte fairness within one epoch.
-	// 0 (the default) keeps exact unit-cost dispatch — fixed-shape
-	// workloads see the legacy behavior bit for bit.
-	CostUnitBytes int
 	// Obs holds the dataserve.* service metrics and the
 	// dataserve.tenant.<name>.* per-tenant metrics. Defaults to a registry
 	// private to the service. The metrics are the service's only ledger —
@@ -82,9 +62,6 @@ func (c Config) withDefaults() Config {
 	if c.Workers < 2 {
 		c.Workers = 2
 	}
-	if c.Quantum <= 0 {
-		c.Quantum = 2
-	}
 	if c.Obs == nil {
 		c.Obs = obs.NewRegistry()
 	}
@@ -93,6 +70,11 @@ func (c Config) withDefaults() Config {
 	}
 	return c
 }
+
+// quantum is the deficit replenished per DRR visit, in requests per unit
+// of tenant weight: a tenant with weight w is served up to quantum*w
+// requests each round before the workers' pick moves on.
+const quantum = 2
 
 // request is one tenant sample request queued for a worker.
 type request struct {
@@ -250,12 +232,8 @@ func (s *Service) pendingLocked() bool {
 // and replenishes the visited tenant's deficit, so one call scans at most
 // a full round (n+1 visits) before reporting that no request is pending
 // anywhere. A tenant whose backlog drains with deficit left forfeits the
-// leftover — the standard DRR empty-queue reset. A serve charges the
-// request's cost (1, or its byte charge under CostUnitBytes); a charge
-// larger than the remaining deficit is allowed once the tenant has any
-// deficit at all, and the overdraft is simply forfeited at the next
-// replenishment, so an expensive sample delays its own tenant's round, not
-// the ring.
+// leftover — the standard DRR empty-queue reset. Every serve charges one
+// unit, whatever the sample's payload size.
 func (s *Service) nextRequest() (request, []request, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -270,11 +248,11 @@ func (s *Service) nextRequest() (request, []request, bool) {
 	for visit := 0; visit <= n; visit++ {
 		t := s.order[s.cursor]
 		if visit > 0 {
-			s.deficit = s.cfg.Quantum * t.cfg.Weight
+			s.deficit = quantum * t.cfg.Weight
 		}
 		if t.pendHead < len(t.pend) && s.deficit >= 1 {
 			r := t.popLocked()
-			s.deficit -= s.serveCostLocked(t, r)
+			s.deficit--
 			lag := float64(s.ob.dispatched.Value() - r.enq)
 			s.ob.dispatched.Inc()
 			t.to.queueWait.Observe(lag)
@@ -284,31 +262,6 @@ func (s *Service) nextRequest() (request, []request, bool) {
 		s.cursor = (s.cursor + 1) % n
 	}
 	return request{}, shed, false
-}
-
-// serveCostLocked prices one request for the DRR deficit: 1 under legacy
-// unit cost (CostUnitBytes 0) or while the sample's payload size is not yet
-// known, otherwise ceil(bytes/CostUnitBytes) floored at 1 and capped at the
-// tenant's full replenishment Quantum*Weight so any sample is servable
-// within a single visit. Caller holds s.mu; the dataset's size table is
-// lock-free.
-func (s *Service) serveCostLocked(t *Tenant, r request) int {
-	u := s.cfg.CostUnitBytes
-	if u <= 0 {
-		return 1
-	}
-	n, ok := t.sd.sampleSize(r.index)
-	if !ok {
-		return 1
-	}
-	cost := (n + u - 1) / u
-	if cost < 1 {
-		cost = 1
-	}
-	if full := s.cfg.Quantum * t.cfg.Weight; cost > full {
-		cost = full
-	}
-	return cost
 }
 
 // shedLocked drops every pending request whose dispatch lag exceeds its

@@ -159,7 +159,7 @@ func newService(t *testing.T, ds pipeline.Dataset, reg *obs.Registry, dcfg datas
 	if dcfg.Format == nil {
 		dcfg.Format = rawF32Format{testShape}
 	}
-	if !dcfg.Cache.DisableIntegrity && dcfg.Cache.HostMemBytes == 0 && dcfg.Cache.NVMeBytes == 0 {
+	if dcfg.Cache.HostMemBytes == 0 && dcfg.Cache.NVMeBytes == 0 {
 		dcfg.Cache = pipeline.CacheConfig{HostMemBytes: 16 << 20}
 	}
 	if err := svc.Register(dcfg); err != nil {
@@ -372,59 +372,6 @@ func TestSingleFlightReconciliation(t *testing.T) {
 	}
 }
 
-// TestQuota verifies the per-tenant sample quota: the epoch serves the
-// admitted prefix, Next then reports a typed *QuotaError, and the denied
-// accounting reconciles between Stats and the obs counter.
-func TestQuota(t *testing.T) {
-	const samples, quota = 16, 10
-	ds := buildDataset(samples, testShape)
-	reg := obs.NewRegistry()
-	svc := newService(t, ds, reg, dataserve.DatasetConfig{})
-	tn, err := svc.Attach(dataserve.TenantConfig{
-		Name: "q", Dataset: "shared", Batch: 4, Quota: quota,
-	})
-	if err != nil {
-		t.Fatalf("Attach: %v", err)
-	}
-	it := tn.Epoch(0)
-	defer it.Close()
-	served := 0
-	var qerr *dataserve.QuotaError
-	for {
-		b, err := it.Next()
-		if err != nil {
-			if !errors.As(err, &qerr) {
-				t.Fatalf("Next: %v, want *QuotaError", err)
-			}
-			break
-		}
-		if b == nil {
-			t.Fatalf("epoch ended cleanly; want *QuotaError")
-		}
-		served += b.Size()
-		b.Release()
-	}
-	if served != quota {
-		t.Errorf("served %d samples, want the %d-sample quota", served, quota)
-	}
-	if qerr.Denied != samples-quota || qerr.Quota != quota {
-		t.Errorf("QuotaError %+v, want Denied=%d Quota=%d", qerr, samples-quota, quota)
-	}
-	if got := tn.Stats().QuotaDenied; got != samples-quota {
-		t.Errorf("Stats().QuotaDenied = %d, want %d", got, samples-quota)
-	}
-	if got := reg.Snapshot().Counter("dataserve.tenant.q.quota.denied"); got != int64(samples-quota) {
-		t.Errorf("obs quota.denied = %d, want %d", got, samples-quota)
-	}
-	// A second epoch has no quota left at all: it is denied in full.
-	it2 := tn.Epoch(1)
-	defer it2.Close()
-	b, err := it2.Next()
-	if b != nil || !errors.As(err, &qerr) {
-		t.Fatalf("epoch past quota: batch %v err %v, want immediate *QuotaError", b, err)
-	}
-}
-
 // TestStatsObsReconcile pins Stats as a typed view over the instruments:
 // one serialized schedule run on a service without Config.Obs and on one
 // with a registry yields identical Stats, and every dataserve.* counter the
@@ -437,13 +384,12 @@ func TestStatsObsReconcile(t *testing.T) {
 		svc := newService(t, ds, reg, dataserve.DatasetConfig{PoisonK: 2})
 		// Inflight 1 and one tenant epoch at a time serialize every request,
 		// so each count is a function of the schedule alone. x's failures,
-		// then y's, blacklist the bad sample; x's second epoch is refused it,
-		// and y's second runs out of quota.
+		// then y's, blacklist the bad sample; x's second epoch is refused it.
 		x, err := svc.Attach(dataserve.TenantConfig{Name: "x", Dataset: "shared", Shuffle: true, Seed: 3, Batch: 3, Inflight: 1, MaxBadSamples: 4})
 		if err != nil {
 			t.Fatalf("Attach x: %v", err)
 		}
-		y, err := svc.Attach(dataserve.TenantConfig{Name: "y", Dataset: "shared", Batch: 3, Inflight: 1, MaxBadSamples: 4, Quota: samples + 4})
+		y, err := svc.Attach(dataserve.TenantConfig{Name: "y", Dataset: "shared", Batch: 3, Inflight: 1, MaxBadSamples: 4})
 		if err != nil {
 			t.Fatalf("Attach y: %v", err)
 		}
@@ -471,8 +417,8 @@ func TestStatsObsReconcile(t *testing.T) {
 			t.Errorf("tenant %s Stats without a registry %+v, with one %+v", name, bareTenants[name], ts)
 		}
 	}
-	if st.Poisoned != 1 || st.PoisonRejects == 0 || tenants["y"].QuotaDenied == 0 {
-		t.Fatalf("the schedule missed a path: %+v, y %+v", st, tenants["y"])
+	if st.Poisoned != 1 || st.PoisonRejects == 0 {
+		t.Fatalf("the schedule missed a path: %+v", st)
 	}
 
 	svcView := map[string]int64{
@@ -486,7 +432,7 @@ func TestStatsObsReconcile(t *testing.T) {
 		return map[string]int64{
 			"samples": ts.Samples, "batches": ts.Batches, "decodes": ts.Decodes, "dedup": ts.Dedup,
 			"hits.owned": ts.HitsOwned, "hits.borrowed": ts.HitsBorrowed, "joins": ts.Joins,
-			"retries": ts.Retries, "errors": ts.Errors, "quota.denied": ts.QuotaDenied,
+			"retries": ts.Retries, "errors": ts.Errors,
 			"shed": ts.Shed, "skips": ts.Skips, "bytes.served": ts.BytesServed,
 			"breaker.trips": ts.BreakerTrips, "breaker.probes": ts.BreakerProbes,
 			"breaker.rejects": ts.BreakerRejects, "detached.slow": ts.SlowDetached,

@@ -34,9 +34,6 @@ type DatasetConfig struct {
 	// with a fault.Transient error before the failure is delivered to
 	// every waiting tenant. Default 0: strict.
 	MaxRetries int
-	// CPUWorkers is the intra-sample decode parallelism (chunk decode is
-	// deterministic, so this never affects output bits). Default 1.
-	CPUWorkers int
 	// PoisonK, when positive, arms the cross-tenant poison quarantine: a
 	// sample whose decode fails for PoisonK distinct tenants (owners or
 	// flight joiners) is blacklisted service-wide, and later requests
@@ -66,7 +63,6 @@ type sharedDataset struct {
 	cache      *pipeline.SampleCache
 	pool       *pipeline.SlabPool
 	maxRetries int
-	cpuWorkers int
 	poisonK    int
 
 	// mu orders the miss/flight/admission races: it may take cache.mu
@@ -86,12 +82,12 @@ type sharedDataset struct {
 
 // sampleRecord is what the service learns about a sample from its first
 // successful decode. A resident is only the raw element bytes, so a hit
-// needs the record's dtype and shape to draw its destination tensor; the
-// byte-weighted DRR pick prices requests with its payload size. Decode is
+// needs the record's dtype and shape to draw its destination tensor, and
+// the byte ledger counts its payload size. Decode is
 // deterministic, so a record is written once, under sd.mu and before the
 // cache Put that admits the sample, and then only read: a hit reads it
 // after its Get (ordered after the Put by the cache mutex), a flight joiner
-// after f.done, and the DRR pick after known's load. known is its own
+// after f.done, and the shed pass after known's load. known is its own
 // flag because a payload can be 0 bytes (an empty ragged sample with no
 // label).
 type sampleRecord struct {
@@ -106,9 +102,6 @@ func newSharedDataset(s *Service, cfg DatasetConfig) (*sharedDataset, error) {
 	if cfg.Name == "" || cfg.Data == nil || cfg.Format == nil {
 		return nil, fmt.Errorf("dataserve: dataset registration needs Name, Data and Format")
 	}
-	if cfg.CPUWorkers <= 0 {
-		cfg.CPUWorkers = 1
-	}
 	return &sharedDataset{
 		name:        cfg.Name,
 		svc:         s,
@@ -117,7 +110,6 @@ func newSharedDataset(s *Service, cfg DatasetConfig) (*sharedDataset, error) {
 		cache:       pipeline.NewSampleCache(cfg.Cache),
 		pool:        pipeline.NewSlabPool(),
 		maxRetries:  cfg.MaxRetries,
-		cpuWorkers:  cfg.CPUWorkers,
 		poisonK:     cfg.PoisonK,
 		flights:     make(map[int]*flight),
 		owner:       make(map[int]string),
@@ -389,7 +381,7 @@ func (sd *sharedDataset) decodeOnce(index int) (*tensor.Tensor, []byte, *tensor.
 		return nil, nil, nil, err
 	}
 	dst := sd.pool.GetTensor(cd.OutputDType(), cd.OutputShape())
-	err = codec.DecodeParallelInto(cd, dst, sd.cpuWorkers)
+	err = codec.DecodeInto(cd, dst)
 	codec.Recycle(cd)
 	if err != nil {
 		sd.pool.PutTensor(dst)

@@ -69,18 +69,3 @@ type PoisonError struct {
 func (e *PoisonError) Error() string {
 	return fmt.Sprintf("dataserve: tenant %s: sample %d of %s poisoned (failed %d tenants)", e.Tenant, e.Index, e.Dataset, e.Tenants)
 }
-
-// QuotaError reports an epoch truncated by the tenant's sample quota: the
-// admitted prefix was served in full (and its batches already returned),
-// and Denied samples of the schedule were refused. It is returned by Next
-// in place of the clean end-of-epoch nil.
-type QuotaError struct {
-	Tenant string
-	Quota  int64
-	Denied int64
-}
-
-// Error implements error.
-func (e *QuotaError) Error() string {
-	return fmt.Sprintf("dataserve: tenant %s: quota %d exhausted, %d samples denied", e.Tenant, e.Quota, e.Denied)
-}

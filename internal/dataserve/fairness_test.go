@@ -46,8 +46,8 @@ func (d *slowDecoder) DecodeChunk(chunk int, dst *tensor.Tensor) error {
 //
 // The bound is the DRR guarantee, not a tuned constant: a light request
 // waits behind at most Inflight-1 = 3 of its own queue plus, per round
-// those take to drain (ceil(4/Quantum) = 2 rounds), the heavy tenant's
-// Quantum*Weight = 2 dispatches — about 7 dispatches, plus boundary slop
+// those take to drain (ceil(4/quantum) = 2 rounds), the heavy tenant's
+// quantum*Weight = 2 dispatches — about 7 dispatches, plus boundary slop
 // for the round the DRR pick is mid-quantum in. The histogram bucket
 // covering that is 16. An unfair pick that drains the heavy backlog
 // first would show lag near the heavy tenant's backlog depth (~40).

@@ -39,7 +39,6 @@ import (
 //	dataserve.tenant.<t>.joins           single-flight joins
 //	dataserve.tenant.<t>.retries         transient retries absorbed for it
 //	dataserve.tenant.<t>.errors          terminal sample errors delivered
-//	dataserve.tenant.<t>.quota.denied    schedule samples refused by quota
 //	dataserve.tenant.<t>.queue_wait      dispatch-lag histogram
 //	dataserve.tenant.<t>.queue_wait.max  dispatch-lag high-water gauge
 //	dataserve.tenant.<t>.shed            requests shed past the deadline
@@ -106,7 +105,7 @@ type tenantObs struct {
 	samples, batches, decodes, dedup            *obs.Counter
 	bytesServed                                 *obs.Counter
 	hitsOwned, hitsBorrowed, joins              *obs.Counter
-	retries, errors, quotaDenied                *obs.Counter
+	retries, errors                             *obs.Counter
 	shed, skips                                 *obs.Counter
 	breakerTrips, breakerProbes, breakerRejects *obs.Counter
 	slowDetached                                *obs.Counter
@@ -127,7 +126,6 @@ func newTenantObs(r *obs.Registry, name string) tenantObs {
 		joins:          r.Counter(p + "joins"),
 		retries:        r.Counter(p + "retries"),
 		errors:         r.Counter(p + "errors"),
-		quotaDenied:    r.Counter(p + "quota.denied"),
 		shed:           r.Counter(p + "shed"),
 		skips:          r.Counter(p + "skips"),
 		breakerTrips:   r.Counter(p + "breaker.trips"),
@@ -227,8 +225,6 @@ type TenantStats struct {
 	// Retries counts transient-fault retries absorbed while this tenant
 	// owned the flight; Errors the terminal sample errors delivered to it.
 	Retries, Errors int64
-	// QuotaDenied counts schedule samples refused by the quota.
-	QuotaDenied int64
 	// Shed counts requests dropped past their admission deadline; Skips
 	// the bad samples an epoch survived under MaxBadSamples.
 	Shed, Skips int64
@@ -267,7 +263,6 @@ func (t *Tenant) Stats() TenantStats {
 		Joins:          o.joins.Value(),
 		Retries:        o.retries.Value(),
 		Errors:         o.errors.Value(),
-		QuotaDenied:    o.quotaDenied.Value(),
 		Shed:           o.shed.Value(),
 		Skips:          o.skips.Value(),
 		BytesServed:    o.bytesServed.Value(),

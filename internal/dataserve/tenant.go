@@ -24,7 +24,7 @@ type TenantConfig struct {
 	// Dataset names the registered shared dataset to draw from. Required.
 	Dataset string
 	// Weight is the tenant's fair-queueing share: the workers serve up to
-	// Quantum*Weight of its requests per round. Default 1.
+	// quantum*Weight (2*Weight) of its requests per round. Default 1.
 	Weight int
 	// Inflight is the admission budget: an epoch keeps this many samples
 	// requested ahead of its consumer. Epoch queues the first Inflight, and
@@ -39,10 +39,6 @@ type TenantConfig struct {
 	Shuffle bool
 	// Seed drives the shuffle derivation.
 	Seed uint64
-	// Quota, when positive, caps the samples ever served to this tenant;
-	// an epoch hitting the cap serves its admitted prefix and then Next
-	// reports a *QuotaError.
-	Quota int64
 	// Breaker arms the tenant's circuit breaker (see BreakerConfig); the
 	// zero value disables it.
 	Breaker BreakerConfig
@@ -84,13 +80,12 @@ type Tenant struct {
 	// Everything below is guarded by svc.mu. pend[pendHead:] are the
 	// queued requests, oldest first; live are the iterators neither drained
 	// nor closed, which Detach closes and the watchdog inspects.
-	pend      []request
-	pendHead  int
-	detached  bool
-	brk       *breaker // nil when the breaker is disabled; set once at Attach
-	quotaUsed int64
-	live      []*Iterator
-	spare     epochBufs // the last cleanly ended epoch's, for the next Epoch
+	pend     []request
+	pendHead int
+	detached bool
+	brk      *breaker // nil when the breaker is disabled; set once at Attach
+	live     []*Iterator
+	spare    epochBufs // the last cleanly ended epoch's, for the next Epoch
 }
 
 // epochBufs is the memory an epoch's iterator runs on: its schedule, reorder
@@ -225,14 +220,13 @@ type outcome struct {
 
 // Iterator yields one epoch of a tenant's schedule as pooled batches, in
 // deterministic schedule order, mirroring pipeline.Iterator's contract:
-// Next returns (nil, nil) at a clean end of epoch, a typed error on a
-// terminal failure or exhausted quota, and Close aborts early without
-// leaking pooled tensors. An epoch runs on its consumer's goroutine: Next
-// queues the requests and reorders the workers' completions itself.
+// Next returns (nil, nil) at a clean end of epoch and a typed error on a
+// terminal failure, and Close aborts early without leaking pooled tensors.
+// An epoch runs on its consumer's goroutine: Next queues the requests and
+// reorders the workers' completions itself.
 type Iterator struct {
 	t     *Tenant
-	order []int // admitted schedule
-	quota *QuotaError
+	order []int // the epoch's schedule
 
 	// completions carries the workers' outcomes in completion order. It
 	// holds Inflight: at most Inflight schedule positions are outstanding,
@@ -305,21 +299,13 @@ func (t *Tenant) Epoch(epoch int) *Iterator {
 		ring:        bufs.ring,
 	}
 	it.noteDrain()
-	// The detach check, the quota charge, publishing the iterator and
-	// queueing its first requests share one critical section, so a
-	// concurrent Detach either refuses this epoch or closes its iterator
-	// after the ring is written.
+	// The detach check, publishing the iterator and queueing its first
+	// requests share one critical section, so a concurrent Detach either
+	// refuses this epoch or closes its iterator after the ring is written.
 	s.mu.Lock()
 	if t.detached {
 		s.mu.Unlock()
 		return nil
-	}
-	if t.cfg.Quota > 0 {
-		if left := max(t.cfg.Quota-t.quotaUsed, 0); int64(len(order)) > left {
-			it.quota = &QuotaError{Tenant: t.name, Quota: t.cfg.Quota, Denied: int64(len(order)) - left}
-			order = order[:left]
-		}
-		t.quotaUsed += int64(len(order))
 	}
 	it.order = order
 	t.live = append(t.live, it)
@@ -327,23 +313,19 @@ func (t *Tenant) Epoch(epoch int) *Iterator {
 		s.enqueueLocked(it, seq)
 	}
 	s.mu.Unlock()
-	if it.quota != nil {
-		t.to.quotaDenied.Add(it.quota.Denied)
-	}
 	return it
 }
 
 // Next returns the next batch in schedule order, (nil, nil) at a clean end
-// of epoch, a *QuotaError when the quota truncated the schedule, or the
-// first terminal sample error. Returned batches come from the shared slab
-// pool; the consumer releases them when done. Next returns errDetached
-// once Close has run, including a Close from another goroutine while Next
-// is blocked.
+// of epoch, or the first terminal sample error. Returned batches come from
+// the shared slab pool; the consumer releases them when done. Next returns
+// errDetached once Close has run, including a Close from another goroutine
+// while Next is blocked.
 func (it *Iterator) Next() (*pipeline.Batch, error) {
 	it.mu.Lock()
 	defer it.mu.Unlock()
 	if it.done {
-		return nil, it.endErr()
+		return nil, nil
 	}
 	if it.closed {
 		return nil, errDetached
@@ -356,7 +338,7 @@ func (it *Iterator) Next() (*pipeline.Batch, error) {
 			t.retire(it, true)
 			if len(b.Indices) == 0 || t.cfg.DropLast {
 				b.Release()
-				return nil, it.endErr()
+				return nil, nil
 			}
 			break
 		}
@@ -436,15 +418,6 @@ func (it *Iterator) skippable(err error) bool {
 	var se *SampleError
 	var pe *PoisonError
 	return errors.As(err, &se) || errors.As(err, &pe)
-}
-
-// endErr is what a drained epoch reports: nil normally, the quota error
-// when the schedule was truncated.
-func (it *Iterator) endErr() error {
-	if it.quota != nil {
-		return it.quota
-	}
-	return nil
 }
 
 // Close aborts the epoch: requests still queued are dropped when a worker

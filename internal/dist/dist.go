@@ -45,15 +45,16 @@ type Config struct {
 	// SlowFactor times the fastest live rank's EWMA. Zero disables straggler
 	// detection.
 	SlowFactor float64
-	// EWMAAlpha is the smoothing factor for per-rank step times; defaults
-	// to 0.4 when zero.
-	EWMAAlpha float64
 	// Obs receives dist.* gauges and counters; nil disables metrics.
 	Obs *obs.Registry
 	// Down lists ranks that start already evicted — a resumed run excludes
 	// the ranks lost before its checkpoint.
 	Down []int
 }
+
+// ewmaAlpha is the smoothing factor of the per-rank step-time EWMA that
+// SlowFactor judges.
+const ewmaAlpha = 0.4
 
 // Eviction records one rank's removal from the group.
 type Eviction struct {
@@ -200,9 +201,6 @@ type Group struct {
 func New(cfg Config) (*Group, error) {
 	if cfg.Ranks <= 0 {
 		return nil, fmt.Errorf("dist: invalid group size %d", cfg.Ranks)
-	}
-	if cfg.EWMAAlpha <= 0 || cfg.EWMAAlpha > 1 {
-		cfg.EWMAAlpha = 0.4
 	}
 	n := cfg.Ranks
 	g := &Group{
@@ -608,8 +606,7 @@ func (g *Group) noteArrivalLocked(rank int) {
 	}
 	dt := now - g.lastDone[rank]
 	if g.ewmaSet[rank] {
-		a := g.cfg.EWMAAlpha
-		g.ewma[rank] = a*dt + (1-a)*g.ewma[rank]
+		g.ewma[rank] = ewmaAlpha*dt + (1-ewmaAlpha)*g.ewma[rank]
 	} else {
 		g.ewma[rank] = dt
 		g.ewmaSet[rank] = true

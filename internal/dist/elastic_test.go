@@ -385,7 +385,7 @@ func TestDrainDeferredWhileExchangeActive(t *testing.T) {
 func TestStragglerEWMA(t *testing.T) {
 	vc := &trace.VirtualClock{}
 	reg := obs.NewRegistry()
-	g, err := New(Config{Ranks: 3, Clock: vc, SlowFactor: 4, EWMAAlpha: 0.5, Obs: reg})
+	g, err := New(Config{Ranks: 3, Clock: vc, SlowFactor: 4, Obs: reg})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -416,7 +416,7 @@ func TestStragglerEWMA(t *testing.T) {
 		t.Fatalf("stragglers = %v, want [2]", s)
 	}
 
-	// Second round: EWMA smooths with alpha 0.5.
+	// Second round: EWMA smooths with alpha 0.4.
 	g.mu.Lock()
 	for r := 0; r < 3; r++ {
 		g.lastDone[r] = vc.Now()
@@ -426,13 +426,13 @@ func TestStragglerEWMA(t *testing.T) {
 	g.mu.Lock()
 	g.noteArrivalLocked(2)
 	g.mu.Unlock()
-	if e, _ := g.EWMA(2); e != 0.5*2+0.5*10 {
-		t.Errorf("smoothed ewma[2] = %v, want 6", e)
+	if e, _ := g.EWMA(2); e != 0.4*2+0.6*10 {
+		t.Errorf("smoothed ewma[2] = %v, want 6.8", e)
 	}
 
 	snap := reg.Snapshot()
-	if v := snap.Gauge("dist.step_ewma.rank2").Value; v != 6 {
-		t.Errorf("gauge dist.step_ewma.rank2 = %v, want 6", v)
+	if v := snap.Gauge("dist.step_ewma.rank2").Value; v != 6.8 {
+		t.Errorf("gauge dist.step_ewma.rank2 = %v, want 6.8", v)
 	}
 	if v := snap.Gauge("dist.stragglers").Value; v != 1 {
 		t.Errorf("gauge dist.stragglers = %v, want 1", v)

@@ -126,9 +126,6 @@ func TestNilRegistryIsNoop(t *testing.T) {
 		t.Fatal("NewTracer(reg, nil) != nil")
 	}
 	tr.Start("stage").End() // must not touch anything
-	if tr.WithTimeline(&trace.Timeline{}, "cpu") != nil {
-		t.Fatal("nil tracer WithTimeline != nil")
-	}
 	if tr.Clock() != nil {
 		t.Fatal("nil tracer Clock != nil")
 	}
@@ -258,25 +255,6 @@ func TestTracerExactDurations(t *testing.T) {
 	}
 	if got := s.Counter("decode.spans"); got != 2 {
 		t.Fatalf("decode.spans = %d, want 2", got)
-	}
-}
-
-func TestTracerTimelineMirror(t *testing.T) {
-	clock := &trace.VirtualClock{}
-	tl := &trace.Timeline{}
-	tr := obs.NewTracer(obs.NewRegistry(), clock).WithTimeline(tl, "worker0")
-	clock.Advance(1)
-	sp := tr.Start("read")
-	clock.Advance(0.5)
-	sp.End()
-
-	evs := tl.Events()
-	if len(evs) != 1 {
-		t.Fatalf("timeline events = %d, want 1", len(evs))
-	}
-	e := evs[0]
-	if e.Resource != "worker0" || e.Tag != "read" || e.Start != 1 || e.End != 1.5 {
-		t.Fatalf("event = %+v", e)
 	}
 }
 

@@ -19,7 +19,7 @@ func TestRegistryConcurrent(t *testing.T) {
 	)
 	r := obs.NewRegistry()
 	clock := &trace.VirtualClock{}
-	tr := obs.NewTracer(r, clock).WithTimeline(&trace.Timeline{}, "worker")
+	tr := obs.NewTracer(r, clock)
 
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {

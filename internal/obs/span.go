@@ -16,10 +16,8 @@ import (
 // and two name concatenations) on every End, which the per-sample path
 // cannot afford.
 type Tracer struct {
-	reg      *Registry
-	clock    trace.Clock
-	timeline *trace.Timeline
-	resource string
+	reg   *Registry
+	clock trace.Clock
 }
 
 // NewTracer returns a tracer recording into reg on clock. A nil reg or nil
@@ -31,32 +29,14 @@ func NewTracer(reg *Registry, clock trace.Clock) *Tracer {
 	return &Tracer{reg: reg, clock: clock}
 }
 
-// WithTimeline returns a copy of the tracer that also mirrors every span
-// onto tl as a trace.Event on the given resource, bridging the metrics layer
-// to the existing timeline breakdowns. No-op on a nil receiver.
-//
-//lint:ignore deadcode queued for deletion with its tests (ROADMAP item 9)
-func (t *Tracer) WithTimeline(tl *trace.Timeline, resource string) *Tracer {
-	if t == nil {
-		return nil
-	}
-	c := *t
-	c.timeline = tl
-	c.resource = resource
-	return &c
-}
-
 // StageTimer is a per-stage span factory with its instruments resolved once:
 // starting and ending a span through it touches no registry locks and
 // allocates nothing, which is what lets the stage DAG afford a span per
 // sample. A nil *StageTimer (from a nil tracer) is a true no-op.
 type StageTimer struct {
-	clock    trace.Clock
-	hist     *Histogram
-	spans    *Counter
-	timeline *trace.Timeline
-	resource string
-	stage    string
+	clock trace.Clock
+	hist  *Histogram
+	spans *Counter
 }
 
 // Stage resolves the named stage's instruments into a reusable StageTimer.
@@ -66,12 +46,9 @@ func (t *Tracer) Stage(stage string) *StageTimer {
 		return nil
 	}
 	return &StageTimer{
-		clock:    t.clock,
-		hist:     t.reg.Histogram(stage+".seconds", DurationBuckets()),
-		spans:    t.reg.Counter(stage + ".spans"),
-		timeline: t.timeline,
-		resource: t.resource,
-		stage:    stage,
+		clock: t.clock,
+		hist:  t.reg.Histogram(stage+".seconds", DurationBuckets()),
+		spans: t.reg.Counter(stage + ".spans"),
 	}
 }
 
@@ -103,10 +80,6 @@ func (s Span) End() {
 	if s.st == nil {
 		return
 	}
-	end := s.st.clock.Now()
-	s.st.hist.Observe(end - s.start)
+	s.st.hist.Observe(s.st.clock.Now() - s.start)
 	s.st.spans.Inc()
-	if s.st.timeline != nil {
-		s.st.timeline.Add(s.st.resource, s.st.stage, s.start, end)
-	}
 }

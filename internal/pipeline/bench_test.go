@@ -116,14 +116,6 @@ func BenchmarkPipelineUncachedEpoch(b *testing.B) {
 	benchCacheEpochs(b, CacheConfig{})
 }
 
-// BenchmarkPipelineCachedEpochIntegrityOff isolates what the end-to-end
-// checksum verification costs on the cached hit path: the delta between
-// this and BenchmarkPipelineCachedEpoch is the integrity overhead, budgeted
-// at under ~5% of the cached epoch.
-func BenchmarkPipelineCachedEpochIntegrityOff(b *testing.B) {
-	benchCacheEpochs(b, CacheConfig{HostMemBytes: 64 << 20, DisableIntegrity: true})
-}
-
 // cacheHitSizes are the resident payloads of the benchmark's cached
 // workloads: a serialized 4x32^3 F16 tensor (the data service) and a
 // cosmo-LUT blob (cosmoflow_gpu_cached).

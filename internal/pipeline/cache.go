@@ -15,20 +15,16 @@ import (
 // CPU-memory tier with an NVMe spill tier below it, mirroring internal/
 // iosim's residency model ("if the samples assigned to a node fit in the
 // host CPU memory, a sample traverses step 1 & 2 once, while step 3 & 4 are
-// repeated"). The zero value disables caching, keeping every epoch a cold
-// traversal of the Dataset.
+// repeated"). Every admission checksums the sample (both tiers) and every
+// hit verifies it, quarantining corrupted entries so they re-decode from
+// the dataset instead of poisoning a batch. The zero value disables
+// caching, keeping every epoch a cold traversal of the Dataset.
 type CacheConfig struct {
 	// HostMemBytes is the host-memory tier capacity; 0 disables the tier.
 	HostMemBytes int64
 	// NVMeBytes is the NVMe spill tier capacity; 0 disables the tier.
 	// Host-tier LRU evictions demote into it instead of dropping.
 	NVMeBytes int64
-	// DisableIntegrity turns off end-to-end integrity verification: by
-	// default every admission checksums the sample (both tiers) and every
-	// hit verifies it, quarantining corrupted entries so they re-decode
-	// from the dataset instead of poisoning a batch. Disable only to
-	// measure the verification overhead.
-	DisableIntegrity bool
 	// TierFailK is how many consecutive NVMe-tier access failures mark the
 	// tier dead and fail the cache over to HostMem-only degraded mode
 	// (default 3). Failover drops the tier's residents (their media is
@@ -346,17 +342,16 @@ func (c *SampleCache) Get(i int) (blob []byte, label *tensor.Tensor, ok, quarant
 // length: a caller that must own the bytes gets them on the checksum's own
 // pass, one read of the resident and one write of dst. The returned blob is
 // the resident itself, uncopied; a caller whose dst did not fit sees that
-// from its length. While integrity is enabled the served payload is
-// verified against its admission checksum: a corrupted entry is
-// quarantined — dropped and counted, with quarantined reporting the drop —
-// and the Get is a miss, so the caller re-reads the sample from the
-// dataset and batch output stays bit-identical to an uncorrupted run. On a
-// miss dst holds no promise: it may hold some or all of a rejected
-// resident's bytes.
+// from its length. The served payload is verified against its admission
+// checksum: a corrupted entry is quarantined — dropped and counted, with
+// quarantined reporting the drop — and the Get is a miss, so the caller
+// re-reads the sample from the dataset and batch output stays
+// bit-identical to an uncorrupted run. On a miss dst holds no promise: it
+// may hold some or all of a rejected resident's bytes.
 //
 // A clean hit takes the mutex once: lookup, NVMe tier access, tamper hook,
 // recency and hit counters under it, the checksum pass (and copy) after
-// it. A hit the tamper hook rotted is verified before unlocking instead, so
+// it. A hit the tamper hook rotted is also verified before unlocking, so
 // each corrupting event is quarantined by the Get that caused it and no
 // other reader ever sees the rotten resident. A mismatch found after
 // unlocking (resident bytes changed behind the ownership rule) relocks,
@@ -380,16 +375,12 @@ func (c *SampleCache) GetInto(i int, dst []byte) (blob []byte, label *tensor.Ten
 		c.mu.Unlock()
 		return nil, nil, false, false
 	}
-	verify := !c.cfg.DisableIntegrity
-	if c.tamper != nil && c.tamperLocked(e) && verify {
-		if cacheSum(e.blob, e.label) != e.sum {
-			c.removeLocked(e)
-			c.stats.Quarantined++
-			c.stats.Misses++
-			c.mu.Unlock()
-			return nil, nil, false, true
-		}
-		verify = false
+	if c.tamper != nil && c.tamperLocked(e) && cacheSum(e.blob, e.label) != e.sum {
+		c.removeLocked(e)
+		c.stats.Quarantined++
+		c.stats.Misses++
+		c.mu.Unlock()
+		return nil, nil, false, true
 	}
 	level := e.level
 	c.stats.Hits++
@@ -404,10 +395,6 @@ func (c *SampleCache) GetInto(i int, dst []byte) (blob []byte, label *tensor.Ten
 	c.mu.Unlock()
 	if len(dst) != len(blob) {
 		dst = nil
-	}
-	if !verify {
-		copy(dst, blob)
-		return blob, label, true, false
 	}
 	if cacheSumInto(dst, blob, label) == sum {
 		return blob, label, true, false
@@ -463,10 +450,7 @@ func (c *SampleCache) Put(i int, blob []byte, label *tensor.Tensor) int {
 	if label != nil {
 		size += int64(label.Bytes())
 	}
-	e := &cacheEntry{index: i, blob: blob, label: label, bytes: size}
-	if !c.cfg.DisableIntegrity {
-		e.sum = cacheSum(blob, label)
-	}
+	e := &cacheEntry{index: i, blob: blob, label: label, bytes: size, sum: cacheSum(blob, label)}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	replaced := 0

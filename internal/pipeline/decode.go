@@ -16,7 +16,7 @@ type decodedSample struct {
 
 // DecodeStage is the decode-plugin stage of the DAG — the paper's §VI
 // decode placement choice. The CPU placement decodes chunks on a thread
-// pool (cpuWorkers-wide, intra-sample); the GPU placement submits the
+// pool (cpuDecodeWorkers-wide, intra-sample); the GPU placement submits the
 // sample's chunk workload to the simulated device. Open runs outside the
 // decode span, exactly as the monolithic loader had it.
 //
@@ -25,16 +25,19 @@ type decodedSample struct {
 // sample until Batch.Release recycles it); decoder scratch goes back to the
 // format through codec.Recycle as soon as the decode returns.
 type DecodeStage struct {
-	format     codec.Format
-	plugin     Plugin
-	device     *gpusim.Device
-	cpuWorkers int
-	pool       *SlabPool
-	clock      trace.Clock
-	timeline   *trace.Timeline
-	tag        string // timeline tag, "decode-"+plugin, precomputed
-	ob         iterObs
+	format   codec.Format
+	plugin   Plugin
+	device   *gpusim.Device
+	pool     *SlabPool
+	clock    trace.Clock
+	timeline *trace.Timeline
+	tag      string // timeline tag, "decode-"+plugin, precomputed
+	ob       iterObs
 }
+
+// cpuDecodeWorkers is the CPU plugin's intra-sample chunk parallelism.
+// Chunk decode is deterministic, so the width never changes output bits.
+const cpuDecodeWorkers = 4
 
 // Name implements Stage.
 func (s *DecodeStage) Name() string { return "decode." + s.plugin.String() }
@@ -57,7 +60,7 @@ func (s *DecodeStage) Process(index int, in rawSample) (decodedSample, error) {
 	case GPUPlugin:
 		_, err = s.device.ExecuteInto(cd, dst)
 	default:
-		err = codec.DecodeParallelInto(cd, dst, s.cpuWorkers)
+		err = codec.DecodeParallelInto(cd, dst, cpuDecodeWorkers)
 	}
 	sp.End()
 	codec.Recycle(cd)

@@ -93,7 +93,7 @@ func (l *Loader) newEpochState() *epochState {
 		read:        ReadStage{ds: l.ds},
 		dec: DecodeStage{
 			format: cfg.Format, plugin: cfg.Plugin, device: cfg.Device,
-			cpuWorkers: cfg.CPUWorkers, pool: l.pool,
+			pool:     l.pool,
 			timeline: cfg.Trace, tag: "decode-" + cfg.Plugin.String(),
 		},
 		aug: AugmentStage{fn: cfg.Augment},

@@ -8,33 +8,31 @@ import (
 )
 
 // TestGetIntoCopiesVerifiedHit checks GetInto's copy rule: a destination of
-// the resident's length receives its bytes on the verifying pass, with
-// integrity on or off; one of any other length is left alone, and the hit
-// still reports the resident, whose length tells the caller.
+// the resident's length receives its bytes on the verifying pass; one of
+// any other length is left alone, and the hit still reports the resident,
+// whose length tells the caller.
 func TestGetIntoCopiesVerifiedHit(t *testing.T) {
 	blob := randomPayload(7, 1000)
 	label := tensor.FromF32([]float32{1, 2}, 2)
-	for _, off := range []bool{false, true} {
-		c := NewSampleCache(CacheConfig{HostMemBytes: 1 << 20, DisableIntegrity: off})
-		c.Put(4, append([]byte(nil), blob...), label)
+	c := NewSampleCache(CacheConfig{HostMemBytes: 1 << 20})
+	c.Put(4, append([]byte(nil), blob...), label)
 
-		dst := make([]byte, len(blob))
-		got, gotLabel, ok, quarantined := c.GetInto(4, dst)
-		if !ok || quarantined || gotLabel != label || !bytes.Equal(got, blob) {
-			t.Fatalf("integrity off %v: GetInto = (%d bytes, %v, %v, %v), want a clean hit", off, len(got), gotLabel, ok, quarantined)
-		}
-		if !bytes.Equal(dst, blob) {
-			t.Fatalf("integrity off %v: a fitting destination did not receive the resident", off)
-		}
+	dst := make([]byte, len(blob))
+	got, gotLabel, ok, quarantined := c.GetInto(4, dst)
+	if !ok || quarantined || gotLabel != label || !bytes.Equal(got, blob) {
+		t.Fatalf("GetInto = (%d bytes, %v, %v, %v), want a clean hit", len(got), gotLabel, ok, quarantined)
+	}
+	if !bytes.Equal(dst, blob) {
+		t.Fatal("a fitting destination did not receive the resident")
+	}
 
-		short := bytes.Repeat([]byte{0xEE}, len(blob)-1)
-		got, _, ok, _ = c.GetInto(4, short)
-		if !ok || len(got) != len(blob) || bytes.Count(short, []byte{0xEE}) != len(short) {
-			t.Fatalf("integrity off %v: a misfit destination was written, or the hit lost its length", off)
-		}
-		if st := c.Stats(); st.Hits != 2 || st.Misses != 0 {
-			t.Fatalf("integrity off %v: stats %+v, want two hits", off, st)
-		}
+	short := bytes.Repeat([]byte{0xEE}, len(blob)-1)
+	got, _, ok, _ = c.GetInto(4, short)
+	if !ok || len(got) != len(blob) || bytes.Count(short, []byte{0xEE}) != len(short) {
+		t.Fatal("a misfit destination was written, or the hit lost its length")
+	}
+	if st := c.Stats(); st.Hits != 2 || st.Misses != 0 {
+		t.Fatalf("stats %+v, want two hits", st)
 	}
 }
 

@@ -65,22 +65,6 @@ func TestCacheIntegrityCoversLabel(t *testing.T) {
 	}
 }
 
-func TestCacheIntegrityDisabled(t *testing.T) {
-	c := NewSampleCache(CacheConfig{HostMemBytes: 1 << 20, DisableIntegrity: true})
-	c.Put(3, []byte{9, 9, 9}, nil)
-	c.SetTamper(&flipTamper{targets: map[int]bool{3: true}})
-	blob, _, ok, quarantined := c.Get(3)
-	if !ok || quarantined {
-		t.Fatalf("integrity-off hit: ok=%v quarantined=%v", ok, quarantined)
-	}
-	if blob[0] != 9^0xFF {
-		t.Fatal("integrity-off hit did not serve the (corrupted) resident bytes")
-	}
-	if st := c.Stats(); st.Quarantined != 0 || st.Hits != 1 {
-		t.Fatalf("stats = %+v, want no quarantine and one hit", st)
-	}
-}
-
 func TestCacheStageCopiesDatasetBlob(t *testing.T) {
 	// Put adopts its blob, so the read stage must hand it a copy: a
 	// resident aliasing the dataset's memory would let corruption of the

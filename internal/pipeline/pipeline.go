@@ -64,8 +64,8 @@ type StageConfig struct {
 	// ReadWorkers is the read/cache stage pool width.
 	ReadWorkers int
 	// DecodeWorkers is the decode stage pool width. This is cross-sample
-	// parallelism; Config.CPUWorkers remains the intra-sample chunk
-	// parallelism of one CPU-plugin decode.
+	// parallelism; cpuDecodeWorkers is the intra-sample chunk parallelism
+	// of one CPU-plugin decode.
 	DecodeWorkers int
 	// AugmentWorkers is the augment stage pool width (ignored without an
 	// Augment transform).
@@ -103,8 +103,6 @@ type Config struct {
 	Plugin Plugin
 	// Device executes GPU-plugin decodes; required iff Plugin == GPUPlugin.
 	Device *gpusim.Device
-	// CPUWorkers is the decode thread count for the CPU plugin (default 4).
-	CPUWorkers int
 	// Prefetch caps the samples in flight across the stage DAG (default
 	// 2*Batch).
 	Prefetch int
@@ -166,9 +164,6 @@ type Config struct {
 }
 
 func (c Config) withDefaults() Config {
-	if c.CPUWorkers <= 0 {
-		c.CPUWorkers = 4
-	}
 	if c.Batch <= 0 {
 		c.Batch = 1
 	}
