@@ -11,14 +11,14 @@ build:
 # The other lines run the codec kernel (deltafp's lane-penalty pair too),
 # FP16 conversion, the cosmo-LUT gather and fuse kernels and the cache's
 # CRC-pair kernel against their portable bodies, little-endian element
-# codec, training convolution and
-# max-pool, cache-hit layer, warm tenant epoch, cached loader epoch and
-# ragged-loader (epoch, pad assembly) benchmarks for one iteration each, so
-# they keep compiling and the whole-epoch path stays exercised.
+# codec, training convolution and max-pool, cache-hit layer, service hit
+# and miss, warm tenant epoch, cached loader epoch and ragged-loader
+# (epoch, pad assembly) benchmarks for one iteration each, so they keep
+# compiling and the whole-epoch path stays exercised.
 test:
 	$(GO) test ./...
 	$(GO) test -run '^$$' -bench '^(BenchmarkOpen|BenchmarkDecodeFused|BenchmarkDecodeSample|BenchmarkDecodeLanes|BenchmarkFromFloat32|BenchmarkLookupPlanes|BenchmarkFuseCounts|BenchmarkCRCPair|BenchmarkDecodeLE|BenchmarkConv|BenchmarkMaxPool)$$' -benchtime=1x ./internal/codec/lut/ ./internal/codec/deltafp/ ./internal/fp16/ ./internal/tensor/ ./internal/nn/
-	$(GO) test -run '^$$' -bench '^(BenchmarkSampleCacheGetHit|BenchmarkSampleCacheGetHitParallel|BenchmarkCacheSum|BenchmarkServeHit|BenchmarkTenantEpoch|BenchmarkRaggedEpoch|BenchmarkPadded|BenchmarkPipelineCachedEpoch)$$' -benchtime=1x ./internal/pipeline/ ./internal/dataserve/
+	$(GO) test -run '^$$' -bench '^(BenchmarkSampleCacheGetHit|BenchmarkSampleCacheGetHitParallel|BenchmarkCacheSum|BenchmarkServeHit|BenchmarkServeMiss|BenchmarkTenantEpoch|BenchmarkRaggedEpoch|BenchmarkPadded|BenchmarkPipelineCachedEpoch)$$' -benchtime=1x ./internal/pipeline/ ./internal/dataserve/
 
 # benchmark/ is its own module, so the ./... above never reaches it.
 bench-module:

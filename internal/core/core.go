@@ -184,19 +184,15 @@ type LoaderConfig struct {
 	Plugin   pipeline.Plugin
 	Platform platform.Platform
 	Batch    int
-	Shuffle  bool
-	Seed     uint64
 }
 
 // NewLoader builds a pipeline.Loader for ds under cfg, wiring the matching
 // format and, for the GPU plugin, a simulated device of the platform's GPU.
 func NewLoader(ds pipeline.Dataset, cfg LoaderConfig) (*pipeline.Loader, error) {
 	pc := pipeline.Config{
-		Format:  FormatFor(cfg.App, cfg.Encoding),
-		Plugin:  cfg.Plugin,
-		Batch:   cfg.Batch,
-		Shuffle: cfg.Shuffle,
-		Seed:    cfg.Seed,
+		Format: FormatFor(cfg.App, cfg.Encoding),
+		Plugin: cfg.Plugin,
+		Batch:  cfg.Batch,
 	}
 	if cfg.Plugin == pipeline.GPUPlugin {
 		if cfg.Encoding != Plugin {

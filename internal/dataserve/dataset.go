@@ -44,12 +44,21 @@ type DatasetConfig struct {
 
 // flight is one in-progress decode that concurrent requests for the same
 // sample share: the owner decodes, everyone else blocks on done and copies
-// the result's raw element bytes.
+// the sealed resident's raw element bytes.
+//
+// A flight no request joined costs nothing beyond itself: done is made by
+// the first joiner, under sd.mu, and a flight whose done is still nil when
+// it leaves the table goes back to sd.spare for the next miss. A joined
+// flight pins its resident for its joiners: holders counts the owner and
+// every joiner not yet done with res, and whichever of them brings it to
+// zero releases the pin. The owner's count keeps res unreleased until it
+// has published res.
 type flight struct {
-	done  chan struct{}
-	enc   []byte
-	label *tensor.Tensor
-	err   error
+	done    chan struct{}
+	holders atomic.Int32
+	res     *pipeline.Resident
+	label   *tensor.Tensor
+	err     error
 }
 
 // sharedDataset is a registered dataset plus the shared decode machinery
@@ -70,6 +79,7 @@ type sharedDataset struct {
 	// Get, for the owner/first-touch bookkeeping.
 	mu          sync.Mutex
 	flights     map[int]*flight
+	spare       []*flight                   // flights no request joined, for reuse
 	owner       map[int]string              // sample -> tenant whose flight decoded it
 	touched     map[string]map[int]struct{} // tenant -> samples it has been served
 	poisonVotes map[int]map[string]struct{} // sample -> tenants whose serve failed
@@ -122,7 +132,7 @@ func newSharedDataset(s *Service, cfg DatasetConfig) (*sharedDataset, error) {
 
 // learnLocked fills in sample index's record from a successful decode, if
 // this is the sample's first. Callers hold sd.mu and call it before the
-// cache Put that admits the sample.
+// cache Link that admits the sample.
 func (sd *sharedDataset) learnLocked(index int, data, label *tensor.Tensor) {
 	rec := &sd.learned[index]
 	if rec.known.Load() {
@@ -156,7 +166,8 @@ func (sd *sharedDataset) sampleSize(index int) (int, bool) {
 // re-probing residency under sd.mu before claiming the flight: admission
 // happens under sd.mu before a flight is removed, so "not resident and no
 // flight" under the lock means the sample is truly absent, and a decode
-// count never depends on scheduling.
+// count never depends on scheduling. The owner seals its decode into a
+// cache slab before taking sd.mu, so the lock covers only the link.
 func (sd *sharedDataset) fetch(it *Iterator, index int) (*tensor.Tensor, *tensor.Tensor, error) {
 	t := it.t
 	// Blacklist path: a sample that already failed K distinct tenants is
@@ -194,8 +205,13 @@ func (sd *sharedDataset) fetch(it *Iterator, index int) (*tensor.Tensor, *tensor
 		}
 		sd.mu.Lock()
 		if f, ok := sd.flights[index]; ok {
+			if f.done == nil {
+				f.done = make(chan struct{})
+			}
+			f.holders.Add(1)
+			done := f.done
 			sd.mu.Unlock()
-			return sd.join(it, f, index)
+			return sd.join(it, f, done, index)
 		}
 		if !sd.cache.Resident(index) || !rec.known.Load() {
 			// Truly absent, or admitted around the service (a direct Put)
@@ -207,19 +223,18 @@ func (sd *sharedDataset) fetch(it *Iterator, index int) (*tensor.Tensor, *tensor
 		sd.mu.Unlock()
 	}
 	// Owner path: this request decodes for everyone.
-	f := &flight{done: make(chan struct{})}
+	f := sd.newFlightLocked()
 	sd.flights[index] = f
 	sd.mu.Unlock()
 
-	data, enc, label, retries, err := sd.decode(index)
+	data, res, label, retries, err := sd.decode(index)
 	sd.mu.Lock()
 	if err == nil {
 		// Learn, then admit, before the flight disappears: a request that
 		// misses both the cache and the flight table must mean the sample
 		// is truly absent, or the decode count would depend on scheduling.
-		// Put adopts enc; the flight shares it read-only.
 		sd.learnLocked(index, data, label)
-		if dropped := sd.cache.Put(index, enc, label); dropped > 0 {
+		if dropped := sd.cache.Link(res); dropped > 0 {
 			sd.svc.ob.cacheEvictions.Add(int64(dropped))
 		}
 		sd.owner[index] = t.name
@@ -233,9 +248,20 @@ func (sd *sharedDataset) fetch(it *Iterator, index int) (*tensor.Tensor, *tensor
 	sd.svc.ob.retries.Add(int64(retries))
 	t.to.retries.Add(int64(retries))
 	delete(sd.flights, index)
+	// Out of the table, the flight gains no joiner: one with no done
+	// channel had none, and is spare again.
+	joined := f.done != nil
+	if !joined {
+		sd.spare = append(sd.spare, f)
+	}
 	sd.mu.Unlock()
-	f.enc, f.label, f.err = enc, label, err
-	close(f.done)
+	if joined {
+		f.res, f.label, f.err = res, label, err
+		close(f.done)
+		sd.unhold(f)
+	} else if res != nil {
+		sd.cache.Release(res)
+	}
 	if err != nil {
 		return nil, nil, &SampleError{Dataset: sd.name, Tenant: t.name, Index: index, Err: err}
 	}
@@ -276,17 +302,44 @@ func (sd *sharedDataset) noteHit(t *Tenant, index int) {
 	}
 }
 
-// join waits out another request's decode of sample index and serves its
-// result.
-func (sd *sharedDataset) join(it *Iterator, f *flight, index int) (*tensor.Tensor, *tensor.Tensor, error) {
+// newFlightLocked returns a flight for a new owner, a spare one when it
+// can: owner held, no joiner, nothing published. Callers hold sd.mu.
+func (sd *sharedDataset) newFlightLocked() *flight {
+	var f *flight
+	if n := len(sd.spare); n > 0 {
+		f = sd.spare[n-1]
+		sd.spare[n-1] = nil
+		sd.spare = sd.spare[:n-1]
+	} else {
+		f = &flight{}
+	}
+	f.holders.Store(1)
+	return f
+}
+
+// unhold drops one holder of flight f, releasing its resident's pin if that
+// was the last.
+func (sd *sharedDataset) unhold(f *flight) {
+	if f.holders.Add(-1) == 0 && f.res != nil {
+		sd.cache.Release(f.res)
+	}
+}
+
+// join waits out another request's decode of sample index, signalled on
+// done, and serves its result. The caller counted itself among f's holders
+// under sd.mu.
+func (sd *sharedDataset) join(it *Iterator, f *flight, done chan struct{}, index int) (*tensor.Tensor, *tensor.Tensor, error) {
 	t := it.t
 	select {
-	case <-f.done:
+	case <-done:
 	case <-it.abort:
+		sd.unhold(f)
 		return nil, nil, errDetached
 	case <-sd.svc.abort:
+		sd.unhold(f)
 		return nil, nil, errClosed
 	}
+	defer sd.unhold(f)
 	if f.err != nil {
 		sd.mu.Lock()
 		sd.poisonVoteLocked(t.name, index)
@@ -297,8 +350,9 @@ func (sd *sharedDataset) join(it *Iterator, f *flight, index int) (*tensor.Tenso
 	sd.dedupLocked(t, index)
 	sd.mu.Unlock()
 	t.to.joins.Inc()
-	// The record was learned before the owner closed f.done.
-	data, err := sd.materialize(&sd.learned[index], f.enc)
+	// The record was learned before the owner closed f.done, and f's
+	// resident stays pinned until this copy is done.
+	data, err := sd.materialize(&sd.learned[index], f.res.Bytes())
 	return data, f.label, err
 }
 
@@ -351,23 +405,25 @@ func (sd *sharedDataset) firstTouchLocked(tenant string, index int) bool {
 }
 
 // decode is the flight owner's work: read, open, chunk-decode into a pooled
-// tensor, copy its raw element bytes out as the shared cache's resident.
+// tensor, seal its raw element bytes into a cache resident.
 // Transient faults retry the whole read up to maxRetries, mirroring the
 // pipeline's resilience re-decode, so an injector's transient log entries
 // reconcile one-to-one with retries.
-func (sd *sharedDataset) decode(index int) (data *tensor.Tensor, enc []byte, label *tensor.Tensor, retries int, err error) {
+func (sd *sharedDataset) decode(index int) (data *tensor.Tensor, res *pipeline.Resident, label *tensor.Tensor, retries int, err error) {
 	for attempt := 0; ; attempt++ {
-		data, enc, label, err = sd.decodeOnce(index)
+		data, res, label, err = sd.decodeOnce(index)
 		if err == nil || attempt >= sd.maxRetries || !errors.Is(err, fault.Transient) {
-			return data, enc, label, attempt, err
+			return data, res, label, attempt, err
 		}
 	}
 }
 
 // decodeOnce is one decode attempt, bit-identical to the pipeline's
 // DecodeStage CPU placement: same Open, same pooled destination, same
-// deterministic chunk decomposition.
-func (sd *sharedDataset) decodeOnce(index int) (*tensor.Tensor, []byte, *tensor.Tensor, error) {
+// deterministic chunk decomposition. The decoded bytes are sealed before
+// the owner takes sd.mu: the copy into a recycled cache slab and both
+// checksums are one pass, and the lock then covers only the link.
+func (sd *sharedDataset) decodeOnce(index int) (*tensor.Tensor, *pipeline.Resident, *tensor.Tensor, error) {
 	blob, err := sd.ds.Blob(index)
 	if err != nil {
 		return nil, nil, nil, err
@@ -387,9 +443,9 @@ func (sd *sharedDataset) decodeOnce(index int) (*tensor.Tensor, []byte, *tensor.
 		sd.pool.PutTensor(dst)
 		return nil, nil, nil, err
 	}
-	// The resident is the owner's tensor's bytes, copied: Put adopts it,
-	// and the owner's tensor goes to its own tenant.
-	return dst, append([]byte(nil), tensor.RawBytes(dst)...), label, nil
+	// The resident is the owner's tensor's bytes, sealed into the cache's
+	// memory: the owner's tensor goes to its own tenant.
+	return dst, sd.cache.Seal(index, tensor.RawBytes(dst), label), label, nil
 }
 
 // materialize copies a flight's (or a resident's) raw element bytes into

@@ -3,8 +3,10 @@ package dataserve
 import (
 	"testing"
 
+	"scipp/internal/core"
 	"scipp/internal/fp16"
 	"scipp/internal/pipeline"
+	"scipp/internal/synthetic"
 	"scipp/internal/tensor"
 )
 
@@ -102,5 +104,84 @@ func TestHitLateMismatch(t *testing.T) {
 	}
 	if ps := sd.pool.Stats(); ps.Gets != 1 || ps.FreeTensors != 1 {
 		t.Fatalf("pool %+v: the missed hit's tensor did not come back", ps)
+	}
+}
+
+// missDataset returns the shared dataset of a service whose cache holds one
+// of two 4x32^3 cosmo-LUT samples, the serve workloads' sample, as
+// serve_churn's cache holds a quarter of its set, and an iterator of one
+// tenant to fetch through. Requests alternating between the two samples
+// are all joiner-free misses, each evicting the other's resident.
+func missDataset(tb testing.TB) (*sharedDataset, *Iterator) {
+	cfg := synthetic.DefaultCosmoConfig()
+	cfg.Dim = 32
+	data, err := core.BuildCosmoDataset(cfg, 2, core.Plugin)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	svc := New(Config{Workers: 1})
+	tb.Cleanup(svc.Close)
+	resident := int64(4 * 32 * 32 * 32 * 2)
+	if err := svc.Register(DatasetConfig{
+		Name: "churn", Data: data, Format: core.FormatFor(core.CosmoFlow, core.Plugin),
+		Cache: pipeline.CacheConfig{HostMemBytes: resident + resident/2},
+	}); err != nil {
+		tb.Fatal(err)
+	}
+	tn, err := svc.Attach(TenantConfig{Name: "t", Dataset: "churn"})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return tn.sd, &Iterator{t: tn, abort: make(chan struct{})}
+}
+
+// serveMiss is one miss's whole service path, the workers' queue aside:
+// the residency probe, the flight, decode into a pooled tensor, the seal
+// and the link that evicts the other sample, with the tensor back to the
+// pool.
+func serveMiss(tb testing.TB, sd *sharedDataset, it *Iterator, index int) {
+	before := sd.cache.Stats().Misses
+	data, _, err := sd.fetch(it, index)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	if sd.cache.Stats().Misses == before {
+		tb.Fatalf("sample %d was a hit", index)
+	}
+	sd.pool.PutTensor(data)
+}
+
+// BenchmarkServeMiss is a data-service miss without the workers: decode,
+// then one pass that copies the decoded bytes into a recycled cache slab
+// and checksums them, then the link and its eviction.
+func BenchmarkServeMiss(b *testing.B) {
+	sd, it := missDataset(b)
+	serveMiss(b, sd, it, 0)
+	b.SetBytes(int64(sd.learned[0].data))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		serveMiss(b, sd, it, (i+1)%2)
+	}
+}
+
+// TestServeMissAllocs pins the miss path's allocations: once both samples
+// have been decoded, a miss reuses the evicted resident's slab and entry,
+// a spare flight and a pooled tensor, and allocates nothing.
+func TestServeMissAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops items at random under the race detector")
+	}
+	sd, it := missDataset(t)
+	for i := 0; i < 4; i++ {
+		serveMiss(t, sd, it, i%2)
+	}
+	i := 0
+	n := testing.AllocsPerRun(20, func() {
+		serveMiss(t, sd, it, i%2)
+		i++
+	})
+	if n != 0 {
+		t.Fatalf("a warm joiner-free miss allocates %v times", n)
 	}
 }

@@ -1,10 +1,10 @@
 package pipeline
 
 import (
-	"container/list"
 	"fmt"
 	"hash/crc32"
 	"sync"
+	"sync/atomic"
 
 	"scipp/internal/fp16"
 	"scipp/internal/iosim"
@@ -89,17 +89,129 @@ type CacheStats struct {
 	HostSamples, NVMeSamples int
 }
 
-// cacheEntry is one resident sample.
-type cacheEntry struct {
+// Resident is one cached sample: its sealed bytes, admission checksum,
+// tier and recency links. A Resident drawn by Seal and not yet linked is
+// the caller's alone; once linked it is the cache's, and it comes back to
+// the cache's residentPool, slab and all, when it has left the index and
+// no reader pins it.
+type Resident struct {
 	index int
+	// slab holds the bytes the seal copied (or, for Put, the blob Put
+	// adopted). It never changes while the Resident is pinned or indexed.
+	slab []byte
+	// blob is what hits serve: slab, or the tamper hook's copy-on-write
+	// replacement. Guarded by SampleCache.mu.
 	blob  []byte
 	label *tensor.Tensor
-	// sum is the admission-time checksum over blob and label, verified on
-	// every hit while integrity is enabled.
+	// sum is the admission-time checksum over the sealed bytes and label,
+	// verified on every hit.
 	sum   uint64
 	bytes int64
 	level iosim.Level // HostMem or NVMe
-	elem  *list.Element
+	// prev and next thread the resident through its tier's recency list.
+	prev, next *Resident
+	// escaped marks a slab the collector must free rather than the pool:
+	// one Put adopted, or one a hit handed out uncopied. Set under
+	// SampleCache.mu while indexed; read by whichever side recycles.
+	escaped bool
+	// ref is the pin count plus retiredBit, set once the resident has
+	// left the index (or was never linked into it). The side that brings
+	// it to retiredBit alone recycles the resident, exactly once.
+	ref atomic.Uint32
+}
+
+// retiredBit marks a Resident's ref once the resident is out of the index.
+const retiredBit = 1 << 31
+
+// Bytes returns the sealed bytes. They hold still while the caller keeps
+// the pin Seal gave it.
+func (r *Resident) Bytes() []byte { return r.slab }
+
+// lru is a tier's recency list, threaded through its residents' prev and
+// next links: head is the most recently used.
+type lru struct {
+	head, tail *Resident
+	n          int
+}
+
+func (l *lru) pushFront(e *Resident) {
+	e.prev, e.next = nil, l.head
+	if l.head != nil {
+		l.head.prev = e
+	} else {
+		l.tail = e
+	}
+	l.head = e
+	l.n++
+}
+
+func (l *lru) remove(e *Resident) {
+	if e.prev != nil {
+		e.prev.next = e.next
+	} else {
+		l.head = e.next
+	}
+	if e.next != nil {
+		e.next.prev = e.prev
+	} else {
+		l.tail = e.prev
+	}
+	e.prev, e.next = nil, nil
+	l.n--
+}
+
+func (l *lru) moveToFront(e *Resident) {
+	if l.head != e {
+		l.remove(e)
+		l.pushFront(e)
+	}
+}
+
+// maxFreeResidents bounds each capacity class's freelist in a
+// residentPool. A cache in steady churn retires about one resident per
+// seal, so the freelist holds the few that pinned readers or concurrent
+// seals keep apart; the bound only stops a cache whose sample sizes move
+// between classes from hoarding slabs.
+const maxFreeResidents = 16
+
+// residentPool recycles a cache's Residents together with their slabs,
+// keyed by the slab's byte capacity class (classElems over bytes), so a
+// cache in steady churn seals into the memory its evictions release and
+// allocates nothing per miss. It is safe for concurrent use: seals draw
+// outside the cache mutex, and retirements file under it or from an
+// unpinning reader.
+type residentPool struct {
+	mu   sync.Mutex
+	free map[int][]*Resident
+}
+
+// getResident returns a Resident whose slab holds n bytes of unspecified
+// contents; the caller fills in every other field.
+func (p *residentPool) getResident(n int) *Resident {
+	class := classElems(n)
+	p.mu.Lock()
+	if free := p.free[class]; len(free) > 0 {
+		r := free[len(free)-1]
+		free[len(free)-1] = nil
+		p.free[class] = free[:len(free)-1]
+		p.mu.Unlock()
+		r.slab = r.slab[:n]
+		return r
+	}
+	p.mu.Unlock()
+	return &Resident{slab: make([]byte, n, class)}
+}
+
+// putResident files r for reuse, clearing what it referenced. Only a
+// retired, unpinned, unescaped resident may come back.
+func (p *residentPool) putResident(r *Resident) {
+	class := capClass(cap(r.slab))
+	r.blob, r.label, r.prev, r.next = nil, nil, nil, nil
+	p.mu.Lock()
+	if len(p.free[class]) < maxFreeResidents {
+		p.free[class] = append(p.free[class], r)
+	}
+	p.mu.Unlock()
 }
 
 // CacheTamper corrupts resident cache payloads — the hook a seeded bit-rot
@@ -203,14 +315,29 @@ func crcByte(crc uint32, tab *crc32.Table, b byte) uint32 {
 // therefore the residency it builds up during epoch 0) is shared by every
 // epoch of its Loader.
 //
-// Ownership: resident bytes never change after admission. Put adopts the
-// caller's blob, Get hands out the resident slice uncopied, and the tamper
-// hook works on a copy that replaces the resident rather than writing into
-// it. That is what lets Get verify a clean hit's checksum after releasing
-// the mutex: the slice it verifies is the slice it serves, and no other
-// goroutine can write to it.
+// Admission is two halves. The seal (Seal) draws a Resident and its slab
+// from the cache's residentPool and copies the sample into it on the
+// checksum's own pass, outside the mutex; the link (Link) indexes it,
+// places it in a tier and evicts, under the mutex. Put is the two halves
+// back to back, with a seal that adopts its blob instead of copying it.
+//
+// Ownership: resident bytes never change after admission. Get hands out
+// the resident slice uncopied, and the tamper hook works on a copy that
+// replaces the resident rather than writing into it. That is what lets
+// GetInto verify a clean hit's checksum after releasing the mutex: the
+// slice it verifies is the slice it serves, and no other goroutine can
+// write to it. Slabs are recycled, so "never change" is held up by pins:
+//   - GetInto pins its resident under the mutex and unpins only after its
+//     pass and any late-mismatch relock;
+//   - Seal's caller holds a pin until Release (a data-service flight keeps
+//     it until its last joiner has copied);
+//   - a hit that hands the slice out uncopied marks the resident escaped,
+//     and an escaped slab goes to the collector, not the pool;
+//   - a resident goes back to the pool only once it has left the index
+//     and its last pin is gone, whichever comes second.
 type SampleCache struct {
-	cfg CacheConfig
+	cfg  CacheConfig
+	pool residentPool
 
 	mu        sync.Mutex
 	tamper    CacheTamper // nil outside fault-injection runs
@@ -218,9 +345,9 @@ type SampleCache struct {
 	nvmeDead  bool        // HostMem-only degraded mode: demotions suspended
 	nvmeErrs  int         // consecutive NVMe access failures toward TierFailK
 	probeIn   int         // Get calls until the next recovery probe
-	entries   map[int]*cacheEntry
-	host      *list.List // front = most recently used
-	nvme      *list.List
+	entries   map[int]*Resident
+	host      lru
+	nvme      lru
 	hostBytes int64
 	nvmeBytes int64
 	stats     CacheStats
@@ -230,9 +357,8 @@ type SampleCache struct {
 func NewSampleCache(cfg CacheConfig) *SampleCache {
 	return &SampleCache{
 		cfg:     cfg.withTierDefaults(),
-		entries: make(map[int]*cacheEntry),
-		host:    list.New(),
-		nvme:    list.New(),
+		pool:    residentPool{free: make(map[int][]*Resident)},
+		entries: make(map[int]*Resident),
 	}
 }
 
@@ -257,7 +383,7 @@ func (c *SampleCache) SetTierFault(t TierFault) {
 // nvmeReadLocked performs the tier access for a Get served from NVMe. It
 // reports whether the read succeeded; on failure the entry is dropped (its
 // media copy is unreadable) and the tier's health is charged.
-func (c *SampleCache) nvmeReadLocked(e *cacheEntry) bool {
+func (c *SampleCache) nvmeReadLocked(e *Resident) bool {
 	if c.tier == nil {
 		return true
 	}
@@ -303,9 +429,8 @@ func (c *SampleCache) noteNVMeErrorLocked() {
 	c.nvmeErrs = 0
 	c.probeIn = c.cfg.TierProbeEvery
 	c.stats.TierFailovers++
-	for c.nvme.Len() > 0 {
-		e := c.nvme.Back().Value.(*cacheEntry)
-		c.removeLocked(e)
+	for c.nvme.tail != nil {
+		c.removeLocked(c.nvme.tail)
 		c.stats.TierDropped++
 	}
 }
@@ -332,7 +457,9 @@ func (c *SampleCache) probeTierLocked() {
 }
 
 // Get returns sample i if resident, refreshing its recency within its tier.
-// It is GetInto with no destination.
+// It is GetInto with no destination, so the resident it serves escapes: the
+// caller may hold the slice for as long as it likes, and the collector, not
+// the cache's pool, frees it.
 func (c *SampleCache) Get(i int) (blob []byte, label *tensor.Tensor, ok, quarantined bool) {
 	return c.GetInto(i, nil)
 }
@@ -340,23 +467,26 @@ func (c *SampleCache) Get(i int) (blob []byte, label *tensor.Tensor, ok, quarant
 // GetInto returns sample i if resident, refreshing its recency within its
 // tier, and copies the resident blob into dst when len(dst) is the blob's
 // length: a caller that must own the bytes gets them on the checksum's own
-// pass, one read of the resident and one write of dst. The returned blob is
-// the resident itself, uncopied; a caller whose dst did not fit sees that
-// from its length. The served payload is verified against its admission
-// checksum: a corrupted entry is quarantined — dropped and counted, with
-// quarantined reporting the drop — and the Get is a miss, so the caller
-// re-reads the sample from the dataset and batch output stays
-// bit-identical to an uncorrupted run. On a miss dst holds no promise: it
-// may hold some or all of a rejected resident's bytes.
+// pass, one read of the resident and one write of dst. The returned blob
+// is then dst. A caller whose dst did not fit gets the resident itself,
+// uncopied, which marks it escaped, and sees the misfit from its length.
+// The served payload is verified against its admission checksum: a
+// corrupted entry is quarantined — dropped and counted, with quarantined
+// reporting the drop — and the Get is a miss, so the caller re-reads the
+// sample from the dataset and batch output stays bit-identical to an
+// uncorrupted run. On a miss dst holds no promise: it may hold some or all
+// of a rejected resident's bytes.
 //
 // A clean hit takes the mutex once: lookup, NVMe tier access, tamper hook,
-// recency and hit counters under it, the checksum pass (and copy) after
-// it. A hit the tamper hook rotted is also verified before unlocking, so
-// each corrupting event is quarantined by the Get that caused it and no
+// recency, hit counters and a pin under it, the checksum pass (and copy)
+// after it. A hit the tamper hook rotted is also verified before unlocking,
+// so each corrupting event is quarantined by the Get that caused it and no
 // other reader ever sees the rotten resident. A mismatch found after
 // unlocking (resident bytes changed behind the ownership rule) relocks,
 // reverses the hit, and quarantines the entry only if it is still the one
-// verified; a reader that finds it already gone counts a plain miss.
+// verified; a reader that finds it already gone counts a plain miss. The
+// pin is dropped only after that relock, so the entry it compares against
+// cannot have been recycled into another sample's.
 //
 //scipp:hotpath
 func (c *SampleCache) GetInto(i int, dst []byte) (blob []byte, label *tensor.Tensor, ok, quarantined bool) {
@@ -386,21 +516,26 @@ func (c *SampleCache) GetInto(i int, dst []byte) (blob []byte, label *tensor.Ten
 	c.stats.Hits++
 	if level == iosim.HostMem {
 		c.stats.HostHits++
-		c.host.MoveToFront(e.elem)
+		c.host.moveToFront(e)
 	} else {
 		c.stats.NVMeHits++
-		c.nvme.MoveToFront(e.elem)
+		c.nvme.moveToFront(e)
 	}
 	blob, label, sum := e.blob, e.label, e.sum
-	c.mu.Unlock()
 	if len(dst) != len(blob) {
 		dst = nil
+		e.escaped = true
 	}
+	e.ref.Add(1)
+	c.mu.Unlock()
 	if cacheSumInto(dst, blob, label) == sum {
+		c.Release(e)
+		if dst != nil {
+			return dst, label, true, false
+		}
 		return blob, label, true, false
 	}
 	c.mu.Lock()
-	defer c.mu.Unlock()
 	c.stats.Hits--
 	if level == iosim.HostMem {
 		c.stats.HostHits--
@@ -408,18 +543,21 @@ func (c *SampleCache) GetInto(i int, dst []byte) (blob []byte, label *tensor.Ten
 		c.stats.NVMeHits--
 	}
 	c.stats.Misses++
-	if c.entries[i] != e {
-		return nil, nil, false, false
+	gone := c.entries[i] != e
+	if !gone {
+		c.removeLocked(e)
+		c.stats.Quarantined++
 	}
-	c.removeLocked(e)
-	c.stats.Quarantined++
-	return nil, nil, false, true
+	c.mu.Unlock()
+	c.Release(e)
+	return nil, nil, false, !gone
 }
 
 // tamperLocked offers the tamper hook a copy of e's blob and, if the hook
 // reports a change, installs the copy as the resident (copy-on-write: the
-// slice earlier hits handed out is never written). It reports the change.
-func (c *SampleCache) tamperLocked(e *cacheEntry) bool {
+// slice earlier hits handed out is never written, and the slab stays the
+// pool's). It reports the change.
+func (c *SampleCache) tamperLocked(e *Resident) bool {
 	// Chaos runs only: the hook must never write into a served resident.
 	cp := append([]byte(nil), e.blob...)
 	if !c.tamper.Tamper(e.index, cp) {
@@ -429,51 +567,106 @@ func (c *SampleCache) tamperLocked(e *cacheEntry) bool {
 	return true
 }
 
-// Put inserts sample i, evicting least-recently-used residents as needed.
-// New samples land in the host tier (falling through to NVMe when they
-// cannot fit host memory at all); overflow demotes host LRU entries to the
-// NVMe tier and drops NVMe LRU entries. Samples larger than every tier are
-// not cached. Re-putting a resident index replaces its payload; if the new
-// payload fits no tier in service, the old resident is dropped and counted
-// as an eviction.
+// Seal is admission's first half, run outside the mutex: it draws a
+// Resident from the cache's pool, copies src into its slab and takes the
+// admission checksum over src and label on the same pass. The cache never
+// aliases src, so rot of a resident can never reach the caller's memory;
+// label is kept by reference. The returned Resident carries one pin for
+// the caller: Link admits it, and Release drops the pin once the caller is
+// done reading Bytes.
 //
-// Put takes ownership of blob: the caller must never write to it again,
-// because residents are immutable and hits hand the slice out uncopied. A
-// caller whose blob is someone else's memory (CacheStage's, which is the
-// dataset's) copies it first, so corruption of a resident can never reach
-// the dataset and survive a quarantine re-read. The checksum is taken
-// before the mutex. Put returns the number of samples dropped from the
-// cache by this call, so callers can feed eviction metrics without
-// re-reading shared state.
-func (c *SampleCache) Put(i int, blob []byte, label *tensor.Tensor) int {
-	size := int64(len(blob))
+//scipp:hotpath
+func (c *SampleCache) Seal(i int, src []byte, label *tensor.Tensor) *Resident {
+	r := c.pool.getResident(len(src))
+	r.sum = cacheSumInto(r.slab, src, label)
+	r.fill(i, label)
+	return r
+}
+
+// fill sets a just-sealed resident's index, served bytes, size and the
+// sealer's pin.
+func (r *Resident) fill(i int, label *tensor.Tensor) {
+	r.index, r.blob, r.label, r.escaped = i, r.slab, label, false
+	r.bytes = int64(len(r.slab))
 	if label != nil {
-		size += int64(label.Bytes())
+		r.bytes += int64(label.Bytes())
 	}
-	e := &cacheEntry{index: i, blob: blob, label: label, bytes: size, sum: cacheSum(blob, label)}
+	r.ref.Store(1)
+}
+
+// Release drops one pin of r — the one Seal gave its caller — recycling r
+// if that left it retired and unpinned.
+func (c *SampleCache) Release(r *Resident) {
+	if r.ref.Add(^uint32(0)) == retiredBit {
+		c.recycle(r)
+	}
+}
+
+// retire marks r as out of the index, recycling it if nothing pins it.
+func (c *SampleCache) retire(r *Resident) {
+	if r.ref.Add(retiredBit) == retiredBit {
+		c.recycle(r)
+	}
+}
+
+// recycle hands a retired, unpinned resident back to the pool, unless its
+// slab escaped: that one the collector frees.
+func (c *SampleCache) recycle(r *Resident) {
+	if !r.escaped {
+		c.pool.putResident(r)
+	}
+}
+
+// Put inserts sample i, evicting least-recently-used residents as needed:
+// a seal that adopts blob instead of copying it, then Link. The resident
+// is blob itself, so Put takes ownership of it — the caller must never
+// write to it again — and the collector, not the pool, frees it. Put
+// returns the number of samples dropped from the cache by this call.
+func (c *SampleCache) Put(i int, blob []byte, label *tensor.Tensor) int {
+	r := &Resident{slab: blob, sum: cacheSum(blob, label)}
+	r.fill(i, label)
+	r.escaped = true
+	dropped := c.Link(r)
+	c.Release(r)
+	return dropped
+}
+
+// Link is admission's second half: it indexes a sealed resident under the
+// mutex, evicting least-recently-used residents as needed. New samples
+// land in the host tier (falling through to NVMe when they cannot fit host
+// memory at all); overflow demotes host LRU entries to the NVMe tier and
+// drops NVMe LRU entries. Samples larger than every tier are not cached.
+// Linking a resident index replaces its payload; if the new payload fits
+// no tier in service, the old resident is dropped and counted as an
+// eviction. Link returns the number of samples dropped from the cache by
+// this call, so callers can feed eviction metrics without re-reading
+// shared state. Each sealed resident is linked at most once, and the
+// caller's pin is untouched either way.
+func (c *SampleCache) Link(r *Resident) int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	replaced := 0
-	if old, ok := c.entries[i]; ok {
+	if old, ok := c.entries[r.index]; ok {
 		c.removeLocked(old)
 		replaced = 1
 	}
 	switch {
-	case size <= c.cfg.HostMemBytes:
-		e.level = iosim.HostMem
-		e.elem = c.host.PushFront(e)
-		c.hostBytes += size
-	case size <= c.cfg.NVMeBytes && !c.nvmeDead && c.nvmeWriteLocked(i):
-		e.level = iosim.NVMe
-		e.elem = c.nvme.PushFront(e)
-		c.nvmeBytes += size
+	case r.bytes <= c.cfg.HostMemBytes:
+		r.level = iosim.HostMem
+		c.host.pushFront(r)
+		c.hostBytes += r.bytes
+	case r.bytes <= c.cfg.NVMeBytes && !c.nvmeDead && c.nvmeWriteLocked(r.index):
+		r.level = iosim.NVMe
+		c.nvme.pushFront(r)
+		c.nvmeBytes += r.bytes
 	default:
 		// Fits nowhere, or only in an NVMe tier that is out of service:
 		// uncacheable, and a resident it was meant to replace is gone.
+		c.retire(r)
 		c.stats.Evictions += int64(replaced)
 		return replaced
 	}
-	c.entries[i] = e
+	c.entries[r.index] = r
 	return c.rebalanceLocked()
 }
 
@@ -484,39 +677,39 @@ func (c *SampleCache) Put(i int, blob []byte, label *tensor.Tensor) int {
 func (c *SampleCache) rebalanceLocked() int {
 	dropped := 0
 	for c.hostBytes > c.cfg.HostMemBytes {
-		e := c.host.Back().Value.(*cacheEntry)
-		c.host.Remove(e.elem)
-		c.hostBytes -= e.bytes
+		e := c.host.tail
 		if e.bytes <= c.cfg.NVMeBytes && !c.nvmeDead && c.nvmeWriteLocked(e.index) {
+			c.host.remove(e)
+			c.hostBytes -= e.bytes
 			e.level = iosim.NVMe
-			e.elem = c.nvme.PushFront(e)
+			c.nvme.pushFront(e)
 			c.nvmeBytes += e.bytes
 			c.stats.Demotions++
 			continue
 		}
-		delete(c.entries, e.index)
+		c.removeLocked(e)
 		c.stats.Evictions++
 		dropped++
 	}
 	for c.nvmeBytes > c.cfg.NVMeBytes {
-		e := c.nvme.Back().Value.(*cacheEntry)
-		c.removeLocked(e)
+		c.removeLocked(c.nvme.tail)
 		c.stats.Evictions++
 		dropped++
 	}
 	return dropped
 }
 
-// removeLocked detaches e from its tier and the index.
-func (c *SampleCache) removeLocked(e *cacheEntry) {
+// removeLocked detaches e from its tier and the index, and retires it.
+func (c *SampleCache) removeLocked(e *Resident) {
 	if e.level == iosim.HostMem {
-		c.host.Remove(e.elem)
+		c.host.remove(e)
 		c.hostBytes -= e.bytes
 	} else {
-		c.nvme.Remove(e.elem)
+		c.nvme.remove(e)
 		c.nvmeBytes -= e.bytes
 	}
 	delete(c.entries, e.index)
+	c.retire(e)
 }
 
 // VerifyAccounting re-derives the cache's byte accounting from the resident
@@ -536,19 +729,19 @@ func (c *SampleCache) VerifyAccounting() error {
 	defer c.mu.Unlock()
 	tiers := []struct {
 		name  string
-		l     *list.List
+		l     *lru
 		level iosim.Level
 		sum   int64
 		cap   int64
 	}{
-		{"host", c.host, iosim.HostMem, c.hostBytes, c.cfg.HostMemBytes},
-		{"nvme", c.nvme, iosim.NVMe, c.nvmeBytes, c.cfg.NVMeBytes},
+		{"host", &c.host, iosim.HostMem, c.hostBytes, c.cfg.HostMemBytes},
+		{"nvme", &c.nvme, iosim.NVMe, c.nvmeBytes, c.cfg.NVMeBytes},
 	}
 	residents := 0
 	for _, tier := range tiers {
 		var sum int64
-		for el := tier.l.Front(); el != nil; el = el.Next() {
-			e := el.Value.(*cacheEntry)
+		n := 0
+		for e := tier.l.head; e != nil; e = e.next {
 			if e.level != tier.level {
 				return fmt.Errorf("cache: sample %d on the %s list records level %v", e.index, tier.name, e.level)
 			}
@@ -563,8 +756,12 @@ func (c *SampleCache) VerifyAccounting() error {
 				return fmt.Errorf("cache: sample %d resident on the %s list but not indexed", e.index, tier.name)
 			}
 			sum += e.bytes
-			residents++
+			n++
 		}
+		if n != tier.l.n {
+			return fmt.Errorf("cache: %s list links %d residents, counts %d", tier.name, n, tier.l.n)
+		}
+		residents += n
 		if sum != tier.sum {
 			return fmt.Errorf("cache: %s tier counter %d, Σ entry bytes %d", tier.name, tier.sum, sum)
 		}
@@ -584,7 +781,7 @@ func (c *SampleCache) Stats() CacheStats {
 	defer c.mu.Unlock()
 	s := c.stats
 	s.HostBytes, s.NVMeBytes = c.hostBytes, c.nvmeBytes
-	s.HostSamples, s.NVMeSamples = c.host.Len(), c.nvme.Len()
+	s.HostSamples, s.NVMeSamples = c.host.n, c.nvme.n
 	return s
 }
 
@@ -617,10 +814,11 @@ func (s *CacheStage) Name() string { return "read" }
 
 // Process implements Stage[struct{}, rawSample]. The hit path hands out the
 // cache's resident blob and label without copying — decode only reads the
-// blob, and residents never change after admission. A hit that fails
-// integrity verification becomes a miss: the quarantined entry re-reads
-// from the dataset and re-admits, so a corrupted resident can never reach a
-// batch.
+// blob, and an escaped resident never changes. A hit that fails integrity
+// verification becomes a miss: the quarantined entry re-reads from the
+// dataset and re-admits, so a corrupted resident can never reach a batch.
+// A miss seals the dataset's blob into a cache slab, so rot of the
+// resident can never reach dataset memory and survive the re-read.
 //
 //scipp:hotpath
 func (s *CacheStage) Process(index int, _ struct{}) (rawSample, error) {
@@ -639,10 +837,10 @@ func (s *CacheStage) Process(index int, _ struct{}) (rawSample, error) {
 	if err != nil {
 		return rawSample{}, err
 	}
-	// Put adopts its blob and r.blob is dataset memory: rot must never reach it.
-	owned := append([]byte(nil), r.blob...)
-	if dropped := s.cache.Put(index, owned, r.label); dropped > 0 {
+	res := s.cache.Seal(index, r.blob, r.label)
+	if dropped := s.cache.Link(res); dropped > 0 {
 		s.ob.cacheEvictions.Add(int64(dropped))
 	}
+	s.cache.Release(res)
 	return r, nil
 }

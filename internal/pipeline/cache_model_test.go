@@ -165,22 +165,23 @@ func (m *cacheModel) stats() CacheStats {
 func residency(c *SampleCache) (host, nvme []int) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	for el := c.host.Front(); el != nil; el = el.Next() {
-		host = append(host, el.Value.(*cacheEntry).index)
+	for e := c.host.head; e != nil; e = e.next {
+		host = append(host, e.index)
 	}
-	for el := c.nvme.Front(); el != nil; el = el.Next() {
-		nvme = append(nvme, el.Value.(*cacheEntry).index)
+	for e := c.nvme.head; e != nil; e = e.next {
+		nvme = append(nvme, e.index)
 	}
 	return host, nvme
 }
 
 // FuzzSampleCacheModel is the reference-model differential test for the
 // two-tier cache: the fuzz input becomes a configuration and a sequence of
-// Put (ragged sizes, optional label), Get, SetTamper and SetTierFault
-// operations, run against both the SampleCache and cacheModel. After every
-// operation both must agree on what Put dropped, what Get served (bytes,
-// hit, quarantine), the residency of each tier in recency order and every
-// CacheStats field, and VerifyAccounting must hold. Demotion, eviction,
+// Put or Seal+Link (ragged sizes, optional label), Get or GetInto,
+// SetTamper and SetTierFault operations, run against both the SampleCache
+// and cacheModel. After every operation both must agree on what an
+// admission dropped, what a lookup served (bytes, hit, quarantine; pins
+// change none of them), the residency of each tier in recency order and
+// every CacheStats field, and VerifyAccounting must hold. Demotion, eviction,
 // re-Put replacement (including one that fits no tier), quarantine, tier
 // death and probe-driven recovery are all reachable from a few bytes.
 func FuzzSampleCacheModel(f *testing.F) {
@@ -191,7 +192,8 @@ func FuzzSampleCacheModel(f *testing.F) {
 	f.Add([]byte{16, 64, 0, 1, 0, 0, 20, 0, 1, 20, 0, 2, 20, 1, 0, 0, 1, 1, 0})
 	f.Add([]byte{16, 64, 1, 2, 0, 0, 20, 0, 1, 20, 0, 2, 20, 3, 1, 0, 1, 0, 0,
 		1, 1, 0, 3, 0, 0, 1, 2, 0, 1, 2, 0, 1, 2, 0, 0, 3, 20}) // tier death, recovery
-	f.Add([]byte{8, 30, 0, 0, 0, 1, 6, 3, 1, 0, 0, 1, 50, 0, 1, 90}) // re-Put fits only the dead tier, then nowhere
+	f.Add([]byte{8, 30, 0, 0, 0, 1, 6, 3, 1, 0, 0, 1, 50, 0, 1, 90})                      // re-Put fits only the dead tier, then nowhere
+	f.Add([]byte{16, 0, 0, 0, 0, 8, 20, 0, 9, 20, 0, 10, 20, 1, 2, 1, 1, 2, 2, 1, 10, 0}) // sealed residents recycled by eviction, then GetInto
 	f.Fuzz(func(t *testing.T, data []byte) {
 		cfg := CacheConfig{HostMemBytes: 8, TierFailK: 1, TierProbeEvery: 1}
 		if len(data) >= 4 {
@@ -208,7 +210,7 @@ func FuzzSampleCacheModel(f *testing.F) {
 			i := int(a % 8)
 			desc := fmt.Sprintf("op %d: %d(%d, %d)", k/3, op, a, b)
 			switch op {
-			case 0: // Put index i: b/2 % 48 blob bytes, a 4-byte label if b is odd
+			case 0: // Put index i (Seal, Link and Release it if a&8): b/2 % 48 blob bytes, a 4-byte label if b is odd
 				blob := make([]byte, int(b/2)%48)
 				for j := range blob {
 					blob[j] = byte(k + 31*j)
@@ -219,14 +221,35 @@ func FuzzSampleCacheModel(f *testing.F) {
 					label = tensor.FromF32([]float32{float32(k)}, 1)
 					size += 4
 				}
-				if got, want := c.Put(i, append([]byte(nil), blob...), label), m.put(i, blob, size); got != want {
+				var got int
+				if a&8 != 0 {
+					r := c.Seal(i, blob, label)
+					got = c.Link(r)
+					c.Release(r)
+				} else {
+					got = c.Put(i, append([]byte(nil), blob...), label)
+				}
+				if want := m.put(i, blob, size); got != want {
 					t.Fatalf("%s: Put dropped %d, model %d", desc, got, want)
 				}
-			case 1: // Get index i
-				blob, _, ok, q := c.Get(i)
+			case 1: // Get index i (b%3 == 0), or GetInto a destination that fits (1) or does not (2)
 				want, wok, wq := m.get(i)
+				var dst []byte
+				switch b % 3 {
+				case 1:
+					dst = make([]byte, len(want))
+				case 2:
+					dst = bytes.Repeat([]byte{0xEE}, len(want)+1)
+				}
+				blob, _, ok, q := c.GetInto(i, dst)
 				if ok != wok || q != wq || !bytes.Equal(blob, want) {
-					t.Fatalf("%s: Get = %v ok=%v q=%v, model %v ok=%v q=%v", desc, blob, ok, q, want, wok, wq)
+					t.Fatalf("%s: GetInto(%d-byte dst) = %v ok=%v q=%v, model %v ok=%v q=%v", desc, len(dst), blob, ok, q, want, wok, wq)
+				}
+				if ok && b%3 == 1 && !bytes.Equal(dst, want) {
+					t.Fatalf("%s: a fitting destination holds %v, resident %v", desc, dst, want)
+				}
+				if b%3 == 2 && bytes.Count(dst, []byte{0xEE}) != len(dst) {
+					t.Fatalf("%s: a destination that does not fit was written", desc)
 				}
 			case 2: // attach a hook rotting index i's next non-empty hit, or detach
 				if b&1 == 1 {
@@ -376,4 +399,142 @@ func TestCacheConcurrentOwnership(t *testing.T) {
 		t.Errorf("hit counters do not reconcile: %+v (want %d gets)", st, readers*gets)
 	}
 	verifyClean(t, c, "after concurrent run")
+}
+
+// TestCacheRecycledResidentOwnership is TestCacheConcurrentOwnership for
+// sealed residents, whose slabs the cache recycles. Each reader GetIntos
+// its own hot sample into its own buffer while a writer re-seals the hot
+// samples over them and churns cold samples through the NVMe tier's LRU;
+// a seeded injector rots hits. The writer is timed by a tamper hook that
+// wraps the injector: a hit offers the writer its index while the reader
+// still holds the mutex, and the writer then links a replacement, which
+// retires the resident that reader is about to copy, and seals the next
+// replacement at once, into the slab the pool hands back first. The hot
+// samples fill host memory exactly and the cold ones are too big for it,
+// so a hot sample leaves the index only when its own reader quarantines
+// it, and that reader re-admits it at once. A reader's plain miss can then
+// only be a copy pass that saw its slab reused under it, and with the pin
+// rules held there is none. Every served dst must be the bytes admitted
+// for its (index, version), every corrupting event must be quarantined
+// exactly once, and the accounting must reconcile.
+func TestCacheRecycledResidentOwnership(t *testing.T) {
+	const (
+		hot, vers, gets, colds = 2, 4, 200, 4
+		payload                = 1 << 20
+		coldPayload            = hot*payload + payload
+	)
+	// The admitted bytes of every (index, version), built once so that a
+	// writer step is one seal and a reader step one copy pass.
+	gen := func(i, ver, n int) []byte {
+		b := make([]byte, n)
+		b[0], b[1] = byte(i), byte(ver)
+		for k := 2; k < n; k++ {
+			b[k] = byte(i*7 + ver*13 + k)
+		}
+		return b
+	}
+	var admitted [hot][vers][]byte
+	for i := range admitted {
+		for v := range admitted[i] {
+			admitted[i][v] = gen(i, v, payload)
+		}
+	}
+	cold := gen(hot, 0, coldPayload)
+	c := NewSampleCache(CacheConfig{HostMemBytes: hot * payload, NVMeBytes: 2 * coldPayload})
+	ci := fault.NewCacheInjector(fault.CacheFaultConfig{Seed: 3, BitRot: 0.5, BitRotEvents: 4})
+	hits := make(chan int)
+	c.SetTamper(&offerTamper{inner: ci, hits: hits})
+	admit := func(i int, src []byte) {
+		r := c.Seal(i, src, nil)
+		c.Link(r)
+		c.Release(r)
+	}
+	for i := 0; i < hot; i++ {
+		admit(i, admitted[i][0])
+	}
+	var readers, writer sync.WaitGroup
+	stop := make(chan struct{})
+	for r := 0; r < hot; r++ {
+		readers.Add(1)
+		go func(r int) {
+			defer readers.Done()
+			dst := make([]byte, payload)
+			for g := 0; g < gets; g++ {
+				_, _, ok, quarantined := c.GetInto(r, dst)
+				switch {
+				case ok && (dst[0] != byte(r) || dst[1] >= vers || !bytes.Equal(dst, admitted[r][dst[1]])):
+					t.Errorf("reader %d served bytes that were never admitted", r)
+					return
+				case quarantined:
+					admit(r, admitted[r][0])
+				case !ok:
+					t.Errorf("reader %d: get %d missed a sample that never left the cache", r, g)
+					return
+				}
+			}
+		}(r)
+	}
+	writer.Add(1)
+	go func() {
+		defer writer.Done()
+		var next [hot]*Resident
+		for i := range next {
+			next[i] = c.Seal(i, admitted[i][1], nil)
+		}
+		for p := 0; ; p++ {
+			select {
+			case <-stop:
+				for _, r := range next {
+					c.Link(r)
+					c.Release(r)
+				}
+				return
+			case i := <-hits:
+				c.Link(next[i])
+				c.Release(next[i])
+				next[i] = c.Seal(i, admitted[i][p%(vers-1)+1], nil)
+			}
+			if p%4 == 3 {
+				admit(hot+p/4%colds, cold)
+			}
+		}
+	}()
+	readers.Wait()
+	close(stop)
+	writer.Wait()
+	st := c.Stats()
+	if events := int64(len(ci.Log())); st.Quarantined != events || events == 0 {
+		t.Errorf("Quarantined = %d, injector logged %d corrupting events", st.Quarantined, events)
+	}
+	if st.Hits+st.Misses != hot*gets || st.Misses != st.Quarantined || st.Hits != st.HostHits {
+		t.Errorf("hit counters do not reconcile: %+v (want %d gets)", st, hot*gets)
+	}
+	if st.Evictions == 0 {
+		t.Error("the cold samples never evicted")
+	}
+	verifyClean(t, c, "after concurrent run")
+	free := map[*Resident]bool{}
+	for _, l := range c.pool.free {
+		for _, r := range l {
+			if free[r] || c.entries[r.index] == r {
+				t.Fatalf("resident %p of sample %d recycled twice, or while indexed", r, r.index)
+			}
+			free[r] = true
+		}
+	}
+}
+
+// offerTamper is a CacheTamper that offers each hit's index on hits, if a
+// receiver is waiting, before passing the hit to inner.
+type offerTamper struct {
+	inner CacheTamper
+	hits  chan int
+}
+
+func (o *offerTamper) Tamper(index int, blob []byte) bool {
+	select {
+	case o.hits <- index:
+	default:
+	}
+	return o.inner.Tamper(index, blob)
 }
