@@ -1,8 +1,8 @@
 // Command scipplint runs the repository's static-analysis pass
 // (internal/analysis) over the module and reports violations of the
-// determinism, codec-contract, panic, guarded-send, error-handling, and
-// hot-path memory-discipline invariants, and functions nothing the module
-// runs can reach (deadcode). It exits 0 when clean at the chosen severity,
+// determinism, panic, retry, guarded-send, error-handling, and hot-path
+// memory-discipline invariants, and functions nothing the module runs can
+// reach (deadcode). It exits 0 when clean at the chosen severity,
 // 1 on findings, 2 on load failure.
 //
 // Usage:

@@ -20,7 +20,6 @@ var fixtures = []struct {
 	path string
 }{
 	{"fixdet", "scipp/internal/fixdet"},
-	{"fixmissing", "scipp/internal/codec/fixmissing"},
 	{"fixpanic", "scipp/internal/fixpanic"},
 	{"fixconc", "scipp/internal/dist"}, // guarded-send scope for the loop send
 	{"fixerr", "scipp/internal/fixerr"},
@@ -33,7 +32,6 @@ var fixtures = []struct {
 	{"fixhotalloc", "scipp/internal/fixhotalloc"},
 	{"fixshapecontract", "scipp/internal/fixshapecontract"},
 	{"fixpoolleak", "scipp/internal/fixpoolleak"},
-	{"fixcopydiscipline", "scipp/internal/fixcopydiscipline"},
 	{"fixworkerguard", "scipp/internal/pipeline"},   // pipeline scope for the supervised-goroutine rule
 	{"fixbreakerstate", "scipp/internal/dataserve"}, // dataserve scope for the breaker transition rule
 	{"fixunsafe", "scipp/internal/fixunsafe"},
@@ -109,13 +107,12 @@ func TestFixtures(t *testing.T) {
 // warningAnalyzers are the analyzers whose findings are warnings; every
 // other analyzer reports errors.
 var warningAnalyzers = map[string]bool{
-	"hotalloc":       true,
-	"copydiscipline": true,
-	"shapecontract":  true,
+	"hotalloc":      true,
+	"shapecontract": true,
 }
 
 // TestFixtureSeverities pins the severity ladder: across every fixture,
-// hotalloc, copydiscipline and shapecontract warn and every other analyzer
+// hotalloc and shapecontract warn and every other analyzer
 // errors, so each analyzer reports at one severity only. deadcode, which
 // gates the merge, must be among the analyzers seen erroring.
 func TestFixtureSeverities(t *testing.T) {

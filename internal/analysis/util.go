@@ -6,7 +6,6 @@ import (
 	"go/printer"
 	"go/token"
 	"go/types"
-	"strings"
 )
 
 // exprString renders a short source form of e for diagnostic messages.
@@ -97,14 +96,4 @@ func funcDocs(files []*ast.File) map[*ast.BlockStmt]string {
 		}
 	}
 	return out
-}
-
-// hasPrefixAny reports whether s starts with any of the prefixes.
-func hasPrefixAny(s string, prefixes ...string) bool {
-	for _, p := range prefixes {
-		if strings.HasPrefix(s, p) {
-			return true
-		}
-	}
-	return false
 }

@@ -207,10 +207,15 @@ func (ci *CacheInjector) decide(i int) bool {
 	return rng.Float64() < ci.cfg.BitRot
 }
 
+// Rots implements the pipeline's cache-tamper question: whether sample
+// index is a rotting sample. The cache copies a resident for Tamper only on
+// the hits of such samples.
+func (ci *CacheInjector) Rots(index int) bool { return ci.decide(index) }
+
 // Tamper implements the pipeline's cache-tamper hook: called with a copy of
-// the resident blob on every cache hit (the cache installs a changed copy
-// as the resident), it flips a few bytes of it on the first BitRotEvents
-// hits of a chosen sample and reports whether it did.
+// the resident blob on every cache hit Rots accepts (the cache installs a
+// changed copy as the resident), it flips a few bytes of it on the first
+// BitRotEvents hits of a chosen sample and reports whether it did.
 // The flipped sites derive from the per-sample damage stream, so the same
 // bytes rot on every run with the same seed.
 func (ci *CacheInjector) Tamper(index int, blob []byte) bool {

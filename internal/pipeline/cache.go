@@ -216,13 +216,16 @@ func (p *residentPool) putResident(r *Resident) {
 
 // CacheTamper corrupts resident cache payloads — the hook a seeded bit-rot
 // injector (fault.CacheInjector) attaches through SetTamper to model silent
-// corruption on the staged NVMe/host-memory tiers. Tamper is called on every
-// hit, before verification, with a private copy of the resident blob, and
-// reports whether it modified that copy. A reported change is copy-on-write:
-// the modified copy replaces the resident, so a reader already holding the
-// old slice keeps clean bytes while the hit that rotted the entry verifies
-// and quarantines it.
+// corruption on the staged NVMe/host-memory tiers. Rots is asked on every
+// hit, under the cache mutex and before any copy is made, whether this hit
+// of sample index may rot; a hit it declines costs no copy. Only then is
+// Tamper called, before verification, with a private copy of the resident
+// blob, and it reports whether it modified that copy. A reported change is
+// copy-on-write: the modified copy replaces the resident, so a reader
+// already holding the old slice keeps clean bytes while the hit that rotted
+// the entry verifies and quarantines it.
 type CacheTamper interface {
+	Rots(index int) bool
 	Tamper(index int, blob []byte) bool
 }
 
@@ -553,11 +556,15 @@ func (c *SampleCache) GetInto(i int, dst []byte) (blob []byte, label *tensor.Ten
 	return nil, nil, false, !gone
 }
 
-// tamperLocked offers the tamper hook a copy of e's blob and, if the hook
-// reports a change, installs the copy as the resident (copy-on-write: the
-// slice earlier hits handed out is never written, and the slab stays the
-// pool's). It reports the change.
+// tamperLocked asks the tamper hook whether this hit rots and, only if it
+// may, offers the hook a copy of e's blob; if the hook reports a change, it
+// installs the copy as the resident (copy-on-write: the slice earlier hits
+// handed out is never written, and the slab stays the pool's). It reports
+// the change.
 func (c *SampleCache) tamperLocked(e *Resident) bool {
+	if !c.tamper.Rots(e.index) {
+		return false
+	}
 	// Chaos runs only: the hook must never write into a served resident.
 	cp := append([]byte(nil), e.blob...)
 	if !c.tamper.Tamper(e.index, cp) {

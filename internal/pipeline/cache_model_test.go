@@ -531,10 +531,12 @@ type offerTamper struct {
 	hits  chan int
 }
 
-func (o *offerTamper) Tamper(index int, blob []byte) bool {
+func (o *offerTamper) Rots(index int) bool {
 	select {
 	case o.hits <- index:
 	default:
 	}
-	return o.inner.Tamper(index, blob)
+	return o.inner.Rots(index)
 }
+
+func (o *offerTamper) Tamper(index int, blob []byte) bool { return o.inner.Tamper(index, blob) }

@@ -9,6 +9,8 @@ import (
 // fuzzer's handle on arbitrary in-cache corruption patterns.
 type xorTamper struct{ mask []byte }
 
+func (x *xorTamper) Rots(int) bool { return true }
+
 func (x *xorTamper) Tamper(_ int, blob []byte) bool {
 	changed := false
 	for i := 0; i < len(blob) && i < len(x.mask); i++ {

@@ -17,6 +17,8 @@ type flipTamper struct {
 	hits    int
 }
 
+func (f *flipTamper) Rots(i int) bool { return f.targets[i] }
+
 func (f *flipTamper) Tamper(i int, blob []byte) bool {
 	if !f.targets[i] || len(blob) == 0 {
 		return false
@@ -105,6 +107,31 @@ func TestCacheTamperCopyOnWrite(t *testing.T) {
 	}
 	if !bytes.Equal(held, []byte{1, 2, 3, 4}) || !bytes.Equal(admitted, []byte{1, 2, 3, 4}) {
 		t.Fatalf("tamper wrote through to a served slice: held %v, admitted %v", held, admitted)
+	}
+}
+
+// declineTamper is a CacheTamper that lets no hit rot.
+type declineTamper struct{}
+
+func (declineTamper) Rots(int) bool { return false }
+
+func (declineTamper) Tamper(int, []byte) bool { return false }
+
+func TestCacheDeclinedTamperCopiesNothing(t *testing.T) {
+	// The hook is asked before the cache copies a resident for it, so a
+	// hit it declines costs what a hit without a hook does: no allocation.
+	admitted := bytes.Repeat([]byte{7}, 4096)
+	c := NewSampleCache(CacheConfig{HostMemBytes: 1 << 20})
+	c.Put(0, admitted, nil)
+	c.SetTamper(declineTamper{})
+	dst := make([]byte, len(admitted))
+	allocs := testing.AllocsPerRun(100, func() {
+		if _, _, ok, _ := c.GetInto(0, dst); !ok {
+			t.Fatal("declined hit missed")
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("a declined hit allocates %v times, want 0", allocs)
 	}
 }
 
